@@ -11,6 +11,7 @@ package simrank
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/batch"
@@ -492,54 +493,95 @@ func BenchmarkEngineUpdateStream(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			e := edges[i%len(edges)]
 			del := graph.Update{Edge: e, Insert: false}
-			if _, err := core.IncSRInPlace(g, s, del, exp.DampingC, d.K); err != nil {
+			if _, err := core.NewWorkspace(g).IncSR(s, del, exp.DampingC, d.K); err != nil {
 				b.Fatal(err)
 			}
 			g.Apply(del)
 			ins := graph.Update{Edge: e, Insert: true}
-			if _, err := core.IncSRInPlace(g, s, ins, exp.DampingC, d.K); err != nil {
+			if _, err := core.NewWorkspace(g).IncSR(s, ins, exp.DampingC, d.K); err != nil {
 				b.Fatal(err)
 			}
 			g.Apply(ins)
 		}
 	})
-	// The row-parallel sweep: one engine per graph size, resized between
+	// The row-parallel sweep: one engine per (store, n), resized between
 	// sub-benchmarks with SetWorkers so the expensive batch build runs
-	// once. The n=4096 row is where the ISSUE's ≥2× target at workers=4
-	// is measured (on a multi-core runner; a single-core box serializes
-	// the fan-out and should show ≈1×, never a regression cliff).
-	for _, n := range []int{1024, 4096} {
-		n := n
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			g := gen.PrefAttach(n, 4, 29)
-			eng, err := NewEngine(g.N(), g.Edges(), Options{C: exp.DampingC, K: 10})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer eng.Close()
-			streamEdges := g.Edges()[:8]
-			toggle := func() {
-				for _, e := range streamEdges {
-					if _, err := eng.Delete(e.From, e.To); err != nil {
-						b.Fatal(err)
+	// once. Each op is a 16-update toggle on PrefAttach(n, 4, 29):
+	// "hub" deletes and re-inserts the first 8 edges, which join the
+	// oldest, highest-degree nodes (wide affected areas); "uniform"
+	// inserts and deletes 8 absent edges drawn uniformly (small ones).
+	// Inc-uSR ("unpruned") pays Θ(n²) per update and runs at n=1024
+	// only. No simbench workload updates at workers ≥ 2, so this sweep
+	// is where the fan-out's cost shows; a single-core box serializes
+	// the fan-out and should show ≈1×, never a regression cliff.
+	sweep := []struct {
+		store string
+		opts  Options
+		ns    []int
+	}{
+		{"dense", Options{C: exp.DampingC, K: 10}, []int{1024, 4096}},
+		{"packed", Options{C: exp.DampingC, K: 10, Backend: BackendPacked}, []int{1024, 4096}},
+		{"unpruned", Options{C: exp.DampingC, K: 10, DisablePruning: true}, []int{1024}},
+	}
+	for _, sw := range sweep {
+		for _, n := range sw.ns {
+			b.Run(fmt.Sprintf("%s/n=%d", sw.store, n), func(b *testing.B) {
+				g := gen.PrefAttach(n, 4, 29)
+				eng, err := NewEngine(g.N(), g.Edges(), sw.opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer eng.Close()
+				streams := []struct {
+					name          string
+					edges         []Edge
+					first, second func(from, to int) (UpdateStats, error)
+				}{
+					{"hub", g.Edges()[:8], eng.Delete, eng.Insert},
+					{"uniform", absentEdges(g, 8, 31), eng.Insert, eng.Delete},
+				}
+				for _, st := range streams {
+					toggle := func() {
+						for _, e := range st.edges {
+							if _, err := st.first(e.From, e.To); err != nil {
+								b.Fatal(err)
+							}
+							if _, err := st.second(e.From, e.To); err != nil {
+								b.Fatal(err)
+							}
+						}
 					}
-					if _, err := eng.Insert(e.From, e.To); err != nil {
-						b.Fatal(err)
+					for _, workers := range []int{1, 2, 4, 8} {
+						eng.SetWorkers(workers)
+						toggle() // re-warm the pool and per-worker scratch at this width
+						b.Run(fmt.Sprintf("%s/workers=%d", st.name, workers), func(b *testing.B) {
+							b.ReportAllocs()
+							for i := 0; i < b.N; i++ {
+								toggle()
+							}
+						})
 					}
 				}
-			}
-			for _, workers := range []int{1, 2, 4, 8} {
-				eng.SetWorkers(workers)
-				toggle() // re-warm the pool and per-worker scratch at this width
-				b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						toggle()
-					}
-				})
-			}
-		})
+			})
+		}
 	}
+}
+
+// absentEdges draws k distinct edges absent from g, uniformly over
+// ordered pairs of distinct nodes, from a fixed seed.
+func absentEdges(g *graph.DiGraph, k int, seed int64) []Edge {
+	rng := rand.New(rand.NewSource(seed))
+	seen := make(map[Edge]bool, k)
+	out := make([]Edge, 0, k)
+	for len(out) < k {
+		e := Edge{From: rng.Intn(g.N()), To: rng.Intn(g.N())}
+		if e.From == e.To || g.HasEdge(e.From, e.To) || seen[e] {
+			continue
+		}
+		seen[e] = true
+		out = append(out, e)
+	}
+	return out
 }
 
 // BenchmarkEngineRecompute measures the batch safety valve through the

@@ -36,18 +36,18 @@
 // crossover) runs one row-partitioned sparse kernel (internal/matrix)
 // that ping-pongs between two preallocated n×n buffers. Options.Workers
 // sets the parallelism of both the batch kernel and the incremental
-// update path: the update's term accumulation and store write-back
-// partition by matrix row (no two workers share a cell, and within a
-// cell the serial accumulation order is replayed exactly), so every
-// worker count produces bit-identical results — serving answers,
-// snapshots and WAL replay are byte-stable whatever the fan-out. With
-// Workers = 0 updates auto-parallelize from n ≥ 2048 (GOMAXPROCS
-// permitting) and stay serial below, where fan-out overhead dominates;
-// SetWorkers resizes at runtime without racing in-flight updates. The
-// persistent worker pool and per-worker scratch keep a warm parallel
-// Apply at zero allocations. See README.md ("Parallel updates") for
-// the partition scheme and the benchmark suite (go test -bench=.
-// -benchmem).
+// update path: the Q·x mat-vecs, the rank-one M accumulation and
+// Inc-uSR's store write-back partition by matrix row (no two workers
+// share a cell), while Inc-SR's pruned write-back stays serial at every
+// worker count, so every worker count produces bit-identical results —
+// serving answers, snapshots and WAL replay are byte-stable whatever the
+// fan-out. With Workers = 0 updates auto-parallelize from n ≥ 2048
+// (GOMAXPROCS permitting) and stay serial below, where fan-out overhead
+// dominates; SetWorkers resizes at runtime without racing in-flight
+// updates. The persistent worker pool and per-worker scratch keep a
+// warm parallel Apply at zero allocations. See README.md ("Parallel
+// updates") for which stages fan out and the benchmark suite (go test
+// -bench=. -benchmem).
 //
 // # Concurrency model
 //

@@ -62,20 +62,22 @@ type Options struct {
 	RecomputeThreshold float64
 	// Workers bounds the goroutines used by the batch computations
 	// (NewEngine's initial scores, Recompute, and ApplyBatch's recompute
-	// crossover) AND by the incremental update path: the Inc-uSR/Inc-SR
-	// mat-vecs, M-accumulations and S write-backs row-partition across a
-	// persistent worker pool, and the approx backend fans walk repair
-	// across affected walks. 0 selects GOMAXPROCS — for updates only on
-	// graphs large enough to win (n ≥ 2048; below that auto stays
-	// serial, since fan-out overhead would swamp the per-update work); 1
-	// forces the sequential path everywhere, which additionally keeps a
-	// warm Recompute allocation-free; an explicit count > 1 always
-	// parallelizes. The result is bit-identical for every value — the
-	// serial and parallel paths execute the same per-cell float streams
-	// (see README "Parallel updates"). Not persisted in snapshots.
-	// Changeable at runtime via SetWorkers, which must not run
-	// concurrently with an update (ConcurrentEngine serializes it under
-	// its writer mutex).
+	// crossover) AND by the incremental update path: the Q·x mat-vecs,
+	// the rank-one M accumulation and Inc-uSR's S write-back
+	// row-partition across a persistent worker pool, and the approx
+	// backend fans walk repair across affected walks. Inc-SR's pruned S
+	// write-back is serial at every worker count — it costs the affected
+	// support, not n², and fanning it out only added synchronization
+	// (README "Parallel updates"). 0 selects GOMAXPROCS — for updates
+	// only on graphs large enough to win (n ≥ 2048; below that auto
+	// stays serial, since fan-out overhead would swamp the per-update
+	// work); 1 forces the sequential path everywhere, which additionally
+	// keeps a warm Recompute allocation-free; an explicit count > 1
+	// always parallelizes. The result is bit-identical for every value:
+	// no fan-out splits the accumulations into one cell across workers.
+	// Not persisted in snapshots. Changeable at runtime via SetWorkers,
+	// which must not run concurrently with an update (ConcurrentEngine
+	// serializes it under its writer mutex).
 	Workers int
 	// TopKCacheRows enables the read-path query cache: up to this many
 	// per-row TopKFor results (plus one global TopK result) are retained,
@@ -629,6 +631,14 @@ func (e *Engine) Options() Options { return e.opts }
 // into. ConcurrentEngine.SetWorkers holds the writer mutex for exactly
 // this reason.
 func (e *Engine) SetWorkers(workers int) {
+	e.setWorkers(workers)
+	e.epoch++ // Options() is reader-visible state
+}
+
+// setWorkers is SetWorkers without the epoch bump: it sets the option
+// and resizes both consumers, the update workspace and the approx
+// store's walk repair.
+func (e *Engine) setWorkers(workers int) {
 	e.opts.Workers = workers
 	if e.ws != nil {
 		e.ws.SetWorkers(workers)
@@ -636,7 +646,6 @@ func (e *Engine) SetWorkers(workers int) {
 	if as, ok := e.s.(*simstore.Approx); ok {
 		as.SetWorkers(workers)
 	}
-	e.epoch++ // Options() is reader-visible state
 }
 
 // Close releases the engine's background resources — today the
@@ -682,13 +691,7 @@ func (e *Engine) SetTopKCacheRows(rows int) {
 // silently swallow — the leader's next record (see cmd/simrankd).
 func (e *Engine) ConfigureRestored(workers, topkRows int) {
 	if workers > 0 {
-		e.opts.Workers = workers
-		if e.ws != nil {
-			e.ws.SetWorkers(workers)
-		}
-		if as, ok := e.s.(*simstore.Approx); ok {
-			as.SetWorkers(workers)
-		}
+		e.setWorkers(workers)
 	}
 	e.setTopKCacheRows(topkRows)
 }

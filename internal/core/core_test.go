@@ -394,48 +394,15 @@ func TestQuickIncrementalInvariants(t *testing.T) {
 	}
 }
 
-func TestInPlaceVariantsMatchPure(t *testing.T) {
-	g := graph.FromEdges(6, []graph.Edge{
-		{From: 0, To: 1}, {From: 0, To: 2}, {From: 3, To: 2}, {From: 2, To: 4}, {From: 4, To: 5},
-	})
-	c := 0.6
-	sOld := batch.MatrixForm(g, c, 40)
-	up := graph.Update{Edge: graph.Edge{From: 5, To: 2}, Insert: true}
-
-	pureSR, _, err := IncSR(g, sOld, up, c, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inSR := sOld.Clone()
-	if _, err := IncSRInPlace(g, inSR, up, c, 40); err != nil {
-		t.Fatal(err)
-	}
-	if matrix.MaxAbsDiff(pureSR, inSR) != 0 {
-		t.Fatal("IncSRInPlace differs from IncSR")
-	}
-
-	pureU, _, err := IncUSR(g, sOld, up, c, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inU := sOld.Clone()
-	if _, err := IncUSRInPlace(g, inU, up, c, 40); err != nil {
-		t.Fatal(err)
-	}
-	if matrix.MaxAbsDiff(pureU, inU) != 0 {
-		t.Fatal("IncUSRInPlace differs from IncUSR")
-	}
-}
-
 func TestInPlaceErrorLeavesInputUntouched(t *testing.T) {
 	g := graph.FromEdges(3, []graph.Edge{{From: 0, To: 1}})
 	s := batch.MatrixForm(g, 0.6, 10)
 	snapshot := s.Clone()
 	bad := graph.Update{Edge: graph.Edge{From: 0, To: 1}, Insert: true} // duplicate
-	if _, err := IncSRInPlace(g, s, bad, 0.6, 10); err == nil {
+	if _, err := NewWorkspace(g).IncSR(s, bad, 0.6, 10); err == nil {
 		t.Fatal("want error")
 	}
-	if _, err := IncUSRInPlace(g, s, bad, 0.6, 10); err == nil {
+	if _, err := NewWorkspace(g).IncUSR(s, bad, 0.6, 10); err == nil {
 		t.Fatal("want error")
 	}
 	if matrix.MaxAbsDiff(s, snapshot) != 0 {

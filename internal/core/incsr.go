@@ -12,26 +12,19 @@ import (
 // materialized — so work per iteration is proportional to the affected
 // frontier A_k×B_k rather than n². The result is entrywise identical to
 // IncUSR (the pruning is lossless).
+//
+// This non-mutating form pays a Θ(n²) defensive copy and builds a fresh
+// Workspace (Qᵀ, in-degrees, scratch) per call. Callers applying a
+// stream of updates should hold a Workspace and use its IncSR method,
+// which updates s in place and meets the O(K(nd + |AFF|)) bound with
+// zero heap allocations once warm — the engine facade does so.
 func IncSR(g *graph.DiGraph, s *matrix.Dense, up graph.Update, c float64, k int) (*matrix.Dense, Stats, error) {
 	out := s.Clone()
-	st, err := IncSRInPlace(g, out, up, c, k)
+	st, err := NewWorkspace(g).IncSR(out, up, c, k)
 	if err != nil {
 		return nil, Stats{}, err
 	}
 	return out, st, nil
-}
-
-// IncSRInPlace is IncSR mutating s directly. This is the form whose cost
-// actually meets the O(K(nd + |AFF|)) bound: the non-mutating wrapper
-// pays an extra Θ(n²) for the defensive copy, which would dominate small
-// affected areas.
-//
-// It builds a fresh Workspace (Qᵀ, in-degrees, scratch) from g on every
-// call. Callers applying a stream of updates should hold a Workspace and
-// use its IncSR method instead, which reuses all of that state and
-// performs zero heap allocations once warm — the engine facade does so.
-func IncSRInPlace(g *graph.DiGraph, s *matrix.Dense, up graph.Update, c float64, k int) (Stats, error) {
-	return NewWorkspace(g).IncSR(s, up, c, k)
 }
 
 // IncSR performs one unit update on s (Algorithm 2) using the workspace's
@@ -115,51 +108,12 @@ func (ws *Workspace) IncSR(s SimStore, up graph.Update, c float64, k int) (Stats
 	// M is stored as pooled dense rows: only rows in the affected frontier
 	// ∪supp(ξ_k) ever exist, so memory is |rows|·n ≤ n² and the inner loop
 	// is the same contiguous multiply-add as Inc-uSR's — just restricted
-	// to the frontier.
+	// to the frontier (srAccum).
 	colSupp := ws.colSupp // index set of ∪supp(η_k)
-	applyTerm := func(xi, eta *wsVec) {
-		denseEta := len(eta.supp) > n/2
-		for _, b := range eta.supp {
-			if !colSupp.mark[b] {
-				colSupp.add(b, 1)
-			}
-		}
-		if parts > 1 && len(xi.supp) >= parts {
-			// Fan the rank-one term across the pool: the rows are
-			// pre-claimed serially (pool draws and rowSupp bookkeeping
-			// must not race), then partitioned by support position —
-			// rows are disjoint and each row's accumulation is the
-			// serial loop below, so the bits cannot depend on the split.
-			for _, a := range xi.supp {
-				ws.mRow(a)
-			}
-			ws.parXi, ws.parEta, ws.parDenseEta = xi, eta, denseEta
-			ws.evenBounds(len(xi.supp), parts)
-			ws.parRun(taskSRAccum, parts)
-			ws.parXi, ws.parEta = nil, nil
-			return
-		}
-		for _, a := range xi.supp {
-			va := xi.vals[a]
-			row := ws.mRow(a)
-			if denseEta {
-				// Frontier ≈ full row: a contiguous multiply-add beats
-				// the indexed gather (zero entries contribute nothing).
-				for b, vb := range eta.vals {
-					row[b] += va * vb
-				}
-			} else {
-				for _, b := range eta.supp {
-					row[b] += va * eta.vals[b]
-				}
-			}
-		}
-	}
-
 	xi := ws.xi
 	xi.add(j, c)
 	eta := gam
-	applyTerm(xi, eta) // M₀ = C·e_j·γᵀ
+	ws.srAccum(xi, eta, parts) // M₀ = C·e_j·γᵀ
 
 	xiNext, etaNext := ws.xiNext, ws.etaNext
 	var frontier float64
@@ -182,7 +136,7 @@ func (ws *Workspace) IncSR(s SimStore, up graph.Update, c float64, k int) (Stats
 		etaNext.add(j, veta*uv)
 		etaNext.compact(ZeroTol)
 
-		applyTerm(xiNext, etaNext)
+		ws.srAccum(xiNext, etaNext, parts)
 		xi, xiNext = xiNext, xi
 		eta, etaNext = etaNext, eta
 		if a := xi.nnz() + eta.nnz(); a > peakAux {
@@ -196,37 +150,31 @@ func (ws *Workspace) IncSR(s SimStore, up graph.Update, c float64, k int) (Stats
 	// scrubbed as they are read and returned to the pool for the next
 	// update.
 	//
-	// Per-cell accumulation order: a pair {a, b} with both ordered M
-	// entries non-zero receives them in the claim order of rows a and b
-	// (the rowSupp scan below runs in claim order) — which the
-	// row-parallel write-back (srWritebackParallel) reproduces per pair
-	// through the rowPos ledger, so serial and parallel land identical
-	// bits at every worker count.
-	var affected int
-	if cs, ok := s.(ConcurrentWriteStore); ok && parts > 1 {
-		affected = ws.srWritebackParallel(s, cs, parts)
-	} else {
-		touched := ws.touched
-		for _, a := range ws.rowSupp {
-			mrow := ws.mRows[a]
-			for _, b := range colSupp.supp {
-				v := mrow[b]
-				mrow[b] = 0
-				if v <= ZeroTol && v >= -ZeroTol {
-					continue
-				}
-				s.AddSym(a, b, v)
-				touched.set(a, b)
-				touched.set(b, a)
-				// The write landed in rows a (entry b) and b (entry a): both
-				// become invalidation targets for row-level caches.
-				ws.markDirty(a)
-				ws.markDirty(b)
+	// The scan is serial at every worker count, and its claim order
+	// defines each cell's accumulation order: a pair {a, b} with both
+	// ordered M entries non-zero receives them in the order rows a and b
+	// were claimed. Its cost is |rowSupp|·|colSupp|, the pruned support
+	// the paper's bound charges; fanning it out by row would make every
+	// owner re-scan whole supports with column-strided reads of M.
+	touched := ws.touched
+	for _, a := range ws.rowSupp {
+		mrow := ws.mRows[a]
+		for _, b := range colSupp.supp {
+			v := mrow[b]
+			mrow[b] = 0
+			if v <= ZeroTol && v >= -ZeroTol {
+				continue
 			}
-			ws.mRows[a] = nil
-			ws.rowPool = append(ws.rowPool, mrow)
+			s.AddSym(a, b, v)
+			touched.set(a, b)
+			touched.set(b, a)
+			// The write landed in rows a (entry b) and b (entry a): both
+			// become invalidation targets for row-level caches.
+			ws.markDirty(a)
+			ws.markDirty(b)
 		}
-		affected = touched.count
+		ws.mRows[a] = nil
+		ws.rowPool = append(ws.rowPool, mrow)
 	}
 
 	iters := k
@@ -235,7 +183,7 @@ func (ws *Workspace) IncSR(s SimStore, up graph.Update, c float64, k int) (Stats
 	}
 	st := Stats{
 		Iterations:    k,
-		AffectedPairs: affected,
+		AffectedPairs: touched.count,
 		FrontierArea:  frontier / float64(iters),
 		// M's pooled rows, the workspace vectors, the touched-pair bitset
 		// (1/64 float per pair each), and the B₀/w/γ memos.
@@ -246,9 +194,6 @@ func (ws *Workspace) IncSR(s SimStore, up graph.Update, c float64, k int) (Stats
 	// Reset every transient so the next update starts clean; each reset is
 	// proportional to the support it clears. xi/eta aliases cover all four
 	// iteration buffers regardless of swap parity (gam doubles as η₀).
-	for _, a := range ws.rowSupp {
-		ws.rowMark[a] = false
-	}
 	ws.rowSupp = ws.rowSupp[:0]
 	ws.touched.reset()
 	b0.reset()

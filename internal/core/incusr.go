@@ -94,22 +94,17 @@ func gammaDense(gam []float64, s SimStore, w []float64, lam float64, up graph.Up
 // without any matrix-matrix multiplication.
 //
 // g and s are not modified; the caller applies the update to g afterwards
-// (or uses the public facade, which does both).
+// (or uses the public facade, which does both). Like IncSR it copies s and
+// builds a fresh Workspace per call; stream callers should hold a
+// Workspace and use its IncUSR method, which updates s in place and
+// reuses the dense scratch across updates.
 func IncUSR(g *graph.DiGraph, s *matrix.Dense, up graph.Update, c float64, k int) (*matrix.Dense, Stats, error) {
 	out := s.Clone()
-	st, err := IncUSRInPlace(g, out, up, c, k)
+	st, err := NewWorkspace(g).IncUSR(out, up, c, k)
 	if err != nil {
 		return nil, Stats{}, err
 	}
 	return out, st, nil
-}
-
-// IncUSRInPlace is IncUSR mutating s directly, sparing the Θ(n²)
-// defensive copy of the non-mutating wrapper. Like IncSRInPlace it builds
-// a fresh Workspace per call; stream callers should use
-// Workspace.IncUSR, which reuses the dense scratch across updates.
-func IncUSRInPlace(g *graph.DiGraph, s *matrix.Dense, up graph.Update, c float64, k int) (Stats, error) {
-	return NewWorkspace(g).IncUSR(s, up, c, k)
 }
 
 // IncUSR performs one unit update on s (Algorithm 1) using the
@@ -134,9 +129,7 @@ func (ws *Workspace) IncUSR(s SimStore, up graph.Update, c float64, k int) (Stat
 	ws.ensureDense()
 	ws.resetDirty()
 	parts := ws.resolveWorkers()
-	if parts > 1 {
-		ws.ensureParScratch(parts)
-	}
+	ws.ensureParScratch(parts) // the write-back's scratch, even at one partition
 	i, j := up.Edge.From, up.Edge.To
 	dj := ws.din[j]
 
@@ -185,49 +178,10 @@ func (ws *Workspace) IncUSR(s SimStore, up graph.Update, c float64, k int) (Stat
 	// the preprocessing above, so mutating in place is safe. Each
 	// unordered pair is visited once: its delta d = [M]_{a,b} + [M]_{b,a}
 	// is the same for both mirror entries (float addition commutes), so
-	// AddSym lands the identical bits the old per-ordered-entry loop
-	// wrote, while a packed store pays one cell instead of two. The
+	// AddSym lands the identical bits a per-ordered-entry loop would
+	// write, while a packed store pays one cell instead of two. The
 	// diagonal keeps its single Add of d = 2·[M]_{a,a}.
-	//
-	// With parts > 1 and a store that supports concurrent write-back,
-	// the upper-triangle scan fans out across row-partitioned workers
-	// (usrWritebackParallel) — each pair still gets its one delta,
-	// computed from the same operands in the same order, so the stored
-	// bits match the serial scan exactly.
-	affected := 0
-	if cs, ok := s.(ConcurrentWriteStore); ok && parts > 1 {
-		affected = ws.usrWritebackParallel(s, cs, parts)
-	} else {
-		for a := 0; a < n; a++ {
-			mrow := m.Row(a)
-			d := mrow[a] + m.At(a, a)
-			if d > ZeroTol || d < -ZeroTol {
-				affected++
-			}
-			// Any exactly non-zero delta dirties the row: deltas inside
-			// (0, ZeroTol] are still added to S, so a tolerance-based test
-			// here would let a cache serve stale bits. Zero deltas are
-			// skipped outright — adding 0.0 cannot change a stored value,
-			// and the skip is what keeps a copy-on-write store's write set
-			// equal to the dirty set (an unconditional AddSym over all n²/2
-			// pairs would COW the entire sealed store on every update).
-			if d != 0 {
-				ws.markDirty(a)
-				s.Add(a, a, d)
-			}
-			for b := a + 1; b < n; b++ {
-				d := mrow[b] + m.At(b, a)
-				if d > ZeroTol || d < -ZeroTol {
-					affected += 2 // both ordered entries, as the dense scan counted
-				}
-				if d != 0 {
-					ws.markDirty(a)
-					ws.markDirty(b)
-					s.AddSym(a, b, d)
-				}
-			}
-		}
-	}
+	affected := ws.usrWriteback(s, parts)
 	ws.vws.reset()
 	st := Stats{
 		Iterations:    k,

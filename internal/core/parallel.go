@@ -7,25 +7,28 @@ import (
 )
 
 // This file is the row-parallel execution substrate of the incremental
-// update path. The contract is bit-identity at every worker count: the
-// parallel fan-outs below never change the order of floating-point
-// accumulations INTO ANY ONE CELL — they only spread disjoint row (or
-// cell) ownership across goroutines. Concretely:
+// update path. Every stage of an update is one routine that runs inline
+// at one partition and on a persistent worker pool at more. The
+// contract is bit-identity at every worker count: a fan-out never
+// splits the floating-point accumulations INTO ANY ONE CELL across
+// goroutines — it only spreads disjoint row (or cell) ownership.
+// Concretely:
 //
 //   - mulQ and the rank-one M accumulation are embarrassingly row
 //     parallel: each output row's gather/multiply-add order is exactly
-//     the serial loop's, so any contiguous row partition yields the
-//     serial float stream.
-//   - The S write-backs assign every unordered pair {a, b} to the
-//     worker owning row min(a, b); within one owner the (at most two)
-//     contributions a pair receives are applied in the same order the
-//     serial scan lands them — for Inc-SR that is the claim order of the
-//     M rows, replayed through the workspace's rowPos ledger.
+//     the one-partition loop's, so any contiguous row partition yields
+//     the same float stream.
+//   - Inc-uSR's S write-back assigns every unordered pair {a, b} to the
+//     worker owning row min(a, b), which computes the pair's single
+//     delta from the same operands in the same order at any partition.
 //     Stores advertise how concurrent owners may write through the
 //     ConcurrentWriteStore contract (store.go): packed folds a pair
 //     into the min row's chunk, so chunk-aligned partitions make owners
 //     conflict-free; dense splits into an upper-triangle phase and a
 //     mirror phase so no two goroutines ever touch one cell.
+//   - Inc-SR's pruned write-back is serial at every worker count (see
+//     IncSR): its cost is the affected support, not n², and the claim
+//     order of its scan is what defines each cell's accumulation order.
 //   - Per-worker dirty rows and affected-pair counts accumulate in
 //     worker-private scratch and merge in worker order after the
 //     barrier, so the merged result is deterministic no matter which
@@ -55,9 +58,6 @@ const (
 	taskUSRWriteback
 	taskUSRMirror
 	taskSRAccum
-	taskSRWriteback
-	taskSRMirror
-	taskSRScrub
 )
 
 // workerScratch is one worker's private write-back accumulation state:
@@ -193,11 +193,16 @@ func (ws *Workspace) ensureParScratch(parts int) {
 
 // parRun fans the staged task out: chunks 1..parts−1 go to the pool,
 // chunk 0 runs inline, and the barrier completes when every worker has
-// reported. Channel sends/receives of scalar values allocate nothing,
-// so a warm dispatch is free of heap traffic.
+// reported. One partition runs inline without touching the pool.
+// Channel sends/receives of scalar values allocate nothing, so a warm
+// dispatch is free of heap traffic.
 //
 //simrank:noalloc
 func (ws *Workspace) parRun(task parTask, parts int) {
+	if parts == 1 {
+		ws.runChunk(task, 0)
+		return
+	}
 	ws.ensurePool(parts)
 	p := ws.pool
 	for w := 1; w < parts; w++ {
@@ -226,18 +231,12 @@ func (ws *Workspace) runChunk(task parTask, w int) {
 		ws.usrMirrorRange(lo, hi)
 	case taskSRAccum:
 		ws.srAccumRange(lo, hi)
-	case taskSRWriteback:
-		ws.srWritebackRange(w, lo, hi)
-	case taskSRMirror:
-		ws.srMirrorRange(lo, hi)
-	case taskSRScrub:
-		ws.srScrubRange(lo, hi)
 	}
 }
 
 // evenBounds partitions k items into parts contiguous, evenly sized
 // ranges — the right split when per-item work is uniform (mulQ rows,
-// M-row accumulations, scrubs).
+// M-row accumulations).
 //
 //simrank:noalloc
 func (ws *Workspace) evenBounds(k, parts int) {
@@ -343,17 +342,28 @@ func (ws *Workspace) mirrorBounds(parts int) {
 	ws.bounds[parts] = n
 }
 
-// usrWritebackParallel is Inc-uSR's S̃ = S + M + Mᵀ fanned across parts
-// workers: each worker owns a contiguous row range and writes its rows'
-// diagonal and upper-triangle cells; every unordered pair is visited by
-// exactly one worker, with the delta computed in the serial operand
-// order (M[a][b] + M[b][a]), so the stored bits cannot depend on the
-// partition. Returns the merged affected-pair count.
+// usrWriteback is Inc-uSR's S̃ = S + M + Mᵀ (Algorithm 1 line 18). Each
+// worker owns a contiguous row range and writes its rows' diagonal and
+// upper-triangle cells; every unordered pair is visited by exactly one
+// worker, with the delta computed in one operand order (M[a][b] +
+// M[b][a]), so the stored bits cannot depend on the partition. One
+// partition — always the case for a store without ConcurrentWriteStore
+// — runs inline over [0, n) with AddSym. Returns the merged
+// affected-pair count.
 //
 //simrank:noalloc
-func (ws *Workspace) usrWritebackParallel(s SimStore, cs ConcurrentWriteStore, parts int) int {
-	mirror := cs.BeginConcurrentWrites()
-	ws.usrBounds(parts, cs)
+func (ws *Workspace) usrWriteback(s SimStore, parts int) int {
+	cs, ok := s.(ConcurrentWriteStore)
+	if !ok {
+		parts = 1
+	}
+	mirror := false
+	if parts > 1 {
+		mirror = cs.BeginConcurrentWrites()
+		ws.usrBounds(parts, cs)
+	} else {
+		ws.bounds[0], ws.bounds[1] = 0, ws.n
+	}
 	ws.parS, ws.parMirror = s, mirror
 	ws.parRun(taskUSRWriteback, parts)
 	affected := ws.mergeScratch(parts)
@@ -368,10 +378,15 @@ func (ws *Workspace) usrWritebackParallel(s SimStore, cs ConcurrentWriteStore, p
 }
 
 // usrWritebackRange is one worker's Inc-uSR phase-1 chunk: rows
-// lo..hi−1, diagonal plus upper triangle — the serial loop body with
-// writes routed per the store's concurrent contract and bookkeeping
-// kept worker-private: dirty rows land in the worker's scratch (sc.mark)
-// and reach markDirty in mergeScratch after the barrier.
+// lo..hi−1, diagonal plus upper triangle, with writes routed per the
+// store's concurrent contract and bookkeeping kept worker-private: dirty
+// rows land in the worker's scratch (sc.mark) and reach markDirty in
+// mergeScratch after the barrier. Any exactly non-zero delta dirties its
+// rows — deltas inside (0, ZeroTol] are still added to S, so a
+// tolerance-based test here would let a cache serve stale bits — while
+// zero deltas are skipped outright: adding 0.0 cannot change a stored
+// value, and the skip keeps a copy-on-write store's write set equal to
+// the dirty set.
 //
 //simrank:nodirty
 //simrank:noalloc
@@ -391,7 +406,7 @@ func (ws *Workspace) usrWritebackRange(w, lo, hi int) {
 		for b := a + 1; b < n; b++ {
 			d := mrow[b] + m.At(b, a)
 			if d > ZeroTol || d < -ZeroTol {
-				sc.affected += 2
+				sc.affected += 2 // both ordered entries
 			}
 			if d != 0 {
 				sc.mark(a)
@@ -434,10 +449,39 @@ func (ws *Workspace) usrMirrorRange(lo, hi int) {
 	}
 }
 
-// srAccumRange is one worker's slice of Inc-SR's rank-one term
-// ξ·ηᵀ: M rows indexed by xi.supp[lo..hi−1], every row pre-claimed
-// serially (pool draws and rowSupp bookkeeping don't race), each row's
-// inner accumulation exactly the serial loop's.
+// srAccum adds Inc-SR's rank-one term ξ·ηᵀ into the pooled M rows
+// (Algorithm 2 lines 13–19) and grows the column support by supp(η).
+// The rows are claimed first, serially — pool draws and rowSupp
+// bookkeeping must not race — then the term accumulates over the whole
+// support inline, or fans out when the support has at least parts rows.
+// No two workers share a row and each row's loop is the same either
+// way, so the bits cannot depend on the split.
+//
+//simrank:noalloc
+func (ws *Workspace) srAccum(xi, eta *wsVec, parts int) {
+	colSupp := ws.colSupp
+	for _, b := range eta.supp {
+		if !colSupp.mark[b] {
+			colSupp.add(b, 1)
+		}
+	}
+	for _, a := range xi.supp {
+		ws.claimRow(a)
+	}
+	// Frontier ≈ full row: a contiguous multiply-add beats the indexed
+	// gather (zero entries contribute nothing).
+	ws.parXi, ws.parEta, ws.parDenseEta = xi, eta, len(eta.supp) > ws.n/2
+	if parts > 1 && len(xi.supp) >= parts {
+		ws.evenBounds(len(xi.supp), parts)
+		ws.parRun(taskSRAccum, parts)
+	} else {
+		ws.srAccumRange(0, len(xi.supp))
+	}
+	ws.parXi, ws.parEta = nil, nil
+}
+
+// srAccumRange accumulates ξ·ηᵀ into the claimed M rows indexed by
+// xi.supp[lo..hi−1].
 //
 //simrank:noalloc
 func (ws *Workspace) srAccumRange(lo, hi int) {
@@ -454,240 +498,6 @@ func (ws *Workspace) srAccumRange(lo, hi int) {
 			for _, b := range eta.supp {
 				row[b] += va * eta.vals[b]
 			}
-		}
-	}
-}
-
-// srWritebackParallel is Inc-SR's pruned S̃ = S + M + Mᵀ fanned across
-// parts workers. Ownership is by unordered pair: row r = min(a, b) owns
-// {a, b}, so the owner list is every row in the pruned row support or
-// the column support, scanned ascending. Each owner applies a pair's
-// one or two contributions in the order the serial scan lands them —
-// the claim order of the M rows, compared through the rowPos ledger —
-// keeping the stored bits partition-independent. M is scrubbed only
-// after the barriers — the owners read other workers' M rows — then
-// returned to the pool serially. Returns the affected-pair count.
-//
-//simrank:noalloc
-func (ws *Workspace) srWritebackParallel(s SimStore, cs ConcurrentWriteStore, parts int) int {
-	ws.ownerRows = ws.ownerRows[:0]
-	for r := 0; r < ws.n; r++ {
-		if ws.rowMark[r] || ws.colSupp.mark[r] {
-			ws.ownerRows = append(ws.ownerRows, r)
-		}
-	}
-	mirror := cs.BeginConcurrentWrites()
-	ws.srOwnerBounds(parts, cs)
-	ws.parS, ws.parMirror = s, mirror
-	ws.parRun(taskSRWriteback, parts)
-	affected := ws.mergeScratch(parts)
-	if mirror {
-		ws.parRun(taskSRMirror, parts) // same owner partition
-	}
-	ws.evenBounds(len(ws.rowSupp), parts)
-	ws.parRun(taskSRScrub, parts)
-	for _, a := range ws.rowSupp {
-		ws.rowPool = append(ws.rowPool, ws.mRows[a])
-		ws.mRows[a] = nil
-	}
-	ws.parS = nil
-	return affected
-}
-
-// srOwnerBounds partitions the owner-row list into parts contiguous
-// ranges, advancing each boundary until consecutive owners fall on
-// opposite sides of a store write boundary (chunk-aligned on packed, so
-// no two workers ever touch one chunk; every row is a boundary on
-// dense).
-//
-//simrank:noalloc
-func (ws *Workspace) srOwnerBounds(parts int, cs ConcurrentWriteStore) {
-	rows := ws.ownerRows
-	k := len(rows)
-	ws.bounds[0] = 0
-	idx := 0
-	for w := 1; w < parts; w++ {
-		if target := k * w / parts; idx < target {
-			idx = target
-		}
-		for idx > 0 && idx < k && cs.AlignConcurrentBoundary(rows[idx-1]+1) > rows[idx] {
-			idx++
-		}
-		ws.bounds[w] = idx
-	}
-	ws.bounds[parts] = k
-}
-
-// srAdd lands one serial AddSym(a, b, v) under the concurrent contract:
-// packed keeps the symmetric call (one backing cell either way); dense
-// phase 1 writes only the pair's canonical upper cell — the mirror cell
-// is phase 2's. Dirty-row reporting is the caller's: every srAdd site
-// marks both rows into its worker scratch.
-//
-//simrank:nodirty
-//simrank:noalloc
-func srAdd(s SimStore, mirror bool, a, b int, v float64) {
-	if mirror {
-		if a > b {
-			a, b = b, a
-		}
-		s.Add(a, b, v)
-	} else {
-		s.AddSym(a, b, v)
-	}
-}
-
-// srWritebackRange is one worker's Inc-SR phase-1 chunk: owner rows
-// ownerRows[lo..hi−1]. Owner r handles every pair {r, x}, x > r,
-// completely: the min-row contribution M[r][x] (exists when r is a
-// claimed row and x in the column support) and the max-row contribution
-// M[x][r] (x claimed, r in the column support) are applied in the claim
-// order of rows r and x — the exact per-cell add sequence of the serial
-// rowSupp scan. Dirty rows accumulate in the worker's scratch (sc.mark)
-// and reach markDirty in mergeScratch after the barrier.
-//
-//simrank:nodirty
-//simrank:noalloc
-func (ws *Workspace) srWritebackRange(w, lo, hi int) {
-	s, mirror, colSupp := ws.parS, ws.parMirror, ws.colSupp
-	sc := &ws.wscratch[w]
-	for k := lo; k < hi; k++ {
-		r := ws.ownerRows[k]
-		inRow, inCol := ws.rowMark[r], colSupp.mark[r]
-		if inRow && inCol {
-			// Diagonal pair {r, r}: the single AddSym lands v twice on the
-			// one cell, exactly as the serial scan's.
-			v := ws.mRows[r][r]
-			if v > ZeroTol || v < -ZeroTol {
-				s.AddSym(r, r, v)
-				sc.affected++
-				sc.mark(r)
-			}
-		}
-		// Pairs {r, x}, x > r, x in the column support: one or both
-		// contributions live here.
-		for _, x := range colSupp.supp {
-			if x <= r {
-				continue
-			}
-			var v1, v2 float64
-			c1, c2 := false, false
-			if inRow {
-				v1 = ws.mRows[r][x]
-				c1 = v1 > ZeroTol || v1 < -ZeroTol
-			}
-			if inCol && ws.rowMark[x] {
-				v2 = ws.mRows[x][r]
-				c2 = v2 > ZeroTol || v2 < -ZeroTol
-			}
-			if !c1 && !c2 {
-				continue
-			}
-			if c1 && c2 && ws.rowPos[x] < ws.rowPos[r] {
-				// Row x was claimed first: the serial scan lands M[x][r]
-				// before M[r][x].
-				srAdd(s, mirror, x, r, v2)
-				srAdd(s, mirror, r, x, v1)
-			} else {
-				if c1 {
-					srAdd(s, mirror, r, x, v1)
-				}
-				if c2 {
-					srAdd(s, mirror, x, r, v2)
-				}
-			}
-			sc.affected += 2
-			sc.mark(r)
-			sc.mark(x)
-		}
-		// Pairs {r, x}, x > r, x a claimed row outside the column support:
-		// only the max-row contribution M[x][r] can exist.
-		if inCol {
-			for _, x := range ws.rowSupp {
-				if x <= r || colSupp.mark[x] {
-					continue
-				}
-				v := ws.mRows[x][r]
-				if v <= ZeroTol && v >= -ZeroTol {
-					continue
-				}
-				srAdd(s, mirror, x, r, v)
-				sc.affected += 2
-				sc.mark(r)
-				sc.mark(x)
-			}
-		}
-	}
-}
-
-// srMirrorRange is one worker's Inc-SR mirror chunk on the dense
-// layout: for its owner rows x it lands the lower-triangle cell (x, r),
-// r < x, of every pair phase 1 wrote, applying the same contributions
-// in the same claim order — a serial AddSym feeds both mirror cells the
-// identical add sequence. Every row written here was already marked
-// dirty by phase 1's scratch merge.
-//
-//simrank:nodirty
-//simrank:noalloc
-func (ws *Workspace) srMirrorRange(lo, hi int) {
-	s, colSupp := ws.parS, ws.colSupp
-	for k := lo; k < hi; k++ {
-		x := ws.ownerRows[k]
-		inColX, inRowX := colSupp.mark[x], ws.rowMark[x]
-		// Pairs {r, x}, r < x, r a claimed row: one or both contributions.
-		for _, r := range ws.rowSupp {
-			if r >= x {
-				continue
-			}
-			var v1, v2 float64
-			c1, c2 := false, false
-			if inColX {
-				v1 = ws.mRows[r][x]
-				c1 = v1 > ZeroTol || v1 < -ZeroTol
-			}
-			if inRowX && colSupp.mark[r] {
-				v2 = ws.mRows[x][r]
-				c2 = v2 > ZeroTol || v2 < -ZeroTol
-			}
-			if c1 && c2 && ws.rowPos[x] < ws.rowPos[r] {
-				s.Add(x, r, v2)
-				s.Add(x, r, v1)
-			} else {
-				if c1 {
-					s.Add(x, r, v1)
-				}
-				if c2 {
-					s.Add(x, r, v2)
-				}
-			}
-		}
-		// Pairs {r, x}, r < x, r in the column support but not claimed:
-		// only the max-row contribution M[x][r] can exist.
-		if inRowX {
-			mrow := ws.mRows[x]
-			for _, r := range colSupp.supp {
-				if r >= x || ws.rowMark[r] {
-					continue
-				}
-				v := mrow[r]
-				if v > ZeroTol || v < -ZeroTol {
-					s.Add(x, r, v)
-				}
-			}
-		}
-	}
-}
-
-// srScrubRange zeroes one worker's slice of the M rows (every non-zero
-// lies in the column support) so the rows return to the pool clean.
-//
-//simrank:noalloc
-func (ws *Workspace) srScrubRange(lo, hi int) {
-	colSupp := ws.colSupp
-	for k := lo; k < hi; k++ {
-		mrow := ws.mRows[ws.rowSupp[k]]
-		for _, b := range colSupp.supp {
-			mrow[b] = 0
 		}
 	}
 }

@@ -30,10 +30,11 @@ type SimStore interface {
 }
 
 // ConcurrentWriteStore is the optional concurrent write-back mode of a
-// SimStore: a store implementing it accepts the parallel update
-// write-back (parallel.go), where several goroutines mutate disjoint
-// cells simultaneously. A store that does not implement it always gets
-// the serial write-back, whatever the worker setting.
+// SimStore, used by Inc-uSR's row-parallel S write-back (parallel.go,
+// usrWriteback), where several goroutines mutate disjoint cells
+// simultaneously. Inc-SR's pruned write-back is serial and never uses
+// it. A store that does not implement it always gets the one-partition
+// write-back, whatever the worker setting.
 //
 // Contract:
 //
@@ -43,11 +44,10 @@ type SimStore interface {
 //     so that afterwards Add/AddSym calls on disjoint cells from
 //     different goroutines are race-free. Its return value says whether
 //     the layout stores both triangles: true means AddSym would touch
-//     two cells, so the parallel write-back writes each pair's
-//     canonical (upper) cell with Add and lands the mirrors in a
-//     separate phase (no cell is ever touched by two goroutines);
-//     false means the layout folds a pair into one cell and AddSym is
-//     already a single-cell write.
+//     two cells, so the write-back writes each pair's canonical (upper)
+//     cell with Add and lands the mirrors in a separate phase (no cell
+//     is ever touched by two goroutines); false means the layout folds
+//     a pair into one cell and AddSym is already a single-cell write.
 //   - AlignConcurrentBoundary(r) rounds a tentative partition boundary
 //     r up to the store's concurrent-write granularity (returning a
 //     row in [r, N()]): two goroutines may only write concurrently when

@@ -70,19 +70,11 @@ type Workspace struct {
 	// Row-parallel update state (parallel.go): the configured worker
 	// count, the persistent goroutine pool, per-worker write-back
 	// scratch, the partition bounds of the in-flight fan-out, and the
-	// staged task parameters the pooled workers read. rowMark mirrors
-	// membership of mRows/rowSupp as O(1) lookups and rowPos records each
-	// claimed row's position in rowSupp — the claim-order ledger the
-	// parallel write-back uses to replay the serial per-cell accumulation
-	// order (both allocated with the Inc-SR scratch); ownerRows lists the
-	// rows owning at least one written pair in the pruned write-back.
+	// staged task parameters the pooled workers read.
 	workers     int
 	pool        *updatePool
 	wscratch    []workerScratch
 	bounds      []int
-	rowMark     []bool
-	rowPos      []int
-	ownerRows   []int
 	parS        SimStore
 	parMirror   bool
 	parDst      []float64
@@ -146,8 +138,6 @@ func (ws *Workspace) ensureIncSR() {
 	ws.xiNext = newWsVec(n)
 	ws.etaNext = newWsVec(n)
 	ws.mRows = make([][]float64, n)
-	ws.rowMark = make([]bool, n)
-	ws.rowPos = make([]int, n)
 	ws.touched = newPairBitset(n)
 }
 
@@ -322,18 +312,10 @@ func (ws *Workspace) decompose(up graph.Update) (uv float64, err error) {
 	return 1 / float64(dj-1), nil
 }
 
-// mulQ computes dst = Q·x for dense x, gathering along the sorted rows of
-// the maintained Q — entrywise the same left-to-right accumulation as a
-// CSR mat-vec on the freshly built transition matrix.
-//
-//simrank:noalloc
-func (ws *Workspace) mulQ(dst, x []float64) {
-	ws.mulQRange(dst, x, 0, ws.n)
-}
-
-// mulQRange is mulQ restricted to output rows lo..hi−1 — the row slab a
-// parallel fan-out dispatches (mulQPar); each output entry's gather
-// order is the serial one regardless of the partition.
+// mulQRange computes dst = Q·x for dense x on output rows lo..hi−1,
+// gathering along the sorted rows of the maintained Q — entrywise the
+// same left-to-right accumulation as a CSR mat-vec on the freshly built
+// transition matrix, whatever row slab a fan-out (mulQPar) hands it.
 //
 //simrank:noalloc
 func (ws *Workspace) mulQRange(dst, x []float64, lo, hi int) {
@@ -408,23 +390,21 @@ func (ws *Workspace) ensureDense() {
 	ws.etaNextD = make([]float64, n)
 }
 
-// mRow returns the (zeroed) dense M row for a, drawing from the row pool,
+// claimRow gives row a of M a zeroed dense row, drawn from the row pool,
 // and records a in rowSupp on first touch.
 //
 //simrank:noalloc
-func (ws *Workspace) mRow(a int) []float64 {
-	row := ws.mRows[a]
-	if row == nil {
-		if p := len(ws.rowPool); p > 0 {
-			row = ws.rowPool[p-1]
-			ws.rowPool = ws.rowPool[:p-1]
-		} else {
-			row = make([]float64, ws.n) //simrank:allocok pool miss; the pool converges to the peak frontier and misses stop
-		}
-		ws.mRows[a] = row
-		ws.rowMark[a] = true
-		ws.rowPos[a] = len(ws.rowSupp)
-		ws.rowSupp = append(ws.rowSupp, a)
+func (ws *Workspace) claimRow(a int) {
+	if ws.mRows[a] != nil {
+		return
 	}
-	return row
+	var row []float64
+	if p := len(ws.rowPool); p > 0 {
+		row = ws.rowPool[p-1]
+		ws.rowPool = ws.rowPool[:p-1]
+	} else {
+		row = make([]float64, ws.n) //simrank:allocok pool miss; the pool converges to the peak frontier and misses stop
+	}
+	ws.mRows[a] = row
+	ws.rowSupp = append(ws.rowSupp, a)
 }

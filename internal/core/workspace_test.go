@@ -357,9 +357,9 @@ func TestWorkspaceDecomposeMatchesDecompose(t *testing.T) {
 	}
 }
 
-// The workspace-backed Inc-uSR must match the compat wrapper (which
-// builds a fresh workspace per call) across a stream, proving the dense
-// scratch is fully scrubbed between updates.
+// The persistent workspace's Inc-uSR must match a fresh workspace per
+// call across a stream, proving the dense scratch is fully scrubbed
+// between updates.
 func TestWorkspaceIncUSRMatchesPerCall(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	n := 15
@@ -376,7 +376,7 @@ func TestWorkspaceIncUSRMatchesPerCall(t *testing.T) {
 		}
 		g.Apply(up)
 		ws.ApplyUpdate(up)
-		if _, err := IncUSRInPlace(gRef, sRef, up, c, k); err != nil {
+		if _, err := NewWorkspace(gRef).IncUSR(sRef, up, c, k); err != nil {
 			t.Fatal(err)
 		}
 		gRef.Apply(up)

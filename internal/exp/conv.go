@@ -30,7 +30,7 @@ func Convergence(d *gen.Dataset, deltaSize int, ks []int) (*Table, error) {
 	}
 	for _, k := range ks {
 		sOld := batch.MatrixForm(d.Base, c, k)
-		got, _, err := foldDelta(core.IncSRInPlace, d.Base, sOld, delta, c, k)
+		got, _, err := foldDelta((*core.Workspace).IncSR, d.Base, sOld, delta, c, k)
 		if err != nil {
 			return nil, fmt.Errorf("exp: Convergence on %s: %w", d.Name, err)
 		}

@@ -19,20 +19,27 @@ const DampingC = 0.6
 // (r = 5, "the highest speedup" setting of [1] per Section VI-A).
 const SVDTargetRank = 5
 
-// runIncremental folds a delta one unit update at a time with algo,
-// returning the final similarities.
-type incAlgo func(g *graph.DiGraph, s *matrix.Dense, up graph.Update, c float64, k int) (core.Stats, error)
+// incAlgo is the workspace method a fold runs: (*core.Workspace).IncSR
+// or (*core.Workspace).IncUSR.
+type incAlgo func(ws *core.Workspace, s core.SimStore, up graph.Update, c float64, k int) (core.Stats, error)
 
+// foldDelta folds a delta one unit update at a time with algo, holding
+// one Workspace for the whole fold as the engine does, and returns the
+// final similarities with each update's stats. The stats carry no
+// DirtyRows: that slice aliases workspace scratch the next update
+// rewrites.
 func foldDelta(algo incAlgo, base *graph.DiGraph, s *matrix.Dense, delta []graph.Update, c float64, k int) (*matrix.Dense, []core.Stats, error) {
-	g := base.Clone()
+	ws := core.NewWorkspace(base)
+	defer ws.StopPool()
 	cur := s.Clone() // one copy for the whole fold; updates run in place
 	stats := make([]core.Stats, 0, len(delta))
 	for _, up := range delta {
-		st, err := algo(g, cur, up, c, k)
+		st, err := algo(ws, cur, up, c, k)
 		if err != nil {
 			return nil, nil, err
 		}
-		g.Apply(up)
+		ws.ApplyUpdate(up)
+		st.DirtyRows = nil
 		stats = append(stats, st)
 	}
 	return cur, stats, nil
@@ -78,14 +85,14 @@ func Exp1Real(d *gen.Dataset, deltas []int) (*Table, error) {
 		row := []string{fmt.Sprintf("%d", d.Base.M()+len(delta))}
 
 		tSR := timeIt(func() {
-			if _, _, err := foldDelta(core.IncSRInPlace, d.Base, sOld, delta, c, k); err != nil {
+			if _, _, err := foldDelta((*core.Workspace).IncSR, d.Base, sOld, delta, c, k); err != nil {
 				panic(err)
 			}
 		})
 		row = append(row, ms(tSR))
 
 		tUSR := timeIt(func() {
-			if _, _, err := foldDelta(core.IncUSRInPlace, d.Base, sOld, delta, c, k); err != nil {
+			if _, _, err := foldDelta((*core.Workspace).IncUSR, d.Base, sOld, delta, c, k); err != nil {
 				panic(err)
 			}
 		})
@@ -164,12 +171,12 @@ func Exp1Syn(n, outDeg, step, points int, insert bool, seed int64) (*Table, erro
 		row := []string{fmt.Sprintf("%d", after)}
 
 		tSR := timeIt(func() {
-			if _, _, err := foldDelta(core.IncSRInPlace, g, sOld, delta, c, k); err != nil {
+			if _, _, err := foldDelta((*core.Workspace).IncSR, g, sOld, delta, c, k); err != nil {
 				panic(err)
 			}
 		})
 		tUSR := timeIt(func() {
-			if _, _, err := foldDelta(core.IncUSRInPlace, g, sOld, delta, c, k); err != nil {
+			if _, _, err := foldDelta((*core.Workspace).IncUSR, g, sOld, delta, c, k); err != nil {
 				panic(err)
 			}
 		})

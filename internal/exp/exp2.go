@@ -25,11 +25,11 @@ func Exp2Pruning(datasets []*gen.Dataset, deltaSize int) (*Table, error) {
 
 		var uErr, sErr error
 		tUSR := timeIt(func() {
-			_, _, uErr = foldDelta(core.IncUSRInPlace, d.Base, sOld, delta, c, k)
+			_, _, uErr = foldDelta((*core.Workspace).IncUSR, d.Base, sOld, delta, c, k)
 		})
 		var stats []core.Stats
 		tSR := timeIt(func() {
-			_, stats, sErr = foldDelta(core.IncSRInPlace, d.Base, sOld, delta, c, k)
+			_, stats, sErr = foldDelta((*core.Workspace).IncSR, d.Base, sOld, delta, c, k)
 		})
 		if uErr != nil || sErr != nil {
 			return nil, fmt.Errorf("exp: Exp2Pruning on %s: %v / %v", d.Name, uErr, sErr)
@@ -62,7 +62,7 @@ func Exp2Affected(datasets []*gen.Dataset, deltas []int) (*Table, error) {
 		row := []string{d.Name}
 		for _, dl := range deltas {
 			delta := d.Delta(dl)
-			_, stats, err := foldDelta(core.IncSRInPlace, d.Base, sOld, delta, c, k)
+			_, stats, err := foldDelta((*core.Workspace).IncSR, d.Base, sOld, delta, c, k)
 			if err != nil {
 				return nil, fmt.Errorf("exp: Exp2Affected on %s: %w", d.Name, err)
 			}

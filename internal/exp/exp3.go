@@ -31,7 +31,7 @@ func Exp3Memory(datasets []*gen.Dataset, deltaSize int) (*Table, error) {
 		sOld := batch.MatrixForm(d.Base, c, k)
 		delta := d.Delta(deltaSize)
 
-		_, statsSR, err := foldDelta(core.IncSRInPlace, d.Base, sOld, delta, c, k)
+		_, statsSR, err := foldDelta((*core.Workspace).IncSR, d.Base, sOld, delta, c, k)
 		if err != nil {
 			return nil, fmt.Errorf("exp: Exp3Memory Inc-SR on %s: %w", d.Name, err)
 		}
@@ -41,7 +41,7 @@ func Exp3Memory(datasets []*gen.Dataset, deltaSize int) (*Table, error) {
 				peakSR = st.AuxFloats
 			}
 		}
-		_, statsUSR, err := foldDelta(core.IncUSRInPlace, d.Base, sOld, delta, c, k)
+		_, statsUSR, err := foldDelta((*core.Workspace).IncUSR, d.Base, sOld, delta, c, k)
 		if err != nil {
 			return nil, fmt.Errorf("exp: Exp3Memory Inc-uSR on %s: %w", d.Name, err)
 		}

@@ -38,7 +38,7 @@ func Exp4Exactness(datasets []*gen.Dataset, deltaSize int) (*Table, error) {
 
 		for _, k := range []int{5, 15} {
 			sOld := batch.MatrixForm(d.Base, DampingC, k)
-			got, _, err := foldDelta(core.IncSRInPlace, d.Base, sOld, delta, DampingC, k)
+			got, _, err := foldDelta((*core.Workspace).IncSR, d.Base, sOld, delta, DampingC, k)
 			if err != nil {
 				return nil, fmt.Errorf("exp: Exp4 Inc-SR on %s: %w", d.Name, err)
 			}
@@ -46,7 +46,7 @@ func Exp4Exactness(datasets []*gen.Dataset, deltaSize int) (*Table, error) {
 		}
 		for _, k := range []int{5, 15} {
 			sOld := batch.MatrixForm(d.Base, DampingC, k)
-			got, _, err := foldDelta(core.IncUSRInPlace, d.Base, sOld, delta, DampingC, k)
+			got, _, err := foldDelta((*core.Workspace).IncUSR, d.Base, sOld, delta, DampingC, k)
 			if err != nil {
 				return nil, fmt.Errorf("exp: Exp4 Inc-uSR on %s: %w", d.Name, err)
 			}

@@ -227,7 +227,7 @@ func (d *Dense) AddSym(i, j int, v float64) {
 	d.m.AddSym(i, j, v)
 }
 
-// BeginConcurrentWrites readies the store for the row-parallel update
+// BeginConcurrentWrites readies the store for Inc-uSR's row-parallel
 // write-back (core.ConcurrentWriteStore): the copy-on-write flip a
 // sealed view would force on the first mutation runs here, once,
 // serially — after it d.cow is false, so the concurrent Add calls that

@@ -194,7 +194,7 @@ func (p *Packed) AddSym(i, j int, v float64) {
 	}
 }
 
-// BeginConcurrentWrites readies the store for the row-parallel update
+// BeginConcurrentWrites readies the store for Inc-uSR's row-parallel
 // write-back (core.ConcurrentWriteStore). There is no up-front flip —
 // chunk copy-on-write happens write by write — but concurrent owners
 // must never share a chunk, which partitions aligned through

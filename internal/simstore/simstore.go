@@ -101,8 +101,9 @@ func ParseBackend(s string) (Backend, error) {
 // # The concurrent write-back contract
 //
 // The exact stores additionally implement core.ConcurrentWriteStore,
-// which the row-parallel incremental write-back uses to mutate disjoint
-// cells from several goroutines at once:
+// which Inc-uSR's row-parallel write-back uses to mutate disjoint cells
+// from several goroutines at once (Inc-SR writes back serially, through
+// plain AddSym):
 //
 //   - BeginConcurrentWrites runs once, serially, before the fan-out and
 //     performs any internal transition that must not race — the dense
@@ -122,7 +123,7 @@ func ParseBackend(s string) (Backend, error) {
 // The approx store is not a ConcurrentWriteStore — its writes flow
 // through ApplyUpdate, which parallelizes internally across affected
 // walks (SetWorkers) — and any store without the interface simply gets
-// the serial write-back.
+// the one-partition write-back.
 type Store interface {
 	// N returns the node count.
 	N() int

@@ -13,9 +13,9 @@ import (
 // row-parallel incremental path: the SAME update stream applied at
 // Workers ∈ {2, 4, 8} must leave every backend's store bit-identical
 // to a serial (Workers=1) oracle after every single step — not merely
-// close. The row partition never splits the accumulations into one
-// cell across workers and replays the serial per-cell order through
-// the claim-order ledger, so equality here is exact float equality.
+// close. No fan-out splits the accumulations into one cell across
+// workers, and Inc-SR's write-back is the same serial scan at every
+// worker count, so equality here is exact float equality.
 // Run with -race in CI to also prove the fan-out is data-race free.
 func TestParallelUpdateBitEquivalence(t *testing.T) {
 	type cfg struct {
