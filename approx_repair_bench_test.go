@@ -9,9 +9,8 @@ import (
 	"repro/internal/simstore"
 )
 
-// BenchmarkApproxRepair is the cost model of the writable approx tier,
-// published by CI as BENCH_approx_repair.json: incremental walk repair
-// vs full rebuild on an n = 100,000 graph. The out-degree of the
+// BenchmarkApproxRepair is the cost model of the writable approx tier:
+// incremental walk repair vs full rebuild on an n = 100,000 graph. The out-degree of the
 // toggled edge's endpoint is swept because that is what sets the
 // affected-walk fraction — a walk visits node j with probability
 // governed by how many nodes list j as an in-neighbor — so the sweep

@@ -5,10 +5,9 @@ import (
 	"testing"
 )
 
-// BenchmarkBackends is the per-backend serving profile CI publishes as
-// BENCH_backends.json: TopKFor latency with the store's resident bytes
-// attached as a custom metric, so the memory/latency trade of the three
-// tiers is tracked per commit on one n=2000 graph.
+// BenchmarkBackends is the per-backend serving profile: TopKFor latency
+// with the store's resident bytes attached as a custom metric, so the
+// memory/latency trade of the three tiers shows on one n=2000 graph.
 func BenchmarkBackends(b *testing.B) {
 	const n = 2000
 	rng := rand.New(rand.NewSource(90))

@@ -272,9 +272,7 @@ func (c *ConcurrentEngine) ViewInfo() ViewInfo {
 		M:          v.m,
 		Backend:    v.s.Backend(),
 		StoreBytes: v.storeBytes,
-	}
-	if v.cache != nil {
-		vi.Cache = v.cache.Stats()
+		Cache:      v.cacheStats(),
 	}
 	if as, ok := v.s.(*simstore.Approx); ok {
 		// The sealed view's counters are a point-in-time copy taken at
@@ -418,13 +416,7 @@ func (c *ConcurrentEngine) Close() {
 
 // CacheStats returns the query cache's counters for the current view's
 // cache; see Engine.CacheStats.
-func (c *ConcurrentEngine) CacheStats() CacheStats {
-	v := c.view.Load()
-	if v.cache == nil {
-		return CacheStats{}
-	}
-	return v.cache.Stats()
-}
+func (c *ConcurrentEngine) CacheStats() CacheStats { return c.view.Load().cacheStats() }
 
 // SetTopKCacheRows resizes, enables or disables the query cache under
 // the writer mutex; see Engine.SetTopKCacheRows. The fresh cache

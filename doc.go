@@ -27,8 +27,12 @@
 //
 // # Compute core
 //
-// The engine owns a persistent compute workspace (internal/core): the
-// transposed transition matrix Qᵀ is maintained incrementally — an edge
+// Each exact similarity store (dense, packed) owns a persistent compute
+// workspace (internal/core), built from the graph on its first write;
+// the approx store never builds one. The engine hands every update and
+// recompute to its store, with one code path for all backends. In the
+// workspace the transposed transition matrix Qᵀ is maintained
+// incrementally — an edge
 // change touches one row plus the d_j rescaled entries of column j, never
 // an O(m) rebuild — and every scratch buffer of the update algorithms is
 // pooled and reused, so a warm Engine.Apply performs zero heap

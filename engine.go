@@ -151,34 +151,20 @@ func (o Options) validate() error {
 	return nil
 }
 
+// params are the options the store's write path reads.
+func (o Options) params() simstore.Params {
+	return simstore.Params{C: o.C, K: o.K, NoPruning: o.DisablePruning}
+}
+
 // Engine maintains a directed graph together with its (matrix-form)
 // SimRank similarities, updating them incrementally as links change.
 // It is not safe for concurrent mutation; wrap with a lock if shared.
 type Engine struct {
+	// readPath holds the similarity store, the query cache and the
+	// epoch, and answers queries exactly as a sealed view does.
+	readPath
 	opts Options
 	g    *graph.DiGraph
-	// s is the similarity store (see Options.Backend): a dense or packed
-	// exact matrix the incremental machinery writes through, or the
-	// approx sampling tier, whose stored walks the write paths repair
-	// incrementally instead (see Apply's approx branch).
-	s simstore.Store
-	// ws is the persistent compute workspace: the incrementally-maintained
-	// transition matrices plus every update scratch buffer, so steady-state
-	// Apply allocates nothing. Built lazily (nil after ReadSnapshot and
-	// after AddNodes) and kept in lock-step with g by every mutation.
-	ws *core.Workspace
-	// cache is the dirty-row-invalidated top-k query cache, nil when
-	// disabled (Options.TopKCacheRows ≤ 0). Entries are epoch-stamped
-	// (see internal/cache): every mutation path bumps the epoch and
-	// records what moved — Apply the update's dirty rows, Recompute and
-	// AddNodes wholesale — so cached answers are provably bit-identical
-	// at whatever epoch they are read.
-	cache *cache.TopK
-	// epoch counts committed mutations, monotonically: the version
-	// number the MVCC facade stamps on published read views and the
-	// cache stamps on entries. Bumped by Apply, Recompute, AddNodes,
-	// SetWorkers and SetTopKCacheRows (anything a reader could observe).
-	epoch uint64
 	// lastStats records the most recent incremental update's work.
 	lastStats UpdateStats
 }
@@ -188,46 +174,38 @@ type Engine struct {
 // the batch algorithm (row-parallel across Options.Workers goroutines);
 // the approx backend skips the O(Kd'n²) batch step entirely and only
 // samples its O(n·(W·K+d)) stored-walk index — which is what lets it
-// load graphs whose n×n matrix could never be materialized.
+// load graphs whose n×n matrix could never be materialized. An edge
+// with an endpoint outside [0, n) is an error.
 func NewEngine(n int, edges []Edge, opts Options) (*Engine, error) {
 	opts = opts.withDefaults()
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
+	g, err := buildGraph(n, edges)
+	if err != nil {
+		return nil, err
+	}
+	s, err := simstore.New(opts.Backend, g, opts.params(), opts.Workers, opts.ApproxWalks, opts.ApproxSeed)
+	if err != nil {
+		return nil, fmt.Errorf("simrank: %w", err)
+	}
+	e := &Engine{readPath: readPath{s: s}, opts: opts, g: g}
+	e.setTopKCacheRows(opts.TopKCacheRows)
+	return e, nil
+}
+
+// buildGraph builds the n-node graph over caller edges, checking every
+// endpoint first: graph.FromEdges panics on one out of range.
+func buildGraph(n int, edges []Edge) (*graph.DiGraph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("simrank: negative node count %d", n)
 	}
-	g := graph.FromEdges(n, edges)
-	e := &Engine{opts: opts, g: g}
-	switch opts.Backend {
-	case BackendDense:
-		ds := simstore.NewDense(n)
-		// The ping-pong scratch here is transient: engines that never call
-		// Recompute should not retain a second n×n buffer for their lifetime
-		// (the workspace allocates its own lazily on the first Recompute).
-		batch.MatrixFormInto(ds.Matrix(), matrix.NewDense(n, n), e.workspace().TransitionCSR(), opts.C, opts.K, opts.Workers)
-		e.s = ds
-	case BackendPacked:
-		// The kernel iterates on dense ping-pong buffers (its sparse-dense
-		// products need full rows); both are transient here, so the packed
-		// engine's steady state holds only the ≈4n² packed payload.
-		ps := simstore.NewPacked(n)
-		buf := matrix.NewDense(n, n)
-		batch.MatrixFormInto(buf, matrix.NewDense(n, n), e.workspace().TransitionCSR(), opts.C, opts.K, opts.Workers)
-		ps.SetFromDense(buf)
-		e.s = ps
-	case BackendApprox:
-		// Walk cap = K: the sampling tier truncates its series at the same
-		// depth an exact K-iteration engine would.
-		as, err := simstore.NewApprox(g, opts.C, opts.K, opts.ApproxWalks, opts.ApproxSeed)
-		if err != nil {
-			return nil, fmt.Errorf("simrank: %w", err)
+	for _, ed := range edges {
+		if ed.From < 0 || ed.From >= n || ed.To < 0 || ed.To >= n {
+			return nil, fmt.Errorf("simrank: edge %d→%d out of range [0,%d)", ed.From, ed.To, n)
 		}
-		as.SetWorkers(opts.Workers)
-		e.s = as
 	}
-	e.setTopKCacheRows(opts.TopKCacheRows)
-	return e, nil
+	return graph.FromEdges(n, edges), nil
 }
 
 // Epoch returns the engine's monotone mutation counter: 0 at
@@ -248,16 +226,6 @@ func (e *Engine) Backend() Backend { return e.s.Backend() }
 // "store_bytes".
 func (e *Engine) StoreMemBytes() int64 { return e.s.MemBytes() }
 
-// workspace returns the engine's persistent compute workspace, building
-// it from the current graph on first use.
-func (e *Engine) workspace() *core.Workspace {
-	if e.ws == nil {
-		e.ws = core.NewWorkspace(e.g)
-		e.ws.SetWorkers(e.opts.Workers)
-	}
-	return e.ws
-}
-
 // N returns the number of nodes.
 func (e *Engine) N() int { return e.g.N() }
 
@@ -267,47 +235,30 @@ func (e *Engine) M() int { return e.g.M() }
 // HasEdge reports whether edge (i, j) is present; out-of-range nodes
 // have no edges, so the answer is false rather than a panic.
 func (e *Engine) HasEdge(i, j int) bool {
-	if !e.validNode(i) || !e.validNode(j) {
+	if !e.valid(i) || !e.valid(j) {
 		return false
 	}
 	return e.g.HasEdge(i, j)
 }
 
-// validNode reports whether v names a node of the current graph. Every
-// query validates through this: queries never panic — an out-of-range
-// node yields the zero result (score 0, empty top-k), matching a node
-// the graph has never related to anything.
-func (e *Engine) validNode(v int) bool { return v >= 0 && v < e.g.N() }
-
 // Similarity returns the current SimRank score s(a, b), or 0 when either
 // node is out of range. On the approx backend this is a sampling
 // estimate (use SimilarityStderr for its confidence).
-func (e *Engine) Similarity(a, b int) float64 {
-	if !e.validNode(a) || !e.validNode(b) {
-		return 0
-	}
-	return e.s.At(a, b)
-}
+func (e *Engine) Similarity(a, b int) float64 { return e.similarity(a, b) }
 
 // SimilarityStderr returns s(a, b) together with the standard error of
 // the answer: 0 on the exact backends, the sampling stderr on approx
 // (|true − est| ≤ 3·stderr with ≈99% confidence). Out-of-range nodes
 // yield (0, 0).
 func (e *Engine) SimilarityStderr(a, b int) (score, stderr float64) {
-	if !e.validNode(a) || !e.validNode(b) {
-		return 0, 0
-	}
-	if smp, ok := e.s.(simstore.Sampler); ok {
-		return smp.PairStderr(a, b)
-	}
-	return e.s.At(a, b), 0
+	return e.similarityStderr(a, b)
 }
 
 // Similarities returns the full similarity matrix. The returned matrix is
 // a snapshot copy; mutating it does not affect the engine. The approx
 // backend returns nil — materializing n² estimates is the workload that
 // backend exists to refuse.
-func (e *Engine) Similarities() *matrix.Dense { return e.s.ToDense() }
+func (e *Engine) Similarities() *matrix.Dense { return e.similarities() }
 
 // TopK returns the k most similar distinct node-pairs (nil when k ≤ 0).
 // With the query cache enabled, a repeat of a warm k is served without
@@ -315,63 +266,14 @@ func (e *Engine) Similarities() *matrix.Dense { return e.s.ToDense() }
 // On the approx backend TopK returns nil: a global scan over all n²/2
 // pairs is exactly the work the sampling tier exists to avoid (use
 // TopKFor per node instead).
-func (e *Engine) TopK(k int) []Pair {
-	return storeTopK(e.s, e.cache, e.epoch, k)
-}
-
-// storeTopK is the global top-k read path, shared verbatim by the
-// mutable engine (epoch = its mutation counter) and every sealed MVCC
-// view (epoch = the view's) so the two can never drift.
-func storeTopK(s simstore.Store, c *cache.TopK, epoch uint64, k int) []Pair {
-	if k <= 0 || s.Backend() == BackendApprox {
-		return nil
-	}
-	if c != nil {
-		if ps, ok := c.GetGlobal(k, epoch); ok {
-			return ps
-		}
-		ps := metrics.TopKPairsUpper(s.N(), s.UpperRow, k)
-		c.PutGlobal(k, ps, epoch)
-		return metrics.ClonePairs(ps)
-	}
-	return metrics.TopKPairsUpper(s.N(), s.UpperRow, k)
-}
+func (e *Engine) TopK(k int) []Pair { return e.topK(k) }
 
 // TopKFor returns up to k nodes most similar to node a, highest first
 // (ties by node id ascending), or nil when a is out of range or k ≤ 0.
 // A bounded min-heap keeps the row scan at O(n·log k) instead of sorting
 // every scored neighbor; with the query cache enabled a warm row skips
 // the scan entirely until an update dirties it.
-func (e *Engine) TopKFor(a, k int) []Pair {
-	if !e.validNode(a) || k <= 0 {
-		return nil
-	}
-	return storeTopKFor(e.s, e.cache, e.epoch, a, k)
-}
-
-// storeTopKFor is the per-row top-k read path shared by the mutable
-// engine and every sealed MVCC view; the caller has validated a and k.
-func storeTopKFor(s simstore.Store, c *cache.TopK, epoch uint64, a, k int) []Pair {
-	// Sampling backends bypass the cache: a sampled list shorter than k
-	// does not mean the row is exhausted (weak candidates can refine to
-	// zero and drop out), which would violate the cache's
-	// short-result-serves-any-larger-k rule — and sampled answers are
-	// not bit-stable across calls in the first place.
-	if smp, ok := s.(simstore.Sampler); ok {
-		return smp.TopKRow(a, k)
-	}
-	if c != nil {
-		if ps, ok := c.GetRow(a, k, epoch); ok {
-			return ps
-		}
-		ps := metrics.TopKRow(s.ConcurrentRow(a), a, k)
-		c.PutRow(a, k, ps, epoch)
-		return metrics.ClonePairs(ps)
-	}
-	// Exact backends scan a concurrency-safe row view: a zero-copy alias
-	// on dense, one O(n) materialization on packed.
-	return metrics.TopKRow(s.ConcurrentRow(a), a, k)
-}
+func (e *Engine) TopKFor(a, k int) []Pair { return e.topKFor(a, k) }
 
 // Insert adds edge (i, j) and incrementally updates all similarities.
 func (e *Engine) Insert(i, j int) (UpdateStats, error) {
@@ -385,9 +287,11 @@ func (e *Engine) Delete(i, j int) (UpdateStats, error) {
 
 // Apply performs one unit update incrementally (Inc-SR, or Inc-uSR when
 // pruning is disabled). On a warm engine this is the zero-allocation hot
-// path: the persistent workspace supplies the transposed transition
-// matrix (maintained in O(d) per update, never rebuilt) and every scratch
-// buffer the algorithms need.
+// path: the store's persistent workspace supplies the transposed
+// transition matrix (maintained in O(d) per update, never rebuilt) and
+// every scratch buffer the algorithms need. A rejected update returns
+// *core.ErrBadUpdate — with the same Reason on every backend — and
+// leaves the engine untouched.
 //
 // The returned UpdateStats.DirtyRows aliases workspace scratch: it is
 // valid until this engine's next update (copy it to retain) — see the
@@ -401,48 +305,11 @@ func (e *Engine) Delete(i, j int) (UpdateStats, error) {
 //
 //simrank:noalloc
 func (e *Engine) Apply(up Update) (UpdateStats, error) {
-	if as, ok := e.s.(*simstore.Approx); ok {
-		// The sampling tier bypasses the Inc-SR/Inc-uSR write-backs — it
-		// has no matrix cells for them. Instead the walk index absorbs the
-		// topology change directly, resampling only the invalidated walk
-		// suffixes. Same validation, same error shapes as the exact path.
-		//simrank:allocok approx repair path: one 1-element slice per update, not the exact-tier hot path
-		if err := e.validateBatch([]Update{up}); err != nil {
-			return UpdateStats{}, err
-		}
-		e.g.Apply(up)
-		if e.ws != nil {
-			e.ws.ApplyUpdate(up)
-		}
-		st := UpdateStats{DirtyRows: as.ApplyUpdate(up)}
-		e.epoch++
-		if e.cache != nil {
-			e.cache.InvalidateRows(st.DirtyRows, e.epoch)
-		}
-		e.lastStats = st
-		return st, nil
-	}
-	// The workspace variants never mutate S before their last error check,
-	// so a failed update leaves the engine untouched.
-	ws := e.workspace()
-	var (
-		st  UpdateStats
-		err error
-	)
-	if e.opts.DisablePruning {
-		st, err = ws.IncUSR(e.s, up, e.opts.C, e.opts.K)
-	} else {
-		st, err = ws.IncSR(e.s, up, e.opts.C, e.opts.K)
-	}
+	st, err := e.s.Update(e.g, up, e.opts.params())
 	if err != nil {
 		return UpdateStats{}, err
 	}
 	e.g.Apply(up)
-	ws.ApplyUpdate(up)
-	// Thread the dirty set into the store's copy-on-write machinery: the
-	// dense double-buffer re-syncs exactly these rows on its next flip
-	// (no-op on packed/approx, and on stores never sealed).
-	e.s.MarkRowsDirty(st.DirtyRows)
 	e.epoch++
 	if e.cache != nil {
 		// Surgical invalidation: only the rows this update wrote lose
@@ -474,13 +341,8 @@ func (e *Engine) ApplyBatch(ups []Update) error {
 		denom = 1
 	}
 	if float64(len(ups)) >= e.opts.RecomputeThreshold*float64(denom) {
-		for _, up := range ups {
-			e.g.Apply(up)
-			if e.ws != nil {
-				e.ws.ApplyUpdate(up)
-			}
-		}
-		e.Recompute()
+		e.s.Recompute(e.g, ups, e.opts.params())
+		e.rewrote()
 		return nil
 	}
 	for _, up := range ups {
@@ -500,25 +362,13 @@ func (e *Engine) ApplyBatch(ups []Update) error {
 //
 //simrank:noalloc
 func (e *Engine) validateBatch(ups []Update) error {
-	n := e.g.N()
 	var overlay map[Edge]bool
 	if len(ups) > 1 {
 		overlay = make(map[Edge]bool, len(ups)) //simrank:allocok multi-update batches only; the single-update steady state skips the overlay
 	}
 	for _, up := range ups {
-		if up.Edge.From < 0 || up.Edge.From >= n || up.Edge.To < 0 || up.Edge.To >= n {
-			return &core.ErrBadUpdate{Update: up, Reason: "node out of range"}
-		}
-		present, pending := overlay[up.Edge]
-		if !pending {
-			present = e.g.HasEdge(up.Edge.From, up.Edge.To)
-		}
-		if up.Insert == present {
-			reason := "edge absent"
-			if present {
-				reason = "edge already present"
-			}
-			return &core.ErrBadUpdate{Update: up, Reason: reason}
+		if err := core.CheckUpdate(e.g, up, overlay); err != nil {
+			return err
 		}
 		if overlay != nil {
 			overlay[up.Edge] = up.Insert //simrank:allocok same gated overlay; nil on the single-update path
@@ -537,20 +387,10 @@ func (e *Engine) AddNodes(count int) (first int, err error) {
 	}
 	first = e.g.AddNodes(count)
 	e.s = e.s.AddNodes(count, 1-e.opts.C)
-	// The workspace is sized for the old n; rebuild it lazily at the new
-	// size on the next update. Its worker pool would otherwise leak with
-	// the dropped workspace — the goroutines block on their job channels
-	// forever — so stop it first.
-	if e.ws != nil {
-		e.ws.StopPool()
-	}
-	e.ws = nil
-	e.epoch++
+	// The padded rows are value-identical, but a flush is the simple
+	// invariant every resize shares.
+	e.rewrote()
 	if e.cache != nil {
-		// Wholesale: the cached slices were computed over the old matrix.
-		// (The padded rows are value-identical, but a flush is the simple
-		// invariant every resize shares.)
-		e.cache.Flush(e.epoch)
 		e.cache.ReserveRows(e.g.N())
 	}
 	return first, nil
@@ -558,44 +398,27 @@ func (e *Engine) AddNodes(count int) (first int, err error) {
 
 // Recompute rebuilds the similarities from scratch with the batch
 // algorithm (the engine's safety valve; never needed for correctness).
-// On the dense backend it runs the unified row-parallel kernel across
-// Options.Workers goroutines, ping-ponging between the engine's matrix
-// and the workspace's persistent scratch buffer — a warm sequential
-// recompute (Workers = 1) allocates nothing. The packed backend iterates
-// on two transient dense buffers and compresses the result back into
-// packed storage: its recompute transiently costs 16n² bytes, but its
-// steady state never retains a dense buffer. The approx backend
+// The exact backends run the row-parallel kernel across Options.Workers
+// goroutines: dense ping-pongs between its matrix and a persistent
+// scratch buffer, so a warm sequential recompute (Workers = 1) allocates
+// nothing; packed iterates on two transient dense buffers, transiently
+// costing 16n² bytes, and compresses the result back. The approx backend
 // resamples its whole walk set from the current graph — by the derived
 // -seed invariant the outcome is identical to the incremental repairs
 // that could have reached the same topology, so here too Recompute is
 // about cost (one O(n·W·L) pass beating many per-edge repairs), never
 // correctness.
 func (e *Engine) Recompute() {
-	if as, ok := e.s.(*simstore.Approx); ok {
-		as.Recompute(e.g)
-		e.epoch++
-		if e.cache != nil {
-			e.cache.Flush(e.epoch)
-		}
-		return
-	}
-	ws := e.workspace()
-	switch s := e.s.(type) {
-	case *simstore.Dense:
-		// The discard variant flips the MVCC double-buffer without the
-		// syncing copy — the kernel overwrites every cell anyway (it
-		// starts from S₀ = (1−C)I) — and leaves the other buffer marked
-		// wholly stale, which MarkAllRowsDirty re-asserts.
-		batch.MatrixFormInto(s.WritableMatrixDiscard(), ws.DenseScratch(), ws.TransitionCSR(), e.opts.C, e.opts.K, e.opts.Workers)
-		s.MarkAllRowsDirty()
-	case *simstore.Packed:
-		buf := matrix.NewDense(s.N(), s.N())
-		batch.MatrixFormInto(buf, matrix.NewDense(s.N(), s.N()), ws.TransitionCSR(), e.opts.C, e.opts.K, e.opts.Workers)
-		s.SetFromDense(buf)
-	}
+	e.s.Recompute(e.g, nil, e.opts.params())
+	e.rewrote()
+}
+
+// rewrote commits a mutation that may have moved every score: it bumps
+// the epoch and flushes the query cache wholesale.
+func (e *Engine) rewrote() {
 	e.epoch++
 	if e.cache != nil {
-		e.cache.Flush(e.epoch) // every entry may have moved
+		e.cache.Flush(e.epoch)
 	}
 }
 
@@ -607,12 +430,16 @@ func (e *Engine) LastStats() UpdateStats { return e.lastStats }
 // SingleSourceScores computes s(query, ·) for a graph directly, without
 // building an engine or the n×n similarity matrix — O(K²·m) time, O(n)
 // memory. Useful for one-off queries on graphs too large to score fully.
+// An edge with an endpoint outside [0, n) is an error.
 func SingleSourceScores(n int, edges []Edge, query int, opts Options) ([]float64, error) {
 	opts = opts.withDefaults()
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	g := graph.FromEdges(n, edges)
+	g, err := buildGraph(n, edges)
+	if err != nil {
+		return nil, err
+	}
 	return batch.SingleSource(g.BackwardTransition(), opts.C, opts.K, query)
 }
 
@@ -635,17 +462,10 @@ func (e *Engine) SetWorkers(workers int) {
 	e.epoch++ // Options() is reader-visible state
 }
 
-// setWorkers is SetWorkers without the epoch bump: it sets the option
-// and resizes both consumers, the update workspace and the approx
-// store's walk repair.
+// setWorkers is SetWorkers without the epoch bump.
 func (e *Engine) setWorkers(workers int) {
 	e.opts.Workers = workers
-	if e.ws != nil {
-		e.ws.SetWorkers(workers)
-	}
-	if as, ok := e.s.(*simstore.Approx); ok {
-		as.SetWorkers(workers)
-	}
+	e.s.SetWorkers(workers)
 }
 
 // Close releases the engine's background resources — today the
@@ -653,11 +473,7 @@ func (e *Engine) setWorkers(workers int) {
 // their job channels for the process lifetime. The engine remains
 // usable afterwards: the pool respawns on the next parallel update.
 // Safe to call multiple times.
-func (e *Engine) Close() {
-	if e.ws != nil {
-		e.ws.StopPool()
-	}
-}
+func (e *Engine) Close() { e.s.Close() }
 
 // CacheStats is the query cache's counter snapshot; see cache.Stats.
 type CacheStats = cache.Stats
@@ -665,12 +481,7 @@ type CacheStats = cache.Stats
 // CacheStats returns the query cache's counters (all zero when the cache
 // is disabled). RowMisses counts actual similarity-row scans, so a warm
 // cache is doing zero scan work exactly while RowMisses holds still.
-func (e *Engine) CacheStats() CacheStats {
-	if e.cache == nil {
-		return CacheStats{}
-	}
-	return e.cache.Stats()
-}
+func (e *Engine) CacheStats() CacheStats { return e.cacheStats() }
 
 // SetTopKCacheRows resizes (or enables/disables, with rows ≤ 0) the
 // query cache. Like SetWorkers this is the runtime-knob escape hatch for

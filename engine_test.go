@@ -1,12 +1,14 @@
 package simrank
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/batch"
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/matrix"
 )
@@ -37,6 +39,19 @@ func TestNewEngineValidation(t *testing.T) {
 	}
 	if _, err := NewEngine(3, nil, Options{K: -5}); err == nil {
 		t.Fatal("want error for negative K")
+	}
+	// An edge endpoint outside [0, n) is an error, not a panic, on every
+	// backend and for the engine-free single-source query.
+	for _, bad := range []Edge{{From: 0, To: 7}, {From: -1, To: 1}} {
+		edges := []Edge{{From: 0, To: 1}, bad}
+		for _, b := range []Backend{BackendDense, BackendPacked, BackendApprox} {
+			if _, err := NewEngine(3, edges, Options{Backend: b}); err == nil {
+				t.Fatalf("%s: want error for edge %v at n=3", b, bad)
+			}
+		}
+		if _, err := SingleSourceScores(3, edges, 0, Options{}); err == nil {
+			t.Fatalf("SingleSourceScores: want error for edge %v at n=3", bad)
+		}
 	}
 }
 
@@ -77,17 +92,53 @@ func TestEngineDeleteMatchesRebuild(t *testing.T) {
 	}
 }
 
+// Every backend rejects the same bad updates with the same
+// *core.ErrBadUpdate reason, through Apply and a one-update ApplyBatch
+// alike, and a rejected update leaves epoch, size and scores untouched.
 func TestEngineErrorsLeaveStateIntact(t *testing.T) {
-	e := mustEngine(t, 3, []Edge{{From: 0, To: 1}}, Options{})
-	before := e.Similarities()
-	if _, err := e.Insert(0, 1); err == nil {
-		t.Fatal("want error for duplicate insert")
+	cases := []struct {
+		up     Update
+		reason string
+	}{
+		{Update{Edge: Edge{From: 0, To: 3}, Insert: true}, "node out of range"},
+		{Update{Edge: Edge{From: -1, To: 1}, Insert: false}, "node out of range"},
+		{Update{Edge: Edge{From: 0, To: 1}, Insert: true}, "edge already present"},
+		{Update{Edge: Edge{From: 1, To: 2}, Insert: false}, "edge absent"},
 	}
-	if _, err := e.Delete(1, 2); err == nil {
-		t.Fatal("want error for absent delete")
+	apply := map[string]func(*Engine, Update) error{
+		"Apply":      func(e *Engine, up Update) error { _, err := e.Apply(up); return err },
+		"ApplyBatch": func(e *Engine, up Update) error { return e.ApplyBatch([]Update{up}) },
 	}
-	if matrix.MaxAbsDiff(before, e.Similarities()) != 0 || e.M() != 1 {
-		t.Fatal("failed update must not mutate state")
+	scores := func(e *Engine) []float64 {
+		var out []float64
+		for a := 0; a < e.N(); a++ {
+			for b := 0; b < e.N(); b++ {
+				out = append(out, e.Similarity(a, b))
+			}
+		}
+		return out
+	}
+	for _, b := range []Backend{BackendDense, BackendPacked, BackendApprox} {
+		e := mustEngine(t, 3, []Edge{{From: 0, To: 1}, {From: 2, To: 1}}, Options{Backend: b})
+		before := scores(e)
+		for name, fn := range apply {
+			for _, tc := range cases {
+				err := fn(e, tc.up)
+				var bad *core.ErrBadUpdate
+				if !errors.As(err, &bad) || bad.Reason != tc.reason {
+					t.Fatalf("%s %s %v: got %v, want *core.ErrBadUpdate %q", b, name, tc.up, err, tc.reason)
+				}
+				after := scores(e)
+				for i := range before {
+					if after[i] != before[i] {
+						t.Fatalf("%s %s %v: score %d moved %v -> %v", b, name, tc.up, i, before[i], after[i])
+					}
+				}
+				if e.Epoch() != 0 || e.N() != 3 || e.M() != 2 {
+					t.Fatalf("%s %s %v: epoch %d, n %d, m %d after a rejected update", b, name, tc.up, e.Epoch(), e.N(), e.M())
+				}
+			}
+		}
 	}
 }
 

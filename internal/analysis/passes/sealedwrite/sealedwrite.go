@@ -36,15 +36,16 @@ var implementers = map[string]bool{
 }
 
 // mutators is the union of mutating method names across the store
-// interface, the graph, and the walk index. Row and ColInto are
-// included deliberately: the Store contract reserves them for the
-// single-writer path, so calling them on a sealed value is a bug even
-// though they look like reads.
+// interface and the exact stores' cell surface, the graph, and the walk
+// index. Row and ColInto are included deliberately: they may use
+// store-internal scratch on the single-writer path, so calling them on
+// a sealed value is a bug even though they look like reads.
 var mutators = map[string]bool{
 	"Set": true, "Add": true, "AddSym": true, "ApplyUpdate": true,
 	"AddNodes": true, "AddEdge": true, "MarkRowsDirty": true,
 	"MarkAllRowsDirty": true, "SetFromDense": true, "SetRepairGen": true,
 	"AbandonBack": true, "Row": true, "ColInto": true,
+	"Update": true, "Recompute": true, "SetWorkers": true,
 }
 
 // sealedTypeNames are types that are sealed by construction — every

@@ -24,6 +24,31 @@ func (e *ErrBadUpdate) Error() string {
 	return fmt.Sprintf("core: update %v: %s", e.Update, e.Reason)
 }
 
+// CheckUpdate returns the *ErrBadUpdate that rejects up on g — an
+// endpoint out of range, an insert of a present edge or a delete of an
+// absent one — or nil when up applies. An edge in pending is present or
+// absent as pending says, overriding g: the earlier updates of a batch
+// validated in order (nil when there are none).
+//
+//simrank:noalloc
+func CheckUpdate(g *graph.DiGraph, up graph.Update, pending map[graph.Edge]bool) error {
+	i, j := up.Edge.From, up.Edge.To
+	if i < 0 || i >= g.N() || j < 0 || j >= g.N() {
+		return &ErrBadUpdate{up, "node out of range"}
+	}
+	present, ok := pending[up.Edge]
+	if !ok {
+		present = g.HasEdge(i, j)
+	}
+	switch {
+	case up.Insert && present:
+		return &ErrBadUpdate{up, "edge already present"}
+	case !up.Insert && !present:
+		return &ErrBadUpdate{up, "edge absent"}
+	}
+	return nil
+}
+
 // Decompose computes u, v with ΔQ = u·vᵀ for the unit update up applied to
 // the old graph g (Theorem 1, Eqs. 17–18).
 //
@@ -37,18 +62,15 @@ func (e *ErrBadUpdate) Error() string {
 //	d_j = 1: u = e_j,          v = −e_i
 //	d_j > 1: u = e_j/(d_j−1),  v = [Q]ᵀ_{j,·} − e_i
 func Decompose(g *graph.DiGraph, up graph.Update) (RankOne, error) {
+	if err := CheckUpdate(g, up, nil); err != nil {
+		return RankOne{}, err
+	}
 	i, j := up.Edge.From, up.Edge.To
 	n := g.N()
-	if i < 0 || i >= n || j < 0 || j >= n {
-		return RankOne{}, &ErrBadUpdate{up, "node out of range"}
-	}
 	dj := g.InDegree(j)
 	u := NewSparseVec(n)
 	v := NewSparseVec(n)
 	if up.Insert {
-		if g.HasEdge(i, j) {
-			return RankOne{}, &ErrBadUpdate{up, "edge already present"}
-		}
 		if dj == 0 {
 			u.Set(j, 1)
 			v.Set(i, 1)
@@ -61,9 +83,6 @@ func Decompose(g *graph.DiGraph, up graph.Update) (RankOne, error) {
 			})
 		}
 		return RankOne{U: u, V: v}, nil
-	}
-	if !g.HasEdge(i, j) {
-		return RankOne{}, &ErrBadUpdate{up, "edge absent"}
 	}
 	if dj == 1 {
 		u.Set(j, 1)

@@ -92,8 +92,7 @@ func BenchmarkReplicationCatchup(b *testing.B) {
 // BenchmarkReplicationSteadyLag measures the steady-state replication
 // lag: the time from a committed (acknowledged) leader write to that
 // epoch being applied — and so visible — on a connected, caught-up
-// follower. Reports mean ns/op plus sampled p50/p99 (custom metrics, so
-// cmd/benchjson lands them in BENCH_replication.json).
+// follower. Reports mean ns/op plus sampled p50/p99 as custom metrics.
 func BenchmarkReplicationSteadyLag(b *testing.B) {
 	const n = 16
 	opts := simrank.Options{C: 0.6, K: 8, Workers: 1}

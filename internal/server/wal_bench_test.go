@@ -16,10 +16,10 @@ import (
 // BenchmarkWALWaitAck measures the full ?wait=1 acknowledgement latency
 // — HTTP in, pipeline, commit, WAL append, fsync per policy, HTTP out —
 // the end-to-end price of "your write is durable". Reports mean ns/op
-// plus sampled p50/p99 (custom metrics, so cmd/benchjson lands them in
-// BENCH_wal.json): always pays one fsync per ack, interval amortizes it
-// into the group-commit Sync, none skips durability entirely and is the
-// no-WAL pipeline baseline plus one buffered write.
+// plus sampled p50/p99 as custom metrics: always pays one fsync per
+// ack, interval amortizes it into the group-commit Sync, none skips
+// durability entirely and is the no-WAL pipeline baseline plus one
+// buffered write.
 func BenchmarkWALWaitAck(b *testing.B) {
 	for _, policy := range []wal.SyncPolicy{wal.SyncAlways, wal.SyncInterval, wal.SyncNone} {
 		b.Run("sync="+policy.String(), func(b *testing.B) {

@@ -3,6 +3,7 @@ package simstore
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/matrix"
 	"repro/internal/metrics"
@@ -24,10 +25,9 @@ import (
 // graph — determinism, WAL-replay equivalence and snapshot round-trips
 // all reduce to that one invariant.
 //
-// What stays unsupported are the *exact write-backs* Set/Add/AddSym/
-// UpperRow: there is no matrix cell for an Inc-SR delta to land in, so
-// the engine routes approx writes through ApplyUpdate instead of the
-// incremental core, and those methods panic if reached.
+// There is no matrix cell for an Inc-SR delta to land in, so Update
+// validates the edge against the graph and repairs walks instead of
+// running the incremental core, and the triangle scan UpperRow panics.
 //
 // Scores are the *iterative-form* SimRank estimates (s(a,a) = 1) the
 // estimator targets, truncated at walkLen steps — pick walkLen = K to
@@ -95,23 +95,41 @@ func (a *Approx) N() int { return a.idx.N() }
 // ApplyUpdate mutates the graph topology inside the walk index and
 // repairs the invalidated walk suffixes. It returns the ascending list
 // of nodes whose stored walks changed — the engine's DirtyRows set for
-// this update. Single-writer path.
+// this update. The update must apply (see Update). Single-writer path.
 func (a *Approx) ApplyUpdate(up graph.Update) []int {
 	a.ensureWritable()
 	dirty, _ := a.idx.Apply(up)
 	return dirty
 }
 
-// Recompute rebuilds the whole walk set from g — the full-resample path
-// behind Engine.Recompute. Equivalent in outcome to any sequence of
-// repairs reaching the same topology (both equal the pure function of
-// (graph, seed)), so it exists for cost, not correctness: once an
-// update batch is large enough that most walks are affected anyway,
-// one O(n·W·L) resample beats per-edge repair.
-func (a *Approx) Recompute(g *graph.DiGraph) {
+// Update rejects up with the exact stores' *core.ErrBadUpdate reasons
+// when it does not apply to g, the graph the walk index mirrors, and
+// otherwise repairs the walks through ApplyUpdate. DirtyRows is a fresh
+// slice naming the nodes whose walk sets changed; no other Stats field
+// is populated.
+func (a *Approx) Update(g *graph.DiGraph, up graph.Update, _ Params) (core.Stats, error) {
+	if err := core.CheckUpdate(g, up, nil); err != nil {
+		return core.Stats{}, err
+	}
+	return core.Stats{DirtyRows: a.ApplyUpdate(up)}, nil
+}
+
+// Recompute applies ups to g (see Store), then resamples the whole walk
+// set from the result. Equivalent in outcome to any sequence of repairs
+// reaching the same topology (both equal the pure function of (graph,
+// seed)), so it exists for cost, not correctness: once an update batch
+// is large enough that most walks are affected anyway, one O(n·W·L)
+// resample beats per-edge repair.
+func (a *Approx) Recompute(g *graph.DiGraph, ups []graph.Update, _ Params) {
 	a.ensureWritable()
+	for _, up := range ups {
+		g.Apply(up)
+	}
 	a.idx.Reset(g)
 }
+
+// Close is a no-op: walk repair keeps no goroutines between updates.
+func (a *Approx) Close() {}
 
 // RepairGen returns the repair-generation counter (persisted in
 // snapshots).
@@ -150,14 +168,6 @@ func (a *Approx) Seal() Store {
 	return &Approx{idx: a.idx.Seal(), walks: a.walks, seed: a.seed, refineFactor: a.refineFactor, sealed: true}
 }
 
-// Writable reports whether the receiver is the writer instance (true)
-// or a sealed view (false).
-func (a *Approx) Writable() bool { return !a.sealed }
-
-// MarkRowsDirty is a no-op: the walk index tracks its own copy-on-write
-// sharing per node.
-func (a *Approx) MarkRowsDirty([]int) {}
-
 // At estimates s(i, j) with the store's walk budget. A deterministic
 // pure read of the stored walks — safe for any number of concurrent
 // readers with no serialization.
@@ -169,40 +179,14 @@ func (a *Approx) ensureWritable() {
 	}
 }
 
-func (a *Approx) noExactWrites() string {
-	return "simstore: approx backend has no matrix cells for exact write-backs (route updates through ApplyUpdate)"
-}
-
-// Set panics: the sampling tier has no matrix cell to write.
-func (a *Approx) Set(i, j int, v float64) { panic(a.noExactWrites()) }
-
-// Add panics: the sampling tier has no matrix cell to accumulate into.
-func (a *Approx) Add(i, j int, v float64) { panic(a.noExactWrites()) }
-
-// AddSym panics: the sampling tier has no matrix cells for the
-// symmetric write-back shape.
-func (a *Approx) AddSym(i, j int, v float64) { panic(a.noExactWrites()) }
-
-// Row estimates the full row s(i, ·) — O(n·walks·walkLen) position
-// reads — into a fresh slice.
-func (a *Approx) Row(i int) []float64 { return a.idx.SingleSource(i, a.walks) }
-
-// ConcurrentRow is Row: every call estimates into its own slice.
-func (a *Approx) ConcurrentRow(i int) []float64 { return a.Row(i) }
+// ConcurrentRow estimates the full row s(i, ·) — O(n·walks·walkLen)
+// position reads — into a fresh slice.
+func (a *Approx) ConcurrentRow(i int) []float64 { return a.idx.SingleSource(i, a.walks) }
 
 // UpperRow panics: a global O(n²) scan is exactly what the sampling tier
 // exists to avoid (the engine answers global top-k as unavailable).
 func (a *Approx) UpperRow(int) []float64 {
 	panic("simstore: approx backend has no materialized triangle to scan")
-}
-
-// ColInto estimates column j (= row j by symmetry) into dst.
-func (a *Approx) ColInto(dst []float64, j int) { copy(dst, a.Row(j)) }
-
-// Clone returns an independent deep copy of the walk index, so a cloned
-// engine can absorb updates without affecting the original.
-func (a *Approx) Clone() Store {
-	return &Approx{idx: a.idx.Clone(), walks: a.walks, seed: a.seed, refineFactor: a.refineFactor, sealed: a.sealed}
 }
 
 // ToDense returns nil: materializing n² estimates is the workload this

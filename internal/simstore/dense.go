@@ -1,6 +1,11 @@
 package simstore
 
-import "repro/internal/matrix"
+import (
+	"repro/internal/batch"
+	"repro/internal/core"
+	"repro/internal/graph"
+	"repro/internal/matrix"
+)
 
 // Dense is the classic backend: a row-major n×n matrix.Dense. Every
 // operation delegates straight to the matrix, so an engine on this store
@@ -10,7 +15,7 @@ import "repro/internal/matrix"
 // MVCC: Seal hands out an immutable wrapper around the current buffer
 // and arms the double-buffer — the first write after a Seal flips to the
 // second buffer, first re-syncing only the rows the sealed buffer is
-// ahead by (the MarkRowsDirty sets accumulated since that buffer was
+// ahead by (the dirty-row sets Update recorded since that buffer was
 // last the front). A warm single-writer therefore ping-pongs between two
 // fixed n×n buffers with zero steady-state allocations, and readers of
 // any sealed view are never raced: the writer only ever touches the
@@ -18,6 +23,7 @@ import "repro/internal/matrix"
 // buffer to the GC instead when a straggling reader still pins it).
 type Dense struct {
 	m *matrix.Dense
+	exact
 
 	// sealed marks this instance as an immutable view: every mutation
 	// panics, Seal returns the receiver.
@@ -140,9 +146,6 @@ func (d *Dense) Seal() Store {
 	return &Dense{m: d.m, sealed: true}
 }
 
-// Writable reports whether the receiver accepts mutation.
-func (d *Dense) Writable() bool { return !d.sealed }
-
 // MarkRowsDirty records rows written since the last flip, so the next
 // flip re-syncs only those. No-op until the store is first sealed, or
 // while the back buffer is wholly stale anyway.
@@ -159,7 +162,8 @@ func (d *Dense) MarkRowsDirty(rows []int) {
 }
 
 // MarkAllRowsDirty declares the back buffer wholly stale — the follow-up
-// to a full rewrite through WritableMatrix (recompute).
+// to a full rewrite through WritableMatrix or WritableMatrixDiscard
+// (Recompute).
 func (d *Dense) MarkAllRowsDirty() {
 	if !d.cowSeen {
 		return
@@ -260,18 +264,41 @@ func (d *Dense) UpperRow(a int) []float64 { return d.m.Row(a)[a:] }
 // ColInto copies column j into dst.
 func (d *Dense) ColInto(dst []float64, j int) { d.m.ColInto(dst, j) }
 
-// Clone returns an independent writable deep copy of the current
-// contents (double-buffer state is not cloned).
-func (d *Dense) Clone() Store { return &Dense{m: d.m.Clone()} }
-
 // ToDense returns an independent dense copy of S.
 func (d *Dense) ToDense() *matrix.Dense { return d.m.Clone() }
 
+// Update applies one unit update through the store's workspace (see
+// Store.Update) and records the rows it wrote, so the double-buffer's
+// next flip re-syncs exactly those.
+//
+//simrank:noalloc
+func (d *Dense) Update(g *graph.DiGraph, up graph.Update, p Params) (core.Stats, error) {
+	st, err := d.update(d, g, up, p)
+	if err != nil {
+		return core.Stats{}, err
+	}
+	d.MarkRowsDirty(st.DirtyRows)
+	return st, nil
+}
+
+// Recompute applies ups to g (see Store), then reruns the batch kernel,
+// ping-ponging between the live buffer and the workspace's persistent
+// scratch — a warm recompute at one worker allocates nothing. The
+// discard variant flips the MVCC double-buffer without the syncing copy
+// — the kernel overwrites every cell anyway (it starts from S₀ = (1−C)I)
+// — and leaves the other buffer marked wholly stale, which
+// MarkAllRowsDirty re-asserts.
+func (d *Dense) Recompute(g *graph.DiGraph, ups []graph.Update, p Params) {
+	ws := d.follow(g, ups)
+	batch.MatrixFormInto(d.WritableMatrixDiscard(), ws.DenseScratch(), ws.TransitionCSR(), p.C, p.K, d.workers)
+	d.MarkAllRowsDirty()
+}
+
 // AddNodes returns a dense store over n+count nodes: old rows copied
 // into the top-left block, new diagonal entries set to diag — exactly
-// the fixed-point extension the engine's AddNodes always performed.
-// The result is a fresh, never-sealed store; sealed views of the old
-// size keep their own buffers.
+// the fixed-point extension of the new graph's S. The result is a fresh,
+// never-sealed store; sealed views of the old size keep their own
+// buffers.
 func (d *Dense) AddNodes(count int, diag float64) Store {
 	oldN := d.m.Rows
 	n := oldN + count
@@ -282,7 +309,10 @@ func (d *Dense) AddNodes(count int, diag float64) Store {
 	for v := oldN; v < n; v++ {
 		next.Set(v, v, diag)
 	}
-	return &Dense{m: next}
+	// The workspace is sized for the old n: stop its pool, whose blocked
+	// goroutines would otherwise leak; the grown store builds its own.
+	d.Close()
+	return &Dense{m: next, exact: exact{workers: d.workers}}
 }
 
 // MemBytes reports the 8n² serving payload (the MVCC double-buffer, when

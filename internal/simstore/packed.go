@@ -1,6 +1,10 @@
 package simstore
 
-import "repro/internal/matrix"
+import (
+	"repro/internal/core"
+	"repro/internal/graph"
+	"repro/internal/matrix"
+)
 
 // Packed stores the symmetric S in upper-triangular row-major packed
 // form: entry (i, j) with i ≤ j lives at start[i] + (j − i), for
@@ -47,6 +51,8 @@ type Packed struct {
 	sealed bool
 
 	row []float64 // scratch for Row (single-writer contract)
+
+	exact
 }
 
 // packedChunkFloats is the COW granularity target: ~64 KiB of payload
@@ -143,13 +149,6 @@ func (p *Packed) Seal() Store {
 	}
 	return view
 }
-
-// Writable reports whether the receiver accepts mutation.
-func (p *Packed) Writable() bool { return !p.sealed }
-
-// MarkRowsDirty is a no-op: chunk sharing is tracked by the store
-// itself, write by write.
-func (p *Packed) MarkRowsDirty([]int) {}
 
 // N returns the node count.
 func (p *Packed) N() int { return p.n }
@@ -272,15 +271,6 @@ func (p *Packed) UpperRow(a int) []float64 { return p.upperSeg(a) }
 // ColInto copies column j into dst — by symmetry, row j.
 func (p *Packed) ColInto(dst []float64, j int) { p.rowInto(dst, j) }
 
-// Clone returns an independent writable deep copy.
-func (p *Packed) Clone() Store {
-	c := NewPacked(p.n)
-	for i := range p.chunks {
-		copy(c.chunks[i], p.chunks[i])
-	}
-	return c
-}
-
 // ToDense materializes the full symmetric matrix.
 func (p *Packed) ToDense() *matrix.Dense {
 	d := matrix.NewDense(p.n, p.n)
@@ -305,11 +295,31 @@ func (p *Packed) SetFromDense(src *matrix.Dense) {
 	}
 }
 
+// Update applies one unit update through the store's workspace; see
+// Store.Update. Chunk sharing is tracked write by write, so there are no
+// dirty rows to record.
+//
+//simrank:noalloc
+func (p *Packed) Update(g *graph.DiGraph, up graph.Update, prm Params) (core.Stats, error) {
+	return p.update(p, g, up, prm)
+}
+
+// Recompute applies ups to g (see Store), then reruns the batch kernel
+// on two transient dense buffers (its sparse-dense products need full
+// rows) and compresses the result back into the triangle: a recompute
+// transiently costs 16n² bytes, but the steady state never retains a
+// dense buffer.
+func (p *Packed) Recompute(g *graph.DiGraph, ups []graph.Update, prm Params) {
+	p.SetFromDense(batchScores(p.follow(g, ups), prm, p.workers))
+}
+
 // AddNodes returns a packed store over n+count nodes: each old row's
 // packed segment is copied into the prefix of its new (longer) segment,
 // new diagonals get diag. The result is a fresh, never-sealed store.
 func (p *Packed) AddNodes(count int, diag float64) Store {
+	p.Close() // as in Dense.AddNodes
 	next := NewPacked(p.n + count)
+	next.workers = p.workers
 	for i := 0; i < p.n; i++ {
 		copy(next.upperSeg(i)[:p.n-i], p.upperSeg(i))
 	}

@@ -18,16 +18,20 @@
 //     walk suffixes (ApplyUpdate), bit-identical to a fresh rebuild at
 //     the same seed.
 //
-// The exact stores (dense, packed) satisfy internal/core.SimStore, so
-// Inc-SR/Inc-uSR run unmodified against either; the approx store has no
-// matrix cells for those exact write-backs (Set/Add/AddSym panic), so
-// the engine routes its writes through ApplyUpdate instead.
+// Each store keeps its own S current: Store.Update and Recompute are
+// the whole write path the engine calls. The exact stores (dense,
+// packed) own the persistent core.Workspace Inc-SR and Inc-uSR run in
+// and satisfy core.SimStore through their concrete cell methods; the
+// approx store has no matrix cells and no exact write-backs, so it
+// absorbs an update by repairing its walks instead.
 package simstore
 
 import (
-	"errors"
 	"fmt"
 
+	"repro/internal/batch"
+	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/matrix"
 	"repro/internal/metrics"
 )
@@ -59,17 +63,25 @@ func ParseBackend(s string) (Backend, error) {
 	return "", fmt.Errorf("simstore: unknown backend %q (want dense, packed or approx)", s)
 }
 
-// Store is a similarity matrix S behind an interface, so the engine, the
-// batch kernel, snapshots and the HTTP server are all backend-agnostic.
-// Every store is square (n×n) and logically symmetric.
+// Params are the engine constants the write path reads: the damping
+// factor C, the iteration count K, and whether exact updates run Inc-uSR
+// (Algorithm 1) instead of Inc-SR (Algorithm 2).
+type Params struct {
+	C         float64
+	K         int
+	NoPruning bool
+}
+
+// Store is a similarity matrix S behind an interface, so the engine,
+// snapshots and the HTTP server are all backend-agnostic. Every store is
+// square (n×n) and logically symmetric.
 //
-// Concurrency: At, ConcurrentRow and UpperRow are safe for concurrent
-// readers. Row and ColInto may use store-internal scratch — they belong
-// to the single-writer update path, and a returned row view is valid
-// only until the next Row/ColInto call or mutation. All mutations
-// require exclusive access.
+// Concurrency: the read methods (N through Seal) are safe for concurrent
+// readers. The write methods (Update through Close) belong to the single
+// writer, require exclusive access and are never called on a sealed view
+// (the sealedwrite analyzer rejects such a call).
 //
-// # The Seal/Writable copy-on-write contract
+// # The Seal copy-on-write contract
 //
 // Seal returns an immutable point-in-time view of the store: the MVCC
 // read path publishes one per epoch, and any number of readers may query
@@ -79,9 +91,9 @@ func ParseBackend(s string) (Backend, error) {
 //
 //   - dense double-buffers: the first write after a Seal flips to the
 //     second n×n buffer, re-syncing just the rows that went stale since
-//     that buffer last held the front (the dirty sets reported through
-//     MarkRowsDirty), so a warm writer re-uses two fixed buffers and
-//     stays allocation-free;
+//     that buffer last held the front (Update records each update's
+//     dirty rows for this), so a warm writer re-uses two fixed buffers
+//     and stays allocation-free;
 //   - packed copy-on-writes its triangle in row-aligned chunks: sealed
 //     views share every chunk, and the writer duplicates a chunk the
 //     first time it lands a write in it after a Seal;
@@ -89,14 +101,8 @@ func ParseBackend(s string) (Backend, error) {
 //     stored walks, and the writer clones one node's walk row the first
 //     time a repair touches it after a Seal.
 //
-// Writers that mutate a sealable store outside the incremental core must
-// report every row of S they wrote via MarkRowsDirty before the next
-// Seal — the dense double-buffer syncs exactly those rows on its next
-// flip. The engine threads core.Stats.DirtyRows through after each
-// update; wholesale rewrites (recompute) use the backend's own
-// mark-everything hook. A store that has never been sealed pays nothing
-// for any of this: MarkRowsDirty is a no-op and the write paths skip the
-// copy-on-write checks' slow half entirely.
+// A store that has never been sealed pays nothing for any of this: the
+// write paths skip the copy-on-write checks' slow half entirely.
 //
 // # The concurrent write-back contract
 //
@@ -120,27 +126,14 @@ func ParseBackend(s string) (Backend, error) {
 //     row, because a write may duplicate (COW) its whole chunk and two
 //     goroutines must never share one.
 //
-// The approx store is not a ConcurrentWriteStore — its writes flow
-// through ApplyUpdate, which parallelizes internally across affected
-// walks (SetWorkers) — and any store without the interface simply gets
-// the one-partition write-back.
+// The approx store is not a ConcurrentWriteStore — its repair
+// parallelizes internally across affected walks (SetWorkers).
 type Store interface {
 	// N returns the node count.
 	N() int
 	// At returns s(i, j). On the approx backend this is a sampling
 	// estimate — a deterministic pure read of the stored walks.
 	At(i, j int) float64
-	// Set writes entry (i, j); symmetric layouts alias the mirror entry.
-	Set(i, j int, v float64)
-	// Add accumulates v into entry (i, j).
-	Add(i, j int, v float64)
-	// AddSym applies v·(e_i·e_jᵀ + e_j·e_iᵀ): both mirror entries
-	// accumulate v (the diagonal twice) — the one mutation shape of the
-	// incremental write-backs; see core.SimStore.
-	AddSym(i, j int, v float64)
-	// Row returns row i as a view that may alias internal scratch (see
-	// the concurrency note above).
-	Row(i int) []float64
 	// ConcurrentRow returns row i in a form safe under concurrent
 	// readers: an immutable alias (dense) or a fresh copy (packed,
 	// approx).
@@ -149,19 +142,9 @@ type Store interface {
 	// race-free alias of backing storage — the global top-k scan shape.
 	// Exact stores only; the approx store panics.
 	UpperRow(a int) []float64
-	// ColInto copies column j into dst (single-writer path; symmetric
-	// layouts serve it from row storage).
-	ColInto(dst []float64, j int)
-	// Clone returns an independent deep copy.
-	Clone() Store
 	// ToDense materializes the full matrix, or nil when that is the
 	// point of the backend not to (approx).
 	ToDense() *matrix.Dense
-	// AddNodes returns a store over n+count nodes: old scores preserved,
-	// new rows zero except s(v, v) = diag (the approx backend grows its
-	// walk index in place — diag is implicit, s(v,v) = 1 by definition —
-	// and returns the receiver).
-	AddNodes(count int, diag float64) Store
 	// MemBytes reports the store's resident size in bytes — the
 	// /stats "store_bytes" figure. The serving payload only: the dense
 	// backend's transient MVCC double-buffer is not counted (it is the
@@ -179,14 +162,34 @@ type Store interface {
 	// or call (*Dense).AbandonBack to orphan the buffer to the GC.
 	// Packed and approx views are intrinsically safe at any age.
 	Seal() Store
-	// Writable reports whether the receiver accepts mutation: false for
-	// sealed views.
-	Writable() bool
-	// MarkRowsDirty reports rows of S written since the last Seal (or
-	// the last MarkRowsDirty call) — the dense double-buffer's re-sync
-	// set. No-op on backends that track sharing themselves (packed,
-	// approx), and on stores never sealed.
-	MarkRowsDirty(rows []int)
+
+	// Update applies one unit update to S. g is the graph before the
+	// update: the exact stores build their workspace from it on first
+	// use, the approx store validates against it. Update validates
+	// before writing — a rejected update returns *core.ErrBadUpdate and
+	// leaves the store untouched — and never mutates g; the caller
+	// applies up to g once Update succeeds. The returned DirtyRows name
+	// the rows of S whose scores may have moved.
+	Update(g *graph.DiGraph, up graph.Update, p Params) (core.Stats, error)
+	// Recompute applies ups to g, then rebuilds S from scratch over the
+	// result. ups carries ApplyBatch's recompute crossover: a batch the
+	// caller has validated, applied here with no incremental work. A
+	// plain recompute passes nil.
+	Recompute(g *graph.DiGraph, ups []graph.Update, p Params)
+	// AddNodes returns a store over n+count nodes: old scores preserved,
+	// new rows zero except s(v, v) = diag (the approx backend grows its
+	// walk index in place — diag is implicit, s(v,v) = 1 by definition —
+	// and returns the receiver). The receiver's update worker pool is
+	// stopped; the grown store keeps its worker setting.
+	AddNodes(count int, diag float64) Store
+	// SetWorkers bounds the goroutines the write path fans out across:
+	// the batch kernel and the update workspace on the exact stores,
+	// walk repair on approx. 0 selects GOMAXPROCS; every setting gives
+	// bit-identical results.
+	SetWorkers(workers int)
+	// Close stops the store's persistent update worker pool, if any. The
+	// store stays usable; the pool respawns on the next parallel update.
+	Close()
 }
 
 // Sampler is the optional query surface of sampling backends: top-k by
@@ -200,17 +203,41 @@ type Sampler interface {
 	PairStderr(a, b int) (est, stderr float64)
 }
 
-// New constructs an empty (all-zero) exact store of the given backend.
-// The approx backend is graph-backed and has its own constructor
-// (NewApprox); requesting it here is an error.
-func New(b Backend, n int) (Store, error) {
+// New builds a store of backend b holding S for g's current topology.
+// The exact backends run the batch kernel across workers goroutines; the
+// approx backend samples its walk index with the given per-pair walk
+// budget and seed root (walks and seed are ignored elsewhere), capping
+// walks at p.K steps — the depth an exact K-iteration store truncates at.
+func New(b Backend, g *graph.DiGraph, p Params, workers, walks int, seed int64) (Store, error) {
 	switch b {
-	case "", BackendDense:
-		return NewDense(n), nil
+	case BackendDense:
+		d := &Dense{exact: exact{workers: workers}}
+		d.m = batchScores(d.workspace(g), p, workers)
+		return d, nil
 	case BackendPacked:
-		return NewPacked(n), nil
+		// The triangle is allocated before the kernel's two transient n×n
+		// buffers; the other order raises the process's peak RSS.
+		s := NewPacked(g.N())
+		s.workers = workers
+		s.SetFromDense(batchScores(s.workspace(g), p, workers))
+		return s, nil
 	case BackendApprox:
-		return nil, errors.New("simstore: approx stores are built from a graph; use NewApprox")
+		a, err := NewApprox(g, p.C, p.K, walks, seed)
+		if err != nil {
+			return nil, err
+		}
+		a.SetWorkers(workers)
+		return a, nil
 	}
 	return nil, fmt.Errorf("simstore: unknown backend %q", b)
+}
+
+// batchScores runs the batch kernel over ws's transition matrix into a
+// fresh n×n matrix, ping-ponging through a transient scratch buffer the
+// caller does not retain.
+func batchScores(ws *core.Workspace, p Params, workers int) *matrix.Dense {
+	n := ws.N()
+	out := matrix.NewDense(n, n)
+	batch.MatrixFormInto(out, matrix.NewDense(n, n), ws.TransitionCSR(), p.C, p.K, workers)
+	return out
 }

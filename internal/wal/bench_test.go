@@ -11,7 +11,7 @@ import (
 // bounded by the device's fsync latency (this is the price of
 // ack-equals-durable); SyncInterval and SyncNone show the logging cost
 // itself, which must stay negligible next to an update's O(n·K) kernel
-// work. Parsed into BENCH_wal.json by cmd/benchjson in CI.
+// work.
 func BenchmarkWALAppend(b *testing.B) {
 	// One coalesced batch of 8 updates per record — a realistic drain
 	// cycle under burst load.

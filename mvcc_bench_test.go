@@ -13,10 +13,9 @@ import (
 // BenchmarkContendedReads measures the read path with and without a
 // concurrent writer streaming updates — the number the MVCC refactor
 // exists for. Each case reports the standard ns/op plus sampled p50/p99
-// per-read latencies (custom metrics, so cmd/benchjson lands them in
-// BENCH_mvcc.json). Under the old engine-wide RWMutex the "writer"
-// cases collapsed to the writer's update latency; with MVCC views,
-// reader latency must stay within ~2× of the idle case.
+// per-read latencies as custom metrics. Under the old engine-wide
+// RWMutex the "writer" cases collapsed to the writer's update latency;
+// with MVCC views, reader latency must stay within ~2× of the idle case.
 func BenchmarkContendedReads(b *testing.B) {
 	for _, backend := range []Backend{BackendDense, BackendPacked} {
 		const (

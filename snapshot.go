@@ -188,9 +188,9 @@ func writeStorePayload(bw *bufio.Writer, store simstore.Store) error {
 // ReadSnapshot restores an engine previously written by WriteSnapshot.
 // The similarity matrix is trusted as-is after the CRC check, not
 // recomputed; use Recompute to rebuild it from the graph if desired.
-// The compute workspace (transition matrices, update scratch) is not part
-// of the snapshot — a restored engine rebuilds it lazily from the graph
-// on its first update or recompute. Options.Workers and
+// The exact stores' compute workspace (transition matrices, update
+// scratch) is not part of the snapshot — a restored store rebuilds it
+// lazily from the graph on its first update or recompute. Options.Workers and
 // Options.TopKCacheRows are runtime knobs and are likewise not persisted;
 // restored engines use the GOMAXPROCS default with the query cache off
 // until SetWorkers/SetTopKCacheRows say otherwise (starting the cache
@@ -375,7 +375,7 @@ func ReadSnapshot(r io.Reader) (*Engine, error) {
 		a.SetRepairGen(approxRepairGen)
 		store = a
 	}
-	return &Engine{opts: opts.withDefaults(), g: g, s: store, epoch: epoch}, nil
+	return &Engine{readPath: readPath{s: store, epoch: epoch}, opts: opts.withDefaults(), g: g}, nil
 }
 
 // SnapshotWriter is anything that can serialize itself in the snapshot

@@ -8,8 +8,105 @@ import (
 	"repro/internal/cache"
 	"repro/internal/graph"
 	"repro/internal/matrix"
+	"repro/internal/metrics"
 	"repro/internal/simstore"
 )
+
+// readPath is the query path the mutable Engine and every sealed
+// engineView share, written once so the two can never drift: the
+// similarity store, the query cache and the epoch cache entries are
+// stamped with.
+type readPath struct {
+	// s is the similarity store (see Options.Backend): a dense or packed
+	// exact matrix, or the approx sampling tier. It keeps itself current
+	// under every mutation (simstore.Store's write methods).
+	s simstore.Store
+	// cache is the dirty-row-invalidated top-k query cache, nil when
+	// disabled (Options.TopKCacheRows ≤ 0). Entries are epoch-stamped
+	// (see internal/cache): every mutation path bumps the epoch and
+	// records what moved — Apply the update's dirty rows, Recompute and
+	// AddNodes wholesale — so cached answers are provably bit-identical
+	// at whatever epoch they are read.
+	cache *cache.TopK
+	// epoch counts committed mutations, monotonically: the version
+	// number the MVCC facade stamps on published read views and the
+	// cache stamps on entries. Bumped by Apply, Recompute, AddNodes,
+	// SetWorkers and SetTopKCacheRows (anything a reader could observe).
+	epoch uint64
+}
+
+// valid reports whether v names a node. Every query validates through
+// this: queries never panic — an out-of-range node yields the zero
+// result (score 0, empty top-k), matching a node the graph has never
+// related to anything.
+func (r *readPath) valid(v int) bool { return v >= 0 && v < r.s.N() }
+
+func (r *readPath) similarity(a, b int) float64 {
+	if !r.valid(a) || !r.valid(b) {
+		return 0
+	}
+	return r.s.At(a, b)
+}
+
+func (r *readPath) similarityStderr(a, b int) (score, stderr float64) {
+	if !r.valid(a) || !r.valid(b) {
+		return 0, 0
+	}
+	if smp, ok := r.s.(simstore.Sampler); ok {
+		return smp.PairStderr(a, b)
+	}
+	return r.s.At(a, b), 0
+}
+
+func (r *readPath) cacheStats() CacheStats {
+	if r.cache == nil {
+		return CacheStats{}
+	}
+	return r.cache.Stats()
+}
+
+// similarities materializes the matrix; on a sealed view the O(n²) copy
+// runs entirely against frozen state, so the writer never waits on it.
+func (r *readPath) similarities() *matrix.Dense { return r.s.ToDense() }
+
+func (r *readPath) topK(k int) []Pair {
+	if k <= 0 || r.s.Backend() == BackendApprox {
+		return nil
+	}
+	if r.cache == nil {
+		return metrics.TopKPairsUpper(r.s.N(), r.s.UpperRow, k)
+	}
+	if ps, ok := r.cache.GetGlobal(k, r.epoch); ok {
+		return ps
+	}
+	ps := metrics.TopKPairsUpper(r.s.N(), r.s.UpperRow, k)
+	r.cache.PutGlobal(k, ps, r.epoch)
+	return metrics.ClonePairs(ps)
+}
+
+func (r *readPath) topKFor(a, k int) []Pair {
+	if !r.valid(a) || k <= 0 {
+		return nil
+	}
+	// Sampling backends bypass the cache: a sampled list shorter than k
+	// does not mean the row is exhausted (weak candidates can refine to
+	// zero and drop out), which would violate the cache's
+	// short-result-serves-any-larger-k rule.
+	if smp, ok := r.s.(simstore.Sampler); ok {
+		return smp.TopKRow(a, k)
+	}
+	// Exact backends scan a concurrency-safe row view: a zero-copy alias
+	// on dense, one O(n) materialization on packed.
+	if r.cache == nil {
+		return metrics.TopKRow(r.s.ConcurrentRow(a), a, k)
+	}
+	if ps, ok := r.cache.GetRow(a, k, r.epoch); ok {
+		return ps
+	}
+	ps := metrics.TopKRow(r.s.ConcurrentRow(a), a, k)
+	r.cache.PutRow(a, k, ps, r.epoch)
+	return metrics.ClonePairs(ps)
+}
 
 // engineView is one immutable, epoch-stamped read view of an engine —
 // the unit the MVCC facade publishes through a single atomic pointer.
@@ -25,12 +122,10 @@ import (
 // writer — the dense double-buffer may only recycle a buffer whose
 // views have drained — and doubles as the /stats in-flight gauge.
 type engineView struct {
-	epoch      uint64
-	s          simstore.Store
+	readPath
 	g          *graph.Snapshot
 	n, m       int
 	opts       Options
-	cache      *cache.TopK
 	storeBytes int64
 	published  time.Time
 
@@ -55,13 +150,11 @@ func (e *Engine) sealView(withDirty bool) *engineView {
 		dirty = append([]int(nil), e.lastStats.DirtyRows...)
 	}
 	return &engineView{
-		epoch:      e.epoch,
-		s:          e.s.Seal(),
+		readPath:   readPath{s: e.s.Seal(), cache: e.cache, epoch: e.epoch},
 		g:          e.g.Seal(),
 		n:          e.g.N(),
 		m:          e.g.M(),
 		opts:       e.opts,
-		cache:      e.cache,
 		storeBytes: e.s.MemBytes(),
 		published:  time.Now(),
 		dirtyRows:  dirty,
@@ -97,42 +190,7 @@ func (e *Engine) viewPinsRecycleTarget(v *engineView) bool {
 	return d.RecyclesBufferOf(sd)
 }
 
-// valid reports whether v names a node of this view's graph.
-func (v *engineView) valid(x int) bool { return x >= 0 && x < v.n }
-
-func (v *engineView) similarity(a, b int) float64 {
-	if !v.valid(a) || !v.valid(b) {
-		return 0
-	}
-	return v.s.At(a, b)
-}
-
-func (v *engineView) similarityStderr(a, b int) (score, stderr float64) {
-	if !v.valid(a) || !v.valid(b) {
-		return 0, 0
-	}
-	if smp, ok := v.s.(simstore.Sampler); ok {
-		return smp.PairStderr(a, b)
-	}
-	return v.s.At(a, b), 0
-}
-
-func (v *engineView) topK(k int) []Pair {
-	return storeTopK(v.s, v.cache, v.epoch, k)
-}
-
-func (v *engineView) topKFor(a, k int) []Pair {
-	if !v.valid(a) || k <= 0 {
-		return nil
-	}
-	return storeTopKFor(v.s, v.cache, v.epoch, a, k)
-}
-
 func (v *engineView) hasEdge(i, j int) bool { return v.g.HasEdge(i, j) }
-
-// similarities materializes the sealed matrix — the O(n²) copy runs
-// entirely against frozen state, so the writer never waits on it.
-func (v *engineView) similarities() *matrix.Dense { return v.s.ToDense() }
 
 // writeSnapshot serializes the sealed graph and store: a point-in-time
 // snapshot at this view's epoch, taken while the writer keeps

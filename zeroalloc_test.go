@@ -193,7 +193,7 @@ func TestEngineRecomputeParallelMatchesSerial(t *testing.T) {
 func TestEngineTopKForMatchesReference(t *testing.T) {
 	// Reference: the seed's insertion sort over all scored neighbors.
 	reference := func(e *Engine, a, k int) []Pair {
-		row := e.s.Row(a)
+		row := e.s.ConcurrentRow(a)
 		var pairs []Pair
 		for b, v := range row {
 			if b != a && v != 0 {
