@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/simstore"
 )
@@ -78,4 +79,49 @@ func BenchmarkApproxRepair(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkApproxTopK times one approx top-k read, TopKRow(q, 10), on a
+// sealed store with simrankd's approx settings (C 0.6, L = K = 15, 128
+// walks, seed 1) over PrefAttach(n, 4, 1), simbench's logged graph at
+// n = 5000. At n = 20000 the walks take ~164 MB. The query sets:
+//   - dead: the hottest row with no in-links, whose walks all die at
+//     step 1;
+//   - live: the hottest row with in-links;
+//   - zipf: simbench's /topkfor rows, Zipf(1.1) over its hot ranking.
+func BenchmarkApproxTopK(b *testing.B) {
+	for _, n := range []int{5000, 20000} {
+		g := gen.PrefAttach(n, 4, 1)
+		a, err := simstore.NewApprox(g, 0.6, 15, 128, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		view := a.Seal().(simstore.Sampler)
+		hot := rand.New(rand.NewSource(1 ^ 0x5eed)).Perm(n)
+		dead, live := -1, -1
+		for _, v := range hot {
+			if g.InDegree(v) == 0 && dead < 0 {
+				dead = v
+			}
+			if g.InDegree(v) > 0 && live < 0 {
+				live = v
+			}
+		}
+		for _, q := range []struct {
+			name string
+			row  int
+		}{{"dead", dead}, {"live", live}} {
+			b.Run(fmt.Sprintf("n=%d/%s", n, q.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					view.TopKRow(q.row, 10)
+				}
+			})
+		}
+		b.Run(fmt.Sprintf("n=%d/zipf", n), func(b *testing.B) {
+			zipf := rand.NewZipf(rand.New(rand.NewSource(1)), 1.1, 1, uint64(n-1))
+			for i := 0; i < b.N; i++ {
+				view.TopKRow(hot[zipf.Uint64()], 10)
+			}
+		})
+	}
 }

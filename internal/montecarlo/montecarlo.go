@@ -111,6 +111,9 @@ type Index struct {
 	// total and live track posting entries including and excluding
 	// tombstones; total > 2·live + n triggers compaction.
 	total, live int
+	// edges is Σ|ins[v]|, kept by Reset and Apply for MemBytes.
+	// Writer-owned; 0 on sealed views.
+	edges int
 
 	// gen counts repair events (persisted by snapshots as the
 	// repair-generation counter); walksRepaired and stepsResampled are
@@ -219,6 +222,7 @@ func (ix *Index) Reset(g *graph.DiGraph) {
 	n := g.N()
 	ix.n = n
 	ix.ins = make([][]int32, n)
+	ix.edges = 0
 	for v := 0; v < n; v++ {
 		nbrs := g.InNeighbors(v)
 		row := make([]int32, len(nbrs))
@@ -226,6 +230,7 @@ func (ix *Index) Reset(g *graph.DiGraph) {
 			row[i] = int32(u)
 		}
 		ix.ins[v] = row
+		ix.edges += len(row)
 	}
 	ix.rows = make([][]int32, n)
 	ix.shared = nil
@@ -304,12 +309,14 @@ func (ix *Index) Apply(up graph.Update) (dirty []int, changed bool) {
 			return nil, false
 		}
 		ix.ins[j] = next
+		ix.edges++
 	} else {
 		next, ok := removeSorted(ix.ins[j], from)
 		if !ok {
 			return nil, false
 		}
 		ix.ins[j] = next
+		ix.edges--
 	}
 	return ix.repair(j), true
 }
@@ -609,7 +616,7 @@ func (ix *Index) Clone() *Index {
 		n: ix.n, c: ix.c, walkLen: ix.walkLen, walks: ix.walks, seed: ix.seed,
 		powc: ix.powc,
 		gen:  ix.gen, walksRepaired: ix.walksRepaired, stepsResampled: ix.stepsResampled,
-		total: ix.total, live: ix.live,
+		total: ix.total, live: ix.live, edges: ix.edges,
 		workers: ix.workers,
 	}
 	dup.rows = make([][]int32, ix.n)
@@ -637,26 +644,30 @@ func (ix *Index) Clone() *Index {
 // MemBytes reports the resident size: the stored walks plus (on the
 // writer) the in-neighbor lists and postings — O(n·(W·L + d)) total,
 // never O(n²). Sealed views count only the walk payload they serve.
+// It is O(1), because every publish reads it: each row holds W·(L+1)
+// positions, edges counts the in-neighbor entries and total the posting
+// entries, so the sum equals a walk over the slices' lengths at 24 B per
+// slice header, 4 per position or neighbor and 8 per posting.
 func (ix *Index) MemBytes() int64 {
-	b := int64(len(ix.rows)) * 24
-	for _, row := range ix.rows {
-		b += int64(len(row)) * 4
-	}
-	for _, nbrs := range ix.ins {
-		b += 24 + int64(len(nbrs))*4
-	}
-	for _, ps := range ix.postings {
-		b += 24 + int64(len(ps))*8
+	n := int64(ix.n)
+	b := n * (24 + 4*int64(ix.walks*ix.stride()))
+	if !ix.sealed {
+		b += n*48 + 4*int64(ix.edges) + 8*int64(ix.total)
 	}
 	return b
 }
 
 // meetStep returns the first step at which walk w of a and walk w of b
-// coalesce (both alive at the same node), or -1 within the cap.
+// coalesce (both alive at the same node), or -1 within the cap. It reads
+// only a's live steps: step propagates -1, so a walk is dead from its
+// first -1 on and no meeting can follow it.
 func (ix *Index) meetStep(rowA, rowB []int32, off int) int {
 	for t := 1; t <= ix.walkLen; t++ {
 		x := rowA[off+t]
-		if x >= 0 && x == rowB[off+t] {
+		if x < 0 {
+			return -1
+		}
+		if x == rowB[off+t] {
 			return t
 		}
 	}
@@ -743,19 +754,57 @@ type Scored struct {
 // in the style of [12]: a cheap first pass over all candidates followed
 // by a refinement pass with refineFactor× more walks on the provisional
 // top 2k. Both passes read the same stored walks, so the answer is
-// deterministic.
+// deterministic. k is clamped to n−1, and k ≤ 0 yields nil.
+//
+// The first pass keeps every v with Pair(a, v, walks) > 0, but it reads
+// only the walk steps that can meet, on two invariants of the stored
+// walks:
+//   - step propagates -1, so a walk's live steps form a prefix, and v
+//     can score only by sitting at a's position at one of a's live
+//     steps;
+//   - every walk of v draws step 1 from the same list ins[v], and a
+//     change to ins[j] resamples all of j's walks from step 1, so walk 0
+//     is dead at step 1 exactly when all of v's walks are.
+//
+// So a query node with no in-links returns at once, a node whose walks
+// die at step 1 costs one load, and Pair scores only the nodes that
+// match a live position: the candidates and their first-pass scores are
+// exactly those of a full scan.
 func (ix *Index) TopK(a, k, walks, refineFactor int) []Scored {
+	if k > ix.n-1 {
+		k = ix.n - 1
+	}
+	if k <= 0 {
+		return nil
+	}
+	walks = ix.clampWalks(walks)
 	if refineFactor < 1 {
 		refineFactor = 1
 	}
-	n := ix.n
-	cands := make([]Scored, 0, n-1)
-	for v := 0; v < n; v++ {
-		if v == a {
+	rowA, stride := ix.rows[a], ix.stride()
+	if rowA[1] < 0 {
+		return nil // every walk of a dies at step 1
+	}
+	// Offsets of a's live steps in its first walks walks.
+	live := make([]int32, 0, walks*ix.walkLen)
+	for w := 0; w < walks; w++ {
+		off := w * stride
+		for t := 1; t <= ix.walkLen && rowA[off+t] >= 0; t++ {
+			live = append(live, int32(off+t))
+		}
+	}
+	var cands []Scored
+	for v, rowB := range ix.rows {
+		if v == a || rowB[1] < 0 {
 			continue
 		}
-		if s := ix.Pair(a, v, walks); s > 0 {
-			cands = append(cands, Scored{Node: v, Score: s})
+		for _, o := range live {
+			if rowB[o] == rowA[o] {
+				if s := ix.Pair(a, v, walks); s > 0 {
+					cands = append(cands, Scored{Node: v, Score: s})
+				}
+				break
+			}
 		}
 	}
 	sort.Slice(cands, func(i, j int) bool {
@@ -787,13 +836,6 @@ func (ix *Index) TopK(a, k, walks, refineFactor int) []Scored {
 // SetWorkers bounds the goroutines one repair fans suffix resampling
 // across: 0 (the default) selects GOMAXPROCS, 1 forces the serial path.
 // Single-writer path — call it only between Apply calls.
-//
-// It is declared below the query methods on purpose. simstore.Store has
-// a SetWorkers(int) method, so the linker keeps this one in every binary
-// with an approx store, and the functions declared before Pair decide
-// where Pair's scan loop lands: declared above it, SetWorkers moves the
-// loop by 32 bytes, which made approx top-k reads ~20% slower on a
-// 2-vCPU Xeon.
 func (ix *Index) SetWorkers(workers int) {
 	if workers < 0 {
 		workers = 0

@@ -1,6 +1,7 @@
 package montecarlo
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -459,4 +460,58 @@ func TestResetMatchesRepairs(t *testing.T) {
 	randomStream(t, ix, gg, rng, 50)
 	other.Reset(gg)
 	requireRowsEqual(t, other, ix, "Reset vs repair stream")
+}
+
+// lengthWalkBytes is MemBytes as an O(n) walk over the slice lengths.
+func lengthWalkBytes(ix *Index) int64 {
+	b := int64(len(ix.rows)) * 24
+	for _, row := range ix.rows {
+		b += int64(len(row)) * 4
+	}
+	for _, nbrs := range ix.ins {
+		b += 24 + int64(len(nbrs))*4
+	}
+	for _, ps := range ix.postings {
+		b += 24 + int64(len(ps))*8
+	}
+	return b
+}
+
+// MemBytes is kept in O(1) from running counts; it must equal the walk
+// over the slice lengths on the writer, on a clone and on a sealed view
+// through repairs, AddNodes, Reset and postings compaction.
+func TestMemBytesMatchesLengthWalk(t *testing.T) {
+	g := gen.PrefAttach(30, 4, 3)
+	ix, _ := NewIndex(g, 0.6, 6, 8, 5)
+	rng := rand.New(rand.NewSource(61))
+	check := func(label string) {
+		t.Helper()
+		for name, x := range map[string]*Index{"writer": ix, "clone": ix.Clone(), "view": ix.Seal()} {
+			if got, want := x.MemBytes(), lengthWalkBytes(x); got != want {
+				t.Fatalf("%s %s: MemBytes = %d, length walk %d", label, name, got, want)
+			}
+		}
+	}
+	check("fresh")
+	compactions := 0
+	for s := 0; s < 400; s++ {
+		switch s {
+		case 100:
+			g.AddNodes(3)
+			ix.AddNodes(3)
+			check("after AddNodes")
+		case 250:
+			ix.Reset(g)
+			check("after Reset")
+		}
+		before := ix.total
+		randomStream(t, ix, g, rng, 1)
+		if ix.total < before {
+			compactions++
+		}
+		check(fmt.Sprintf("step %d", s))
+	}
+	if compactions == 0 {
+		t.Fatal("the stream never compacted the postings")
+	}
 }

@@ -2,7 +2,9 @@ package simrank
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -62,6 +64,37 @@ func TestQueriesNeverPanic(t *testing.T) {
 	// Huge k is clamped to the candidate count, not trusted as a heap size.
 	if got := eng.TopK(1 << 30); len(got) > 4*3/2 {
 		t.Fatalf("TopK(huge) returned %d pairs", len(got))
+	}
+}
+
+// A huge k is clamped to the row, never used as a slice bound: on every
+// backend, Engine and ConcurrentEngine answer TopKFor(a, MaxInt) and
+// TopKFor(a, MaxInt/2+1) exactly as TopKFor(a, n). The approx top-k sized
+// its refinement pass as 2k, which overflowed and panicked.
+func TestTopKForHugeK(t *testing.T) {
+	rng := rand.New(rand.NewSource(84))
+	g := randTestGraph(rng, 30, 120)
+	for _, b := range []Backend{BackendDense, BackendPacked, BackendApprox} {
+		opts := Options{Backend: b, ApproxWalks: 64}
+		eng, err := NewEngine(g.N(), g.Edges(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ceng, err := NewConcurrentEngine(g.N(), g.Edges(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for a := 0; a < g.N(); a++ {
+			want := eng.TopKFor(a, g.N())
+			for _, k := range []int{math.MaxInt, math.MaxInt/2 + 1} {
+				if got := eng.TopKFor(a, k); !slices.Equal(got, want) {
+					t.Fatalf("%s: TopKFor(%d, %d) = %v, want %v", b, a, k, got, want)
+				}
+				if got := ceng.TopKFor(a, k); !slices.Equal(got, want) {
+					t.Fatalf("%s: concurrent TopKFor(%d, %d) = %v, want %v", b, a, k, got, want)
+				}
+			}
+		}
 	}
 }
 
