@@ -553,7 +553,7 @@ func BenchmarkEngineUpdateStream(b *testing.B) {
 					}
 					for _, workers := range []int{1, 2, 4, 8} {
 						eng.SetWorkers(workers)
-						toggle() // re-warm the pool and per-worker scratch at this width
+						toggle() // re-warm the pool and partition bounds at this width
 						b.Run(fmt.Sprintf("%s/workers=%d", st.name, workers), func(b *testing.B) {
 							b.ReportAllocs()
 							for i := 0; i < b.N; i++ {

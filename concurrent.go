@@ -28,11 +28,10 @@ import (
 // anyone who observed Apply return) are guaranteed their next read sees
 // the commit, because publish happens before the mutation call returns.
 //
-// Memory: dense writers keep a second n×n buffer and re-sync only the
-// rows updates dirtied (warm Apply stays zero-allocation); packed
-// writers copy-on-write ~64 KiB triangle chunks as they touch them;
-// approx writers copy-on-write per-node walk rows as repairs touch
-// them. A long-running reader
+// Memory: dense and packed writers keep a second score buffer (n×n or
+// the n(n+1)/2 triangle) and re-sync only the cells the previous commit
+// wrote (warm Apply stays zero-allocation); approx writers copy-on-write
+// per-node walk rows as repairs touch them. A long-running reader
 // pinning an old view costs at most its view's buffers — the writer
 // detects the straggler and abandons the buffer to the GC instead of
 // blocking or racing it.

@@ -63,12 +63,11 @@
 // reader's O(n²) Similarities copy — and each view is one consistent
 // point in time (Size returns a coherent (n, m); WriteSnapshot
 // serializes the pinned view while the writer keeps committing).
-// Sealing copies no similarity payload: the dense backend double-buffers
-// and re-syncs only each update's dirty rows (warm Apply stays
-// zero-allocation), packed copy-on-writes ~64 KiB triangle chunks, and
-// approx copy-on-writes per-node walk rows, so a pinned view keeps
-// serving its frozen walk set while the writer repairs past it. The
-// plain Engine never seals and pays nothing.
+// Sealing copies no similarity payload: the dense and packed backends
+// double-buffer and re-sync only the cells each commit wrote (warm Apply
+// stays zero-allocation), and approx copy-on-writes per-node walk rows,
+// so a pinned view keeps serving its frozen walk set while the writer
+// repairs past it. The plain Engine never seals and pays nothing.
 // See the README's "Concurrency model" section for costs and the
 // straggling-reader story.
 //

@@ -42,9 +42,8 @@ var implementers = map[string]bool{
 // a sealed value is a bug even though they look like reads.
 var mutators = map[string]bool{
 	"Set": true, "Add": true, "AddSym": true, "ApplyUpdate": true,
-	"AddNodes": true, "AddEdge": true, "MarkRowsDirty": true,
-	"MarkAllRowsDirty": true, "SetFromDense": true, "SetRepairGen": true,
-	"AbandonBack": true, "Row": true, "ColInto": true,
+	"AddNodes": true, "AddEdge": true, "SetFromDense": true,
+	"SetRepairGen": true, "AbandonBack": true, "Row": true, "ColInto": true,
 	"Update": true, "Recompute": true, "SetWorkers": true,
 }
 

@@ -53,7 +53,7 @@ func (ws *Workspace) IncSR(s SimStore, up graph.Update, c float64, k int) (Stats
 	ws.resetDirty()
 	parts := ws.resolveWorkers()
 	if parts > 1 {
-		ws.ensureParScratch(parts)
+		ws.ensureBounds(parts)
 	}
 	i, j := up.Edge.From, up.Edge.To
 	dj := ws.din[j]

@@ -25,7 +25,7 @@ type Stats struct {
 	// DirtyRows lists the rows of S the update wrote, unsorted — a
 	// superset of the rows whose bits actually changed (an accumulation
 	// can round to a no-op) and exactly the invalidation set a per-row
-	// query cache — and the re-sync set a copy-on-write store — needs.
+	// query cache needs.
 	// This is the data already tracked for AffectedPairs, exposed
 	// instead of discarded; Inc-SR reports the pruned support, Inc-uSR
 	// every row with a non-zero delta.
@@ -129,7 +129,9 @@ func (ws *Workspace) IncUSR(s SimStore, up graph.Update, c float64, k int) (Stat
 	ws.ensureDense()
 	ws.resetDirty()
 	parts := ws.resolveWorkers()
-	ws.ensureParScratch(parts) // the write-back's scratch, even at one partition
+	if parts > 1 {
+		ws.ensureBounds(parts)
+	}
 	i, j := up.Edge.From, up.Edge.To
 	dj := ws.din[j]
 
@@ -175,13 +177,8 @@ func (ws *Workspace) IncUSR(s SimStore, up graph.Update, c float64, k int) (Stat
 	}
 
 	// Line 18: S̃ := S + M_K + M_Kᵀ. All reads of the old S happened in
-	// the preprocessing above, so mutating in place is safe. Each
-	// unordered pair is visited once: its delta d = [M]_{a,b} + [M]_{b,a}
-	// is the same for both mirror entries (float addition commutes), so
-	// AddSym lands the identical bits a per-ordered-entry loop would
-	// write, while a packed store pays one cell instead of two. The
-	// diagonal keeps its single Add of d = 2·[M]_{a,a}.
-	affected := ws.usrWriteback(s, parts)
+	// the preprocessing above, so mutating in place is safe.
+	affected := ws.usrWriteback(s)
 	ws.vws.reset()
 	st := Stats{
 		Iterations:    k,
@@ -190,4 +187,45 @@ func (ws *Workspace) IncUSR(s SimStore, up graph.Update, c float64, k int) (Stat
 		DirtyRows:     ws.dirtyRows,
 	}
 	return st, nil
+}
+
+// usrWriteback is Inc-uSR's S̃ = S + M + Mᵀ (Algorithm 1 line 18), one
+// serial pass over the diagonal and upper triangle. Each unordered pair
+// is visited once: its delta d = [M]_{a,b} + [M]_{b,a} is the same for
+// both mirror entries (float addition commutes), so AddSym lands the
+// identical bits a per-ordered-entry loop would write, while a packed
+// store pays one cell instead of two. The diagonal keeps its single Add
+// of d = 2·[M]_{a,a}. Any exactly non-zero delta dirties its rows —
+// deltas inside (0, ZeroTol] are still added to S, so a tolerance-based
+// test here would let a cache serve stale bits — while zero deltas are
+// skipped outright: adding 0.0 cannot change a stored value. Returns the
+// affected-pair count.
+//
+//simrank:noalloc
+func (ws *Workspace) usrWriteback(s SimStore) int {
+	m, n := ws.mDense, ws.n
+	affected := 0
+	for a := 0; a < n; a++ {
+		mrow := m.Row(a)
+		d := mrow[a] + m.At(a, a)
+		if d > ZeroTol || d < -ZeroTol {
+			affected++
+		}
+		if d != 0 {
+			ws.markDirty(a)
+			s.Add(a, a, d)
+		}
+		for b := a + 1; b < n; b++ {
+			d := mrow[b] + m.At(b, a)
+			if d > ZeroTol || d < -ZeroTol {
+				affected += 2 // both ordered entries
+			}
+			if d != 0 {
+				ws.markDirty(a)
+				ws.markDirty(b)
+				s.AddSym(a, b, d)
+			}
+		}
+	}
+	return affected
 }

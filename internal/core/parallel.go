@@ -18,21 +18,11 @@ import (
 //     parallel: each output row's gather/multiply-add order is exactly
 //     the one-partition loop's, so any contiguous row partition yields
 //     the same float stream.
-//   - Inc-uSR's S write-back assigns every unordered pair {a, b} to the
-//     worker owning row min(a, b), which computes the pair's single
-//     delta from the same operands in the same order at any partition.
-//     Stores advertise how concurrent owners may write through the
-//     ConcurrentWriteStore contract (store.go): packed folds a pair
-//     into the min row's chunk, so chunk-aligned partitions make owners
-//     conflict-free; dense splits into an upper-triangle phase and a
-//     mirror phase so no two goroutines ever touch one cell.
-//   - Inc-SR's pruned write-back is serial at every worker count (see
-//     IncSR): its cost is the affected support, not n², and the claim
-//     order of its scan is what defines each cell's accumulation order.
-//   - Per-worker dirty rows and affected-pair counts accumulate in
-//     worker-private scratch and merge in worker order after the
-//     barrier, so the merged result is deterministic no matter which
-//     goroutine finishes first.
+//   - Both S write-backs are serial at every worker count, so the
+//     store is only ever written from the updating goroutine. Inc-SR's
+//     (see IncSR) costs the affected support, not n², and the claim
+//     order of its scan is what defines each cell's accumulation order;
+//     Inc-uSR's (usrWriteback) is the paper's Θ(n²) baseline.
 //
 // The goroutines themselves are a persistent pool owned by the
 // Workspace: spawned once (a cold path, see ensurePool), then fed tasks
@@ -55,31 +45,8 @@ type parTask int
 const (
 	taskMulQ parTask = iota
 	taskAddOuter
-	taskUSRWriteback
-	taskUSRMirror
 	taskSRAccum
 )
-
-// workerScratch is one worker's private write-back accumulation state:
-// the dirty rows it marked and the affected-pair count it tallied,
-// merged deterministically (worker order) after the barrier. The pad
-// keeps neighboring workers' hot counters off one cache line.
-type workerScratch struct {
-	dirtyMark []bool
-	dirtyRows []int
-	affected  int
-	_         [72]byte
-}
-
-// mark records row r into the worker-private dirty set.
-//
-//simrank:noalloc
-func (sc *workerScratch) mark(r int) {
-	if !sc.dirtyMark[r] {
-		sc.dirtyMark[r] = true
-		sc.dirtyRows = append(sc.dirtyRows, r)
-	}
-}
 
 // updatePool is the persistent goroutine pool: worker w (1-based; chunk
 // 0 always runs inline on the dispatching goroutine) blocks on jobs[w-1]
@@ -173,36 +140,24 @@ func (ws *Workspace) ensurePool(parts int) {
 	ws.pool = p
 }
 
-// ensureParScratch sizes the per-worker scratch and the partition
-// bounds for a fan-out of parts. One-time warm-up, like ensurePool.
+// ensureBounds sizes the partition bounds for a fan-out of parts.
+// One-time warm-up, like ensurePool.
 //
 //simrank:coldpath
-func (ws *Workspace) ensureParScratch(parts int) {
-	for len(ws.wscratch) < parts {
-		ws.wscratch = append(ws.wscratch, workerScratch{})
-	}
-	for i := 0; i < parts; i++ {
-		if len(ws.wscratch[i].dirtyMark) < ws.n {
-			ws.wscratch[i].dirtyMark = make([]bool, ws.n)
-		}
-	}
+func (ws *Workspace) ensureBounds(parts int) {
 	if len(ws.bounds) < parts+1 {
 		ws.bounds = make([]int, parts+1)
 	}
 }
 
-// parRun fans the staged task out: chunks 1..parts−1 go to the pool,
-// chunk 0 runs inline, and the barrier completes when every worker has
-// reported. One partition runs inline without touching the pool.
-// Channel sends/receives of scalar values allocate nothing, so a warm
-// dispatch is free of heap traffic.
+// parRun fans the staged task out across parts ≥ 2 partitions: chunks
+// 1..parts−1 go to the pool, chunk 0 runs inline, and the barrier
+// completes when every worker has reported. Callers run one partition
+// inline without calling it. Channel sends/receives of scalar values
+// allocate nothing, so a warm dispatch is free of heap traffic.
 //
 //simrank:noalloc
 func (ws *Workspace) parRun(task parTask, parts int) {
-	if parts == 1 {
-		ws.runChunk(task, 0)
-		return
-	}
 	ws.ensurePool(parts)
 	p := ws.pool
 	for w := 1; w < parts; w++ {
@@ -225,10 +180,6 @@ func (ws *Workspace) runChunk(task parTask, w int) {
 		ws.mulQRange(ws.parDst, ws.parX, lo, hi)
 	case taskAddOuter:
 		matrix.AddOuterRows(ws.mDense, 1, ws.parX, ws.parY, lo, hi)
-	case taskUSRWriteback:
-		ws.usrWritebackRange(w, lo, hi)
-	case taskUSRMirror:
-		ws.usrMirrorRange(lo, hi)
 	case taskSRAccum:
 		ws.srAccumRange(lo, hi)
 	}
@@ -243,27 +194,6 @@ func (ws *Workspace) evenBounds(k, parts int) {
 	for w := 0; w <= parts; w++ {
 		ws.bounds[w] = w * k / parts
 	}
-}
-
-// mergeScratch folds the per-worker dirty sets and affected-pair
-// tallies into the workspace records in worker order — the same merged
-// result no matter which goroutine finished first — clearing each
-// worker's scratch for the next update.
-//
-//simrank:noalloc
-func (ws *Workspace) mergeScratch(parts int) int {
-	affected := 0
-	for w := 0; w < parts; w++ {
-		sc := &ws.wscratch[w]
-		affected += sc.affected
-		sc.affected = 0
-		for _, r := range sc.dirtyRows {
-			sc.dirtyMark[r] = false
-			ws.markDirty(r)
-		}
-		sc.dirtyRows = sc.dirtyRows[:0]
-	}
-	return affected
 }
 
 // mulQPar is mulQ fanned across parts workers: output rows partition
@@ -294,159 +224,6 @@ func (ws *Workspace) addOuterPar(x, y []float64, parts int) {
 	ws.parX, ws.parY = x, y
 	ws.parRun(taskAddOuter, parts)
 	ws.parX, ws.parY = nil, nil
-}
-
-// usrBounds partitions rows 0..n−1 by upper-triangle area (row a weighs
-// n−a, its pair count including the diagonal) so Inc-uSR's triangular
-// write-back balances, aligning every boundary to the store's
-// concurrent-write granularity.
-//
-//simrank:noalloc
-func (ws *Workspace) usrBounds(parts int, cs ConcurrentWriteStore) {
-	n := ws.n
-	total := n * (n + 1) / 2
-	area, r := 0, 0
-	ws.bounds[0] = 0
-	for w := 1; w < parts; w++ {
-		target := total * w / parts
-		for r < n && area < target {
-			area += n - r
-			r++
-		}
-		for r2 := cs.AlignConcurrentBoundary(r); r < r2; r++ {
-			area += n - r
-		}
-		ws.bounds[w] = r
-	}
-	ws.bounds[parts] = n
-}
-
-// mirrorBounds partitions rows by lower-triangle area (row b weighs b)
-// for the dense mirror phase. No store alignment: the mirror phase only
-// runs on the dense layout, whose boundary is every row.
-//
-//simrank:noalloc
-func (ws *Workspace) mirrorBounds(parts int) {
-	n := ws.n
-	total := n * (n - 1) / 2
-	area, r := 0, 0
-	ws.bounds[0] = 0
-	for w := 1; w < parts; w++ {
-		target := total * w / parts
-		for r < n && area < target {
-			area += r
-			r++
-		}
-		ws.bounds[w] = r
-	}
-	ws.bounds[parts] = n
-}
-
-// usrWriteback is Inc-uSR's S̃ = S + M + Mᵀ (Algorithm 1 line 18). Each
-// worker owns a contiguous row range and writes its rows' diagonal and
-// upper-triangle cells; every unordered pair is visited by exactly one
-// worker, with the delta computed in one operand order (M[a][b] +
-// M[b][a]), so the stored bits cannot depend on the partition. One
-// partition — always the case for a store without ConcurrentWriteStore
-// — runs inline over [0, n) with AddSym. Returns the merged
-// affected-pair count.
-//
-//simrank:noalloc
-func (ws *Workspace) usrWriteback(s SimStore, parts int) int {
-	cs, ok := s.(ConcurrentWriteStore)
-	if !ok {
-		parts = 1
-	}
-	mirror := false
-	if parts > 1 {
-		mirror = cs.BeginConcurrentWrites()
-		ws.usrBounds(parts, cs)
-	} else {
-		ws.bounds[0], ws.bounds[1] = 0, ws.n
-	}
-	ws.parS, ws.parMirror = s, mirror
-	ws.parRun(taskUSRWriteback, parts)
-	affected := ws.mergeScratch(parts)
-	if mirror {
-		// Dense phase 2: write the lower-triangle mirrors, restricted to
-		// the dirty rows phase 1 recorded (now merged into ws.dirtyMark).
-		ws.mirrorBounds(parts)
-		ws.parRun(taskUSRMirror, parts)
-	}
-	ws.parS = nil
-	return affected
-}
-
-// usrWritebackRange is one worker's Inc-uSR phase-1 chunk: rows
-// lo..hi−1, diagonal plus upper triangle, with writes routed per the
-// store's concurrent contract and bookkeeping kept worker-private: dirty
-// rows land in the worker's scratch (sc.mark) and reach markDirty in
-// mergeScratch after the barrier. Any exactly non-zero delta dirties its
-// rows — deltas inside (0, ZeroTol] are still added to S, so a
-// tolerance-based test here would let a cache serve stale bits — while
-// zero deltas are skipped outright: adding 0.0 cannot change a stored
-// value, and the skip keeps a copy-on-write store's write set equal to
-// the dirty set.
-//
-//simrank:nodirty
-//simrank:noalloc
-func (ws *Workspace) usrWritebackRange(w, lo, hi int) {
-	s, mirror, m, n := ws.parS, ws.parMirror, ws.mDense, ws.n
-	sc := &ws.wscratch[w]
-	for a := lo; a < hi; a++ {
-		mrow := m.Row(a)
-		d := mrow[a] + m.At(a, a)
-		if d > ZeroTol || d < -ZeroTol {
-			sc.affected++
-		}
-		if d != 0 {
-			sc.mark(a)
-			s.Add(a, a, d)
-		}
-		for b := a + 1; b < n; b++ {
-			d := mrow[b] + m.At(b, a)
-			if d > ZeroTol || d < -ZeroTol {
-				sc.affected += 2 // both ordered entries
-			}
-			if d != 0 {
-				sc.mark(a)
-				sc.mark(b)
-				if mirror {
-					s.Add(a, b, d)
-				} else {
-					s.AddSym(a, b, d)
-				}
-			}
-		}
-	}
-}
-
-// usrMirrorRange is one worker's Inc-uSR phase-2 chunk on the dense
-// layout: for its rows b it lands the lower-triangle cell (b, a) of
-// every pair phase 1 wrote, recomputing the identical delta from the
-// untouched M. Rows (and columns) outside the merged dirty set cannot
-// hold a written pair and are skipped. Every row written here was
-// already marked dirty by phase 1's scratch merge.
-//
-//simrank:nodirty
-//simrank:noalloc
-func (ws *Workspace) usrMirrorRange(lo, hi int) {
-	s, m := ws.parS, ws.mDense
-	for b := lo; b < hi; b++ {
-		if !ws.dirtyMark[b] {
-			continue
-		}
-		mrowB := m.Row(b)
-		for a := 0; a < b; a++ {
-			if !ws.dirtyMark[a] {
-				continue
-			}
-			// The serial operand order, bit for bit: M[a][b] + M[b][a].
-			if d := m.At(a, b) + mrowB[a]; d != 0 {
-				s.Add(b, a, d)
-			}
-		}
-	}
 }
 
 // srAccum adds Inc-SR's rank-one term ξ·ηᵀ into the pooled M rows

@@ -28,34 +28,3 @@ type SimStore interface {
 	Row(i int) []float64
 	ColInto(dst []float64, j int)
 }
-
-// ConcurrentWriteStore is the optional concurrent write-back mode of a
-// SimStore, used by Inc-uSR's row-parallel S write-back (parallel.go,
-// usrWriteback), where several goroutines mutate disjoint cells
-// simultaneously. Inc-SR's pruned write-back is serial and never uses
-// it. A store that does not implement it always gets the one-partition
-// write-back, whatever the worker setting.
-//
-// Contract:
-//
-//   - BeginConcurrentWrites is called once, serially, before the
-//     goroutines fan out. It must perform any internal pre-write work
-//     that is unsafe to run concurrently (e.g. a copy-on-write flip),
-//     so that afterwards Add/AddSym calls on disjoint cells from
-//     different goroutines are race-free. Its return value says whether
-//     the layout stores both triangles: true means AddSym would touch
-//     two cells, so the write-back writes each pair's canonical (upper)
-//     cell with Add and lands the mirrors in a separate phase (no cell
-//     is ever touched by two goroutines); false means the layout folds
-//     a pair into one cell and AddSym is already a single-cell write.
-//   - AlignConcurrentBoundary(r) rounds a tentative partition boundary
-//     r up to the store's concurrent-write granularity (returning a
-//     row in [r, N()]): two goroutines may only write concurrently when
-//     every pair {a, b} they own lies on opposite sides of an aligned
-//     boundary of min(a, b). Dense layouts return r unchanged; the
-//     packed triangle rounds up to its next chunk-start row, since
-//     writing a cell may mutate chunk-level bookkeeping.
-type ConcurrentWriteStore interface {
-	BeginConcurrentWrites() (mirror bool)
-	AlignConcurrentBoundary(r int) int
-}

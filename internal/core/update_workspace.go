@@ -68,15 +68,12 @@ type Workspace struct {
 	qCSR    matrix.CSR
 
 	// Row-parallel update state (parallel.go): the configured worker
-	// count, the persistent goroutine pool, per-worker write-back
-	// scratch, the partition bounds of the in-flight fan-out, and the
-	// staged task parameters the pooled workers read.
+	// count, the persistent goroutine pool, the partition bounds of the
+	// in-flight fan-out, and the staged task parameters the pooled
+	// workers read.
 	workers     int
 	pool        *updatePool
-	wscratch    []workerScratch
 	bounds      []int
-	parS        SimStore
-	parMirror   bool
 	parDst      []float64
 	parX, parY  []float64
 	parXi       *wsVec

@@ -14,15 +14,13 @@ import (
 // memory, and the store halves the serving footprint of every exact
 // engine.
 //
-// The triangle is held in row-aligned chunks (each chunk a run of whole
-// rows' packed segments, ~packedChunkFloats floats) so the store can be
-// sealed copy-on-write for the MVCC read path: Seal shares every chunk
-// with the returned immutable view, and the writer duplicates a chunk
-// the first time it lands a write in it after a Seal. A store that is
-// never sealed never copies a chunk — the exact-update hot path stays
-// allocation-free — and a sealed view's chunks are never written in
-// place, so any number of views of any age read safely with no reader
-// tracking at all.
+// The triangle is one flat array, the front buffer of the cells payload
+// the dense store shares: Seal hands out an immutable view of it, and
+// the first write after a Seal flips to a second triangle, re-syncing
+// only the cells written since that triangle was last the front. A
+// writer behind the MVCC facade therefore holds two triangles (8n²
+// bytes, half of dense's 16n²) and allocates nothing per commit; a store
+// that is never sealed holds one.
 //
 // Row materializes into a single reusable scratch buffer (allocated at
 // construction), preserving the warm-Apply zero-allocation guarantee;
@@ -31,35 +29,12 @@ import (
 type Packed struct {
 	n     int
 	start []int // start[i] = packed offset of (i, i)
-
-	// Chunked triangle payload. rowChunk[i] names the chunk holding row
-	// i's packed segment; chunkOff[c] is the global packed offset where
-	// chunk c begins. All three index tables are immutable after
-	// construction and shared with sealed views.
-	rowChunk []int
-	chunkOff []int
-	chunks   [][]float64
-
-	// owned is nil until the first Seal (never-sealed stores skip COW
-	// entirely); afterwards owned[c] reports that chunk c is exclusively
-	// the writer's. Seal clears it; a write into a shared chunk
-	// duplicates the chunk first.
-	owned []bool
-
-	// sealed marks this instance as an immutable view: every mutation
-	// panics, Seal returns the receiver, Row materializes fresh.
-	sealed bool
+	cells
 
 	row []float64 // scratch for Row (single-writer contract)
 
 	exact
 }
-
-// packedChunkFloats is the COW granularity target: ~64 KiB of payload
-// per chunk. Chunks hold whole rows so UpperRow can keep returning a
-// contiguous alias; a single row longer than the target becomes its own
-// chunk.
-const packedChunkFloats = 8192
 
 // NewPacked returns a zeroed n-node packed store.
 func NewPacked(n int) *Packed {
@@ -67,35 +42,21 @@ func NewPacked(n int) *Packed {
 		panic("simstore: negative node count")
 	}
 	p := &Packed{
-		n:        n,
-		start:    make([]int, n),
-		rowChunk: make([]int, n),
-		row:      make([]float64, n),
+		n:     n,
+		start: make([]int, n),
+		row:   make([]float64, n),
 	}
 	off := 0
 	for i := 0; i < n; i++ {
 		p.start[i] = off
 		off += n - i
 	}
-	// Cut the triangle into runs of whole rows of ~packedChunkFloats.
-	chunkFirst := 0
-	for i := 0; i < n; i++ {
-		if i > chunkFirst && p.start[i]+n-i-p.start[chunkFirst] > packedChunkFloats {
-			p.chunkOff = append(p.chunkOff, p.start[chunkFirst])
-			p.chunks = append(p.chunks, make([]float64, p.start[i]-p.start[chunkFirst]))
-			chunkFirst = i
-		}
-		p.rowChunk[i] = len(p.chunks)
-	}
-	if n > 0 {
-		p.chunkOff = append(p.chunkOff, p.start[chunkFirst])
-		p.chunks = append(p.chunks, make([]float64, off-p.start[chunkFirst]))
-	}
+	p.front = make([]float64, off)
 	return p
 }
 
-// idx maps (i, j) to its global packed offset, folding the lower
-// triangle onto the upper one.
+// idx maps (i, j) to its packed offset, folding the lower triangle onto
+// the upper one.
 func (p *Packed) idx(i, j int) int {
 	if i > j {
 		i, j = j, i
@@ -103,51 +64,13 @@ func (p *Packed) idx(i, j int) int {
 	return p.start[i] + j - i
 }
 
-// loc resolves (i, j) to its chunk and in-chunk offset.
-func (p *Packed) loc(i, j int) (c, off int) {
-	if i > j {
-		i, j = j, i
-	}
-	c = p.rowChunk[i]
-	return c, p.start[i] + j - i - p.chunkOff[c]
-}
-
-// ensureOwned duplicates chunk c if it is shared with a sealed view, so
-// the coming write cannot race that view's readers.
-func (p *Packed) ensureOwned(c int) {
-	if p.sealed {
-		panic("simstore: write to a sealed packed view")
-	}
-	if p.owned != nil && !p.owned[c] {
-		dup := make([]float64, len(p.chunks[c]))
-		copy(dup, p.chunks[c])
-		p.chunks[c] = dup
-		p.owned[c] = true
-	}
-}
-
-// Seal returns an immutable view sharing every chunk; subsequent writes
-// to the receiver copy-on-write the chunks they touch.
+// Seal returns an immutable view sharing the triangle; the next write
+// to the receiver flips to the other one.
 func (p *Packed) Seal() Store {
 	if p.sealed {
 		return p
 	}
-	if p.owned == nil {
-		p.owned = make([]bool, len(p.chunks))
-	} else {
-		for c := range p.owned {
-			p.owned[c] = false
-		}
-	}
-	view := &Packed{
-		n:        p.n,
-		start:    p.start,
-		rowChunk: p.rowChunk,
-		chunkOff: p.chunkOff,
-		chunks:   append([][]float64(nil), p.chunks...),
-		sealed:   true,
-	}
-	return view
+	return &Packed{n: p.n, start: p.start, cells: p.seal()}
 }
 
 // N returns the node count.
@@ -155,27 +78,24 @@ func (p *Packed) N() int { return p.n }
 
 // At returns s(i, j) — pure index arithmetic, safe for concurrent
 // readers.
-func (p *Packed) At(i, j int) float64 {
-	c, off := p.loc(i, j)
-	return p.chunks[c][off]
-}
+func (p *Packed) At(i, j int) float64 { return p.front[p.idx(i, j)] }
 
 // Set writes the shared cell of the unordered pair {i, j}.
 func (p *Packed) Set(i, j int, v float64) {
-	c, off := p.loc(i, j)
-	if p.sealed || p.owned != nil {
-		p.ensureOwned(c)
+	off := p.idx(i, j)
+	if p.armed {
+		p.touch(off)
 	}
-	p.chunks[c][off] = v
+	p.front[off] = v
 }
 
 // Add accumulates v into the shared cell of {i, j}.
 func (p *Packed) Add(i, j int, v float64) {
-	c, off := p.loc(i, j)
-	if p.sealed || p.owned != nil {
-		p.ensureOwned(c)
+	off := p.idx(i, j)
+	if p.armed {
+		p.touch(off)
 	}
-	p.chunks[c][off] += v
+	p.front[off] += v
 }
 
 // AddSym applies v·(e_i·e_jᵀ + e_j·e_iᵀ). Off-diagonal the two mirror
@@ -183,50 +103,20 @@ func (p *Packed) Add(i, j int, v float64) {
 // bumped twice (two sequential adds), matching the dense layout's
 // ((x+v)+v) bit for bit.
 func (p *Packed) AddSym(i, j int, v float64) {
-	c, off := p.loc(i, j)
-	if p.sealed || p.owned != nil {
-		p.ensureOwned(c)
+	off := p.idx(i, j)
+	if p.armed {
+		p.touch(off)
 	}
-	p.chunks[c][off] += v
+	p.front[off] += v
 	if i == j {
-		p.chunks[c][off] += v
+		p.front[off] += v
 	}
-}
-
-// BeginConcurrentWrites readies the store for Inc-uSR's row-parallel
-// write-back (core.ConcurrentWriteStore). There is no up-front flip —
-// chunk copy-on-write happens write by write — but concurrent owners
-// must never share a chunk, which partitions aligned through
-// AlignConcurrentBoundary guarantee: a pair {a, b}'s cell lives in row
-// min(a, b)'s chunk, so every write (including a COW duplication of the
-// chunk and its owned-bit update) stays inside the owning worker's
-// chunks. Returns false: a pair's mirror entries share one packed cell,
-// so AddSym is already a single-cell write and no mirror phase exists.
-func (p *Packed) BeginConcurrentWrites() bool {
-	if p.sealed {
-		panic("simstore: write to a sealed packed view")
-	}
-	return false
-}
-
-// AlignConcurrentBoundary rounds r up to the next chunk-start row (or
-// n): writing any cell of a chunk may duplicate the whole chunk, so a
-// partition boundary inside a chunk would let two goroutines race on
-// it.
-func (p *Packed) AlignConcurrentBoundary(r int) int {
-	for r > 0 && r < p.n && p.rowChunk[r] == p.rowChunk[r-1] {
-		r++
-	}
-	return r
 }
 
 // upperSeg returns the contiguous packed segment of row i — (i, i), …,
-// (i, n−1) — aliasing chunk storage. Chunks hold whole rows, so the
-// segment never straddles a chunk boundary.
+// (i, n−1) — aliasing the front triangle.
 func (p *Packed) upperSeg(i int) []float64 {
-	c := p.rowChunk[i]
-	off := p.start[i] - p.chunkOff[c]
-	return p.chunks[c][off : off+p.n-i]
+	return p.front[p.start[i] : p.start[i]+p.n-i]
 }
 
 // rowInto materializes row i into dst: the prefix j < i gathers the
@@ -234,8 +124,7 @@ func (p *Packed) upperSeg(i int) []float64 {
 // contiguous packed segment.
 func (p *Packed) rowInto(dst []float64, i int) {
 	for j := 0; j < i; j++ {
-		c := p.rowChunk[j]
-		dst[j] = p.chunks[c][p.start[j]+i-j-p.chunkOff[c]]
+		dst[j] = p.front[p.start[j]+i-j]
 	}
 	copy(dst[i:], p.upperSeg(i))
 }
@@ -287,17 +176,14 @@ func (p *Packed) SetFromDense(src *matrix.Dense) {
 	if src.Rows != p.n || src.Cols != p.n {
 		panic("simstore: SetFromDense dimension mismatch")
 	}
+	tri := p.rewrite()
 	for i := 0; i < p.n; i++ {
-		if p.sealed || p.owned != nil {
-			p.ensureOwned(p.rowChunk[i])
-		}
-		copy(p.upperSeg(i), src.Row(i)[i:])
+		copy(tri[p.start[i]:], src.Row(i)[i:])
 	}
 }
 
 // Update applies one unit update through the store's workspace; see
-// Store.Update. Chunk sharing is tracked write by write, so there are no
-// dirty rows to record.
+// Store.Update.
 //
 //simrank:noalloc
 func (p *Packed) Update(g *graph.DiGraph, up graph.Update, prm Params) (core.Stats, error) {
@@ -329,14 +215,12 @@ func (p *Packed) AddNodes(count int, diag float64) Store {
 	return next
 }
 
-// MemBytes reports the packed payload plus the offset tables and row
-// scratch — ≈ 4n² + 24n bytes, about half of dense.
+// MemBytes reports the serving payload: the triangle, the start table
+// and the row scratch — 4n² + 20n bytes, about half of dense. The MVCC
+// double buffer, when held, is writer-side working memory and not
+// counted.
 func (p *Packed) MemBytes() int64 {
-	var payload int64
-	for _, c := range p.chunks {
-		payload += int64(len(c))
-	}
-	return payload*8 + int64(len(p.start)+len(p.rowChunk)+len(p.chunkOff))*8 + int64(len(p.row))*8
+	return int64(len(p.front)+len(p.start)+len(p.row)) * 8
 }
 
 // Backend names the implementation.

@@ -1,19 +1,31 @@
 package simstore
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/graph"
 )
 
-// cellStore is the cell-write surface of the exact stores, which Store
-// leaves to the concrete types.
+// cellStore is the cell-write and buffer-recycling surface of the
+// exact stores, which Store leaves to the concrete types.
 type cellStore interface {
 	Store
 	Set(i, j int, v float64)
 	Add(i, j int, v float64)
 	AddSym(i, j int, v float64)
+	RecyclesBufferOf(view Store) bool
+	AbandonBack()
+}
+
+// exactMakers builds an empty n-node store of each exact backend.
+var exactMakers = []struct {
+	name string
+	mk   func(n int) cellStore
+}{
+	{"dense", func(n int) cellStore { return NewDense(n) }},
+	{"packed", func(n int) cellStore { return NewPacked(n) }},
 }
 
 // fill writes a deterministic symmetric pattern through AddSym/Set.
@@ -55,95 +67,173 @@ func assertEquals(t *testing.T, s Store, want []float64, label string) {
 	}
 }
 
-// Sealed views must be frozen at seal time while the writer keeps
-// mutating — across repeated seal/mutate rounds, for both exact
-// backends, and regardless of which write primitive is used.
-func TestSealIsolatesViews(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		mk   func(n int) cellStore
-	}{
-		{"dense", func(n int) cellStore { return NewDense(n) }},
-		{"packed", func(n int) cellStore { return NewPacked(n) }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			const n = 37 // > 1 packed chunk once squared? small but multi-row
-			s := tc.mk(n)
-			fill(t, s, 1)
+// refStore is the plain reference the sealed writer is checked against:
+// a full n×n array applying each write with the backend's semantics —
+// dense writes the addressed entry, packed the one cell both mirror
+// entries share.
+type refStore struct {
+	n      int
+	packed bool
+	m      []float64
+}
 
-			type sealed struct {
-				view Store
-				want []float64
-			}
-			var views []sealed
-			rng := rand.New(rand.NewSource(2))
-			for round := 0; round < 6; round++ {
-				v := s.Seal()
-				views = append(views, sealed{v, snapshotOf(s)})
-				// This test keeps every view alive, so play the facade's
-				// busy-reader move on dense: the buffer the next flip would
-				// recycle is still pinned (by views[len-2]), so abandon it.
-				// Packed views share chunks that are never written in place
-				// and need no such step.
-				if d, ok := s.(*Dense); ok && len(views) > 1 {
-					d.AbandonBack()
-				}
-				// Mutate a scattering of cells, reporting dirty rows as the
-				// engine would.
-				var dirty []int
-				for w := 0; w < 25; w++ {
-					i, j := rng.Intn(n), rng.Intn(n)
-					s.AddSym(i, j, rng.NormFloat64())
-					dirty = append(dirty, i, j)
-				}
-				if d, ok := s.(*Dense); ok {
-					d.MarkRowsDirty(dirty)
-				}
-				// Every sealed view so far must still read its frozen state.
-				for vi, sv := range views {
-					assertEquals(t, sv.view, sv.want, tc.name+" view "+string(rune('0'+vi)))
-				}
-			}
-			// The writer's own reads must always see the latest state.
-			live := snapshotOf(s)
-			v := s.Seal()
-			assertEquals(t, v, live, tc.name+" final seal")
-			// UpperRow and ConcurrentRow on sealed views agree with At.
-			for i := 0; i < n; i++ {
-				row := v.ConcurrentRow(i)
-				up := v.UpperRow(i)
-				for j := 0; j < n; j++ {
-					if row[j] != v.At(i, j) {
-						t.Fatalf("ConcurrentRow(%d)[%d] mismatch", i, j)
-					}
-				}
-				for j := i; j < n; j++ {
-					if up[j-i] != v.At(i, j) {
-						t.Fatalf("UpperRow(%d)[%d] mismatch", i, j-i)
-					}
-				}
+func (r *refStore) set(i, j int, v float64) {
+	r.m[i*r.n+j] = v
+	if r.packed {
+		r.m[j*r.n+i] = v
+	}
+}
+
+func (r *refStore) add(i, j int, v float64) { r.set(i, j, r.m[i*r.n+j]+v) }
+
+func (r *refStore) addSym(i, j int, v float64) {
+	if r.packed {
+		c := r.m[i*r.n+j] + v
+		if i == j {
+			c += v
+		}
+		r.set(i, j, c)
+		return
+	}
+	r.m[i*r.n+j] += v
+	r.m[j*r.n+i] += v
+}
+
+// Sealed views must be frozen at seal time while the writer keeps
+// mutating, and the writer must read exactly what a plain array given
+// the same writes holds — across seal/mutate rounds whose flips re-sync
+// a logged handful of cells, copy everything after an abandon or an
+// overrun log, or follow a full rewrite, for both exact backends and
+// every write primitive.
+func TestSealIsolatesViews(t *testing.T) {
+	for _, tc := range exactMakers {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, n := range []int{0, 1, 2, 7, 37, 130} {
+				t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+					sealIsolatesViews(t, tc.mk, n, tc.name == "packed")
+				})
 			}
 		})
 	}
 }
 
-// A dense store keeps flipping between exactly two buffers: after the
-// first flip, further seal/mutate rounds must not allocate new matrices,
-// only re-sync dirty rows.
-func TestDenseDoubleBufferReuse(t *testing.T) {
-	const n = 16
-	d := NewDense(n)
-	fill(t, d, 3)
-	seen := map[*float64]bool{}
-	buf := func() *float64 { return &d.m.Data[0] }
-	for round := 0; round < 8; round++ {
-		d.Seal()
-		d.AddSym(round%n, (round*3)%n, 1.5)
-		d.MarkRowsDirty([]int{round % n, (round * 3) % n})
-		seen[buf()] = true
+func sealIsolatesViews(t *testing.T, mk func(n int) cellStore, n int, packed bool) {
+	s := mk(n)
+	rng := rand.New(rand.NewSource(int64(2 + n)))
+	ref := &refStore{n: n, packed: packed, m: make([]float64, n*n)}
+	write := func() {
+		i, j := rng.Intn(n), rng.Intn(n)
+		if rng.Intn(4) == 0 {
+			j = i
+		}
+		v := rng.NormFloat64()
+		switch rng.Intn(3) {
+		case 0:
+			s.Set(i, j, v)
+			ref.set(i, j, v)
+		case 1:
+			s.Add(i, j, v)
+			ref.add(i, j, v)
+		default:
+			s.AddSym(i, j, v)
+			ref.addSym(i, j, v)
+		}
 	}
-	if len(seen) != 2 {
-		t.Fatalf("dense writer cycled %d distinct buffers, want exactly 2", len(seen))
+	writes := func(k int) {
+		for ; n > 0 && k > 0; k-- {
+			write()
+		}
+	}
+	// Recompute over a random graph is both stores' full rewrite; a
+	// never-sealed store computes what it must leave behind.
+	g := graph.New(n)
+	for k := 0; k < 3*n; k++ {
+		g.AddEdge(rng.Intn(n), rng.Intn(n))
+	}
+	prm := Params{C: 0.6, K: 4}
+	fresh := mk(n)
+	fresh.Recompute(g, nil, prm)
+	rewritten := snapshotOf(fresh)
+
+	type sealed struct {
+		view Store
+		want []float64
+	}
+	var views []sealed
+	for round := 0; round < 40; round++ {
+		views = append(views, sealed{s.Seal(), append([]float64(nil), ref.m...)})
+		// The facade's busy-reader move: a kept view that pins the buffer
+		// the next flip would recycle has either drained (stop checking
+		// it, so the flip re-syncs logged cells) or still has a reader
+		// (abandon the buffer, so the flip copies everything).
+		kept := views[:0]
+		for _, sv := range views {
+			if !s.RecyclesBufferOf(sv.view) || rng.Intn(2) == 0 {
+				kept = append(kept, sv)
+			}
+		}
+		views = kept
+		for _, sv := range views {
+			if s.RecyclesBufferOf(sv.view) {
+				s.AbandonBack()
+				break
+			}
+		}
+		switch {
+		case round%13 == 5:
+			// A burst past the log bound: the next flip copies everything.
+			writes(n*n/4 + 2)
+		case round%11 == 7:
+			// A full rewrite, straight after the seal or after a few
+			// writes.
+			writes(rng.Intn(3))
+			s.Recompute(g, nil, prm)
+			copy(ref.m, rewritten)
+		default:
+			writes(1 + rng.Intn(12))
+		}
+		assertEquals(t, s, ref.m, fmt.Sprintf("writer after round %d", round))
+		for vi, sv := range views {
+			assertEquals(t, sv.view, sv.want, fmt.Sprintf("view %d after round %d", vi, round))
+		}
+	}
+	// UpperRow and ConcurrentRow on sealed views agree with At.
+	v := s.Seal()
+	for i := 0; i < n; i++ {
+		row := v.ConcurrentRow(i)
+		up := v.UpperRow(i)
+		for j := 0; j < n; j++ {
+			if row[j] != v.At(i, j) {
+				t.Fatalf("ConcurrentRow(%d)[%d] mismatch", i, j)
+			}
+		}
+		for j := i; j < n; j++ {
+			if up[j-i] != v.At(i, j) {
+				t.Fatalf("UpperRow(%d)[%d] mismatch", i, j-i)
+			}
+		}
+	}
+}
+
+// An exact store keeps flipping between exactly two buffers: after the
+// first flip, further seal/mutate rounds must not allocate new buffers,
+// only re-sync the written cells.
+func TestDenseDoubleBufferReuse(t *testing.T) {
+	for _, tc := range exactMakers {
+		t.Run(tc.name, func(t *testing.T) {
+			const n = 16
+			s := tc.mk(n)
+			fill(t, s, 3)
+			seen := map[*float64]bool{}
+			for round := 0; round < 8; round++ {
+				s.Seal()
+				s.AddSym(round%n, (round*3)%n, 1.5)
+				seen[&cellsOf(s).front[0]] = true
+			}
+			if len(seen) != 2 {
+				t.Fatalf("%s writer cycled %d distinct buffers, want exactly 2", tc.name, len(seen))
+			}
+		})
 	}
 }
 
@@ -156,58 +246,61 @@ func TestDenseAbandonBack(t *testing.T) {
 	v1 := d.Seal()
 	w1 := snapshotOf(d)
 	d.AddSym(1, 2, 9)
-	d.MarkRowsDirty([]int{1, 2})
 	d.Seal()
 	d.AbandonBack() // pretend v1's buffer is still pinned by a reader
 	d.AddSym(3, 4, 7)
-	d.MarkRowsDirty([]int{3, 4})
 	assertEquals(t, v1, w1, "abandoned view")
 	if got := d.At(3, 4); got == w1[3*n+4] {
 		t.Fatal("writer write lost after abandon")
 	}
 }
 
-// Sealing must not change what a writer-side full rewrite produces:
-// WritableMatrix + MarkAllRowsDirty is the recompute path.
+// A full rewrite of a sealed dense store (Recompute) must leave the
+// sealed view frozen, give the writer exactly what a never-sealed store
+// computes, and the next seal/flip round must carry the rewrite rather
+// than the pre-rewrite rows.
 func TestDenseWritableMatrixRewrite(t *testing.T) {
 	const n = 9
+	g := graph.New(n)
+	for k := 0; k < 3*n; k++ {
+		g.AddEdge(k%n, (k*5+1)%n)
+	}
+	prm := Params{C: 0.6, K: 4}
+	fresh := NewDense(n)
+	fresh.Recompute(g, nil, prm)
+	want := snapshotOf(fresh)
+
 	d := NewDense(n)
 	fill(t, d, 5)
 	v := d.Seal()
 	w := snapshotOf(d)
-	m := d.WritableMatrix()
-	for i := range m.Data {
-		m.Data[i] = float64(i)
-	}
-	d.MarkAllRowsDirty()
+	d.Recompute(g, nil, prm)
 	assertEquals(t, v, w, "sealed view after rewrite")
-	if d.At(0, 1) != 1 {
-		t.Fatalf("rewrite not visible to writer: %v", d.At(0, 1))
-	}
+	assertEquals(t, d, want, "writer after rewrite")
 	// Next seal/flip round must carry the rewrite, not stale rows.
 	d.Seal()
-	d.AddSym(0, 0, 0.5)
-	d.MarkRowsDirty([]int{0})
-	if d.At(2, 2) != float64(2*n+2) {
-		t.Fatalf("post-rewrite flip lost data: %v", d.At(2, 2))
-	}
+	d.AddSym(0, 1, 0.5)
+	want[0*n+1] += 0.5
+	want[1*n+0] += 0.5
+	assertEquals(t, d, want, "writer after post-rewrite flip")
 }
 
-// The discard variant must preserve sealed views and writer-visible
-// state exactly like the syncing flip — it only skips copying bytes the
-// caller is about to overwrite.
+// rewrite on a sealed dense store swaps buffers without the syncing
+// copy; once the caller has overwritten every cell, the sealed view must
+// be untouched, the writer must see the rewrite, and the next flip must
+// copy it whole — the log holds none of the rewritten cells.
 func TestDenseWritableMatrixDiscard(t *testing.T) {
 	const n = 9
 	d := NewDense(n)
 	fill(t, d, 6)
 	v := d.Seal()
 	w := snapshotOf(d)
-	m := d.WritableMatrixDiscard()
+	buf := d.rewrite()
+	d.m.Data = buf
 	// Contract: every cell must be rewritten before any read.
-	for i := range m.Data {
-		m.Data[i] = float64(i)
+	for i := range buf {
+		buf[i] = float64(i)
 	}
-	d.MarkAllRowsDirty()
 	assertEquals(t, v, w, "sealed view after discard rewrite")
 	if d.At(0, 1) != 1 {
 		t.Fatalf("rewrite not visible to writer: %v", d.At(0, 1))
@@ -216,13 +309,12 @@ func TestDenseWritableMatrixDiscard(t *testing.T) {
 	// rows left behind by the skipped sync.
 	d.Seal()
 	d.AddSym(0, 0, 0.5)
-	d.MarkRowsDirty([]int{0})
 	if d.At(2, 2) != float64(2*n+2) {
 		t.Fatalf("post-discard flip lost data: %v", d.At(2, 2))
 	}
 	// Without a pending seal it must hand back the live buffer directly.
-	cur := d.WritableMatrixDiscard()
-	if cur.At(2, 2) != float64(2*n+2) {
+	cur := d.rewrite()
+	if &cur[0] != &d.m.Data[0] || cur[2*n+2] != float64(2*n+2) {
 		t.Fatal("no-cow discard did not return the live buffer")
 	}
 }
@@ -256,9 +348,8 @@ func TestSealedViewWritesPanic(t *testing.T) {
 	}
 }
 
-// Packed chunking is pure layout: every (i, j) must land where the flat
-// upper-triangular formula says, across sizes that straddle chunk
-// boundaries.
+// Packed layout: every (i, j) must land where the flat upper-triangular
+// formula says.
 func TestPackedChunkLayout(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 7, 129, 200} {
 		p := NewPacked(n)
@@ -279,7 +370,7 @@ func TestPackedChunkLayout(t *testing.T) {
 				}
 			}
 		}
-		// Row segments must be chunk-contiguous for UpperRow aliasing.
+		// Row segments must be contiguous for UpperRow aliasing.
 		for i := 0; i < n; i++ {
 			seg := p.UpperRow(i)
 			if len(seg) != n-i {

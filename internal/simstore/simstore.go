@@ -87,47 +87,27 @@ type Params struct {
 // read path publishes one per epoch, and any number of readers may query
 // it concurrently while the single writer keeps mutating the original.
 // Sealing is cheap — it shares the backing payload — and the writer
-// copies only what it is about to change:
+// copies only what it changes:
 //
-//   - dense double-buffers: the first write after a Seal flips to the
-//     second n×n buffer, re-syncing just the rows that went stale since
-//     that buffer last held the front (Update records each update's
-//     dirty rows for this), so a warm writer re-uses two fixed buffers
-//     and stays allocation-free;
-//   - packed copy-on-writes its triangle in row-aligned chunks: sealed
-//     views share every chunk, and the writer duplicates a chunk the
-//     first time it lands a write in it after a Seal;
+//   - dense and packed share one double-buffered flat payload (cells):
+//     once sealed, the store logs the offset of every cell it writes,
+//     and the first write after a Seal copies exactly the logged cells
+//     into the second buffer and swaps the two — or copies every cell
+//     when the log has outgrown 1/8 of the payload, the buffer is new or
+//     abandoned, or a full rewrite left it stale. A warm writer re-uses
+//     two fixed buffers and stays allocation-free;
 //   - approx copy-on-writes per node: a sealed view shares every node's
 //     stored walks, and the writer clones one node's walk row the first
 //     time a repair touches it after a Seal.
 //
-// A store that has never been sealed pays nothing for any of this: the
-// write paths skip the copy-on-write checks' slow half entirely.
+// A store that has never been sealed pays nothing for any of this: it
+// holds one buffer, logs nothing, and its write paths skip the
+// copy-on-write checks' slow half entirely.
 //
-// # The concurrent write-back contract
-//
-// The exact stores additionally implement core.ConcurrentWriteStore,
-// which Inc-uSR's row-parallel write-back uses to mutate disjoint cells
-// from several goroutines at once (Inc-SR writes back serially, through
-// plain AddSym):
-//
-//   - BeginConcurrentWrites runs once, serially, before the fan-out and
-//     performs any internal transition that must not race — the dense
-//     store runs its pending double-buffer flip here, so the concurrent
-//     Add calls that follow are plain cell writes; the packed store has
-//     nothing to flip (chunk COW is per-write) but relies on alignment.
-//     Its return value reports whether the layout stores both triangles
-//     (dense: true), in which case the caller writes each pair's
-//     canonical upper cell first and lands the mirrors in a separate
-//     phase, so no cell is ever touched by two goroutines.
-//   - AlignConcurrentBoundary rounds a row-partition boundary up to the
-//     store's concurrent-write granularity: dense returns it unchanged
-//     (any row split works); packed rounds up to the next chunk-start
-//     row, because a write may duplicate (COW) its whole chunk and two
-//     goroutines must never share one.
-//
-// The approx store is not a ConcurrentWriteStore — its repair
-// parallelizes internally across affected walks (SetWorkers).
+// Every store is written from one goroutine at a time: the update
+// kernels fan out their Q·x products and M accumulations, but write S
+// serially, and approx parallelizes its repair internally
+// (SetWorkers).
 type Store interface {
 	// N returns the node count.
 	N() int
@@ -146,9 +126,9 @@ type Store interface {
 	// point of the backend not to (approx).
 	ToDense() *matrix.Dense
 	// MemBytes reports the store's resident size in bytes — the
-	// /stats "store_bytes" figure. The serving payload only: the dense
-	// backend's transient MVCC double-buffer is not counted (it is the
-	// writer's cost, not the view's).
+	// /stats "store_bytes" figure. The serving payload only: the exact
+	// backends' MVCC double buffer is not counted (it is the writer's
+	// cost, not the view's).
 	MemBytes() int64
 	// Backend names the implementation.
 	Backend() Backend
@@ -156,11 +136,12 @@ type Store interface {
 	// for any number of concurrent readers; see the package contract
 	// above. Sealing an already-sealed view returns the receiver.
 	//
-	// Dense caveat: the double-buffer recycles the buffer of the
-	// second-newest view, so before the first write after a Seal the
-	// caller must either know that every older view has no readers left
-	// or call (*Dense).AbandonBack to orphan the buffer to the GC.
-	// Packed and approx views are intrinsically safe at any age.
+	// Exact-store caveat: the dense and packed double buffer recycles
+	// the buffer of the second-newest view, so before the first write
+	// after a Seal the caller must either know that every older view has
+	// no readers left or call AbandonBack to orphan the buffer to the
+	// GC (RecyclesBufferOf names the view that matters). Approx views
+	// are intrinsically safe at any age.
 	Seal() Store
 
 	// Update applies one unit update to S. g is the graph before the
@@ -211,8 +192,9 @@ type Sampler interface {
 func New(b Backend, g *graph.DiGraph, p Params, workers, walks int, seed int64) (Store, error) {
 	switch b {
 	case BackendDense:
-		d := &Dense{exact: exact{workers: workers}}
-		d.m = batchScores(d.workspace(g), p, workers)
+		x := exact{workers: workers}
+		d := WrapDense(batchScores(x.workspace(g), p, workers))
+		d.exact = x
 		return d, nil
 	case BackendPacked:
 		// The triangle is allocated before the kernel's two transient n×n

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/matrix"
-	"repro/internal/simstore"
 )
 
 // mvccStep is one epoch-advancing mutation of the deterministic writer
@@ -418,57 +417,63 @@ func TestMVCCLongReaderDoesNotBlockWriter(t *testing.T) {
 	}
 }
 
-// Regression: consecutive views can share one dense buffer (a publish
+// Regression: consecutive views can share one store buffer (a publish
 // with no store writes — SetWorkers here — seals the same front again).
 // A straggling reader pinning the OLDER of the two sharers must survive
 // any number of later flips: the facade may only forget a displaced
 // view once it has drained, not after one write cycle. Before the fix,
-// the second Apply recycled the pinned buffer and -race fired.
+// the second Apply recycled the pinned buffer and -race fired. Both
+// exact stores double-buffer, so both run it.
 func TestMVCCPinnedViewSurvivesSharedBufferRecycling(t *testing.T) {
-	const n = 12
-	rng := rand.New(rand.NewSource(41))
-	var edges []Edge
-	for i := 0; i < 3*n; i++ {
-		edges = append(edges, Edge{From: rng.Intn(n), To: rng.Intn(n)})
+	for _, backend := range []Backend{BackendDense, BackendPacked} {
+		t.Run(string(backend), func(t *testing.T) {
+			const n = 12
+			rng := rand.New(rand.NewSource(41))
+			var edges []Edge
+			for i := 0; i < 3*n; i++ {
+				edges = append(edges, Edge{From: rng.Intn(n), To: rng.Intn(n)})
+			}
+			ce, err := NewConcurrentEngine(n, edges, Options{C: 0.6, K: 5, Workers: 1, Backend: backend})
+			if err != nil {
+				t.Fatal(err)
+			}
+			v0 := ce.acquire() // pin the boot view (buffer A)
+			before := v0.similarities()
+			ce.SetWorkers(1) // publish v1: same buffer A, no store write
+			e0 := edges[0]
+			done := make(chan *matrix.Dense, 1)
+			go func() {
+				// The long reader: keep re-reading the pinned view while
+				// flips land — under -race any recycle of A is a reported
+				// write race.
+				var last *matrix.Dense
+				for i := 0; i < 50; i++ {
+					last = v0.similarities()
+				}
+				done <- last
+			}()
+			for i := 0; i < 50; i++ {
+				if _, err := ce.Delete(e0.From, e0.To); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := ce.Insert(e0.From, e0.To); err != nil {
+					t.Fatal(err)
+				}
+			}
+			after := <-done
+			if d := matrix.MaxAbsDiff(before, after); d != 0 {
+				t.Fatalf("pinned view drifted by %g while its buffer was recycled", d)
+			}
+			// One straggler costs ONE abandoned buffer, not one per write:
+			// once the pinned buffer is orphaned, the writer must settle
+			// back into steady double-buffer reuse (back held, re-synced
+			// by logged cells) even though the straggler is still pinned.
+			if d, ok := ce.eng.s.(interface{ DoubleBuffered() bool }); !ok || !d.DoubleBuffered() {
+				t.Fatal("writer did not resume double-buffer reuse under a persistent straggler")
+			}
+			release(v0)
+		})
 	}
-	ce, err := NewConcurrentEngine(n, edges, Options{C: 0.6, K: 5, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v0 := ce.acquire() // pin the boot view (buffer A)
-	before := v0.similarities()
-	ce.SetWorkers(1) // publish v1: same buffer A, no store write
-	e0 := edges[0]
-	done := make(chan *matrix.Dense, 1)
-	go func() {
-		// The long reader: keep re-reading the pinned view while flips
-		// land — under -race any recycle of A is a reported write race.
-		var last *matrix.Dense
-		for i := 0; i < 50; i++ {
-			last = v0.similarities()
-		}
-		done <- last
-	}()
-	for i := 0; i < 50; i++ {
-		if _, err := ce.Delete(e0.From, e0.To); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ce.Insert(e0.From, e0.To); err != nil {
-			t.Fatal(err)
-		}
-	}
-	after := <-done
-	if d := matrix.MaxAbsDiff(before, after); d != 0 {
-		t.Fatalf("pinned view drifted by %g while its buffer was recycled", d)
-	}
-	// One straggler costs ONE abandoned buffer, not one per write: once
-	// the pinned buffer is orphaned, the writer must settle back into
-	// steady double-buffer reuse (back held, re-synced by dirty rows)
-	// even though the straggler is still pinned.
-	if d, ok := ce.eng.s.(*simstore.Dense); !ok || !d.DoubleBuffered() {
-		t.Fatal("writer did not resume double-buffer reuse under a persistent straggler")
-	}
-	release(v0)
 }
 
 // Reads on ConcurrentEngine must not acquire the writer mutex: a reader

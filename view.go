@@ -119,8 +119,8 @@ func (r *readPath) topKFor(a, k int) []Pair {
 // deliberate exception, and only when caching is enabled).
 //
 // readers counts calls currently inside this view. It exists for the
-// writer — the dense double-buffer may only recycle a buffer whose
-// views have drained — and doubles as the /stats in-flight gauge.
+// writer — the exact stores' double buffer may only recycle a buffer
+// whose views have drained — and doubles as the /stats in-flight gauge.
 type engineView struct {
 	readPath
 	g          *graph.Snapshot
@@ -161,33 +161,32 @@ func (e *Engine) sealView(withDirty bool) *engineView {
 	}
 }
 
-// abandonWriteBuffers tells the store to orphan any buffer a straggling
+// recycler is the straggler surface of the double-buffered payload the
+// dense and packed stores share (see simstore's Seal contract). Approx
+// walk rows are copy-on-write — never rewritten in place — so approx
+// has nothing to recycle or abandon.
+type recycler interface {
+	RecyclesBufferOf(view simstore.Store) bool
+	AbandonBack()
+}
+
+// abandonWriteBuffers tells the store to orphan the buffer a straggling
 // reader still pins instead of recycling it — the facade's non-blocking
-// alternative to waiting for an old view to drain. Only the dense
-// double-buffer recycles memory in place; packed chunks and approx walk
-// rows are copy-on-write — never rewritten in place — so there is
-// nothing to abandon there.
+// alternative to waiting for an old view to drain.
 func (e *Engine) abandonWriteBuffers() {
-	if d, ok := e.s.(*simstore.Dense); ok {
-		d.AbandonBack()
+	if r, ok := e.s.(recycler); ok {
+		r.AbandonBack()
 	}
 }
 
 // viewPinsRecycleTarget reports whether v's sealed store shares the
-// exact buffer the writer store's next flip would recycle. False for
-// packed/approx (nothing is rewritten in place) and for views of a
-// previous store generation (AddNodes) or already-orphaned buffers — a
-// straggler there is harmless and must not force another abandon.
+// exact buffer the writer store's next flip would recycle. False on
+// approx (nothing is rewritten in place) and for views of a previous
+// store generation (AddNodes) or already-orphaned buffers — a straggler
+// there is harmless and must not force another abandon.
 func (e *Engine) viewPinsRecycleTarget(v *engineView) bool {
-	d, ok := e.s.(*simstore.Dense)
-	if !ok {
-		return false
-	}
-	sd, ok := v.s.(*simstore.Dense)
-	if !ok {
-		return false
-	}
-	return d.RecyclesBufferOf(sd)
+	r, ok := e.s.(recycler)
+	return ok && r.RecyclesBufferOf(v.s)
 }
 
 func (v *engineView) hasEdge(i, j int) bool { return v.g.HasEdge(i, j) }

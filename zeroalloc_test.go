@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/race"
 )
@@ -59,7 +60,7 @@ func TestEngineApplyZeroAllocs(t *testing.T) {
 }
 
 // The parallel update path shares the steady-state guarantee: after the
-// first Apply spawns the worker pool and grows the per-worker scratch
+// first Apply spawns the worker pool and sizes the partition bounds
 // (the audited //simrank:coldpath lines), a warm row-parallel Apply
 // dispatches over persistent channels into persistent buffers and must
 // not allocate at all.
@@ -300,5 +301,44 @@ func TestEngineApplyZeroAllocsWithCache(t *testing.T) {
 	toggle() // warm up
 	if allocs := testing.AllocsPerRun(20, toggle); allocs != 0 {
 		t.Fatalf("warm Apply with cache allocated %v times per toggle pass, want 0", allocs)
+	}
+}
+
+// A store sealed before every commit — what ConcurrentEngine does — pays
+// the copy-on-write in place: the first write after each Seal re-syncs
+// the other buffer, so the commit allocates only the sealed view itself,
+// the same constant on both exact stores, whatever n and whatever the
+// update touches.
+func TestSealedApplyAllocsConstant(t *testing.T) {
+	skipIfRace(t)
+	for _, backend := range []Backend{BackendDense, BackendPacked} {
+		for _, n := range []int{150, 600} {
+			g := gen.PrefAttach(n, 4, 1)
+			eng, err := NewEngine(g.N(), g.Edges(), Options{C: 0.6, K: 10, Backend: backend, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// hub toggles edges into the oldest, highest-degree nodes
+			// (wide updates); uniform toggles absent edges (small ones).
+			for name, edges := range map[string][]Edge{"hub": g.Edges()[:4], "uniform": absentEdges(g, 4, 31)} {
+				toggle := func() {
+					for _, e := range edges {
+						for k := 0; k < 2; k++ {
+							eng.s.Seal()
+							up := Update{Edge: e, Insert: !eng.HasEdge(e.From, e.To)}
+							if _, err := eng.Apply(up); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+				}
+				toggle() // warm up: the second buffer and the offset log grow here
+				perCommit := testing.AllocsPerRun(10, toggle) / float64(2*len(edges))
+				if perCommit != 1 {
+					t.Errorf("%s n=%d %s: sealed Apply allocated %v times per commit, want 1 (the sealed view)", backend, n, name, perCommit)
+				}
+			}
+			eng.Close()
+		}
 	}
 }
