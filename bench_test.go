@@ -504,16 +504,15 @@ func BenchmarkEngineUpdateStream(b *testing.B) {
 			g.Apply(ins)
 		}
 	})
-	// The row-parallel sweep: one engine per (store, n), resized between
-	// sub-benchmarks with SetWorkers so the expensive batch build runs
-	// once. Each op is a 16-update toggle on PrefAttach(n, 4, 29):
-	// "hub" deletes and re-inserts the first 8 edges, which join the
-	// oldest, highest-degree nodes (wide affected areas); "uniform"
-	// inserts and deletes 8 absent edges drawn uniformly (small ones).
-	// Inc-uSR ("unpruned") pays Θ(n²) per update and runs at n=1024
-	// only. No simbench workload updates at workers ≥ 2, so this sweep
-	// is where the fan-out's cost shows; a single-core box serializes
-	// the fan-out and should show ≈1×, never a regression cliff.
+	// The update-stream sweep: one engine per (store, n), so the
+	// expensive batch build runs once. Each op is a 16-update toggle on
+	// PrefAttach(n, 4, 29): "hub" deletes and re-inserts the first 8
+	// edges, which join the oldest, highest-degree nodes (wide affected
+	// areas); "uniform" inserts and deletes 8 absent edges drawn
+	// uniformly (small ones). Inc-uSR ("unpruned") pays Θ(n²) per update
+	// and runs at n=1024 only. Rows carry no worker count: updates run
+	// on the calling goroutine whatever Options.Workers says, so every
+	// width would time the same code.
 	sweep := []struct {
 		store string
 		opts  Options
@@ -551,16 +550,13 @@ func BenchmarkEngineUpdateStream(b *testing.B) {
 							}
 						}
 					}
-					for _, workers := range []int{1, 2, 4, 8} {
-						eng.SetWorkers(workers)
-						toggle() // re-warm the pool and partition bounds at this width
-						b.Run(fmt.Sprintf("%s/workers=%d", st.name, workers), func(b *testing.B) {
-							b.ReportAllocs()
-							for i := 0; i < b.N; i++ {
-								toggle()
-							}
-						})
-					}
+					toggle() // warm the workspace scratch for this stream
+					b.Run(st.name, func(b *testing.B) {
+						b.ReportAllocs()
+						for i := 0; i < b.N; i++ {
+							toggle()
+						}
+					})
 				}
 			})
 		}

@@ -27,6 +27,10 @@
 // reports the repair work as walks_repaired/walk_resample_fraction).
 // The backend is baked into snapshots, so it conflicts with -restore.
 //
+// -workers sizes the exact backends' batch kernel, which computes the
+// boot-time scores and every recompute; incremental updates run on one
+// goroutine whatever it says.
+//
 // With -snapshot set, POST /snapshot persists on demand and a graceful
 // shutdown (SIGINT/SIGTERM) drains the write pipeline and writes a final
 // snapshot, so `simrankd -restore state.simr` resumes exactly where the
@@ -100,7 +104,7 @@ func run() error {
 		backend  = flag.String("backend", "dense", "similarity store: dense, packed or approx")
 		walks    = flag.Int("approx-walks", 128, "approx backend: walks per pair (stderr shrinks as 1/sqrt)")
 		seed     = flag.Int64("approx-seed", 1, "approx backend: derived-seed root for the stored walks")
-		workers  = flag.Int("workers", 0, "batch-computation and incremental-update goroutines (0 = auto: GOMAXPROCS, serial updates below 2048 nodes)")
+		workers  = flag.Int("workers", 0, "batch-kernel goroutines for boot and recompute (0 = GOMAXPROCS); updates always run on one goroutine")
 		topkRows = flag.Int("topk-cache", 4096, "rows retained by the dirty-row top-k query cache (0 disables)")
 		queue    = flag.Int("queue", 1024, "write-pipeline queue size (requests)")
 		maxBatch = flag.Int("max-batch", 1<<16, "max updates coalesced per drain cycle")

@@ -86,7 +86,7 @@ func NewConcurrentEngine(n int, edges []Edge, opts Options) (*ConcurrentEngine, 
 //simrank:publish
 func WrapEngine(eng *Engine) *ConcurrentEngine {
 	c := &ConcurrentEngine{eng: eng}
-	c.view.Store(eng.sealView(false))
+	c.view.Store(eng.sealView())
 	c.views.Add(1)
 	return c
 }
@@ -152,18 +152,15 @@ func (c *ConcurrentEngine) prepareWrite() {
 // retiring the displaced one (and pruning already-drained retirees, so
 // publish-only workloads like repeated AddNodes cannot grow the list
 // without bound). Called with writerMu held, after the mutation
-// committed. withDirty propagates the update's DirtyRows snapshot —
-// only Apply publishes one.
+// committed.
 //
 //simrank:publish
-func (c *ConcurrentEngine) publish(withDirty bool) *engineView {
-	v := c.eng.sealView(withDirty)
+func (c *ConcurrentEngine) publish() {
 	prev := c.view.Load()
-	c.view.Store(v)
+	c.view.Store(c.eng.sealView())
 	c.dropDrained()
 	c.old = append(c.old, prev)
 	c.views.Add(1)
-	return v
 }
 
 // Similarity returns s(a, b) from the current view, lock-free.
@@ -302,8 +299,8 @@ func (c *ConcurrentEngine) Delete(i, j int) (UpdateStats, error) {
 
 // Apply performs one unit update under the writer mutex; readers keep
 // serving the previous view until the commit is published. The returned
-// UpdateStats.DirtyRows is the detached copy snapshotted at publish
-// time — caller-owned, with no lifetime caveat.
+// UpdateStats.DirtyRows is a copy detached under the mutex, before the
+// publish — caller-owned, with no lifetime caveat.
 func (c *ConcurrentEngine) Apply(up Update) (UpdateStats, error) {
 	c.writerMu.Lock()
 	defer c.writerMu.Unlock()
@@ -314,9 +311,9 @@ func (c *ConcurrentEngine) Apply(up Update) (UpdateStats, error) {
 		// there is no new state to publish.
 		return UpdateStats{}, err
 	}
+	st.DirtyRows = append([]int(nil), st.DirtyRows...)
 	werr := c.logRecord(wal.KindUpdate, []Update{up}, 0)
-	v := c.publish(true)
-	st.DirtyRows = v.dirtyRows
+	c.publish()
 	return st, werr
 }
 
@@ -336,7 +333,7 @@ func (c *ConcurrentEngine) ApplyBatch(ups []Update) error {
 		werr := c.logRecord(wal.KindBatch, ups, 0)
 		// Publish whatever committed — on the validated path that is all
 		// of it or none of it.
-		c.publish(false)
+		c.publish()
 		if err == nil {
 			err = werr
 		}
@@ -362,13 +359,9 @@ func (c *ConcurrentEngine) Recompute() error {
 	c.writerMu.Lock()
 	defer c.writerMu.Unlock()
 	c.prepareWrite()
-	before := c.eng.Epoch()
 	c.eng.Recompute()
-	if c.eng.Epoch() == before { // every backend bumps today; kept as a guard
-		return nil
-	}
 	werr := c.logRecord(wal.KindRecompute, nil, 0)
-	c.publish(false)
+	c.publish()
 	return werr
 }
 
@@ -383,35 +376,26 @@ func (c *ConcurrentEngine) AddNodes(count int) (int, error) {
 		return 0, err
 	}
 	werr := c.logRecord(wal.KindAddNodes, nil, count)
-	c.publish(false)
+	c.publish()
 	return first, werr
 }
 
 // Options returns the effective options of the current view.
 func (c *ConcurrentEngine) Options() Options { return c.view.Load().opts }
 
-// SetWorkers changes the batch-computation and update-path parallelism
-// under the writer mutex; see Engine.SetWorkers. The mutex is what
-// makes a live SetWorkers safe against a concurrent update stream: the
-// per-worker scratch and the worker pool are resized strictly between
-// updates, never during one.
+// SetWorkers changes the batch kernel's parallelism under the writer
+// mutex, so it never overlaps a commit, and publishes the new Options;
+// see Engine.SetWorkers.
 func (c *ConcurrentEngine) SetWorkers(workers int) {
 	c.writerMu.Lock()
 	defer c.writerMu.Unlock()
 	c.eng.SetWorkers(workers)
-	c.publish(false)
+	c.publish()
 }
 
-// Close releases the wrapped engine's background resources (the update
-// worker pool) under the writer mutex; see Engine.Close. The facade
-// remains usable afterwards — the pool respawns on the next parallel
-// update — so Close is the "quiesce now" hook for tests and shutdown
-// paths, not a terminal state.
-func (c *ConcurrentEngine) Close() {
-	c.writerMu.Lock()
-	defer c.writerMu.Unlock()
-	c.eng.Close()
-}
+// Close does nothing, like Engine.Close: the facade holds no background
+// goroutines. The facade remains usable afterwards.
+func (c *ConcurrentEngine) Close() {}
 
 // CacheStats returns the query cache's counters for the current view's
 // cache; see Engine.CacheStats.
@@ -425,7 +409,7 @@ func (c *ConcurrentEngine) SetTopKCacheRows(rows int) {
 	c.writerMu.Lock()
 	defer c.writerMu.Unlock()
 	c.eng.SetTopKCacheRows(rows)
-	c.publish(false)
+	c.publish()
 }
 
 // WriteSnapshot serializes the current view: a consistent snapshot at

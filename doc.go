@@ -39,19 +39,14 @@
 // allocations. Batch computation (NewEngine, Recompute, ApplyBatch's
 // crossover) runs one row-partitioned sparse kernel (internal/matrix)
 // that ping-pongs between two preallocated n×n buffers. Options.Workers
-// sets the parallelism of both the batch kernel and the incremental
-// update path: the Q·x mat-vecs, the rank-one M accumulation and
-// Inc-uSR's store write-back partition by matrix row (no two workers
-// share a cell), while Inc-SR's pruned write-back stays serial at every
-// worker count, so every worker count produces bit-identical results —
-// serving answers, snapshots and WAL replay are byte-stable whatever the
-// fan-out. With Workers = 0 updates auto-parallelize from n ≥ 2048
-// (GOMAXPROCS permitting) and stay serial below, where fan-out overhead
-// dominates; SetWorkers resizes at runtime without racing in-flight
-// updates. The persistent worker pool and per-worker scratch keep a
-// warm parallel Apply at zero allocations. See README.md ("Parallel
-// updates") for which stages fan out and the benchmark suite (go test
-// -bench=. -benchmem).
+// sets that kernel's parallelism and nothing else: every incremental
+// update, on every backend, runs on the calling goroutine, as the
+// paper's sequential Inc-SR and Inc-uSR do. The kernel never splits the
+// accumulations into one cell across workers, so every worker count
+// produces bit-identical results — serving answers, snapshots and WAL
+// replay are byte-stable whatever the fan-out. See README.md ("The
+// Workers knob") for why updates are serial, and the benchmark suite
+// (go test -bench=. -benchmem).
 //
 // # Concurrency model
 //

@@ -100,7 +100,7 @@ func (c *ConcurrentEngine) ReplayWAL(ctx context.Context, w *wal.WAL) (applied i
 		return nil
 	})
 	if applied > 0 && err == nil {
-		c.publish(false)
+		c.publish()
 	}
 	return applied, err
 }
@@ -131,7 +131,7 @@ func (c *ConcurrentEngine) ApplyReplicated(rec *wal.Record) error {
 		return err
 	}
 	werr := c.logRecord(rec.Kind, rec.Updates, rec.Count)
-	c.publish(false)
+	c.publish()
 	return werr
 }
 

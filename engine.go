@@ -60,24 +60,16 @@ type Options struct {
 	// incremental path wins only while link updates are small). 0 selects
 	// the default 0.15; set ≥ 1 to always fold incrementally.
 	RecomputeThreshold float64
-	// Workers bounds the goroutines used by the batch computations
-	// (NewEngine's initial scores, Recompute, and ApplyBatch's recompute
-	// crossover) AND by the incremental update path: the Q·x mat-vecs,
-	// the rank-one M accumulation and Inc-uSR's S write-back
-	// row-partition across a persistent worker pool, and the approx
-	// backend fans walk repair across affected walks. Inc-SR's pruned S
-	// write-back is serial at every worker count — it costs the affected
-	// support, not n², and fanning it out only added synchronization
-	// (README "Parallel updates"). 0 selects GOMAXPROCS — for updates
-	// only on graphs large enough to win (n ≥ 2048; below that auto
-	// stays serial, since fan-out overhead would swamp the per-update
-	// work); 1 forces the sequential path everywhere, which additionally
-	// keeps a warm Recompute allocation-free; an explicit count > 1
-	// always parallelizes. The result is bit-identical for every value:
-	// no fan-out splits the accumulations into one cell across workers.
-	// Not persisted in snapshots. Changeable at runtime via SetWorkers,
-	// which must not run concurrently with an update (ConcurrentEngine
-	// serializes it under its writer mutex).
+	// Workers bounds the goroutines of the exact backends' batch kernel:
+	// NewEngine's initial scores, Recompute, and ApplyBatch's recompute
+	// crossover. 0 selects GOMAXPROCS; 1 runs the kernel sequentially,
+	// which additionally keeps a warm dense Recompute allocation-free.
+	// Incremental updates (Inc-SR, Inc-uSR and approx walk repair) run
+	// on the calling goroutine at every value (README "The Workers
+	// knob"), and the approx backend has no batch kernel. The result is
+	// bit-identical for every value: the kernel never splits the
+	// accumulations into one cell across workers. Not persisted in
+	// snapshots. Changeable at runtime via SetWorkers.
 	Workers int
 	// TopKCacheRows enables the read-path query cache: up to this many
 	// per-row TopKFor results (plus one global TopK result) are retained,
@@ -446,17 +438,13 @@ func SingleSourceScores(n int, edges []Edge, query int, opts Options) ([]float64
 // Options returns the engine's effective (defaulted) options.
 func (e *Engine) Options() Options { return e.opts }
 
-// SetWorkers changes the batch-computation AND update-path parallelism
-// (see Options.Workers). Unlike C, K and pruning — which are baked into
-// the similarity state — Workers is a pure runtime knob, so it is the
-// one option that may be changed after construction; snapshots do not
+// SetWorkers changes the batch kernel's parallelism (see
+// Options.Workers). Unlike C, K and pruning — which are baked into the
+// similarity state — Workers is a pure runtime knob, so it is the one
+// option that may be changed after construction; snapshots do not
 // persist it, and restored engines default to GOMAXPROCS until told
-// otherwise.
-//
-// Must not run concurrently with an update: it resizes the per-worker
-// scratch and tears down the worker pool the update path dispatches
-// into. ConcurrentEngine.SetWorkers holds the writer mutex for exactly
-// this reason.
+// otherwise. Like any mutation it must not run concurrently with
+// another; ConcurrentEngine.SetWorkers holds the writer mutex.
 func (e *Engine) SetWorkers(workers int) {
 	e.setWorkers(workers)
 	e.epoch++ // Options() is reader-visible state
@@ -468,12 +456,11 @@ func (e *Engine) setWorkers(workers int) {
 	e.s.SetWorkers(workers)
 }
 
-// Close releases the engine's background resources — today the
-// persistent update worker pool, whose goroutines otherwise block on
-// their job channels for the process lifetime. The engine remains
-// usable afterwards: the pool respawns on the next parallel update.
-// Safe to call multiple times.
-func (e *Engine) Close() { e.s.Close() }
+// Close does nothing: the engine holds no goroutines or other
+// background resources between calls. It stays part of the API so
+// callers that close engines keep compiling, and it is safe to call any
+// number of times; the engine remains usable afterwards.
+func (e *Engine) Close() {}
 
 // CacheStats is the query cache's counter snapshot; see cache.Stats.
 type CacheStats = cache.Stats
@@ -493,7 +480,8 @@ func (e *Engine) SetTopKCacheRows(rows int) {
 }
 
 // ConfigureRestored applies the runtime knobs a snapshot does not
-// persist — batch parallelism (workers ≤ 0 keeps the restored default)
+// persist — the batch kernel's parallelism (workers ≤ 0 keeps the
+// restored default)
 // and the query cache — WITHOUT advancing the epoch: the boot-time form
 // of SetWorkers/SetTopKCacheRows, for an engine that has not yet served
 // a reader. Read replicas in particular must configure themselves this

@@ -19,13 +19,6 @@ import (
 //	                           inside such functions (publishorder).
 //	//simrank:sealsafe       — the function is an allowlisted COW helper
 //	                           that may mutate sealed values (sealedwrite).
-//	//simrank:nodirty        — the function writes the store but is
-//	                           exempt from dirty-row pairing (dirtyrows).
-//	//simrank:coldpath       — the function is a one-time warm-up path
-//	                           (pool spawn, first-use scratch growth)
-//	                           that noalloc functions may call; mutually
-//	                           exclusive with noalloc, which rejects the
-//	                           combination.
 //
 // Line-level (written on, or on the line directly above, the construct
 // they excuse; a reason after the directive name is required reading
@@ -33,14 +26,8 @@ import (
 //
 //	//simrank:allocok <why>        — excuses one allocating construct
 //	                                 inside a noalloc function. Does NOT
-//	                                 excuse a go statement — spawning a
-//	                                 goroutine is never a steady-state
-//	                                 allocation and must be declared a
-//	                                 warm-up with coldpath instead.
-//	//simrank:coldpath <why>       — excuses a one-time goroutine spawn
-//	                                 (or other warm-up construct) inside
-//	                                 a noalloc function: the line runs
-//	                                 only until its pool/scratch is warm.
+//	                                 excuse a go statement: a noalloc
+//	                                 path never spawns a goroutine.
 //	//simrank:orderinvariant <why> — marks a map-range loop whose effect
 //	                                 was audited to be independent of
 //	                                 iteration order (detrand).

@@ -2,18 +2,15 @@
 // the incremental kernels: every similarity-store write inside
 // internal/core must report the rows it touched.
 //
-// The top-k cache, the MVCC view's dirtyRows snapshot and the approx
-// tier's walk repair all trust core.Stats.DirtyRows to name exactly
-// the S-rows an update wrote. A store write with no markDirty on the
-// same path silently serves stale cached top-k results — the bug class
-// PR 3 existed to eliminate.
+// The top-k cache and ConcurrentEngine.Apply's caller-owned copy both
+// trust core.Stats.DirtyRows to name exactly the S-rows an update
+// wrote. A store write with no markDirty on the same path silently
+// serves stale cached top-k results.
 //
 // Rule: in a function that calls Add/AddSym/Set on a similarity-store
 // interface (any interface whose method set includes AddSym), each such
 // call must share a block with — or be dominated by — a call to
-// markDirty/MarkRowsDirty/MarkAllRowsDirty. Functions that legitimately
-// write without reporting (e.g. builders that mark everything dirty at
-// a higher level) opt out with //simrank:nodirty.
+// markDirty. There is no opt-out.
 package dirtyrows
 
 import (
@@ -23,9 +20,7 @@ import (
 	"repro/internal/analysis"
 )
 
-var reporters = map[string]bool{
-	"markDirty": true, "MarkRowsDirty": true, "MarkAllRowsDirty": true,
-}
+var reporters = map[string]bool{"markDirty": true}
 
 var mutators = map[string]bool{"Add": true, "AddSym": true, "Set": true}
 
@@ -45,7 +40,7 @@ func run(pass *analysis.Pass) error {
 		}
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil || analysis.HasFuncDirective(fn, "nodirty") {
+			if !ok || fn.Body == nil {
 				continue
 			}
 			checkFunc(pass, fn)
@@ -84,7 +79,7 @@ func checkFunc(pass *analysis.Pass, fn *ast.FuncDecl) {
 	for _, w := range writes {
 		if !paired(parents, w, reports) {
 			_, name, _ := analysis.MethodCall(w)
-			pass.Reportf(w.Pos(), "store write %s without dirty-row reporting on the same path; call markDirty/MarkRowsDirty here or annotate the function //simrank:nodirty", name)
+			pass.Reportf(w.Pos(), "store write %s without dirty-row reporting on the same path; call markDirty here", name)
 		}
 	}
 }

@@ -9,7 +9,6 @@ type SimStore interface {
 	Add(i, j int, v float64)
 	AddSym(i, j int, v float64)
 	Set(i, j int, v float64)
-	MarkRowsDirty(rows []int)
 }
 
 type tracker struct{ dirty []int }
@@ -30,8 +29,9 @@ func writeGood(s SimStore, t *tracker, i, j int, v float64) {
 }
 
 // Report dominating the write: paired even across blocks.
-func writeDominated(s SimStore, i, j int, v float64, hot bool) {
-	s.MarkRowsDirty([]int{i, j})
+func writeDominated(s SimStore, t *tracker, i, j int, v float64, hot bool) {
+	t.markDirty(i)
+	t.markDirty(j)
 	if hot {
 		s.Set(i, j, v)
 	}
@@ -46,11 +46,10 @@ func writeBranchy(s SimStore, t *tracker, i, j int, v float64, hot bool) {
 	}
 }
 
-// Builders that mark everything dirty at a higher level opt out.
-//
-//simrank:nodirty
+// There is no opt-out: a bulk loader that writes without reporting is
+// reported too.
 func bulkLoad(s SimStore, n int) {
 	for i := 0; i < n; i++ {
-		s.Set(i, i, 1)
+		s.Set(i, i, 1) // want "store write Set without dirty-row reporting"
 	}
 }

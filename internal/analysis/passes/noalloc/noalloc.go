@@ -22,13 +22,9 @@
 // interface boxing of non-pointer-shaped values. A deliberate
 // exception carries //simrank:allocok <reason> on (or above) its line.
 //
-// Go statements are special: spawning a goroutine is never a
-// steady-state allocation, so allocok does not excuse one. A one-time
-// worker-pool spawn must be declared with //simrank:coldpath — either
-// on the go statement's line inside a noalloc function, or as the
-// function-level directive of an unannotated warm-up helper the noalloc
-// path calls (ensurePool's shape). A function carrying both noalloc and
-// coldpath contradicts itself and is reported.
+// Go statements are special: a noalloc path runs on its caller's
+// goroutine, so a go statement inside one is always reported, and
+// allocok does not excuse it.
 package noalloc
 
 import (
@@ -48,17 +44,12 @@ var Analyzer = &analysis.Analyzer{
 func run(pass *analysis.Pass) error {
 	for _, file := range pass.Files {
 		allocok := analysis.LineDirectives(pass.Fset, file, "allocok")
-		coldpath := analysis.LineDirectives(pass.Fset, file, "coldpath")
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || fn.Body == nil || !analysis.HasFuncDirective(fn, "noalloc") {
 				continue
 			}
-			if analysis.HasFuncDirective(fn, "coldpath") {
-				pass.Reportf(fn.Pos(), "function carries both //simrank:noalloc and //simrank:coldpath; a warm-up path cannot also promise zero steady-state allocations")
-				continue
-			}
-			c := &checker{pass: pass, fn: fn, allocok: allocok, coldpath: coldpath, parents: analysis.ParentMap(fn)}
+			c := &checker{pass: pass, fn: fn, allocok: allocok, parents: analysis.ParentMap(fn)}
 			c.check()
 		}
 	}
@@ -66,16 +57,15 @@ func run(pass *analysis.Pass) error {
 }
 
 type checker struct {
-	pass     *analysis.Pass
-	fn       *ast.FuncDecl
-	allocok  map[int]bool
-	coldpath map[int]bool
-	parents  map[ast.Node]ast.Node
+	pass    *analysis.Pass
+	fn      *ast.FuncDecl
+	allocok map[int]bool
+	parents map[ast.Node]ast.Node
 }
 
 func (c *checker) report(n ast.Node, format string, args ...any) {
 	line := c.pass.Fset.Position(n.Pos()).Line
-	if c.allocok[line] || c.coldpath[line] || c.coldErrorPath(n) {
+	if c.allocok[line] || c.coldErrorPath(n) {
 		return
 	}
 	c.pass.Reportf(n.Pos(), format, args...)
@@ -115,10 +105,7 @@ func (c *checker) check() {
 		switch node := n.(type) {
 		case *ast.GoStmt:
 			// Not routed through report: allocok cannot excuse a spawn.
-			// Only an audited one-time //simrank:coldpath line may.
-			if !c.coldpath[c.pass.Fset.Position(node.Pos()).Line] {
-				c.pass.Reportf(node.Pos(), "go statement allocates a goroutine in a //simrank:noalloc function; a one-time pool spawn needs //simrank:coldpath, not allocok")
-			}
+			c.pass.Reportf(node.Pos(), "go statement allocates a goroutine in a //simrank:noalloc function; allocok does not excuse a spawn")
 			return true
 		case *ast.CallExpr:
 			c.checkCall(node)

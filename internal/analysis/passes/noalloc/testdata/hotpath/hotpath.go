@@ -89,32 +89,15 @@ func (ws *workspace) rebuild(n int) {
 	ws.m = map[int]float64{}
 }
 
-// A one-time pool spawn declared cold is the one way a goroutine may
-// appear in a noalloc function; allocok is not accepted for spawns.
+// A go statement is reported however it is dressed: neither a
+// first-use guard nor an allocok directive excuses a spawn.
 //
 //simrank:noalloc
 func (ws *workspace) dispatch(n int) {
 	if ws.supp == nil {
-		go ws.grow(1)               //simrank:coldpath one-time pool spawn; warm dispatches reuse it
-		ws.buf = make([]float64, n) //simrank:coldpath warm-up scratch growth
+		go ws.grow(1)               // want "go statement allocates a goroutine"
+		ws.buf = make([]float64, n) // want "make allocates"
 	}
 	//simrank:allocok not good enough for a spawn
-	go ws.grow(2) // want "needs //simrank:coldpath"
-}
-
-// A warm-up helper carries the function-level directive instead; it is
-// not noalloc, so its body allocates freely.
-//
-//simrank:coldpath
-func (ws *workspace) spawnPool() {
-	go ws.grow(3)
-	ws.m = map[int]float64{}
-}
-
-// Claiming both contracts at once is a contradiction.
-//
-//simrank:noalloc
-//simrank:coldpath
-func (ws *workspace) confused() { // want "carries both"
-	ws.buf[0] = 1
+	go ws.grow(2) // want "allocok does not excuse a spawn"
 }

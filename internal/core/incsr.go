@@ -51,10 +51,6 @@ func (ws *Workspace) IncSR(s SimStore, up graph.Update, c float64, k int) (Stats
 	}
 	ws.ensureIncSR()
 	ws.resetDirty()
-	parts := ws.resolveWorkers()
-	if parts > 1 {
-		ws.ensureBounds(parts)
-	}
 	i, j := up.Edge.From, up.Edge.To
 	dj := ws.din[j]
 
@@ -113,7 +109,7 @@ func (ws *Workspace) IncSR(s SimStore, up graph.Update, c float64, k int) (Stats
 	xi := ws.xi
 	xi.add(j, c)
 	eta := gam
-	ws.srAccum(xi, eta, parts) // M₀ = C·e_j·γᵀ
+	ws.srAccum(xi, eta) // M₀ = C·e_j·γᵀ
 
 	xiNext, etaNext := ws.xiNext, ws.etaNext
 	var frontier float64
@@ -136,7 +132,7 @@ func (ws *Workspace) IncSR(s SimStore, up graph.Update, c float64, k int) (Stats
 		etaNext.add(j, veta*uv)
 		etaNext.compact(ZeroTol)
 
-		ws.srAccum(xiNext, etaNext, parts)
+		ws.srAccum(xiNext, etaNext)
 		xi, xiNext = xiNext, xi
 		eta, etaNext = etaNext, eta
 		if a := xi.nnz() + eta.nnz(); a > peakAux {
@@ -150,12 +146,10 @@ func (ws *Workspace) IncSR(s SimStore, up graph.Update, c float64, k int) (Stats
 	// scrubbed as they are read and returned to the pool for the next
 	// update.
 	//
-	// The scan is serial at every worker count, and its claim order
-	// defines each cell's accumulation order: a pair {a, b} with both
-	// ordered M entries non-zero receives them in the order rows a and b
-	// were claimed. Its cost is |rowSupp|·|colSupp|, the pruned support
-	// the paper's bound charges; fanning it out by row would make every
-	// owner re-scan whole supports with column-strided reads of M.
+	// The claim order defines each cell's accumulation order: a pair
+	// {a, b} with both ordered M entries non-zero receives them in the
+	// order rows a and b were claimed. The scan costs |rowSupp|·|colSupp|,
+	// the pruned support the paper's bound charges.
 	touched := ws.touched
 	for _, a := range ws.rowSupp {
 		mrow := ws.mRows[a]
@@ -205,6 +199,38 @@ func (ws *Workspace) IncSR(s SimStore, up graph.Update, c float64, k int) (Stats
 	xiNext.reset()
 	etaNext.reset()
 	return st, nil
+}
+
+// srAccum adds Inc-SR's rank-one term ξ·ηᵀ into the pooled M rows
+// (Algorithm 2 lines 13–19) and grows the column support by supp(η).
+// Rows are claimed in supp(ξ) order, which fixes rowSupp's order and so
+// the write-back's accumulation order.
+//
+//simrank:noalloc
+func (ws *Workspace) srAccum(xi, eta *wsVec) {
+	colSupp := ws.colSupp
+	for _, b := range eta.supp {
+		if !colSupp.mark[b] {
+			colSupp.add(b, 1)
+		}
+	}
+	// Frontier ≈ full row: a contiguous multiply-add beats the indexed
+	// gather (zero entries contribute nothing).
+	denseEta := len(eta.supp) > ws.n/2
+	for _, a := range xi.supp {
+		ws.claimRow(a)
+		va := xi.vals[a]
+		row := ws.mRows[a]
+		if denseEta {
+			for b, vb := range eta.vals {
+				row[b] += va * vb
+			}
+		} else {
+			for _, b := range eta.supp {
+				row[b] += va * eta.vals[b]
+			}
+		}
+	}
 }
 
 // gammaWs fills gam with gammaDense restricted to the B₀ support

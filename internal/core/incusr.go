@@ -128,10 +128,6 @@ func (ws *Workspace) IncUSR(s SimStore, up graph.Update, c float64, k int) (Stat
 	}
 	ws.ensureDense()
 	ws.resetDirty()
-	parts := ws.resolveWorkers()
-	if parts > 1 {
-		ws.ensureBounds(parts)
-	}
 	i, j := up.Edge.From, up.Edge.To
 	dj := ws.din[j]
 
@@ -139,7 +135,7 @@ func (ws *Workspace) IncUSR(s SimStore, up graph.Update, c float64, k int) (Stat
 	si := ws.si
 	s.ColInto(si, i)
 	w := ws.wD
-	ws.mulQPar(w, si, parts)
+	ws.mulQ(w, si)
 	lam := lambda(s, i, j, w[j], c)
 
 	// Lines 5–12: γ per Theorem 3.
@@ -163,15 +159,15 @@ func (ws *Workspace) IncUSR(s SimStore, up graph.Update, c float64, k int) (Stat
 	xiNext, etaNext := ws.xiNextD, ws.etaNextD
 	for iter := 0; iter < k; iter++ {
 		vxi := ws.vws.dotDense(xi)
-		ws.mulQPar(xiNext, xi, parts)
+		ws.mulQ(xiNext, xi)
 		matrix.ScaleVec(c, xiNext)
 		xiNext[uj] += c * vxi * uv
 
 		veta := ws.vws.dotDense(eta)
-		ws.mulQPar(etaNext, eta, parts)
+		ws.mulQ(etaNext, eta)
 		etaNext[uj] += veta * uv
 
-		ws.addOuterPar(xiNext, etaNext, parts)
+		matrix.AddOuter(m, 1, xiNext, etaNext)
 		xi, xiNext = xiNext, xi
 		eta, etaNext = etaNext, eta
 	}

@@ -66,19 +66,6 @@ type Workspace struct {
 	// Batch-recompute scratch, allocated on first use.
 	scratch *matrix.Dense
 	qCSR    matrix.CSR
-
-	// Row-parallel update state (parallel.go): the configured worker
-	// count, the persistent goroutine pool, the partition bounds of the
-	// in-flight fan-out, and the staged task parameters the pooled
-	// workers read.
-	workers     int
-	pool        *updatePool
-	bounds      []int
-	parDst      []float64
-	parX, parY  []float64
-	parXi       *wsVec
-	parEta      *wsVec
-	parDenseEta bool
 }
 
 // NewWorkspace builds the persistent update state for g's current
@@ -140,6 +127,19 @@ func (ws *Workspace) ensureIncSR() {
 
 // N returns the node count the workspace was built for.
 func (ws *Workspace) N() int { return ws.n }
+
+// SetWorkers does nothing: every update runs on the calling goroutine,
+// and the batch kernel takes its worker count as an argument.
+//
+// Deprecated: the workspace has no worker count. SetWorkers remains only
+// for simbench's trace replay, which still calls it.
+func (ws *Workspace) SetWorkers(int) {}
+
+// StopPool does nothing: the workspace starts no goroutines.
+//
+// Deprecated: there is no pool to stop. StopPool remains only for
+// simbench's trace replay, which still calls it.
+func (ws *Workspace) StopPool() {}
 
 // resetDirty clears the dirty-row record for the next update, in time
 // proportional to the rows previously marked.
@@ -309,14 +309,13 @@ func (ws *Workspace) decompose(up graph.Update) (uv float64, err error) {
 	return 1 / float64(dj-1), nil
 }
 
-// mulQRange computes dst = Q·x for dense x on output rows lo..hi−1,
-// gathering along the sorted rows of the maintained Q — entrywise the
-// same left-to-right accumulation as a CSR mat-vec on the freshly built
-// transition matrix, whatever row slab a fan-out (mulQPar) hands it.
+// mulQ computes dst = Q·x for dense x, gathering along the sorted rows
+// of the maintained Q — entrywise the same left-to-right accumulation as
+// a CSR mat-vec on the freshly built transition matrix.
 //
 //simrank:noalloc
-func (ws *Workspace) mulQRange(dst, x []float64, lo, hi int) {
-	for a := lo; a < hi; a++ {
+func (ws *Workspace) mulQ(dst, x []float64) {
+	for a := 0; a < ws.n; a++ {
 		var s float64
 		for _, e := range ws.q[a] {
 			s += e.val * x[e.idx]

@@ -30,7 +30,6 @@ type incAlgo func(ws *core.Workspace, s core.SimStore, up graph.Update, c float6
 // rewrites.
 func foldDelta(algo incAlgo, base *graph.DiGraph, s *matrix.Dense, delta []graph.Update, c float64, k int) (*matrix.Dense, []core.Stats, error) {
 	ws := core.NewWorkspace(base)
-	defer ws.StopPool()
 	cur := s.Clone() // one copy for the whole fold; updates run in place
 	stats := make([]core.Stats, 0, len(delta))
 	for _, up := range delta {

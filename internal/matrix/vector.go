@@ -50,6 +50,8 @@ func Outer(x, y []float64) *Dense {
 }
 
 // AddOuter accumulates a·x·yᵀ into m in place.
+//
+//simrank:noalloc
 func AddOuter(m *Dense, a float64, x, y []float64) {
 	if m.Rows != len(x) || m.Cols != len(y) {
 		panic("matrix: AddOuter dimension mismatch")
@@ -57,17 +59,7 @@ func AddOuter(m *Dense, a float64, x, y []float64) {
 	if a == 0 {
 		return
 	}
-	AddOuterRows(m, a, x, y, 0, len(x))
-}
-
-// AddOuterRows accumulates a·x·yᵀ into rows lo..hi−1 of m only — the
-// row slab of AddOuter, which delegates here so the serial call and a
-// row-partitioned parallel fan-out execute the identical per-row float
-// stream (each row's accumulation order never depends on the partition).
-//
-//simrank:noalloc
-func AddOuterRows(m *Dense, a float64, x, y []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
+	for i := range x {
 		c := a * x[i]
 		if c == 0 {
 			continue

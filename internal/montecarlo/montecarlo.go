@@ -41,10 +41,8 @@ package montecarlo
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sort"
-	"sync"
 
 	"repro/internal/graph"
 )
@@ -121,12 +119,6 @@ type Index struct {
 	gen            uint64
 	walksRepaired  uint64
 	stepsResampled uint64
-
-	// workers bounds the goroutines one repair fans suffix resampling
-	// across: 0 selects GOMAXPROCS, 1 forces the serial path. Every
-	// resampled position is a pure function of (seed, node, walk, step),
-	// so the repaired index is bit-identical at any setting.
-	workers int
 }
 
 // NewIndex builds the stored-walk index of g's current topology: c is
@@ -183,15 +175,6 @@ func (ix *Index) SetGen(gen uint64) { ix.gen = gen }
 // resampled and individual steps resampled.
 func (ix *Index) RepairStats() (walksRepaired, stepsResampled uint64) {
 	return ix.walksRepaired, ix.stepsResampled
-}
-
-// resolveWorkers maps the configured worker count to an effective
-// fan-out width.
-func (ix *Index) resolveWorkers() int {
-	if ix.workers == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return ix.workers
 }
 
 // walkBase derives the per-walk seed base; stepDraw folds the step in.
@@ -350,9 +333,9 @@ func (ix *Index) repair(j int) []int {
 	}
 
 	// Flatten the map into a sorted work list (walkID<<stepBits | t0):
-	// ascending walk IDs mean ascending owners, so the serial scan and
-	// any contiguous partition of the list both emit dirty owners in
-	// ascending order with consecutive-duplicate merging — no set needed.
+	// ascending walk IDs mean ascending owners, so the scan emits dirty
+	// owners in ascending order with consecutive-duplicate merging — no
+	// set needed.
 	list := make([]uint64, 0, len(aff))
 	//simrank:orderinvariant collects keys only; sorted before use
 	for wid, t0 := range aff {
@@ -362,16 +345,12 @@ func (ix *Index) repair(j int) []int {
 	ix.walksRepaired += uint64(len(list))
 
 	var dirty []int
-	if workers := ix.resolveWorkers(); workers > 1 && len(list) >= minParallelRepair {
-		dirty = ix.repairParallel(list, workers)
-	} else {
-		for _, e := range list {
-			wid, t0 := e>>stepBits, int(e&(1<<stepBits-1))
-			u, w := int(wid/uint64(W)), int(wid%uint64(W))
-			if ix.resampleSuffix(u, w, t0) {
-				if len(dirty) == 0 || dirty[len(dirty)-1] != u {
-					dirty = append(dirty, u)
-				}
+	for _, e := range list {
+		wid, t0 := e>>stepBits, int(e&(1<<stepBits-1))
+		u, w := int(wid/uint64(W)), int(wid%uint64(W))
+		if ix.resampleSuffix(u, w, t0) {
+			if len(dirty) == 0 || dirty[len(dirty)-1] != u {
+				dirty = append(dirty, u)
 			}
 		}
 	}
@@ -379,117 +358,6 @@ func (ix *Index) repair(j int) []int {
 		ix.compact()
 	}
 	return dirty
-}
-
-// minParallelRepair is the smallest affected-walk count worth fanning
-// out: below it goroutine startup dominates the resampling itself.
-const minParallelRepair = 32
-
-// postEvent is one deferred posting append: entry p belongs in
-// postings[v].
-type postEvent struct {
-	v int32
-	p uint64
-}
-
-// repairLog buffers one worker's side effects so the shared structures
-// (postings, live/total, the work counters) are only touched serially
-// after the barrier, in worker order — the walk rows themselves are
-// written in place, each walk by exactly one worker.
-type repairLog struct {
-	posts       []postEvent
-	dirty       []int
-	live, total int
-	steps       uint64
-}
-
-// repairParallel resamples the sorted affected-walk list across workers
-// goroutines. Every resampled position is a pure function of
-// (seed, node, walk, step) and each walk belongs to exactly one chunk,
-// so the rows come out bit-identical to the serial scan; the buffered
-// side effects merge in worker order, keeping postings content and
-// counters deterministic too. Walk rows are claimed (copy-on-write)
-// serially up front — the COW ledger must not race.
-func (ix *Index) repairParallel(list []uint64, workers int) []int {
-	W := ix.walks
-	prev := -1
-	for _, e := range list {
-		if u := int(e >> stepBits / uint64(W)); u != prev {
-			ix.ownRow(u)
-			prev = u
-		}
-	}
-	if workers > len(list) {
-		workers = len(list)
-	}
-	logs := make([]repairLog, workers)
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		lo, hi := wk*len(list)/workers, (wk+1)*len(list)/workers
-		wg.Add(1)
-		go func(lg *repairLog, chunk []uint64) {
-			defer wg.Done()
-			for _, e := range chunk {
-				wid, t0 := e>>stepBits, int(e&(1<<stepBits-1))
-				u, w := int(wid/uint64(W)), int(wid%uint64(W))
-				if ix.resampleLogged(u, w, t0, lg) {
-					if len(lg.dirty) == 0 || lg.dirty[len(lg.dirty)-1] != u {
-						lg.dirty = append(lg.dirty, u)
-					}
-				}
-			}
-		}(&logs[wk], list[lo:hi])
-	}
-	wg.Wait()
-	var dirty []int
-	for wk := range logs {
-		lg := &logs[wk]
-		ix.stepsResampled += lg.steps
-		ix.live += lg.live
-		ix.total += lg.total
-		for _, pe := range lg.posts {
-			ix.postings[pe.v] = append(ix.postings[pe.v], pe.p)
-		}
-		for _, u := range lg.dirty {
-			if len(dirty) == 0 || dirty[len(dirty)-1] != u {
-				dirty = append(dirty, u)
-			}
-		}
-	}
-	return dirty
-}
-
-// resampleLogged is resampleSuffix writing its side effects into a
-// worker-private log instead of the shared index state: positions land
-// in the (pre-claimed) walk row directly, posting appends and counter
-// bumps are deferred to the serial merge.
-func (ix *Index) resampleLogged(u, w, t0 int, lg *repairLog) (changedAny bool) {
-	L, stride := ix.walkLen, ix.stride()
-	row := ix.rows[u] // claimed by repairParallel's serial ownRow pass
-	off := w * stride
-	base := ix.walkBase(u, w)
-	wid := uint64(u)*uint64(ix.walks) + uint64(w)
-	for t := t0 + 1; t <= L; t++ {
-		lg.steps++
-		np := ix.step(row[off+t-1], base, t)
-		op := row[off+t]
-		if np == op {
-			continue
-		}
-		changedAny = true
-		if t < L {
-			if op >= 0 {
-				lg.live--
-			}
-			if np >= 0 {
-				lg.posts = append(lg.posts, postEvent{np, wid<<stepBits | uint64(t)})
-				lg.total++
-				lg.live++
-			}
-		}
-		row[off+t] = np
-	}
-	return changedAny
 }
 
 // resampleSuffix recomputes walk w of node u from step t0+1 onward with
@@ -617,7 +485,6 @@ func (ix *Index) Clone() *Index {
 		powc: ix.powc,
 		gen:  ix.gen, walksRepaired: ix.walksRepaired, stepsResampled: ix.stepsResampled,
 		total: ix.total, live: ix.live, edges: ix.edges,
-		workers: ix.workers,
 	}
 	dup.rows = make([][]int32, ix.n)
 	for u, row := range ix.rows {
@@ -831,16 +698,6 @@ func (ix *Index) TopK(a, k, walks, refineFactor int) []Scored {
 		k = len(refined)
 	}
 	return refined[:k]
-}
-
-// SetWorkers bounds the goroutines one repair fans suffix resampling
-// across: 0 (the default) selects GOMAXPROCS, 1 forces the serial path.
-// Single-writer path — call it only between Apply calls.
-func (ix *Index) SetWorkers(workers int) {
-	if workers < 0 {
-		workers = 0
-	}
-	ix.workers = workers
 }
 
 // insertSorted adds v to an ascending slice, reporting false if present.

@@ -160,8 +160,9 @@ type StatsResponse struct {
 
 	// Update commit latency over a sliding window of recent apply calls
 	// (µs per coalesced cycle, the engine-side cost a ?wait=1 client
-	// waits through), and the worker count the update path fans out to
-	// (0 = auto, 1 = serial). Both zero until the first commit.
+	// waits through), zero until the first commit. update_workers keeps
+	// its wire name but reports Options.Workers, the batch kernel's
+	// width (0 = GOMAXPROCS); updates themselves run on one goroutine.
 	UpdateP50Us   int64 `json:"update_p50_us"`
 	UpdateP99Us   int64 `json:"update_p99_us"`
 	UpdateWorkers int   `json:"update_workers"`

@@ -81,13 +81,9 @@ func (a *Approx) Seed() int64 { return a.seed }
 // Index exposes the underlying walk index (tests, diagnostics).
 func (a *Approx) Index() *montecarlo.Index { return a.idx }
 
-// SetWorkers bounds the goroutines one walk repair fans suffix
-// resampling across (see montecarlo.Index.SetWorkers): 0 selects
-// GOMAXPROCS, 1 forces the serial path. Every repaired position is a
-// pure function of (seed, node, walk, step), so the index is
-// bit-identical at every setting. Single-writer path — call it only
-// between updates.
-func (a *Approx) SetWorkers(workers int) { a.idx.SetWorkers(workers) }
+// SetWorkers does nothing: approx has no batch kernel, and walk repair
+// runs on the calling goroutine.
+func (a *Approx) SetWorkers(int) {}
 
 // N returns the node count.
 func (a *Approx) N() int { return a.idx.N() }
@@ -127,9 +123,6 @@ func (a *Approx) Recompute(g *graph.DiGraph, ups []graph.Update, _ Params) {
 	}
 	a.idx.Reset(g)
 }
-
-// Close is a no-op: walk repair keeps no goroutines between updates.
-func (a *Approx) Close() {}
 
 // RepairGen returns the repair-generation counter (persisted in
 // snapshots).

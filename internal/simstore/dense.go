@@ -142,9 +142,8 @@ func (d *Dense) AddNodes(count int, diag float64) Store {
 	for v := oldN; v < n; v++ {
 		next.Set(v, v, diag)
 	}
-	// The workspace is sized for the old n: stop its pool, whose blocked
-	// goroutines would otherwise leak; the grown store builds its own.
-	d.Close()
+	// The workspace is sized for the old n; the grown store builds its
+	// own on its first write.
 	grown := WrapDense(next)
 	grown.workers = d.workers
 	return grown

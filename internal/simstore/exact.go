@@ -8,9 +8,9 @@ import (
 // exact is the write path the dense and packed stores share: the
 // persistent core.Workspace Inc-SR and Inc-uSR run in — the maintained
 // transition matrices plus every update scratch buffer, so a warm update
-// allocates nothing — and the worker count it and the batch kernel fan
-// out across. The workspace is built from the graph on the first write;
-// sealed views hold the zero value.
+// allocates nothing — and the worker count the batch kernel fans out
+// across. Updates run on the calling goroutine. The workspace is built
+// from the graph on the first write; sealed views hold the zero value.
 type exact struct {
 	ws      *core.Workspace
 	workers int
@@ -21,7 +21,6 @@ type exact struct {
 func (x *exact) workspace(g *graph.DiGraph) *core.Workspace {
 	if x.ws == nil {
 		x.ws = core.NewWorkspace(g)
-		x.ws.SetWorkers(x.workers)
 	}
 	return x.ws
 }
@@ -61,18 +60,5 @@ func (x *exact) follow(g *graph.DiGraph, ups []graph.Update) *core.Workspace {
 	return x.workspace(g)
 }
 
-// SetWorkers sets the worker count of the batch kernel and the update
-// workspace.
-func (x *exact) SetWorkers(workers int) {
-	x.workers = workers
-	if x.ws != nil {
-		x.ws.SetWorkers(workers)
-	}
-}
-
-// Close stops the workspace's update worker pool.
-func (x *exact) Close() {
-	if x.ws != nil {
-		x.ws.StopPool()
-	}
-}
+// SetWorkers sets the worker count of the batch kernel.
+func (x *exact) SetWorkers(workers int) { x.workers = workers }

@@ -203,7 +203,6 @@ func (p *Packed) Recompute(g *graph.DiGraph, ups []graph.Update, prm Params) {
 // packed segment is copied into the prefix of its new (longer) segment,
 // new diagonals get diag. The result is a fresh, never-sealed store.
 func (p *Packed) AddNodes(count int, diag float64) Store {
-	p.Close() // as in Dense.AddNodes
 	next := NewPacked(p.n + count)
 	next.workers = p.workers
 	for i := 0; i < p.n; i++ {

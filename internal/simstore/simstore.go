@@ -77,7 +77,7 @@ type Params struct {
 // square (n×n) and logically symmetric.
 //
 // Concurrency: the read methods (N through Seal) are safe for concurrent
-// readers. The write methods (Update through Close) belong to the single
+// readers. The write methods (Update through SetWorkers) belong to the single
 // writer, require exclusive access and are never called on a sealed view
 // (the sealedwrite analyzer rejects such a call).
 //
@@ -104,10 +104,8 @@ type Params struct {
 // holds one buffer, logs nothing, and its write paths skip the
 // copy-on-write checks' slow half entirely.
 //
-// Every store is written from one goroutine at a time: the update
-// kernels fan out their Q·x products and M accumulations, but write S
-// serially, and approx parallelizes its repair internally
-// (SetWorkers).
+// Every update runs on the writer's goroutine, on every backend: the
+// only fan-out is the exact stores' batch kernel (SetWorkers).
 type Store interface {
 	// N returns the node count.
 	N() int
@@ -160,17 +158,15 @@ type Store interface {
 	// AddNodes returns a store over n+count nodes: old scores preserved,
 	// new rows zero except s(v, v) = diag (the approx backend grows its
 	// walk index in place — diag is implicit, s(v,v) = 1 by definition —
-	// and returns the receiver). The receiver's update worker pool is
-	// stopped; the grown store keeps its worker setting.
+	// and returns the receiver). The grown store keeps the receiver's
+	// worker setting.
 	AddNodes(count int, diag float64) Store
-	// SetWorkers bounds the goroutines the write path fans out across:
-	// the batch kernel and the update workspace on the exact stores,
-	// walk repair on approx. 0 selects GOMAXPROCS; every setting gives
-	// bit-identical results.
+	// SetWorkers bounds the goroutines the exact stores' batch kernel
+	// (Recompute) fans out across; 0 selects GOMAXPROCS, and every
+	// setting gives bit-identical results. Updates run on the calling
+	// goroutine at every setting, and approx, which has no batch kernel,
+	// ignores it.
 	SetWorkers(workers int)
-	// Close stops the store's persistent update worker pool, if any. The
-	// store stays usable; the pool respawns on the next parallel update.
-	Close()
 }
 
 // Sampler is the optional query surface of sampling backends: top-k by
@@ -208,7 +204,6 @@ func New(b Backend, g *graph.DiGraph, p Params, workers, walks int, seed int64) 
 		if err != nil {
 			return nil, err
 		}
-		a.SetWorkers(workers)
 		return a, nil
 	}
 	return nil, fmt.Errorf("simstore: unknown backend %q", b)

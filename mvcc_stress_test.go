@@ -122,8 +122,8 @@ type mvccObs struct {
 // whose deterministic stored-walk queries make the same bit-replay
 // valid even though every commit there is an incremental walk repair.
 // The whole matrix also runs at Workers ∈ {1, 2, 4, 8} while the
-// replay oracle stays serial, so every row-parallel commit is checked
-// bit-for-bit against the sequential floats.
+// replay oracle stays serial, so the batch kernel's row-parallel boot
+// and recomputes are checked bit-for-bit against the sequential floats.
 func TestMVCCStressSnapshotIsolation(t *testing.T) {
 	for _, backend := range []Backend{BackendDense, BackendPacked, BackendApprox} {
 		for _, workers := range []int{1, 2, 4, 8} {

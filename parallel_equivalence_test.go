@@ -3,20 +3,25 @@ package simrank
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/gen"
 	"repro/internal/matrix"
 )
 
-// TestParallelUpdateBitEquivalence is the determinism contract for the
-// row-parallel incremental path: the SAME update stream applied at
-// Workers ∈ {2, 4, 8} must leave every backend's store bit-identical
-// to a serial (Workers=1) oracle after every single step — not merely
-// close. No fan-out splits the accumulations into one cell across
-// workers, and Inc-SR's write-back is the same serial scan at every
-// worker count, so equality here is exact float equality.
-// Run with -race in CI to also prove the fan-out is data-race free.
+// TestParallelUpdateBitEquivalence is the determinism contract across
+// worker counts: the SAME stream of unit updates, batches and node
+// growth applied at Workers ∈ {2, 4, 8} must leave every backend's store
+// bit-identical to a serial (Workers=1) oracle after every single step —
+// not merely close. Unit updates run on the calling goroutine at every
+// worker count; the batches that cross ApplyBatch's recompute threshold
+// run the row-parallel batch kernel, which never splits the
+// accumulations into one cell across workers, so equality here is exact
+// float equality. Run with -race in CI to also prove the kernel's
+// fan-out is data-race free.
 func TestParallelUpdateBitEquivalence(t *testing.T) {
 	type cfg struct {
 		backend        Backend
@@ -131,12 +136,12 @@ func TestParallelUpdateBitEquivalence(t *testing.T) {
 	}
 }
 
-// TestSetWorkersDuringUpdates is the -race regression test for the
-// worker-pool resize path: SetWorkers used to swap the per-worker
-// scratch while an in-flight Apply could still be fanning out over it.
-// The fix serializes resizes with updates under the writer lock, so
-// hammering both concurrently must produce no races and leave the
-// store bit-identical to a serial replay of the same update sequence.
+// TestSetWorkersDuringUpdates is the -race test for resizing while a
+// writer streams: ConcurrentEngine.SetWorkers serializes with updates
+// under the writer lock and publishes the new Options, so hammering both
+// concurrently must produce no races and leave the store bit-identical
+// to a serial replay of the same update sequence. The engine starts from
+// the batch kernel's scores at Workers = 2, the replay at Workers = 1.
 func TestSetWorkersDuringUpdates(t *testing.T) {
 	const (
 		n     = 24
@@ -198,5 +203,54 @@ func TestSetWorkersDuringUpdates(t *testing.T) {
 	}
 	if d := matrix.MaxAbsDiff(ce.Similarities(), serial.Similarities()); d != 0 {
 		t.Fatalf("updates interleaved with SetWorkers drifted %g from serial replay", d)
+	}
+}
+
+// TestUpdatesRunOnCallerGoroutine pins that an incremental update starts
+// no goroutine on any backend, whatever Workers says: Workers sizes only
+// the batch kernel, whose goroutines are joined before NewEngine
+// returns. The engines are never closed, so a goroutine an update leaves
+// behind stays counted.
+func TestUpdatesRunOnCallerGoroutine(t *testing.T) {
+	g := gen.PrefAttach(64, 4, 7)
+	edges := absentEdges(g, 25, 31)
+	cases := []struct {
+		backend        Backend
+		disablePruning bool
+	}{
+		{BackendDense, false},
+		{BackendDense, true},
+		{BackendPacked, false},
+		{BackendPacked, true},
+		{BackendApprox, false},
+	}
+	for _, tc := range cases {
+		t.Run(fmt.Sprintf("%s/pruning=%v", tc.backend, !tc.disablePruning), func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			eng, err := NewEngine(g.N(), g.Edges(), Options{
+				K: 10, Workers: 4, Backend: tc.backend, DisablePruning: tc.disablePruning, ApproxWalks: 32,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range edges {
+				if _, err := eng.Insert(e.From, e.To); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := eng.Delete(e.From, e.To); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// A joined goroutine may still be on its way out when Wait
+			// returns, so allow the count a moment to settle.
+			deadline := time.Now().Add(2 * time.Second)
+			for runtime.NumGoroutine() > before {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after %d updates at Workers=4, %d before the engine was built",
+						runtime.NumGoroutine(), 2*len(edges), before)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
 	}
 }

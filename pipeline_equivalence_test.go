@@ -40,10 +40,11 @@ func (m *streamModel) randomUpdate(rng *rand.Rand) Update {
 // folded through arbitrary interleavings of Apply, ApplyBatch (whose
 // batch sizes straddle the recompute crossover) and AddNodes, must land
 // on the same similarities as a fresh engine built over the final edge
-// set — within 1e-12, with pruning on and off, sequentially and at
-// every parallel worker count the incremental write-back partitions
-// over (2, 4, 8 — plus oversubscription relative to the tiny graphs,
-// which exercises the empty-range edges of the row partition).
+// set — within 1e-12, with pruning on and off, at Workers ∈ {1, 2, 4,
+// 8}. Unit updates are serial at every count; the batch kernel behind
+// the construction and the recompute crossover partitions by row, and 8
+// oversubscribes the tiny graphs, which exercises the empty-range edges
+// of that partition.
 func TestPipelineEquivalenceRandomStreams(t *testing.T) {
 	for _, disablePruning := range []bool{false, true} {
 		for _, workers := range []int{1, 2, 4, 8} {

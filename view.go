@@ -129,26 +129,13 @@ type engineView struct {
 	storeBytes int64
 	published  time.Time
 
-	// dirtyRows is the detached snapshot of the publishing update's
-	// core.Stats.DirtyRows (nil for non-update publishes): taken once
-	// here, it gives ConcurrentEngine.Apply a caller-owned slice without
-	// a second copy dance.
-	dirtyRows []int
-
 	readers atomic.Int64
 }
 
 // sealView freezes the engine's current state into a publishable view.
-// Writer-side only; cost is O(n) pointer copies for the graph seal plus
-// O(|dirty|) for the stats snapshot — no similarity payload is copied.
-// withDirty is set only by Apply's publish, where lastStats is the
-// publishing update's own (other publishes must not stamp stale
-// workspace scratch on the view).
-func (e *Engine) sealView(withDirty bool) *engineView {
-	var dirty []int
-	if withDirty {
-		dirty = append([]int(nil), e.lastStats.DirtyRows...)
-	}
+// Writer-side only; cost is O(n) pointer copies for the graph seal — no
+// similarity payload is copied.
+func (e *Engine) sealView() *engineView {
 	return &engineView{
 		readPath:   readPath{s: e.s.Seal(), cache: e.cache, epoch: e.epoch},
 		g:          e.g.Seal(),
@@ -157,7 +144,6 @@ func (e *Engine) sealView(withDirty bool) *engineView {
 		opts:       e.opts,
 		storeBytes: e.s.MemBytes(),
 		published:  time.Now(),
-		dirtyRows:  dirty,
 	}
 }
 

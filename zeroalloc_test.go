@@ -59,11 +59,9 @@ func TestEngineApplyZeroAllocs(t *testing.T) {
 	}
 }
 
-// The parallel update path shares the steady-state guarantee: after the
-// first Apply spawns the worker pool and sizes the partition bounds
-// (the audited //simrank:coldpath lines), a warm row-parallel Apply
-// dispatches over persistent channels into persistent buffers and must
-// not allocate at all.
+// Workers sizes only the batch kernel: an engine built at Workers = 4
+// updates on the calling goroutine, and a warm Apply there must not
+// allocate at all either.
 func TestEngineApplyParallelZeroAllocs(t *testing.T) {
 	skipIfRace(t)
 	rng := rand.New(rand.NewSource(17))
@@ -84,7 +82,7 @@ func TestEngineApplyParallelZeroAllocs(t *testing.T) {
 			}
 		}
 	}
-	toggle() // warm up: pool spawn and scratch growth happen here
+	toggle() // warm up: scratch growth happens here
 	if allocs := testing.AllocsPerRun(20, toggle); allocs != 0 {
 		t.Fatalf("warm parallel Apply allocated %v times per toggle pass, want 0", allocs)
 	}
