@@ -31,7 +31,10 @@ import (
 // Memory: dense and packed writers keep a second score buffer (n×n or
 // the n(n+1)/2 triangle) and re-sync only the cells the previous commit
 // wrote (warm Apply stays zero-allocation); approx writers copy-on-write
-// per-node walk rows as repairs touch them. A long-running reader
+// per-node walk rows as repairs change them. Every publish seals the
+// graph, and on approx the walk index, by copying ⌈n/64⌉ block
+// pointers; a write then clones the 64-row block header and the row it
+// changes, once per seal. A long-running reader
 // pinning an old view costs at most its view's buffers — the writer
 // detects the straggler and abandons the buffer to the GC instead of
 // blocking or racing it.

@@ -62,7 +62,9 @@
 // double-buffer and re-sync only the cells each commit wrote (warm Apply
 // stays zero-allocation), and approx copy-on-writes per-node walk rows,
 // so a pinned view keeps serving its frozen walk set while the writer
-// repairs past it. The plain Engine never seals and pays nothing.
+// repairs past it. The walk rows and the graph's out-adjacency sit in
+// 64-row blocks (internal/cow), so each of their seals copies ⌈n/64⌉
+// block pointers. The plain Engine never seals and pays nothing.
 // See the README's "Concurrency model" section for costs and the
 // straggling-reader story.
 //

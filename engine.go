@@ -292,8 +292,9 @@ func (e *Engine) Delete(i, j int) (UpdateStats, error) {
 // instead.
 //
 // On the approx backend the update instead repairs the stored-walk
-// index: DirtyRows is a fresh slice naming the nodes whose walk sets
-// changed, and the only stats populated are DirtyRows itself.
+// index: DirtyRows names the nodes whose walk sets changed, under the
+// same lifetime contract (it aliases the index's repair scratch), and
+// the only stats populated are DirtyRows itself.
 //
 //simrank:noalloc
 func (e *Engine) Apply(up Update) (UpdateStats, error) {

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/cow"
 	"repro/internal/matrix"
 )
 
@@ -24,18 +25,14 @@ type Edge struct {
 // DiGraph is a mutable directed graph over nodes 0..N-1. Both out- and
 // in-adjacency are maintained so O(a) and I(a) lookups are O(1).
 type DiGraph struct {
-	n   int
-	out []map[int]struct{}
+	n int
+	// out is the out-adjacency, one set per node in a copy-on-write
+	// table that Seal shares with snapshots. Only the out-adjacency is
+	// sealed: snapshots serve HasEdge and Edges, both out-side; the
+	// in-adjacency stays writer-private.
+	out cow.Table[map[int]struct{}]
 	in  []map[int]struct{}
 	m   int // number of edges
-
-	// outShared is the copy-on-write ledger behind Seal, nil until the
-	// first Seal (a never-sealed graph mutates fully in place).
-	// outShared[i] means row i's out-map is referenced by at least one
-	// sealed Snapshot, so a mutation of that row clones the map first.
-	// Only the out-adjacency is sealed: snapshots serve HasEdge and
-	// Edges, both out-side; the in-adjacency stays writer-private.
-	outShared []bool
 }
 
 // Snapshot is an immutable point-in-time view of a graph's topology,
@@ -45,36 +42,26 @@ type DiGraph struct {
 // enumeration (for snapshot serialization).
 type Snapshot struct {
 	n, m int
-	out  []map[int]struct{}
+	out  cow.Table[map[int]struct{}]
 }
 
 // Seal returns an immutable snapshot sharing the current out-adjacency:
-// O(n) pointer copies, no per-edge work. Subsequent writer mutations
-// clone each touched row before changing it, so the snapshot never
-// observes them.
+// ⌈n/64⌉ block pointer copies (cow.Table.Seal), no per-edge work. The
+// writer's next mutation of a row clones the row's block header and
+// then its out-set, so the snapshot never observes it.
 func (g *DiGraph) Seal() *Snapshot {
-	if len(g.outShared) != g.n {
-		g.outShared = make([]bool, g.n)
-	}
-	for i := range g.outShared {
-		g.outShared[i] = true
-	}
-	return &Snapshot{n: g.n, m: g.m, out: append([]map[int]struct{}(nil), g.out...)}
+	return &Snapshot{n: g.n, m: g.m, out: g.out.Seal()}
 }
 
-// ownOut makes row i's out-map exclusively the writer's, cloning it if a
-// sealed snapshot still references it. Called before every row mutation;
-// free (one nil check) on graphs never sealed.
-func (g *DiGraph) ownOut(i int) {
-	if g.outShared == nil || i >= len(g.outShared) || !g.outShared[i] {
-		return
-	}
-	dup := make(map[int]struct{}, len(g.out[i])+1)
-	for j := range g.out[i] {
+// cloneSet copies an out-set for a writer about to change it, with room
+// for the one edge it is about to gain.
+func cloneSet(s map[int]struct{}) map[int]struct{} {
+	dup := make(map[int]struct{}, len(s)+1)
+	//simrank:orderinvariant set copy; the resulting set is order-free
+	for j := range s {
 		dup[j] = struct{}{}
 	}
-	g.out[i] = dup
-	g.outShared[i] = false
+	return dup
 }
 
 // N returns the number of nodes.
@@ -89,13 +76,13 @@ func (s *Snapshot) HasEdge(i, j int) bool {
 	if i < 0 || i >= s.n || j < 0 || j >= s.n {
 		return false
 	}
-	_, ok := s.out[i][j]
+	_, ok := s.out.Get(i)[j]
 	return ok
 }
 
 // Edges returns all edges sorted by (From, To) — the same enumeration
 // DiGraph.Edges produces, from the sealed topology.
-func (s *Snapshot) Edges() []Edge { return sortedEdges(s.n, s.m, s.out) }
+func (s *Snapshot) Edges() []Edge { return sortedEdges(s.m, &s.out) }
 
 // New returns an empty directed graph with n nodes.
 func New(n int) *DiGraph {
@@ -104,11 +91,11 @@ func New(n int) *DiGraph {
 	}
 	g := &DiGraph{
 		n:   n,
-		out: make([]map[int]struct{}, n),
+		out: cow.New(cloneSet),
 		in:  make([]map[int]struct{}, n),
 	}
 	for i := 0; i < n; i++ {
-		g.out[i] = make(map[int]struct{})
+		g.out.Append(make(map[int]struct{}))
 		g.in[i] = make(map[int]struct{})
 	}
 	return g
@@ -135,7 +122,7 @@ func (g *DiGraph) AddNodes(k int) int {
 	}
 	first := g.n
 	for i := 0; i < k; i++ {
-		g.out = append(g.out, make(map[int]struct{}))
+		g.out.Append(make(map[int]struct{}))
 		g.in = append(g.in, make(map[int]struct{}))
 	}
 	g.n += k
@@ -155,7 +142,7 @@ func (g *DiGraph) check(v int) {
 func (g *DiGraph) HasEdge(i, j int) bool {
 	g.check(i)
 	g.check(j)
-	_, ok := g.out[i][j]
+	_, ok := g.out.Get(i)[j]
 	return ok
 }
 
@@ -165,11 +152,10 @@ func (g *DiGraph) HasEdge(i, j int) bool {
 func (g *DiGraph) AddEdge(i, j int) bool {
 	g.check(i)
 	g.check(j)
-	if _, ok := g.out[i][j]; ok {
+	if _, ok := g.out.Get(i)[j]; ok {
 		return false
 	}
-	g.ownOut(i)
-	g.out[i][j] = struct{}{}
+	g.out.Own(i)[j] = struct{}{}
 	g.in[j][i] = struct{}{}
 	g.m++
 	return true
@@ -179,11 +165,10 @@ func (g *DiGraph) AddEdge(i, j int) bool {
 func (g *DiGraph) RemoveEdge(i, j int) bool {
 	g.check(i)
 	g.check(j)
-	if _, ok := g.out[i][j]; !ok {
+	if _, ok := g.out.Get(i)[j]; !ok {
 		return false
 	}
-	g.ownOut(i)
-	delete(g.out[i], j)
+	delete(g.out.Own(i), j)
 	delete(g.in[j], i)
 	g.m--
 	return true
@@ -198,7 +183,7 @@ func (g *DiGraph) InDegree(v int) int {
 // OutDegree returns |O(v)|.
 func (g *DiGraph) OutDegree(v int) int {
 	g.check(v)
-	return len(g.out[v])
+	return len(g.out.Get(v))
 }
 
 // InNeighbors returns I(v) in ascending order.
@@ -210,7 +195,7 @@ func (g *DiGraph) InNeighbors(v int) []int {
 // OutNeighbors returns O(v) in ascending order.
 func (g *DiGraph) OutNeighbors(v int) []int {
 	g.check(v)
-	return sortedKeys(g.out[v])
+	return sortedKeys(g.out.Get(v))
 }
 
 // EachInNeighbor calls fn for every in-neighbor of v (unordered).
@@ -226,7 +211,7 @@ func (g *DiGraph) EachInNeighbor(v int, fn func(u int)) {
 func (g *DiGraph) EachOutNeighbor(v int, fn func(u int)) {
 	g.check(v)
 	//simrank:orderinvariant contract: callers fold commutatively (unordered by doc; audited in rankone.go, stats.go)
-	for u := range g.out[v] {
+	for u := range g.out.Get(v) {
 		fn(u)
 	}
 }
@@ -242,17 +227,17 @@ func sortedKeys(s map[int]struct{}) []int {
 }
 
 // Edges returns all edges sorted by (From, To).
-func (g *DiGraph) Edges() []Edge { return sortedEdges(g.n, g.m, g.out) }
+func (g *DiGraph) Edges() []Edge { return sortedEdges(g.m, &g.out) }
 
 // sortedEdges enumerates an out-adjacency into the canonical (From, To)
 // order — shared by the live graph and sealed snapshots, so the
 // snapshot file format sees one enumeration no matter which side
 // serialized it.
-func sortedEdges(n, m int, out []map[int]struct{}) []Edge {
+func sortedEdges(m int, out *cow.Table[map[int]struct{}]) []Edge {
 	es := make([]Edge, 0, m)
-	for i := 0; i < n; i++ {
+	for i := 0; i < out.Len(); i++ {
 		//simrank:orderinvariant collects edges only; canonically sorted below
-		for j := range out[i] {
+		for j := range out.Get(i) {
 			es = append(es, Edge{i, j})
 		}
 	}
@@ -270,7 +255,7 @@ func (g *DiGraph) Clone() *DiGraph {
 	c := New(g.n)
 	for i := 0; i < g.n; i++ {
 		//simrank:orderinvariant set insertion; the resulting adjacency sets are order-free
-		for j := range g.out[i] {
+		for j := range g.out.Get(i) {
 			c.AddEdge(i, j)
 		}
 	}
@@ -314,7 +299,7 @@ func (g *DiGraph) Adjacency() *matrix.CSR {
 	var vs []float64
 	for i := 0; i < g.n; i++ {
 		//simrank:orderinvariant COO triples; NewCSR sorts by (i,j) before building
-		for j := range g.out[i] {
+		for j := range g.out.Get(i) {
 			is = append(is, i)
 			js = append(js, j)
 			vs = append(vs, 1)

@@ -1,7 +1,10 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -373,4 +376,81 @@ func TestSealConcurrentReaders(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
+}
+
+// Snapshots must stay frozen when the graph spans several copy-on-write
+// blocks: random edge toggles, seals and AddNodes growth — including
+// growth into a shared, partly filled last block and across a block
+// boundary — checked against each snapshot's edge list at seal time
+// after every step.
+func TestSealIsolationAcrossBlocks(t *testing.T) {
+	type frozen struct {
+		snap  *Snapshot
+		n     int
+		edges []Edge
+	}
+	for _, n := range []int{63, 64, 65, 130} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(n)))
+			g := New(n)
+			for g.M() < 3*n {
+				g.AddEdge(rng.Intn(n), rng.Intn(n))
+			}
+			views := []frozen{{g.Seal(), g.N(), g.Edges()}}
+			for step := 0; step < 200; step++ {
+				switch op := rng.Intn(20); {
+				case op == 0:
+					g.AddNodes(1 + rng.Intn(3))
+				case op < 3:
+					views = append(views, frozen{g.Seal(), g.N(), g.Edges()})
+				default:
+					i, j := rng.Intn(g.N()), rng.Intn(g.N())
+					if !g.RemoveEdge(i, j) {
+						g.AddEdge(i, j)
+					}
+				}
+				for v, f := range views {
+					if f.snap.N() != f.n || f.snap.M() != len(f.edges) {
+						t.Fatalf("step %d view %d: N=%d M=%d, sealed with N=%d M=%d", step, v, f.snap.N(), f.snap.M(), f.n, len(f.edges))
+					}
+					if got := f.snap.Edges(); !slices.Equal(got, f.edges) {
+						t.Fatalf("step %d view %d: edges drifted from the sealed state", step, v)
+					}
+					for _, e := range f.edges[:min(8, len(f.edges))] {
+						if !f.snap.HasEdge(e.From, e.To) {
+							t.Fatalf("step %d view %d: sealed edge %v missing", step, v, e)
+						}
+					}
+				}
+			}
+			if g.N() <= n {
+				t.Fatal("the stream never grew the graph")
+			}
+		})
+	}
+}
+
+// sealSink keeps sealed views on the heap, as a publish does.
+var sealSink *Snapshot
+
+// A seal copies one pointer per 64-row block, not one per node: at
+// n = 5000 it allocates the snapshot header and 79 block pointers,
+// well under 1 KB, whatever the writer did since the last seal.
+func TestSealAllocatesPerBlock(t *testing.T) {
+	const n, calls = 5000, 200
+	g := New(n)
+	for i := 0; i < n; i++ {
+		g.AddEdge(i, (i+1)%n)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		sealSink = g.Seal()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per >= 1024 {
+		t.Fatalf("Seal at n = %d allocated %d B per call, want < 1 KB", n, per)
+	} else {
+		t.Logf("Seal at n = %d allocates %d B per call", n, per)
+	}
 }

@@ -29,7 +29,7 @@ func oraclePair(ix *Index, a, b, walks int) float64 {
 	if a == b {
 		return 1
 	}
-	rowA, rowB := ix.rows[a], ix.rows[b]
+	rowA, rowB := ix.rows.Get(a), ix.rows.Get(b)
 	var sum float64
 	for w := 0; w < walks; w++ {
 		if t := oracleMeetStep(ix, rowA, rowB, w*ix.stride()); t >= 0 {
@@ -45,7 +45,7 @@ func oraclePairStderr(ix *Index, a, b, walks int) (est, stderr float64) {
 	if a == b {
 		return 1, 0
 	}
-	rowA, rowB := ix.rows[a], ix.rows[b]
+	rowA, rowB := ix.rows.Get(a), ix.rows.Get(b)
 	var sum, sumSq float64
 	for w := 0; w < walks; w++ {
 		var v float64
@@ -106,7 +106,7 @@ func requireWalkInvariants(t *testing.T, ix *Index, label string) {
 	t.Helper()
 	stride := ix.stride()
 	for v := 0; v < ix.n; v++ {
-		row := ix.rows[v]
+		row := ix.rows.Get(v)
 		dead0 := row[1] < 0
 		for w := 0; w < ix.walks; w++ {
 			off := w * stride
@@ -214,7 +214,7 @@ func queryNodes(t *testing.T, ix *Index, base, grown, randQuery int, rng *rand.R
 	t.Helper()
 	dead, hub, hubLive := -1, -1, -1
 	for v := 0; v < ix.n; v++ {
-		row := ix.rows[v]
+		row := ix.rows.Get(v)
 		if row[1] < 0 {
 			if dead < 0 {
 				dead = v

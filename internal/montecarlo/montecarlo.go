@@ -44,6 +44,7 @@ import (
 	"slices"
 	"sort"
 
+	"repro/internal/cow"
 	"repro/internal/graph"
 )
 
@@ -70,8 +71,9 @@ func mix64(x uint64) uint64 {
 // walks of length ≤ L per node, positioned by derived seeds, plus the
 // per-node postings that make incremental repair affected-area-local.
 // A writer mutates it through Apply/AddNodes/Reset; Seal publishes an
-// immutable point-in-time view for concurrent readers (per-node walk
-// rows are copy-on-write, so sealing is O(n) pointer copies).
+// immutable point-in-time view for concurrent readers. The per-node walk
+// rows sit in a copy-on-write table (cow.Table), so sealing copies
+// ⌈n/64⌉ block pointers and a repair clones only the rows it changes.
 type Index struct {
 	n       int
 	c       float64
@@ -87,15 +89,12 @@ type Index struct {
 	// sealed views (queries never sample, they read stored positions).
 	ins [][]int32
 
-	// rows[u] holds node u's W walks contiguously: walk w occupies
-	// rows[u][w*(L+1) .. w*(L+1)+L], position -1 marking a dead walk
-	// (it reached a node with no in-neighbors). rows[u][w*(L+1)] == u.
-	rows [][]int32
-
-	// shared is the copy-on-write ledger: shared[u] means rows[u] is
-	// referenced by at least one sealed view, so a repair of u's walks
-	// clones the row first. Nil until the first Seal.
-	shared []bool
+	// rows.Get(u) holds node u's W walks contiguously: walk w occupies
+	// positions w*(L+1) .. w*(L+1)+L, -1 marking a dead walk (it reached
+	// a node with no in-neighbors), and position w*(L+1) is u itself.
+	// Sealed views share the table's blocks; the writer clones a row
+	// before it changes one (cow.Table.Own).
+	rows   cow.Table[[]int32]
 	sealed bool
 
 	// postings[v] packs the (walk, step) occurrences at v for steps
@@ -112,6 +111,12 @@ type Index struct {
 	// edges is Σ|ins[v]|, kept by Reset and Apply for MemBytes.
 	// Writer-owned; 0 on sealed views.
 	edges int
+
+	// work and dirty are repair's scratch, reused by every update: the
+	// packed (walk, step) work list and the owners of changed walks,
+	// which Apply returns. Writer-owned; Seal and Clone carry neither.
+	work  []uint64
+	dirty []int
 
 	// gen counts repair events (persisted by snapshots as the
 	// repair-generation counter); walksRepaired and stepsResampled are
@@ -215,12 +220,11 @@ func (ix *Index) Reset(g *graph.DiGraph) {
 		ix.ins[v] = row
 		ix.edges += len(row)
 	}
-	ix.rows = make([][]int32, n)
-	ix.shared = nil
+	ix.rows = cow.New(slices.Clone[[]int32])
 	ix.postings = make([][]uint64, n)
 	ix.total, ix.live = 0, 0
 	for u := 0; u < n; u++ {
-		ix.rows[u] = ix.sampleNode(u)
+		ix.rows.Append(ix.sampleNode(u))
 	}
 	for u := 0; u < n; u++ {
 		ix.postNode(u)
@@ -258,7 +262,7 @@ func (ix *Index) step(prev int32, base uint64, t int) int32 {
 // postNode appends node u's live walk occurrences to the postings.
 func (ix *Index) postNode(u int) {
 	stride := ix.stride()
-	row := ix.rows[u]
+	row := ix.rows.Get(u)
 	for w := 0; w < ix.walks; w++ {
 		wid := uint64(u)*uint64(ix.walks) + uint64(w)
 		off := w * stride
@@ -276,7 +280,8 @@ func (ix *Index) postNode(u int) {
 // exactly the invalidated walk suffixes. It returns the ascending list
 // of nodes whose stored walks changed (the MVCC DirtyRows set) and
 // whether the graph actually changed (false for an insert of a present
-// edge or a delete of an absent one — then nothing was touched).
+// edge or a delete of an absent one — then nothing was touched). The
+// list is the index's scratch: valid until the next Apply.
 func (ix *Index) Apply(up graph.Update) (dirty []int, changed bool) {
 	if ix.sealed {
 		panic("montecarlo: Apply on a sealed index view")
@@ -310,43 +315,39 @@ func (ix *Index) Apply(up graph.Update) (dirty []int, changed bool) {
 // affected step. Suffixes are resampled in full — an early exit on a
 // re-converged position would be unsound when the old suffix revisits j
 // later — and each changed position updates the postings incrementally.
-// Returns the ascending owners of changed walks.
+// Returns the ascending owners of changed walks, in the dirty scratch.
 func (ix *Index) repair(j int) []int {
 	ix.gen++
 	W, stride := ix.walks, ix.stride()
 
-	// Earliest affected step per walk. Walk IDs are dense per owner, so
-	// a (walkID → step) map stays small: |affected| entries.
-	aff := make(map[uint64]int, W+len(ix.postings[j]))
+	// The work list holds affected (walk, step) pairs packed as postings
+	// are, walkID<<stepBits | step: j's own W walks at step 0, then every
+	// live postings[j] entry. Sorted, each walk's entries sit together in
+	// ascending step order, so its first entry is its earliest affected
+	// step; ascending walk IDs mean ascending owners, so the scan emits
+	// dirty owners in order by merging consecutive duplicates.
+	work := ix.work[:0]
 	for w := 0; w < W; w++ {
-		aff[uint64(j)*uint64(W)+uint64(w)] = 0
+		work = append(work, (uint64(j)*uint64(W)+uint64(w))<<stepBits)
 	}
 	for _, p := range ix.postings[j] {
 		wid, t := p>>stepBits, int(p&(1<<stepBits-1))
 		u, w := int(wid/uint64(W)), int(wid%uint64(W))
-		if ix.rows[u][w*stride+t] != int32(j) {
+		if ix.rows.Get(u)[w*stride+t] != int32(j) {
 			continue // tombstone: the walk has since moved off j at this step
 		}
-		if prev, ok := aff[wid]; !ok || t < prev {
-			aff[wid] = t
-		}
+		work = append(work, p)
 	}
+	slices.Sort(work)
+	ix.work = work
 
-	// Flatten the map into a sorted work list (walkID<<stepBits | t0):
-	// ascending walk IDs mean ascending owners, so the scan emits dirty
-	// owners in ascending order with consecutive-duplicate merging — no
-	// set needed.
-	list := make([]uint64, 0, len(aff))
-	//simrank:orderinvariant collects keys only; sorted before use
-	for wid, t0 := range aff {
-		list = append(list, wid<<stepBits|uint64(t0))
-	}
-	slices.Sort(list)
-	ix.walksRepaired += uint64(len(list))
-
-	var dirty []int
-	for _, e := range list {
+	dirty := ix.dirty[:0]
+	for i, e := range work {
 		wid, t0 := e>>stepBits, int(e&(1<<stepBits-1))
+		if i > 0 && work[i-1]>>stepBits == wid {
+			continue // a later step of a walk already resampled from an earlier one
+		}
+		ix.walksRepaired++
 		u, w := int(wid/uint64(W)), int(wid%uint64(W))
 		if ix.resampleSuffix(u, w, t0) {
 			if len(dirty) == 0 || dirty[len(dirty)-1] != u {
@@ -354,6 +355,7 @@ func (ix *Index) repair(j int) []int {
 			}
 		}
 	}
+	ix.dirty = dirty
 	if ix.total > 2*ix.live+ix.n {
 		ix.compact()
 	}
@@ -363,11 +365,12 @@ func (ix *Index) repair(j int) []int {
 // resampleSuffix recomputes walk w of node u from step t0+1 onward with
 // the walk's derived seeds and the current in-neighbor lists, reporting
 // whether any position changed. Changed positions at steps 1..L-1 are
-// re-posted; the displaced entries become lazy tombstones.
+// re-posted; the displaced entries become lazy tombstones. The row is
+// taken for writing at its first changed position, so a resample that
+// changes nothing clones nothing.
 func (ix *Index) resampleSuffix(u, w, t0 int) (changedAny bool) {
 	L, stride := ix.walkLen, ix.stride()
-	ix.ownRow(u)
-	row := ix.rows[u]
+	row := ix.rows.Get(u)
 	off := w * stride
 	base := ix.walkBase(u, w)
 	wid := uint64(u)*uint64(ix.walks) + uint64(w)
@@ -378,7 +381,10 @@ func (ix *Index) resampleSuffix(u, w, t0 int) (changedAny bool) {
 		if np == op {
 			continue
 		}
-		changedAny = true
+		if !changedAny {
+			row = ix.rows.Own(u)
+			changedAny = true
+		}
 		if t < L {
 			if op >= 0 {
 				ix.live-- // the stale posting at op is now a tombstone
@@ -407,17 +413,6 @@ func (ix *Index) compact() {
 	}
 }
 
-// ownRow makes rows[u] exclusively the writer's, cloning it if a sealed
-// view still references it. Free (one nil check) on never-sealed
-// indexes.
-func (ix *Index) ownRow(u int) {
-	if ix.shared == nil || u >= len(ix.shared) || !ix.shared[u] {
-		return
-	}
-	ix.rows[u] = append([]int32(nil), ix.rows[u]...)
-	ix.shared[u] = false
-}
-
 // AddNodes appends count isolated nodes: their walks start at home and
 // die immediately (no in-neighbors), which is exactly what a fresh
 // rebuild over the grown graph would sample — determinism holds across
@@ -440,35 +435,27 @@ func (ix *Index) AddNodes(count int) {
 				row[off+t] = -1
 			}
 		}
-		ix.rows = append(ix.rows, row)
+		ix.rows.Append(row)
 		ix.ins = append(ix.ins, nil)
 		ix.postings = append(ix.postings, nil)
-		if ix.shared != nil {
-			ix.shared = append(ix.shared, false)
-		}
 	}
 	ix.n += count
 }
 
-// Seal returns an immutable point-in-time view of the walk set: O(n)
-// pointer copies, no walk data copied. The writer's next repair of a
-// node clones that node's row first (copy-on-write), so the view serves
-// frozen walks forever. Sealed views carry only the query surface —
-// in-neighbor lists and postings stay writer-private.
+// Seal returns an immutable point-in-time view of the walk set: ⌈n/64⌉
+// block pointer copies, no walk data copied. The writer's next change
+// to a node's walks clones that node's row first (copy-on-write), so
+// the view serves frozen walks forever. Sealed views carry only the
+// query surface — in-neighbor lists, postings and repair scratch stay
+// writer-private.
 func (ix *Index) Seal() *Index {
 	if ix.sealed {
 		return ix
 	}
-	if len(ix.shared) != ix.n {
-		ix.shared = make([]bool, ix.n)
-	}
-	for i := range ix.shared {
-		ix.shared[i] = true
-	}
 	return &Index{
 		n: ix.n, c: ix.c, walkLen: ix.walkLen, walks: ix.walks, seed: ix.seed,
 		powc:   ix.powc,
-		rows:   append([][]int32(nil), ix.rows...),
+		rows:   ix.rows.Seal(),
 		sealed: true,
 		gen:    ix.gen, walksRepaired: ix.walksRepaired, stepsResampled: ix.stepsResampled,
 	}
@@ -486,9 +473,9 @@ func (ix *Index) Clone() *Index {
 		gen:  ix.gen, walksRepaired: ix.walksRepaired, stepsResampled: ix.stepsResampled,
 		total: ix.total, live: ix.live, edges: ix.edges,
 	}
-	dup.rows = make([][]int32, ix.n)
-	for u, row := range ix.rows {
-		dup.rows[u] = append([]int32(nil), row...)
+	dup.rows = cow.New(slices.Clone[[]int32])
+	for u := 0; u < ix.n; u++ {
+		dup.rows.Append(slices.Clone(ix.rows.Get(u)))
 	}
 	if ix.sealed {
 		// A clone of a sealed view is a full writable index again only if
@@ -561,7 +548,12 @@ func (ix *Index) Pair(a, b int, walks int) float64 {
 	if a == b {
 		return 1
 	}
-	rowA, rowB := ix.rows[a], ix.rows[b]
+	return ix.pairRows(ix.rows.Get(a), ix.rows.Get(b), walks)
+}
+
+// pairRows is Pair over the rows of two distinct nodes, for a walk count
+// already clamped.
+func (ix *Index) pairRows(rowA, rowB []int32, walks int) float64 {
 	stride := ix.stride()
 	var sum float64
 	for w := 0; w < walks; w++ {
@@ -581,7 +573,7 @@ func (ix *Index) PairStderr(a, b int, walks int) (est, stderr float64) {
 	if a == b {
 		return 1, 0
 	}
-	rowA, rowB := ix.rows[a], ix.rows[b]
+	rowA, rowB := ix.rows.Get(a), ix.rows.Get(b)
 	stride := ix.stride()
 	var sum, sumSq float64
 	for w := 0; w < walks; w++ {
@@ -648,7 +640,7 @@ func (ix *Index) TopK(a, k, walks, refineFactor int) []Scored {
 	if refineFactor < 1 {
 		refineFactor = 1
 	}
-	rowA, stride := ix.rows[a], ix.stride()
+	rowA, stride := ix.rows.Get(a), ix.stride()
 	if rowA[1] < 0 {
 		return nil // every walk of a dies at step 1
 	}
@@ -661,16 +653,20 @@ func (ix *Index) TopK(a, k, walks, refineFactor int) []Scored {
 		}
 	}
 	var cands []Scored
-	for v, rowB := range ix.rows {
-		if v == a || rowB[1] < 0 {
-			continue
-		}
-		for _, o := range live {
-			if rowB[o] == rowA[o] {
-				if s := ix.Pair(a, v, walks); s > 0 {
-					cands = append(cands, Scored{Node: v, Score: s})
+	for b := range ix.rows.Blocks() {
+		base := b * cow.BlockRows
+		for k, rowB := range ix.rows.Block(b) {
+			v := base + k
+			if v == a || rowB[1] < 0 {
+				continue
+			}
+			for _, o := range live {
+				if rowB[o] == rowA[o] {
+					if s := ix.pairRows(rowA, rowB, walks); s > 0 {
+						cands = append(cands, Scored{Node: v, Score: s})
+					}
+					break
 				}
-				break
 			}
 		}
 	}

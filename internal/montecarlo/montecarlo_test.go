@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -265,7 +266,7 @@ func requireRowsEqual(t *testing.T, got, want *Index, label string) {
 		t.Fatalf("%s: n = %d vs %d", label, got.n, want.n)
 	}
 	for u := 0; u < want.n; u++ {
-		gr, wr := got.rows[u], want.rows[u]
+		gr, wr := got.rows.Get(u), want.rows.Get(u)
 		if len(gr) != len(wr) {
 			t.Fatalf("%s: node %d row length %d vs %d", label, u, len(gr), len(wr))
 		}
@@ -361,8 +362,8 @@ func TestApplyDirtyRowsMatchChangedRows(t *testing.T) {
 		}
 		for u := 0; u < ix.n; u++ {
 			changed := false
-			for i, v := range ix.rows[u] {
-				if before.rows[u][i] != v {
+			for i, v := range ix.rows.Get(u) {
+				if before.rows.Get(u)[i] != v {
 					changed = true
 					break
 				}
@@ -395,7 +396,7 @@ func TestPostingsCompaction(t *testing.T) {
 	for u := 0; u < ix.n; u++ {
 		for w := 0; w < ix.walks; w++ {
 			for st := 1; st < ix.walkLen; st++ {
-				if ix.rows[u][w*stride+st] >= 0 {
+				if ix.rows.Get(u)[w*stride+st] >= 0 {
 					want++
 				}
 			}
@@ -464,9 +465,9 @@ func TestResetMatchesRepairs(t *testing.T) {
 
 // lengthWalkBytes is MemBytes as an O(n) walk over the slice lengths.
 func lengthWalkBytes(ix *Index) int64 {
-	b := int64(len(ix.rows)) * 24
-	for _, row := range ix.rows {
-		b += int64(len(row)) * 4
+	b := int64(ix.rows.Len()) * 24
+	for u := range ix.rows.Len() {
+		b += int64(len(ix.rows.Get(u))) * 4
 	}
 	for _, nbrs := range ix.ins {
 		b += 24 + int64(len(nbrs))*4
@@ -513,5 +514,74 @@ func TestMemBytesMatchesLengthWalk(t *testing.T) {
 	}
 	if compactions == 0 {
 		t.Fatal("the stream never compacted the postings")
+	}
+}
+
+// Sealed views must keep their walk sets when the index spans several
+// copy-on-write blocks: repairs, seals and AddNodes growth — including
+// growth into a shared, partly filled last block and across a block
+// boundary — checked row by row against a deep copy taken at each seal
+// after every step.
+func TestSealIsolatesRepairsAcrossBlocks(t *testing.T) {
+	type frozen struct{ view, want *Index }
+	for _, n := range []int{63, 64, 65, 130} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(n)))
+			g := gen.PrefAttach(n, 3, int64(n))
+			ix, err := NewIndex(g, 0.6, 6, 8, 9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			views := []frozen{{ix.Seal(), ix.Clone()}}
+			for step := 0; step < 200; step++ {
+				switch op := rng.Intn(20); {
+				case op == 0:
+					k := 1 + rng.Intn(3)
+					g.AddNodes(k)
+					ix.AddNodes(k)
+				case op < 3:
+					views = append(views, frozen{ix.Seal(), ix.Clone()})
+				default:
+					randomStream(t, ix, g, rng, 1)
+				}
+				for v, f := range views {
+					requireRowsEqual(t, f.view, f.want, fmt.Sprintf("step %d view %d", step, v))
+				}
+			}
+			if ix.N() <= n {
+				t.Fatal("the stream never grew the index")
+			}
+			fresh, _ := NewIndex(g, 0.6, 6, 8, 9)
+			requireRowsEqual(t, ix, fresh, "writer after seals, growth and repairs")
+		})
+	}
+}
+
+// sealSink keeps sealed views on the heap, as a publish does.
+var sealSink *Index
+
+// A seal copies one pointer per 64-row block, not one row header per
+// node: at n = 5000 it allocates the view header and 79 block pointers,
+// well under 1 KB, whatever the writer repaired since the last seal.
+func TestSealAllocatesPerBlock(t *testing.T) {
+	const n, calls = 5000, 200
+	g := graph.New(n)
+	for i := 0; i < n; i++ {
+		g.AddEdge(i, (i+1)%n)
+	}
+	ix, err := NewIndex(g, 0.6, 4, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		sealSink = ix.Seal()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per >= 1024 {
+		t.Fatalf("Seal at n = %d allocated %d B per call, want < 1 KB", n, per)
+	} else {
+		t.Logf("Seal at n = %d allocates %d B per call", n, per)
 	}
 }

@@ -91,7 +91,8 @@ func (a *Approx) N() int { return a.idx.N() }
 // ApplyUpdate mutates the graph topology inside the walk index and
 // repairs the invalidated walk suffixes. It returns the ascending list
 // of nodes whose stored walks changed — the engine's DirtyRows set for
-// this update. The update must apply (see Update). Single-writer path.
+// this update — in the index's repair scratch, valid until the next
+// update. The update must apply (see Update). Single-writer path.
 func (a *Approx) ApplyUpdate(up graph.Update) []int {
 	a.ensureWritable()
 	dirty, _ := a.idx.Apply(up)
@@ -100,9 +101,10 @@ func (a *Approx) ApplyUpdate(up graph.Update) []int {
 
 // Update rejects up with the exact stores' *core.ErrBadUpdate reasons
 // when it does not apply to g, the graph the walk index mirrors, and
-// otherwise repairs the walks through ApplyUpdate. DirtyRows is a fresh
-// slice naming the nodes whose walk sets changed; no other Stats field
-// is populated.
+// otherwise repairs the walks through ApplyUpdate. DirtyRows names the
+// nodes whose walk sets changed and, as on the exact stores, aliases
+// scratch that is valid until the next update; no other Stats field is
+// populated.
 func (a *Approx) Update(g *graph.DiGraph, up graph.Update, _ Params) (core.Stats, error) {
 	if err := core.CheckUpdate(g, up, nil); err != nil {
 		return core.Stats{}, err
@@ -150,10 +152,11 @@ func (a *Approx) ResampleFraction() float64 {
 	return float64(repaired) / (float64(gen) * float64(a.idx.N()) * float64(a.walks))
 }
 
-// Seal returns an immutable point-in-time view of the walk set (O(n)
-// pointer copies; the writer copy-on-writes a node's walks before its
-// next repair of them). Queries on a sealed view are pure reads of
-// frozen positions — no RNG, no lock, bit-stable forever.
+// Seal returns an immutable point-in-time view of the walk set
+// (⌈n/64⌉ block pointer copies; the writer copy-on-writes a node's
+// walks before its next repair changes them). Queries on a sealed view
+// are pure reads of frozen positions — no RNG, no lock, bit-stable
+// forever.
 func (a *Approx) Seal() Store {
 	if a.sealed {
 		return a

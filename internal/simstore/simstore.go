@@ -96,9 +96,10 @@ type Params struct {
 //     when the log has outgrown 1/8 of the payload, the buffer is new or
 //     abandoned, or a full rewrite left it stale. A warm writer re-uses
 //     two fixed buffers and stays allocation-free;
-//   - approx copy-on-writes per node: a sealed view shares every node's
-//     stored walks, and the writer clones one node's walk row the first
-//     time a repair touches it after a Seal.
+//   - approx copy-on-writes per node: a sealed view shares the walk
+//     index's 64-row blocks (a Seal copies ⌈n/64⌉ block pointers), and
+//     the writer clones a node's block header and then its walk row the
+//     first time a repair changes them after a Seal.
 //
 // A store that has never been sealed pays nothing for any of this: it
 // holds one buffer, logs nothing, and its write paths skip the

@@ -15,12 +15,14 @@ import (
 // one read view per commit. The sizes and settings are simbench's: dense
 // at n = 2048, packed at 2000 and approx at 5000, C = 0.6, K = 15, one
 // update worker. Each op is one commit; allocations are reported, so the
-// ConcurrentEngine rows show the per-commit copy-on-write bytes.
+// ConcurrentEngine rows show the per-commit copy-on-write bytes. The
+// approx row at n = 20000 (~0.4 GB of walks and postings) shows whether
+// publishing grows with n.
 func BenchmarkPublish(b *testing.B) {
 	for _, tc := range []struct {
 		backend Backend
 		n       int
-	}{{BackendDense, 2048}, {BackendPacked, 2000}, {BackendApprox, 5000}} {
+	}{{BackendDense, 2048}, {BackendPacked, 2000}, {BackendApprox, 5000}, {BackendApprox, 20000}} {
 		b.Run(fmt.Sprintf("%s/n=%d", tc.backend, tc.n), func(b *testing.B) {
 			g := gen.PrefAttach(tc.n, 4, 1)
 			stream := absentEdges(g, 64, 31)

@@ -133,8 +133,9 @@ type engineView struct {
 }
 
 // sealView freezes the engine's current state into a publishable view.
-// Writer-side only; cost is O(n) pointer copies for the graph seal — no
-// similarity payload is copied.
+// Writer-side only; the graph seal and the approx store's seal each
+// copy ⌈n/64⌉ block pointers — no similarity payload, out-set or walk
+// row is copied.
 func (e *Engine) sealView() *engineView {
 	return &engineView{
 		readPath:   readPath{s: e.s.Seal(), cache: e.cache, epoch: e.epoch},

@@ -340,3 +340,33 @@ func TestSealedApplyAllocsConstant(t *testing.T) {
 		}
 	}
 }
+
+// A warm approx Apply reuses the walk index's repair scratch — the work
+// list and the dirty rows — so what is left to allocate is postings
+// growth, which a toggle stream settles (compaction keeps capacity):
+// below one allocation per update on average.
+func TestApproxApplyAllocsWarm(t *testing.T) {
+	skipIfRace(t)
+	g := gen.PrefAttach(300, 4, 1)
+	eng, err := NewEngine(g.N(), g.Edges(), Options{C: 0.6, K: 10, Backend: BackendApprox, ApproxWalks: 32, ApproxSeed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := g.Edges()[:8]
+	toggle := func() {
+		for _, e := range edges {
+			if _, err := eng.Delete(e.From, e.To); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := eng.Insert(e.From, e.To); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for range 4 {
+		toggle() // warm up: repair scratch and postings grow here
+	}
+	if perUpdate := testing.AllocsPerRun(20, toggle) / float64(2*len(edges)); perUpdate >= 1 {
+		t.Fatalf("warm approx Apply allocated %v times per update, want < 1", perUpdate)
+	}
+}
