@@ -21,11 +21,9 @@ import (
 	"repro/internal/analysis/passes/fsyncerr"
 	"repro/internal/analysis/passes/noalloc"
 	"repro/internal/analysis/passes/publishorder"
-	"repro/internal/analysis/passes/sealedwrite"
 )
 
 var all = []*analysis.Analyzer{
-	sealedwrite.Analyzer,
 	publishorder.Analyzer,
 	noalloc.Analyzer,
 	detrand.Analyzer,

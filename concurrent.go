@@ -273,7 +273,7 @@ func (c *ConcurrentEngine) ViewInfo() ViewInfo {
 		StoreBytes: v.storeBytes,
 		Cache:      v.cacheStats(),
 	}
-	if as, ok := v.s.(*simstore.Approx); ok {
+	if as, ok := v.s.(*simstore.ApproxView); ok {
 		// The sealed view's counters are a point-in-time copy taken at
 		// Seal, so these gauges are epoch-coherent with the rest.
 		vi.WalksRepaired, _ = as.RepairStats()

@@ -155,10 +155,13 @@
 //
 // # Static analysis
 //
-// The package's core invariants — sealed-view immutability,
+// Sealed views are immutable by their types: every Seal returns a
+// read-only type (simstore.DenseView, PackedView or ApproxView,
+// montecarlo.View, graph.Snapshot) that has no write method, so a write
+// to a view does not compile. The other core invariants —
 // WAL-append-before-publish ordering, zero-allocation hot paths,
 // determinism, dirty-row reporting, durability error handling — are
-// proven at compile time by the repo's own analyzer suite:
+// proven at compile time by the repo's own suite of five analyzers:
 // `go run ./cmd/simranklint ./...` (internal/analysis). Contracts and
 // audited exceptions are annotated in source with //simrank:*
 // directives; see the README's "Static analysis & invariants" section.

@@ -154,7 +154,7 @@ func (o Options) params() simstore.Params {
 type Engine struct {
 	// readPath holds the similarity store, the query cache and the
 	// epoch, and answers queries exactly as a sealed view does.
-	readPath
+	readPath[simstore.Store]
 	opts Options
 	g    *graph.DiGraph
 	// lastStats records the most recent incremental update's work.
@@ -181,7 +181,7 @@ func NewEngine(n int, edges []Edge, opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("simrank: %w", err)
 	}
-	e := &Engine{readPath: readPath{s: s}, opts: opts, g: g}
+	e := &Engine{readPath: readPath[simstore.Store]{s: s}, opts: opts, g: g}
 	e.setTopKCacheRows(opts.TopKCacheRows)
 	return e, nil
 }

@@ -3,14 +3,16 @@
 // repository's invariant checkers (cmd/simranklint).
 //
 // The repo's correctness story rests on invariants the compiler cannot
-// express — sealed MVCC views are immutable, the WAL append happens
-// before the view publish, every similarity write-back reports its
-// dirty rows, hot paths stay allocation-free, and all randomness
-// derives from chained splitmix64 seeds. Each invariant is enforced by
-// one analyzer under this package (sealedwrite, publishorder, noalloc,
-// detrand, dirtyrows, fsyncerr); the conventions they key on are
-// machine-readable //simrank:* directives documented per directive in
-// annotations.go and summarized in the repository README.
+// express — the WAL append happens before the view publish, every
+// similarity write-back reports its dirty rows, hot paths stay
+// allocation-free, and all randomness derives from chained splitmix64
+// seeds. Each invariant is enforced by one analyzer under this package
+// (publishorder, noalloc, detrand, dirtyrows, fsyncerr); the
+// conventions they key on are machine-readable //simrank:* directives
+// documented per directive in annotations.go and summarized in the
+// repository README. The one invariant the compiler can express, that
+// sealed MVCC views are immutable, is left to it: a Seal returns a type
+// with no write method.
 //
 // The API deliberately mirrors x/tools/go/analysis (Analyzer, Pass,
 // Diagnostic, analysistest-style golden tests) so the suite can migrate

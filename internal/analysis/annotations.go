@@ -17,8 +17,6 @@ import (
 //	//simrank:publish        — the function is an approved MVCC publish
 //	                           point; atomic.Pointer.Store is legal only
 //	                           inside such functions (publishorder).
-//	//simrank:sealsafe       — the function is an allowlisted COW helper
-//	                           that may mutate sealed values (sealedwrite).
 //
 // Line-level (written on, or on the line directly above, the construct
 // they excuse; a reason after the directive name is required reading

@@ -13,7 +13,7 @@ import (
 
 // oracleMeetStep is the full-length meeting scan: it compares every step
 // up to the cap, dead or alive.
-func oracleMeetStep(ix *Index, rowA, rowB []int32, off int) int {
+func oracleMeetStep(ix *View, rowA, rowB []int32, off int) int {
 	for t := 1; t <= ix.walkLen; t++ {
 		x := rowA[off+t]
 		if x >= 0 && x == rowB[off+t] {
@@ -24,7 +24,7 @@ func oracleMeetStep(ix *Index, rowA, rowB []int32, off int) int {
 }
 
 // oraclePair is Pair over oracleMeetStep.
-func oraclePair(ix *Index, a, b, walks int) float64 {
+func oraclePair(ix *View, a, b, walks int) float64 {
 	walks = ix.clampWalks(walks)
 	if a == b {
 		return 1
@@ -40,7 +40,7 @@ func oraclePair(ix *Index, a, b, walks int) float64 {
 }
 
 // oraclePairStderr is PairStderr over oracleMeetStep.
-func oraclePairStderr(ix *Index, a, b, walks int) (est, stderr float64) {
+func oraclePairStderr(ix *View, a, b, walks int) (est, stderr float64) {
 	walks = ix.clampWalks(walks)
 	if a == b {
 		return 1, 0
@@ -67,7 +67,7 @@ func oraclePairStderr(ix *Index, a, b, walks int) (est, stderr float64) {
 // oracleTopK is the full-scan top-k: the first pass runs oraclePair
 // against every node and keeps those above 0, then the provisional top
 // 2k are re-scored with refineFactor× the walks. k must be in [0, n].
-func oracleTopK(ix *Index, a, k, walks, refineFactor int) []Scored {
+func oracleTopK(ix *View, a, k, walks, refineFactor int) []Scored {
 	if refineFactor < 1 {
 		refineFactor = 1
 	}
@@ -102,7 +102,7 @@ func oracleTopK(ix *Index, a, k, walks, refineFactor int) []Scored {
 // for every walk of every node: -1 propagates (a walk's live steps form
 // a prefix), and walk 0 is dead at step 1 exactly when every walk of the
 // node is.
-func requireWalkInvariants(t *testing.T, ix *Index, label string) {
+func requireWalkInvariants(t *testing.T, ix *View, label string) {
 	t.Helper()
 	stride := ix.stride()
 	for v := 0; v < ix.n; v++ {
@@ -174,7 +174,7 @@ func TestLiveScanMatchesFullScan(t *testing.T) {
 					t.Fatal(err)
 				}
 				edges := g.Edges()
-				var views []*Index
+				var views []*View
 				for len(views) < toggles/pinEvery {
 					if len(views) == growAfter {
 						// Two grown nodes get an in-link; the other two stay
@@ -193,9 +193,9 @@ func TestLiveScanMatchesFullScan(t *testing.T) {
 				}
 
 				compared := 0
-				for i, view := range append(views, ix) {
+				for i, view := range append(views, &ix.View) {
 					label := fmt.Sprintf("view %d (n=%d)", i, view.n)
-					if view == ix {
+					if view == &ix.View {
 						label = "writer"
 					}
 					requireWalkInvariants(t, view, label)
@@ -210,7 +210,7 @@ func TestLiveScanMatchesFullScan(t *testing.T) {
 // queryNodes picks the query set of one index: a node with no in-links,
 // the node whose walk 0 is alive and has the most live steps, randQuery
 // random nodes, and the grown ids [base, base+grown) when present.
-func queryNodes(t *testing.T, ix *Index, base, grown, randQuery int, rng *rand.Rand) []int {
+func queryNodes(t *testing.T, ix *View, base, grown, randQuery int, rng *rand.Rand) []int {
 	t.Helper()
 	dead, hub, hubLive := -1, -1, -1
 	for v := 0; v < ix.n; v++ {
@@ -244,7 +244,7 @@ func queryNodes(t *testing.T, ix *Index, base, grown, randQuery int, rng *rand.R
 
 // compareLiveScan checks TopK, Pair and PairStderr against the oracles
 // for every query in qs and returns the number of answers compared.
-func compareLiveScan(t *testing.T, ix *Index, qs []int, label string) int {
+func compareLiveScan(t *testing.T, ix *View, qs []int, label string) int {
 	t.Helper()
 	compared := 0
 	for _, walks := range []int{1, max(1, ix.walks/4), ix.walks} {

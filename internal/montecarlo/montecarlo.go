@@ -67,14 +67,11 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// Index is the stored-walk substrate of the sampling tier: W reverse
-// walks of length ≤ L per node, positioned by derived seeds, plus the
-// per-node postings that make incremental repair affected-area-local.
-// A writer mutates it through Apply/AddNodes/Reset; Seal publishes an
-// immutable point-in-time view for concurrent readers. The per-node walk
-// rows sit in a copy-on-write table (cow.Table), so sealing copies
-// ⌈n/64⌉ block pointers and a repair clones only the rows it changes.
-type Index struct {
+// View is an immutable point-in-time walk set: the query surface of the
+// sampling tier, holding the stored walks and the parameters that read
+// them. Index.Seal returns one, and any number of goroutines may query it
+// while the writer repairs past it; View has no method that writes.
+type View struct {
 	n       int
 	c       float64
 	walkLen int // L: steps per walk beyond the start position
@@ -84,39 +81,12 @@ type Index struct {
 	// powc[t] = C^t, the meeting-contribution table.
 	powc []float64
 
-	// ins[v] is the in-neighbor list of v in ascending order — the
-	// sampling population of a draw made *from* v. Writer-owned; nil on
-	// sealed views (queries never sample, they read stored positions).
-	ins [][]int32
-
 	// rows.Get(u) holds node u's W walks contiguously: walk w occupies
 	// positions w*(L+1) .. w*(L+1)+L, -1 marking a dead walk (it reached
 	// a node with no in-neighbors), and position w*(L+1) is u itself.
 	// Sealed views share the table's blocks; the writer clones a row
 	// before it changes one (cow.Table.Own).
-	rows   cow.Table[[]int32]
-	sealed bool
-
-	// postings[v] packs the (walk, step) occurrences at v for steps
-	// 1..L-1 as walkID<<stepBits | step, walkID = u*W + w. Step-0
-	// occurrences are implicit (the W walks owned by v) and step-L
-	// occurrences are irrelevant (no further draw is made from them).
-	// Entries go stale lazily — an entry is live iff the row still holds
-	// v at that step — and the whole structure is compacted when
-	// tombstones dominate. Writer-owned; nil on sealed views.
-	postings [][]uint64
-	// total and live track posting entries including and excluding
-	// tombstones; total > 2·live + n triggers compaction.
-	total, live int
-	// edges is Σ|ins[v]|, kept by Reset and Apply for MemBytes.
-	// Writer-owned; 0 on sealed views.
-	edges int
-
-	// work and dirty are repair's scratch, reused by every update: the
-	// packed (walk, step) work list and the owners of changed walks,
-	// which Apply returns. Writer-owned; Seal and Clone carry neither.
-	work  []uint64
-	dirty []int
+	rows cow.Table[[]int32]
 
 	// gen counts repair events (persisted by snapshots as the
 	// repair-generation counter); walksRepaired and stepsResampled are
@@ -124,6 +94,42 @@ type Index struct {
 	gen            uint64
 	walksRepaired  uint64
 	stepsResampled uint64
+}
+
+// Index is the stored-walk substrate of the sampling tier: W reverse
+// walks of length ≤ L per node, positioned by derived seeds, plus the
+// per-node postings that make incremental repair affected-area-local.
+// A writer mutates it through Apply/AddNodes/Reset and queries it
+// through the embedded View; Seal publishes an immutable View for
+// concurrent readers. The per-node walk rows sit in a copy-on-write
+// table (cow.Table), so sealing copies ⌈n/64⌉ block pointers and a
+// repair clones only the rows it changes.
+type Index struct {
+	View
+
+	// ins[v] is the in-neighbor list of v in ascending order — the
+	// sampling population of a draw made *from* v.
+	ins [][]int32
+
+	// postings[v] packs the (walk, step) occurrences at v for steps
+	// 1..L-1 as walkID<<stepBits | step, walkID = u*W + w. Step-0
+	// occurrences are implicit (the W walks owned by v) and step-L
+	// occurrences are irrelevant (no further draw is made from them).
+	// Entries go stale lazily — an entry is live iff the row still holds
+	// v at that step — and the whole structure is compacted when
+	// tombstones dominate.
+	postings [][]uint64
+	// total and live track posting entries including and excluding
+	// tombstones; total > 2·live + n triggers compaction.
+	total, live int
+	// edges is Σ|ins[v]|, kept by Reset and Apply for MemBytes.
+	edges int
+
+	// work and dirty are repair's scratch, reused by every update: the
+	// packed (walk, step) work list and the owners of changed walks,
+	// which Apply returns. Clone does not carry them.
+	work  []uint64
+	dirty []int
 }
 
 // NewIndex builds the stored-walk index of g's current topology: c is
@@ -144,7 +150,7 @@ func NewIndex(g *graph.DiGraph, c float64, walkLen, walks int, seed int64) (*Ind
 	if walks <= 0 {
 		return nil, fmt.Errorf("montecarlo: non-positive walk count %d", walks)
 	}
-	ix := &Index{c: c, walkLen: walkLen, walks: walks, seed: seed}
+	ix := &Index{View: View{c: c, walkLen: walkLen, walks: walks, seed: seed}}
 	ix.powc = make([]float64, walkLen+1)
 	ix.powc[0] = 1
 	for t := 1; t <= walkLen; t++ {
@@ -155,20 +161,20 @@ func NewIndex(g *graph.DiGraph, c float64, walkLen, walks int, seed int64) (*Ind
 }
 
 // N returns the node count the index currently covers.
-func (ix *Index) N() int { return ix.n }
+func (ix *View) N() int { return ix.n }
 
 // WalkLen returns the walk-length cap L (truncation error ≤ C^{L+1}).
-func (ix *Index) WalkLen() int { return ix.walkLen }
+func (ix *View) WalkLen() int { return ix.walkLen }
 
 // Walks returns W, the number of stored walks per node.
-func (ix *Index) Walks() int { return ix.walks }
+func (ix *View) Walks() int { return ix.walks }
 
 // Seed returns the derived-seed root the walks were positioned with.
-func (ix *Index) Seed() int64 { return ix.seed }
+func (ix *View) Seed() int64 { return ix.seed }
 
 // Gen returns the repair-generation counter: +1 per repaired update,
 // reset only by an explicit Reset. Snapshots persist it.
-func (ix *Index) Gen() uint64 { return ix.gen }
+func (ix *View) Gen() uint64 { return ix.gen }
 
 // SetGen overrides the repair-generation counter — the snapshot-restore
 // hook that lets a rebuilt index resume the generation numbering of the
@@ -178,7 +184,7 @@ func (ix *Index) SetGen(gen uint64) { ix.gen = gen }
 
 // RepairStats returns the cumulative repair work: walks whose suffix was
 // resampled and individual steps resampled.
-func (ix *Index) RepairStats() (walksRepaired, stepsResampled uint64) {
+func (ix *View) RepairStats() (walksRepaired, stepsResampled uint64) {
 	return ix.walksRepaired, ix.stepsResampled
 }
 
@@ -196,7 +202,7 @@ func stepDraw(base uint64, t int) uint64 {
 }
 
 // stride is the per-walk row stride.
-func (ix *Index) stride() int { return ix.walkLen + 1 }
+func (ix *View) stride() int { return ix.walkLen + 1 }
 
 // Reset rebuilds the whole index from g — the full-resample safety
 // valve behind Recompute and the constructor. Fresh rows are allocated
@@ -204,9 +210,6 @@ func (ix *Index) stride() int { return ix.walkLen + 1 }
 // The repair-generation counter survives (a recompute is itself a
 // generation), the work counters keep accumulating.
 func (ix *Index) Reset(g *graph.DiGraph) {
-	if ix.sealed {
-		panic("montecarlo: Reset on a sealed index view")
-	}
 	n := g.N()
 	ix.n = n
 	ix.ins = make([][]int32, n)
@@ -283,9 +286,6 @@ func (ix *Index) postNode(u int) {
 // edge or a delete of an absent one — then nothing was touched). The
 // list is the index's scratch: valid until the next Apply.
 func (ix *Index) Apply(up graph.Update) (dirty []int, changed bool) {
-	if ix.sealed {
-		panic("montecarlo: Apply on a sealed index view")
-	}
 	j := up.Edge.To
 	if j < 0 || j >= ix.n || up.Edge.From < 0 || up.Edge.From >= ix.n {
 		return nil, false
@@ -418,9 +418,6 @@ func (ix *Index) compact() {
 // rebuild over the grown graph would sample — determinism holds across
 // growth too.
 func (ix *Index) AddNodes(count int) {
-	if ix.sealed {
-		panic("montecarlo: AddNodes on a sealed index view")
-	}
 	if count < 0 {
 		panic(fmt.Sprintf("montecarlo: negative node count %d", count))
 	}
@@ -442,47 +439,24 @@ func (ix *Index) AddNodes(count int) {
 	ix.n += count
 }
 
-// Seal returns an immutable point-in-time view of the walk set: ⌈n/64⌉
-// block pointer copies, no walk data copied. The writer's next change
-// to a node's walks clones that node's row first (copy-on-write), so
-// the view serves frozen walks forever. Sealed views carry only the
-// query surface — in-neighbor lists, postings and repair scratch stay
-// writer-private.
-func (ix *Index) Seal() *Index {
-	if ix.sealed {
-		return ix
-	}
-	return &Index{
-		n: ix.n, c: ix.c, walkLen: ix.walkLen, walks: ix.walks, seed: ix.seed,
-		powc:   ix.powc,
-		rows:   ix.rows.Seal(),
-		sealed: true,
-		gen:    ix.gen, walksRepaired: ix.walksRepaired, stepsResampled: ix.stepsResampled,
-	}
+// Seal returns an immutable point-in-time view of the walk set: the
+// View header plus ⌈n/64⌉ block pointer copies, no walk data copied.
+// The writer's next change to a node's walks clones that node's row
+// first (copy-on-write), so the view serves frozen walks forever. The
+// in-neighbor lists, postings and repair scratch stay with the writer.
+func (ix *Index) Seal() *View {
+	v := ix.View
+	v.rows = ix.rows.Seal()
+	return &v
 }
-
-// Sealed reports whether the receiver is an immutable Seal view.
-func (ix *Index) Sealed() bool { return ix.sealed }
 
 // Clone returns an independent deep copy the writer can mutate without
 // affecting the receiver.
 func (ix *Index) Clone() *Index {
-	dup := &Index{
-		n: ix.n, c: ix.c, walkLen: ix.walkLen, walks: ix.walks, seed: ix.seed,
-		powc: ix.powc,
-		gen:  ix.gen, walksRepaired: ix.walksRepaired, stepsResampled: ix.stepsResampled,
-		total: ix.total, live: ix.live, edges: ix.edges,
-	}
+	dup := &Index{View: ix.View, total: ix.total, live: ix.live, edges: ix.edges}
 	dup.rows = cow.New(slices.Clone[[]int32])
 	for u := 0; u < ix.n; u++ {
 		dup.rows.Append(slices.Clone(ix.rows.Get(u)))
-	}
-	if ix.sealed {
-		// A clone of a sealed view is a full writable index again only if
-		// the writer-side structures exist; sealed views have none, so the
-		// clone stays a frozen query surface.
-		dup.sealed = true
-		return dup
 	}
 	dup.ins = make([][]int32, ix.n)
 	for v, nbrs := range ix.ins {
@@ -495,27 +469,27 @@ func (ix *Index) Clone() *Index {
 	return dup
 }
 
-// MemBytes reports the resident size: the stored walks plus (on the
-// writer) the in-neighbor lists and postings — O(n·(W·L + d)) total,
-// never O(n²). Sealed views count only the walk payload they serve.
-// It is O(1), because every publish reads it: each row holds W·(L+1)
-// positions, edges counts the in-neighbor entries and total the posting
-// entries, so the sum equals a walk over the slices' lengths at 24 B per
-// slice header, 4 per position or neighbor and 8 per posting.
+// MemBytes reports the stored walks a view serves: W·(L+1) positions
+// per node at 4 B plus a 24 B row header — O(n·W·L), never O(n²), and
+// O(1) to compute, because every publish reads it.
+func (ix *View) MemBytes() int64 {
+	return int64(ix.n) * (24 + 4*int64(ix.walks*ix.stride()))
+}
+
+// MemBytes reports the writer's resident size: the view's walks plus
+// the in-neighbor lists and postings — O(n·(W·L + d)) total. edges
+// counts the in-neighbor entries and total the posting entries, so the
+// sum equals a walk over the slices' lengths at 24 B per slice header, 4
+// per neighbor and 8 per posting.
 func (ix *Index) MemBytes() int64 {
-	n := int64(ix.n)
-	b := n * (24 + 4*int64(ix.walks*ix.stride()))
-	if !ix.sealed {
-		b += n*48 + 4*int64(ix.edges) + 8*int64(ix.total)
-	}
-	return b
+	return ix.View.MemBytes() + int64(ix.n)*48 + 4*int64(ix.edges) + 8*int64(ix.total)
 }
 
 // meetStep returns the first step at which walk w of a and walk w of b
 // coalesce (both alive at the same node), or -1 within the cap. It reads
 // only a's live steps: step propagates -1, so a walk is dead from its
 // first -1 on and no meeting can follow it.
-func (ix *Index) meetStep(rowA, rowB []int32, off int) int {
+func (ix *View) meetStep(rowA, rowB []int32, off int) int {
 	for t := 1; t <= ix.walkLen; t++ {
 		x := rowA[off+t]
 		if x < 0 {
@@ -529,7 +503,7 @@ func (ix *Index) meetStep(rowA, rowB []int32, off int) int {
 }
 
 // clampWalks validates and caps a per-query walk budget at the stored W.
-func (ix *Index) clampWalks(walks int) int {
+func (ix *View) clampWalks(walks int) int {
 	if walks <= 0 {
 		panic("montecarlo: non-positive walk count")
 	}
@@ -543,7 +517,7 @@ func (ix *Index) clampWalks(walks int) int {
 // (capped at the index's W): ŝ = (1/W)·Σ C^{τ_w}, the P-SimRank
 // estimator. A pure read — deterministic, lock-free, safe for any
 // number of concurrent callers.
-func (ix *Index) Pair(a, b int, walks int) float64 {
+func (ix *View) Pair(a, b int, walks int) float64 {
 	walks = ix.clampWalks(walks)
 	if a == b {
 		return 1
@@ -553,7 +527,7 @@ func (ix *Index) Pair(a, b int, walks int) float64 {
 
 // pairRows is Pair over the rows of two distinct nodes, for a walk count
 // already clamped.
-func (ix *Index) pairRows(rowA, rowB []int32, walks int) float64 {
+func (ix *View) pairRows(rowA, rowB []int32, walks int) float64 {
 	stride := ix.stride()
 	var sum float64
 	for w := 0; w < walks; w++ {
@@ -568,7 +542,7 @@ func (ix *Index) pairRows(rowA, rowB []int32, walks int) float64 {
 // estimate, for confidence-interval reporting. Like Pair it panics on a
 // non-positive walk count — with zero walks the mean is 0/0, and
 // returning NaN would poison every downstream comparison silently.
-func (ix *Index) PairStderr(a, b int, walks int) (est, stderr float64) {
+func (ix *View) PairStderr(a, b int, walks int) (est, stderr float64) {
 	walks = ix.clampWalks(walks)
 	if a == b {
 		return 1, 0
@@ -595,7 +569,7 @@ func (ix *Index) PairStderr(a, b int, walks int) (est, stderr float64) {
 
 // SingleSource estimates s(a, v) for every v with the given walk budget
 // per pair (the single-source query of [10]).
-func (ix *Index) SingleSource(a int, walks int) []float64 {
+func (ix *View) SingleSource(a int, walks int) []float64 {
 	out := make([]float64, ix.n)
 	for v := 0; v < ix.n; v++ {
 		out[v] = ix.Pair(a, v, walks)
@@ -629,7 +603,7 @@ type Scored struct {
 // die at step 1 costs one load, and Pair scores only the nodes that
 // match a live position: the candidates and their first-pass scores are
 // exactly those of a full scan.
-func (ix *Index) TopK(a, k, walks, refineFactor int) []Scored {
+func (ix *View) TopK(a, k, walks, refineFactor int) []Scored {
 	if k > ix.n-1 {
 		k = ix.n - 1
 	}

@@ -10,6 +10,19 @@ import (
 	"repro/internal/montecarlo"
 )
 
+// ApproxView is an immutable walk set with the query parameters that
+// read it: what Approx.Seal returns, and the read half every Approx
+// writer embeds, whose idx then points at the writer's own index. It has
+// no method that writes.
+type ApproxView struct {
+	idx   *montecarlo.View
+	walks int
+	seed  int64
+	// refineFactor multiplies the walk budget on the provisional top-2k
+	// candidates of a TopKRow query.
+	refineFactor int
+}
+
 // Approx is the sampling tier: no materialized S at all. Queries read a
 // stored-walk index (montecarlo.Index) of W truncated reverse walks per
 // node — O(n·(W·L + d)) memory, still far below the exact tiers' Θ(n²)
@@ -33,17 +46,13 @@ import (
 // estimator targets, truncated at walkLen steps — pick walkLen = K to
 // mirror an exact engine's K-iteration truncation.
 type Approx struct {
-	idx   *montecarlo.Index
-	walks int
-	seed  int64
-	// refineFactor multiplies the walk budget on the provisional top-2k
-	// candidates of a TopKRow query.
-	refineFactor int
-	sealed       bool
+	ApproxView
+	// index is the writable walk index; the embedded view reads its View.
+	index *montecarlo.Index
 }
 
 // DefaultRefineFactor is the top-k refinement multiplier (see
-// montecarlo.Index.TopK).
+// montecarlo.View.TopK).
 const DefaultRefineFactor = 4
 
 // MaxWalks bounds the per-pair walk budget everywhere it is accepted —
@@ -63,30 +72,28 @@ func NewApprox(g *graph.DiGraph, c float64, walkLen, walks int, seed int64) (*Ap
 	if walks <= 0 || walks > MaxWalks {
 		return nil, fmt.Errorf("simstore: approx walk budget %d outside (0, %d]", walks, MaxWalks)
 	}
-	idx, err := montecarlo.NewIndex(g, c, walkLen, walks, seed)
+	ix, err := montecarlo.NewIndex(g, c, walkLen, walks, seed)
 	if err != nil {
 		return nil, err
 	}
-	return &Approx{idx: idx, walks: walks, seed: seed, refineFactor: DefaultRefineFactor}, nil
+	v := ApproxView{idx: &ix.View, walks: walks, seed: seed, refineFactor: DefaultRefineFactor}
+	return &Approx{ApproxView: v, index: ix}, nil
 }
 
 // Walks returns the per-pair walk budget (persisted in snapshots).
-func (a *Approx) Walks() int { return a.walks }
+func (a *ApproxView) Walks() int { return a.walks }
 
 // Seed returns the derived-seed root the walks are positioned with
 // (persisted in snapshots; a restored store reproduces the exact same
 // walk set from the graph).
-func (a *Approx) Seed() int64 { return a.seed }
-
-// Index exposes the underlying walk index (tests, diagnostics).
-func (a *Approx) Index() *montecarlo.Index { return a.idx }
+func (a *ApproxView) Seed() int64 { return a.seed }
 
 // SetWorkers does nothing: approx has no batch kernel, and walk repair
 // runs on the calling goroutine.
 func (a *Approx) SetWorkers(int) {}
 
 // N returns the node count.
-func (a *Approx) N() int { return a.idx.N() }
+func (a *ApproxView) N() int { return a.idx.N() }
 
 // ApplyUpdate mutates the graph topology inside the walk index and
 // repairs the invalidated walk suffixes. It returns the ascending list
@@ -94,8 +101,7 @@ func (a *Approx) N() int { return a.idx.N() }
 // this update — in the index's repair scratch, valid until the next
 // update. The update must apply (see Update). Single-writer path.
 func (a *Approx) ApplyUpdate(up graph.Update) []int {
-	a.ensureWritable()
-	dirty, _ := a.idx.Apply(up)
+	dirty, _ := a.index.Apply(up)
 	return dirty
 }
 
@@ -119,31 +125,30 @@ func (a *Approx) Update(g *graph.DiGraph, up graph.Update, _ Params) (core.Stats
 // is large enough that most walks are affected anyway, one O(n·W·L)
 // resample beats per-edge repair.
 func (a *Approx) Recompute(g *graph.DiGraph, ups []graph.Update, _ Params) {
-	a.ensureWritable()
 	for _, up := range ups {
 		g.Apply(up)
 	}
-	a.idx.Reset(g)
+	a.index.Reset(g)
 }
 
 // RepairGen returns the repair-generation counter (persisted in
 // snapshots).
-func (a *Approx) RepairGen() uint64 { return a.idx.Gen() }
+func (a *ApproxView) RepairGen() uint64 { return a.idx.Gen() }
 
 // SetRepairGen restores the repair-generation counter from a snapshot.
-func (a *Approx) SetRepairGen(gen uint64) { a.idx.SetGen(gen) }
+func (a *Approx) SetRepairGen(gen uint64) { a.index.SetGen(gen) }
 
 // RepairStats returns cumulative repair work: walks whose suffix was
 // resampled and individual walk steps resampled (process counters, not
 // persisted).
-func (a *Approx) RepairStats() (walksRepaired, stepsResampled uint64) {
+func (a *ApproxView) RepairStats() (walksRepaired, stepsResampled uint64) {
 	return a.idx.RepairStats()
 }
 
 // ResampleFraction is walksRepaired over the total walk-resample work a
 // full rebuild per repaired update would have cost (gen·n·W) — the
 // /stats figure quantifying the affected-area win; 0 before any repair.
-func (a *Approx) ResampleFraction() float64 {
+func (a *ApproxView) ResampleFraction() float64 {
 	repaired, _ := a.idx.RepairStats()
 	gen := a.idx.Gen()
 	if gen == 0 {
@@ -157,62 +162,56 @@ func (a *Approx) ResampleFraction() float64 {
 // walks before its next repair changes them). Queries on a sealed view
 // are pure reads of frozen positions — no RNG, no lock, bit-stable
 // forever.
-func (a *Approx) Seal() Store {
-	if a.sealed {
-		return a
-	}
-	return &Approx{idx: a.idx.Seal(), walks: a.walks, seed: a.seed, refineFactor: a.refineFactor, sealed: true}
+func (a *Approx) Seal() View {
+	v := a.ApproxView
+	v.idx = a.index.Seal()
+	return &v
 }
 
 // At estimates s(i, j) with the store's walk budget. A deterministic
 // pure read of the stored walks — safe for any number of concurrent
 // readers with no serialization.
-func (a *Approx) At(i, j int) float64 { return a.idx.Pair(i, j, a.walks) }
-
-func (a *Approx) ensureWritable() {
-	if a.sealed {
-		panic("simstore: mutation on a sealed approx view")
-	}
-}
+func (a *ApproxView) At(i, j int) float64 { return a.idx.Pair(i, j, a.walks) }
 
 // ConcurrentRow estimates the full row s(i, ·) — O(n·walks·walkLen)
 // position reads — into a fresh slice.
-func (a *Approx) ConcurrentRow(i int) []float64 { return a.idx.SingleSource(i, a.walks) }
+func (a *ApproxView) ConcurrentRow(i int) []float64 { return a.idx.SingleSource(i, a.walks) }
 
 // UpperRow panics: a global O(n²) scan is exactly what the sampling tier
 // exists to avoid (the engine answers global top-k as unavailable).
-func (a *Approx) UpperRow(int) []float64 {
+func (a *ApproxView) UpperRow(int) []float64 {
 	panic("simstore: approx backend has no materialized triangle to scan")
 }
 
 // ToDense returns nil: materializing n² estimates is the workload this
 // backend exists to refuse.
-func (a *Approx) ToDense() *matrix.Dense { return nil }
+func (a *ApproxView) ToDense() *matrix.Dense { return nil }
 
 // AddNodes grows the walk index by count isolated nodes. diag is
 // ignored — the estimator scores s(v, v) = 1 by definition, and an
 // isolated node's walks die at home, exactly what a fresh rebuild over
 // the grown graph samples.
 func (a *Approx) AddNodes(count int, diag float64) Store {
-	a.ensureWritable()
-	a.idx.AddNodes(count)
+	a.index.AddNodes(count)
 	return a
 }
 
-// MemBytes reports the walk index's O(n·(W·L + d)) footprint: stored
-// walk positions plus (writer only) in-neighbor lists and repair
-// postings. Sealed views count just the walk payload they serve.
-func (a *Approx) MemBytes() int64 { return a.idx.MemBytes() }
+// MemBytes reports the walk payload a view serves, O(n·W·L).
+func (a *ApproxView) MemBytes() int64 { return a.idx.MemBytes() }
+
+// MemBytes reports the writer's walk index, O(n·(W·L + d)): stored walk
+// positions plus the in-neighbor lists and repair postings.
+func (a *Approx) MemBytes() int64 { return a.index.MemBytes() }
 
 // Backend names the implementation.
-func (a *Approx) Backend() Backend { return BackendApprox }
+func (a *ApproxView) Backend() Backend { return BackendApprox }
 
 // TopKRow estimates the k nodes most similar to node q via the two-pass
-// refinement of montecarlo.Index.TopK: a cheap scan with a 1/refine
+// refinement of montecarlo.View.TopK: a cheap scan with a 1/refine
 // fraction of the stored walks, then the provisional top 2k re-scored
 // with the full budget. Deterministic — both passes read stored
 // positions.
-func (a *Approx) TopKRow(q, k int) []metrics.Pair {
+func (a *ApproxView) TopKRow(q, k int) []metrics.Pair {
 	// Ceiling division so the refinement budget short·refineFactor is ≥
 	// walks — Pair clamps it back to exactly the stored W, making
 	// refined scores identical to At(q, ·).
@@ -232,6 +231,6 @@ func (a *Approx) TopKRow(q, k int) []metrics.Pair {
 }
 
 // PairStderr estimates s(a, b) together with its standard error.
-func (a *Approx) PairStderr(i, j int) (est, stderr float64) {
+func (a *ApproxView) PairStderr(i, j int) (est, stderr float64) {
 	return a.idx.PairStderr(i, j, a.walks)
 }

@@ -1,24 +1,26 @@
 package simstore
 
-// cells is the copy-on-write payload both exact stores keep their scores
-// in: one flat float64 array (dense: the n×n matrix; packed: the
-// n(n+1)/2 triangle), double-buffered once the store has been sealed.
+// cells is the copy-on-write machinery both exact stores keep their
+// scores in. The payload is one flat float64 array owned by the writer's
+// embedded view (dense: the n×n matrix; packed: the n(n+1)/2 triangle),
+// double-buffered once the store has been sealed.
 //
 // A store that is never sealed holds one buffer and pays one branch per
 // write. Its first Seal arms the machinery: from then on every write
 // logs its offset, and a sealed view holds the front buffer, so the
 // first write after a Seal flips — it copies the logged cells into the
-// back buffer, the one no current view reads, and swaps the two. The
-// back buffer is then exactly as current as the front the views keep,
-// so a warm writer ping-pongs between two fixed buffers, copying per
-// commit only the cells the previous commit wrote.
+// back buffer, the one no current view reads, and swaps the two in the
+// writer's view. The back buffer is then exactly as current as the
+// front the views keep, so a warm writer ping-pongs between two fixed
+// buffers, copying per commit only the cells the previous commit wrote.
 //
 // The back buffer is the previous front, so it may still be pinned by
 // the second-newest view; an MVCC facade checks RecyclesBufferOf and
 // calls AbandonBack while a reader is still inside such a view.
 type cells struct {
-	// front is the buffer reads and writes go to.
-	front []float64
+	// front points at the writer view's payload slice: the buffer reads
+	// and writes go to, which a flip re-aims in place.
+	front *[]float64
 	// back is the other buffer: nil until the first flip and after
 	// AbandonBack.
 	back []float64
@@ -27,17 +29,13 @@ type cells struct {
 	log []int
 	// budget is how many more offsets touch may append before it must
 	// take the slow path: the log's remaining room after a flip, and 0
-	// whenever a flip is pending, back is wholly stale or the payload is
-	// a sealed view.
+	// whenever a flip is pending or back is wholly stale.
 	budget int
 
-	// sealed marks an immutable view: every write panics.
-	sealed bool
-	// armed routes writes through touch: set by the writer's first Seal
-	// and on every sealed view.
+	// armed routes writes through touch: set by the first Seal.
 	armed bool
-	// cow means the latest sealed view holds front: the next write
-	// flips first.
+	// cow means the latest sealed view holds the front buffer: the next
+	// write flips first.
 	cow bool
 	// stale means back is wholly stale (an overrun log or a full
 	// rewrite): the next flip copies every cell, as it does into a
@@ -51,13 +49,12 @@ type cells struct {
 // flip copies everything. Inc-uSR's Θ(n²) write-back always lands here.
 const logCellsPerCopy = 8
 
-// seal arms the copy-on-write machinery and returns the payload of an
-// immutable view sharing the front buffer.
-func (c *cells) seal() cells {
+// seal arms the copy-on-write machinery: the caller's sealed view now
+// shares the front buffer.
+func (c *cells) seal() {
 	c.armed = true
 	c.cow = true
 	c.budget = 0
-	return cells{front: c.front, sealed: true, armed: true}
 }
 
 // touch logs a write to cell off of an armed payload. While the log has
@@ -74,13 +71,10 @@ func (c *cells) touch(off int) {
 	c.log = append(c.log, off)
 }
 
-// touchSlow panics on a sealed view and flips if a sealed view holds the
-// front. Otherwise the log is overrun or back is already wholly stale,
-// so it drops the log until the next flip copies everything.
+// touchSlow flips if a sealed view holds the front. Otherwise the log
+// is overrun or back is already wholly stale, so it drops the log until
+// the next flip copies everything.
 func (c *cells) touchSlow(off int) {
-	if c.sealed {
-		panic("simstore: write to a sealed view")
-	}
 	if c.cow {
 		c.flip()
 		c.touch(off)
@@ -93,43 +87,40 @@ func (c *cells) touchSlow(off int) {
 // flip brings back up to date — every cell when it is stale, otherwise
 // just the logged ones — and makes it the front.
 func (c *cells) flip() {
+	front := *c.front
 	if c.back == nil {
-		c.back = make([]float64, len(c.front))
+		c.back = make([]float64, len(front))
 		c.stale = true
 	}
 	if c.stale {
-		copy(c.back, c.front)
+		copy(c.back, front)
 	} else {
 		for _, off := range c.log {
-			c.back[off] = c.front[off]
+			c.back[off] = front[off]
 		}
 	}
 	c.log = c.log[:0]
-	c.budget = len(c.front) / logCellsPerCopy
+	c.budget = len(front) / logCellsPerCopy
 	c.stale = false
-	c.front, c.back = c.back, c.front
+	*c.front, c.back = c.back, front
 	c.cow = false
 }
 
-// rewrite returns the buffer a caller is about to overwrite in full: if
-// a sealed view holds the front it swaps without syncing, since every
-// cell is about to change. Either way the back buffer is then wholly
-// stale.
-func (c *cells) rewrite() []float64 {
-	if c.sealed {
-		panic("simstore: write to a sealed view")
-	}
+// rewrite readies the front buffer for a caller about to overwrite it
+// in full: if a sealed view holds it, the buffers swap without syncing,
+// since every cell is about to change. Either way the back buffer is
+// then wholly stale.
+func (c *cells) rewrite() {
 	if c.cow {
 		if c.back == nil {
-			c.back = make([]float64, len(c.front))
+			c.back = make([]float64, len(*c.front))
 		}
-		c.front, c.back = c.back, c.front
+		*c.front, c.back = c.back, *c.front
 		c.cow = false
 	}
 	c.log = c.log[:0]
 	c.budget = 0
 	c.stale = true
-	return c.front
 }
 
 // RecyclesBufferOf reports whether the sealed view shares the buffer
@@ -138,20 +129,15 @@ func (c *cells) rewrite() []float64 {
 // buffer forces an AbandonBack; stragglers on older, already-orphaned
 // buffers, on another store generation or on another backend are
 // harmless.
-func (c *cells) RecyclesBufferOf(view Store) bool {
-	v := cellsOf(view)
-	return v != nil && len(c.back) > 0 && len(v.front) == len(c.back) && &v.front[0] == &c.back[0]
-}
-
-// cellsOf returns the payload of an exact store, nil for approx.
-func cellsOf(s Store) *cells {
-	switch s := s.(type) {
-	case *Dense:
-		return &s.cells
-	case *Packed:
-		return &s.cells
+func (c *cells) RecyclesBufferOf(view View) bool {
+	var front []float64
+	switch v := view.(type) {
+	case *DenseView:
+		front = v.m.Data
+	case *PackedView:
+		front = v.tri
 	}
-	return nil
+	return len(front) > 0 && len(front) == len(c.back) && &front[0] == &c.back[0]
 }
 
 // DoubleBuffered reports whether the second buffer is currently held

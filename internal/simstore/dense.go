@@ -7,6 +7,13 @@ import (
 	"repro/internal/matrix"
 )
 
+// DenseView is an immutable row-major n×n score matrix: what Dense.Seal
+// returns, and the read half every Dense writer embeds. It has no
+// method that writes.
+type DenseView struct {
+	m matrix.Dense
+}
+
 // Dense is the classic backend: a row-major n×n matrix.Dense. Every
 // read and write indexes through the matrix header, so an engine on this
 // store is bit-identical (values and allocation profile) to the
@@ -22,9 +29,7 @@ import (
 // (the facade checks, and abandons the buffer to the GC instead when a
 // straggling reader still pins it).
 type Dense struct {
-	// m is the n×n header over cells.front; the write paths re-aim it
-	// after every call that may swap buffers.
-	m matrix.Dense
+	DenseView
 	cells
 	exact
 }
@@ -37,34 +42,29 @@ func WrapDense(m *matrix.Dense) *Dense {
 	if m.Rows != m.Cols {
 		panic("simstore: dense store requires a square matrix")
 	}
-	return &Dense{m: *m, cells: cells{front: m.Data}}
+	d := &Dense{DenseView: DenseView{m: *m}}
+	d.front = &d.m.Data
+	return d
 }
-
-// Matrix exposes the current backing matrix for reads (snapshot
-// serialization, tests). Writes must go through Set/Add/AddSym, which
-// keep the copy-on-write log.
-func (d *Dense) Matrix() *matrix.Dense { return &d.m }
 
 // Seal returns an immutable view of the current buffer and marks it
 // copy-on-write: the next mutation flips to the other buffer.
-func (d *Dense) Seal() Store {
-	if d.sealed {
-		return d
-	}
-	return &Dense{m: d.m, cells: d.seal()}
+func (d *Dense) Seal() View {
+	d.seal()
+	v := d.DenseView
+	return &v
 }
 
 // N returns the node count.
-func (d *Dense) N() int { return d.m.Rows }
+func (d *DenseView) N() int { return d.m.Rows }
 
 // At returns s(i, j).
-func (d *Dense) At(i, j int) float64 { return d.m.At(i, j) }
+func (d *DenseView) At(i, j int) float64 { return d.m.At(i, j) }
 
 // Set writes entry (i, j) only — the dense layout stores both triangles.
 func (d *Dense) Set(i, j int, v float64) {
 	if d.armed {
 		d.touch(i*d.m.Cols + j)
-		d.m.Data = d.front
 	}
 	d.m.Set(i, j, v)
 }
@@ -73,7 +73,6 @@ func (d *Dense) Set(i, j int, v float64) {
 func (d *Dense) Add(i, j int, v float64) {
 	if d.armed {
 		d.touch(i*d.m.Cols + j)
-		d.m.Data = d.front
 	}
 	d.m.Add(i, j, v)
 }
@@ -84,7 +83,6 @@ func (d *Dense) AddSym(i, j int, v float64) {
 	if d.armed {
 		d.touch(i*d.m.Cols + j)
 		d.touch(j*d.m.Cols + i)
-		d.m.Data = d.front
 	}
 	d.m.AddSym(i, j, v)
 }
@@ -93,20 +91,20 @@ func (d *Dense) AddSym(i, j int, v float64) {
 // for this backend the view stays valid across calls).
 func (d *Dense) Row(i int) []float64 { return d.m.Row(i) }
 
-// ConcurrentRow is Row: the alias is immutable on a sealed view (and
-// under the single-writer contract on a live store), so concurrent
-// readers share it safely.
-func (d *Dense) ConcurrentRow(i int) []float64 { return d.m.Row(i) }
+// ConcurrentRow returns row i aliasing the matrix storage: the alias is
+// immutable on a sealed view (and under the single-writer contract on a
+// live store), so concurrent readers share it safely.
+func (d *DenseView) ConcurrentRow(i int) []float64 { return d.m.Row(i) }
 
 // UpperRow returns the suffix (a, a), …, (a, n−1) of row a, aliasing
 // storage.
-func (d *Dense) UpperRow(a int) []float64 { return d.m.Row(a)[a:] }
+func (d *DenseView) UpperRow(a int) []float64 { return d.m.Row(a)[a:] }
 
 // ColInto copies column j into dst.
 func (d *Dense) ColInto(dst []float64, j int) { d.m.ColInto(dst, j) }
 
 // ToDense returns an independent dense copy of S.
-func (d *Dense) ToDense() *matrix.Dense { return d.m.Clone() }
+func (d *DenseView) ToDense() *matrix.Dense { return d.m.Clone() }
 
 // Update applies one unit update through the store's workspace; see
 // Store.Update.
@@ -123,7 +121,7 @@ func (d *Dense) Update(g *graph.DiGraph, up graph.Update, p Params) (core.Stats,
 // swaps buffers without the syncing copy.
 func (d *Dense) Recompute(g *graph.DiGraph, ups []graph.Update, p Params) {
 	ws := d.follow(g, ups)
-	d.m.Data = d.rewrite()
+	d.rewrite()
 	batch.MatrixFormInto(&d.m, ws.DenseScratch(), ws.TransitionCSR(), p.C, p.K, d.workers)
 }
 
@@ -151,7 +149,7 @@ func (d *Dense) AddNodes(count int, diag float64) Store {
 
 // MemBytes reports the 8n² serving payload (the MVCC double buffer, when
 // held, is writer-side working memory and intentionally not counted).
-func (d *Dense) MemBytes() int64 { return int64(len(d.m.Data)) * 8 }
+func (d *DenseView) MemBytes() int64 { return int64(len(d.m.Data)) * 8 }
 
 // Backend names the implementation.
-func (d *Dense) Backend() Backend { return BackendDense }
+func (d *DenseView) Backend() Backend { return BackendDense }

@@ -10,7 +10,7 @@ import (
 // transition matrices plus every update scratch buffer, so a warm update
 // allocates nothing — and the worker count the batch kernel fans out
 // across. Updates run on the calling goroutine. The workspace is built
-// from the graph on the first write; sealed views hold the zero value.
+// from the graph on the first write.
 type exact struct {
 	ws      *core.Workspace
 	workers int

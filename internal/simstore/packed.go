@@ -6,6 +6,15 @@ import (
 	"repro/internal/matrix"
 )
 
+// PackedView is an immutable upper-triangular score store: what
+// Packed.Seal returns, and the read half every Packed writer embeds. It
+// has no method that writes.
+type PackedView struct {
+	n     int
+	start []int // start[i] = packed offset of (i, i)
+	tri   []float64
+}
+
 // Packed stores the symmetric S in upper-triangular row-major packed
 // form: entry (i, j) with i ≤ j lives at start[i] + (j − i), for
 // n(n+1)/2 float64s total — 8·n(n+1)/2 bytes, just over half the dense
@@ -27,8 +36,7 @@ import (
 // concurrent readers must use ConcurrentRow/UpperRow/At, which never
 // touch the scratch.
 type Packed struct {
-	n     int
-	start []int // start[i] = packed offset of (i, i)
+	PackedView
 	cells
 
 	row []float64 // scratch for Row (single-writer contract)
@@ -42,22 +50,22 @@ func NewPacked(n int) *Packed {
 		panic("simstore: negative node count")
 	}
 	p := &Packed{
-		n:     n,
-		start: make([]int, n),
-		row:   make([]float64, n),
+		PackedView: PackedView{n: n, start: make([]int, n)},
+		row:        make([]float64, n),
 	}
 	off := 0
 	for i := 0; i < n; i++ {
 		p.start[i] = off
 		off += n - i
 	}
-	p.front = make([]float64, off)
+	p.tri = make([]float64, off)
+	p.front = &p.tri
 	return p
 }
 
 // idx maps (i, j) to its packed offset, folding the lower triangle onto
 // the upper one.
-func (p *Packed) idx(i, j int) int {
+func (p *PackedView) idx(i, j int) int {
 	if i > j {
 		i, j = j, i
 	}
@@ -66,19 +74,18 @@ func (p *Packed) idx(i, j int) int {
 
 // Seal returns an immutable view sharing the triangle; the next write
 // to the receiver flips to the other one.
-func (p *Packed) Seal() Store {
-	if p.sealed {
-		return p
-	}
-	return &Packed{n: p.n, start: p.start, cells: p.seal()}
+func (p *Packed) Seal() View {
+	p.seal()
+	v := p.PackedView
+	return &v
 }
 
 // N returns the node count.
-func (p *Packed) N() int { return p.n }
+func (p *PackedView) N() int { return p.n }
 
 // At returns s(i, j) — pure index arithmetic, safe for concurrent
 // readers.
-func (p *Packed) At(i, j int) float64 { return p.front[p.idx(i, j)] }
+func (p *PackedView) At(i, j int) float64 { return p.tri[p.idx(i, j)] }
 
 // Set writes the shared cell of the unordered pair {i, j}.
 func (p *Packed) Set(i, j int, v float64) {
@@ -86,7 +93,7 @@ func (p *Packed) Set(i, j int, v float64) {
 	if p.armed {
 		p.touch(off)
 	}
-	p.front[off] = v
+	p.tri[off] = v
 }
 
 // Add accumulates v into the shared cell of {i, j}.
@@ -95,7 +102,7 @@ func (p *Packed) Add(i, j int, v float64) {
 	if p.armed {
 		p.touch(off)
 	}
-	p.front[off] += v
+	p.tri[off] += v
 }
 
 // AddSym applies v·(e_i·e_jᵀ + e_j·e_iᵀ). Off-diagonal the two mirror
@@ -107,37 +114,32 @@ func (p *Packed) AddSym(i, j int, v float64) {
 	if p.armed {
 		p.touch(off)
 	}
-	p.front[off] += v
+	p.tri[off] += v
 	if i == j {
-		p.front[off] += v
+		p.tri[off] += v
 	}
 }
 
 // upperSeg returns the contiguous packed segment of row i — (i, i), …,
-// (i, n−1) — aliasing the front triangle.
-func (p *Packed) upperSeg(i int) []float64 {
-	return p.front[p.start[i] : p.start[i]+p.n-i]
+// (i, n−1) — aliasing the triangle.
+func (p *PackedView) upperSeg(i int) []float64 {
+	return p.tri[p.start[i] : p.start[i]+p.n-i]
 }
 
 // rowInto materializes row i into dst: the prefix j < i gathers the
 // column stored in earlier rows' cells, the suffix j ≥ i is the
 // contiguous packed segment.
-func (p *Packed) rowInto(dst []float64, i int) {
+func (p *PackedView) rowInto(dst []float64, i int) {
 	for j := 0; j < i; j++ {
-		dst[j] = p.front[p.start[j]+i-j]
+		dst[j] = p.tri[p.start[j]+i-j]
 	}
 	copy(dst[i:], p.upperSeg(i))
 }
 
-// Row materializes row i into the store's scratch buffer. The view is
+// Row materializes row i into the writer's scratch buffer. The view is
 // valid until the next Row/ColInto call — the single-writer contract of
-// core.SimStore — and allocates nothing. On a sealed view (which has no
-// scratch, because concurrent readers would race on it) Row allocates a
-// fresh slice per call.
+// core.SimStore — and allocates nothing.
 func (p *Packed) Row(i int) []float64 {
-	if p.sealed {
-		return p.ConcurrentRow(i)
-	}
 	p.rowInto(p.row, i)
 	return p.row
 }
@@ -145,7 +147,7 @@ func (p *Packed) Row(i int) []float64 {
 // ConcurrentRow materializes row i into a fresh slice, safe under
 // concurrent readers (one O(n) copy per cold query row is the packed
 // backend's read-path trade).
-func (p *Packed) ConcurrentRow(i int) []float64 {
+func (p *PackedView) ConcurrentRow(i int) []float64 {
 	out := make([]float64, p.n)
 	p.rowInto(out, i)
 	return out
@@ -155,13 +157,13 @@ func (p *Packed) ConcurrentRow(i int) []float64 {
 // storage: race-free and copy-free, the global top-k scan shape.
 // Callers must not write through it on a store that has been sealed
 // (snapshot restore fills a fresh store through it, which is fine).
-func (p *Packed) UpperRow(a int) []float64 { return p.upperSeg(a) }
+func (p *PackedView) UpperRow(a int) []float64 { return p.upperSeg(a) }
 
 // ColInto copies column j into dst — by symmetry, row j.
 func (p *Packed) ColInto(dst []float64, j int) { p.rowInto(dst, j) }
 
 // ToDense materializes the full symmetric matrix.
-func (p *Packed) ToDense() *matrix.Dense {
+func (p *PackedView) ToDense() *matrix.Dense {
 	d := matrix.NewDense(p.n, p.n)
 	for i := 0; i < p.n; i++ {
 		p.rowInto(d.Row(i), i)
@@ -176,9 +178,9 @@ func (p *Packed) SetFromDense(src *matrix.Dense) {
 	if src.Rows != p.n || src.Cols != p.n {
 		panic("simstore: SetFromDense dimension mismatch")
 	}
-	tri := p.rewrite()
+	p.rewrite()
 	for i := 0; i < p.n; i++ {
-		copy(tri[p.start[i]:], src.Row(i)[i:])
+		copy(p.tri[p.start[i]:], src.Row(i)[i:])
 	}
 }
 
@@ -214,13 +216,18 @@ func (p *Packed) AddNodes(count int, diag float64) Store {
 	return next
 }
 
-// MemBytes reports the serving payload: the triangle, the start table
-// and the row scratch — 4n² + 20n bytes, about half of dense. The MVCC
-// double buffer, when held, is writer-side working memory and not
-// counted.
+// MemBytes reports the serving payload: the triangle and the start
+// table, 4n² + 12n bytes, about half of dense.
+func (p *PackedView) MemBytes() int64 {
+	return int64(len(p.tri)+len(p.start)) * 8
+}
+
+// MemBytes reports the writer's serving payload: the view's plus the row
+// scratch, 4n² + 20n bytes. The MVCC double buffer, when held, is
+// writer-side working memory and not counted.
 func (p *Packed) MemBytes() int64 {
-	return int64(len(p.front)+len(p.start)+len(p.row)) * 8
+	return p.PackedView.MemBytes() + int64(len(p.row))*8
 }
 
 // Backend names the implementation.
-func (p *Packed) Backend() Backend { return BackendPacked }
+func (p *PackedView) Backend() Backend { return BackendPacked }

@@ -72,14 +72,41 @@ type Params struct {
 	NoPruning bool
 }
 
-// Store is a similarity matrix S behind an interface, so the engine,
-// snapshots and the HTTP server are all backend-agnostic. Every store is
-// square (n×n) and logically symmetric.
-//
-// Concurrency: the read methods (N through Seal) are safe for concurrent
-// readers. The write methods (Update through SetWorkers) belong to the single
-// writer, require exclusive access and are never called on a sealed view
-// (the sealedwrite analyzer rejects such a call).
+// View is the read surface of a similarity matrix S, so the engine's
+// queries, snapshots and the HTTP server are all backend-agnostic. Every
+// store is square (n×n) and logically symmetric. Each Store is the View
+// of its own current state, and Store.Seal returns an immutable one — a
+// *DenseView, *PackedView or *ApproxView, types with no write method —
+// so a write to a sealed view does not compile. Every method is a pure
+// read, so a sealed view serves any number of concurrent readers.
+type View interface {
+	// N returns the node count.
+	N() int
+	// At returns s(i, j). On the approx backend this is a sampling
+	// estimate — a deterministic pure read of the stored walks.
+	At(i, j int) float64
+	// ConcurrentRow returns row i in a form safe under concurrent
+	// readers: an immutable alias (dense) or a fresh copy (packed,
+	// approx).
+	ConcurrentRow(i int) []float64
+	// UpperRow returns the entries (a, a), (a, a+1), …, (a, n−1) as a
+	// race-free alias of backing storage — the global top-k scan shape.
+	// Exact stores only; the approx store panics.
+	UpperRow(a int) []float64
+	// ToDense materializes the full matrix, or nil when that is the
+	// point of the backend not to (approx).
+	ToDense() *matrix.Dense
+	// MemBytes reports the store's resident size in bytes — the
+	// /stats "store_bytes" figure. The serving payload only: the exact
+	// backends' MVCC double buffer is not counted (it is the writer's
+	// cost, not the view's).
+	MemBytes() int64
+	// Backend names the implementation.
+	Backend() Backend
+}
+
+// Store is the single writer of a similarity matrix: its View plus the
+// write methods, which require exclusive access.
 //
 // # The Seal copy-on-write contract
 //
@@ -108,32 +135,9 @@ type Params struct {
 // Every update runs on the writer's goroutine, on every backend: the
 // only fan-out is the exact stores' batch kernel (SetWorkers).
 type Store interface {
-	// N returns the node count.
-	N() int
-	// At returns s(i, j). On the approx backend this is a sampling
-	// estimate — a deterministic pure read of the stored walks.
-	At(i, j int) float64
-	// ConcurrentRow returns row i in a form safe under concurrent
-	// readers: an immutable alias (dense) or a fresh copy (packed,
-	// approx).
-	ConcurrentRow(i int) []float64
-	// UpperRow returns the entries (a, a), (a, a+1), …, (a, n−1) as a
-	// race-free alias of backing storage — the global top-k scan shape.
-	// Exact stores only; the approx store panics.
-	UpperRow(a int) []float64
-	// ToDense materializes the full matrix, or nil when that is the
-	// point of the backend not to (approx).
-	ToDense() *matrix.Dense
-	// MemBytes reports the store's resident size in bytes — the
-	// /stats "store_bytes" figure. The serving payload only: the exact
-	// backends' MVCC double buffer is not counted (it is the writer's
-	// cost, not the view's).
-	MemBytes() int64
-	// Backend names the implementation.
-	Backend() Backend
+	View
 	// Seal returns an immutable point-in-time view of the store, safe
-	// for any number of concurrent readers; see the package contract
-	// above. Sealing an already-sealed view returns the receiver.
+	// for any number of concurrent readers; see the contract above.
 	//
 	// Exact-store caveat: the dense and packed double buffer recycles
 	// the buffer of the second-newest view, so before the first write
@@ -141,7 +145,7 @@ type Store interface {
 	// no readers left or call AbandonBack to orphan the buffer to the
 	// GC (RecyclesBufferOf names the view that matters). Approx views
 	// are intrinsically safe at any age.
-	Seal() Store
+	Seal() View
 
 	// Update applies one unit update to S. g is the graph before the
 	// update: the exact stores build their workspace from it on first

@@ -2,8 +2,10 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/graph"
@@ -71,6 +73,74 @@ func TestFrameReaderTornTail(t *testing.T) {
 	if _, err := fr.Next(); err == nil || err == io.EOF {
 		t.Fatalf("torn frame not rejected (err=%v)", err)
 	}
+}
+
+// hostileHeader is a lone frame header declaring the largest payload
+// the reader accepts, followed by nothing.
+func hostileHeader() []byte {
+	return binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(nil, maxRecordBytes), 0)
+}
+
+// TestFrameReaderHostileLengthAllocatesLittle: a frame header alone
+// must not buy its declared payload's worth of memory — the reader
+// fails on the short stream having allocated in proportion to the
+// bytes that arrived.
+func TestFrameReaderHostileLengthAllocatesLittle(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := NewFrameReader(bytes.NewReader(hostileHeader())).Next()
+	runtime.ReadMemStats(&after)
+	if err == nil || err == io.EOF {
+		t.Fatalf("8-byte frame declaring %d bytes not rejected (err=%v)", maxRecordBytes, err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("8-byte hostile frame allocated %d B, want < 1 MiB", got)
+	}
+}
+
+// FuzzFrameReader feeds arbitrary bytes to a FrameReader. Next must
+// never panic, and every record it returns must re-encode with
+// EncodeFrame to exactly the frame bytes it consumed — the decoder
+// accepts nothing the encoder would not write.
+func FuzzFrameReader(f *testing.F) {
+	recs := []*Record{
+		{Epoch: 1, Kind: KindUpdate, Updates: []graph.Update{
+			{Edge: graph.Edge{From: 3, To: 7}, Insert: true}}},
+		{Epoch: 2, Kind: KindBatch, Updates: []graph.Update{
+			{Edge: graph.Edge{From: 0, To: 1}, Insert: true},
+			{Edge: graph.Edge{From: 1, To: 0}},
+			{Edge: graph.Edge{From: 4, To: 2}, Insert: true}}},
+		{Epoch: 3, Kind: KindAddNodes, Count: 5},
+		{Epoch: 4, Kind: KindRecompute},
+		Heartbeat(4),
+	}
+	var stream []byte
+	for _, r := range recs {
+		frame := EncodeFrame(nil, r)
+		f.Add(frame)
+		stream = append(stream, frame...)
+	}
+	f.Add(stream)
+	flipped := EncodeFrame(nil, recs[1])
+	flipped[4] ^= 0x01 // one CRC byte
+	f.Add(flipped)
+	f.Add(hostileHeader())
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		fr := NewFrameReader(r)
+		for {
+			start := len(data) - r.Len()
+			rec, err := fr.Next()
+			if err != nil {
+				return
+			}
+			frame := data[start : len(data)-r.Len()]
+			if got := EncodeFrame(nil, rec); !bytes.Equal(got, frame) {
+				t.Fatalf("record %+v re-encodes to %x, consumed %x", rec, got, frame)
+			}
+		}
+	})
 }
 
 // TestAppendRejectsHeartbeat: heartbeats are stream liveness frames;

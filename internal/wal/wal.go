@@ -51,6 +51,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -198,6 +199,7 @@ type Stats struct {
 const (
 	recordHeaderBytes = 8       // u32 length + u32 crc
 	maxRecordBytes    = 1 << 28 // sanity bound against garbage lengths
+	readStepBytes     = 1 << 16 // payload read step: growth tracks arrived bytes
 	segmentSuffix     = ".wal"
 )
 
@@ -803,12 +805,17 @@ func (rr *recordReader) next() (rec *Record, n int, err error) {
 		// garbage length is corruption, never truncatable.
 		return nil, 0, fmt.Errorf("record length %d exceeds the %d-byte bound (garbage framing)", length, maxRecordBytes)
 	}
-	if cap(rr.buf) < int(length) {
-		rr.buf = make([]byte, length)
-	}
-	rr.buf = rr.buf[:length]
-	if _, err := io.ReadFull(rr.r, rr.buf); err != nil {
-		return nil, 0, fmt.Errorf("%w: short payload: %v", errTornFrame, err)
+	// The buffer grows only as payload bytes arrive, one bounded step at
+	// a time: a header declaring a huge length over a short stream costs
+	// at most one step, not the declared length.
+	rr.buf = rr.buf[:0]
+	for len(rr.buf) < int(length) {
+		have := len(rr.buf)
+		step := min(int(length)-have, readStepBytes)
+		rr.buf = slices.Grow(rr.buf, step)[:have+step]
+		if _, err := io.ReadFull(rr.r, rr.buf[have:]); err != nil {
+			return nil, 0, fmt.Errorf("%w: short payload: %v", errTornFrame, err)
+		}
 	}
 	n = recordHeaderBytes + int(length)
 	if got := crc32.Checksum(rr.buf, crcTable); got != sum {

@@ -91,7 +91,7 @@ func (e *Engine) WriteSnapshot(w io.Writer) error {
 // read surface, so a sealed store and graph snapshot serialize exactly
 // like live ones. The recorded epoch is the WAL-replay floor a restore
 // resumes from.
-func writeSnapshotData(w io.Writer, opts Options, epoch uint64, n int, edges []graph.Edge, store simstore.Store) error {
+func writeSnapshotData(w io.Writer, opts Options, epoch uint64, n int, edges []graph.Edge, store simstore.View) error {
 	crc := crc32.NewIEEE()
 	bw := bufio.NewWriter(io.MultiWriter(w, crc))
 
@@ -148,8 +148,16 @@ func writeSnapshotData(w io.Writer, opts Options, epoch uint64, n int, edges []g
 	return binary.Write(w, binary.LittleEndian, crc.Sum32())
 }
 
+// walkParams is the approx payload's read surface, which a live store
+// and a sealed view share.
+type walkParams interface {
+	Walks() int
+	Seed() int64
+	RepairGen() uint64
+}
+
 // writeStorePayload emits the backend-specific tail of the snapshot.
-func writeStorePayload(bw *bufio.Writer, store simstore.Store) error {
+func writeStorePayload(bw *bufio.Writer, store simstore.View) error {
 	writeFloats := func(vals []float64) error {
 		var buf [8]byte
 		for _, v := range vals {
@@ -160,20 +168,23 @@ func writeStorePayload(bw *bufio.Writer, store simstore.Store) error {
 		}
 		return nil
 	}
-	switch s := store.(type) {
-	case *simstore.Dense:
-		return writeFloats(s.Matrix().Data)
-	case *simstore.Packed:
-		// The packed row segments are exactly the upper triangle in the
-		// payload's row-major order.
-		n := s.N()
-		for i := 0; i < n; i++ {
-			if err := writeFloats(s.UpperRow(i)); err != nil {
+	switch store.Backend() {
+	case BackendDense, BackendPacked:
+		// A dense row aliases the row-major matrix, and the packed row
+		// segments are exactly the upper triangle in the payload's
+		// row-major order.
+		row := store.ConcurrentRow
+		if store.Backend() == BackendPacked {
+			row = store.UpperRow
+		}
+		for i := 0; i < store.N(); i++ {
+			if err := writeFloats(row(i)); err != nil {
 				return err
 			}
 		}
 		return nil
-	case *simstore.Approx:
+	case BackendApprox:
+		s := store.(walkParams)
 		if err := binary.Write(bw, binary.LittleEndian, uint32(s.Walks())); err != nil {
 			return err
 		}
@@ -182,7 +193,7 @@ func writeStorePayload(bw *bufio.Writer, store simstore.Store) error {
 		}
 		return binary.Write(bw, binary.LittleEndian, s.RepairGen())
 	}
-	return fmt.Errorf("simrank: snapshot: unknown store type %T", store)
+	return fmt.Errorf("simrank: snapshot: unknown backend %q", store.Backend())
 }
 
 // ReadSnapshot restores an engine previously written by WriteSnapshot.
@@ -375,7 +386,7 @@ func ReadSnapshot(r io.Reader) (*Engine, error) {
 		a.SetRepairGen(approxRepairGen)
 		store = a
 	}
-	return &Engine{readPath: readPath{s: store, epoch: epoch}, opts: opts.withDefaults(), g: g}, nil
+	return &Engine{readPath: readPath[simstore.Store]{s: store, epoch: epoch}, opts: opts.withDefaults(), g: g}, nil
 }
 
 // SnapshotWriter is anything that can serialize itself in the snapshot

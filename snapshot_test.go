@@ -2,6 +2,7 @@ package simrank
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -169,6 +170,69 @@ func TestSnapshotApproxRoundTripAfterRepairs(t *testing.T) {
 	}
 	if got, want := restored.Similarity(1, e.N()-1), e.Similarity(1, e.N()-1); got != want {
 		t.Fatalf("post-restore repair diverged: %v vs %v", got, want)
+	}
+}
+
+// A live store and a sealed view share one serializer: at every epoch
+// of an update stream, Engine.WriteSnapshot and the snapshot of a
+// ConcurrentEngine's published view are byte-identical on each backend.
+func TestSnapshotOfViewMatchesEngine(t *testing.T) {
+	for _, backend := range []Backend{BackendDense, BackendPacked, BackendApprox} {
+		t.Run(string(backend), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(23))
+			const n = 10
+			var edges []Edge
+			for i := 0; i < 2*n; i++ {
+				edges = append(edges, Edge{From: rng.Intn(n), To: rng.Intn(n)})
+			}
+			opts := Options{K: 6, Backend: backend, ApproxWalks: 16}
+			e := mustEngine(t, n, edges, opts)
+			c, err := NewConcurrentEngine(n, edges, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSame := func(label string) {
+				t.Helper()
+				var live, view bytes.Buffer
+				if err := e.WriteSnapshot(&live); err != nil {
+					t.Fatal(err)
+				}
+				if err := c.WriteSnapshot(&view); err != nil {
+					t.Fatal(err)
+				}
+				if c.Epoch() != e.Epoch() || !bytes.Equal(live.Bytes(), view.Bytes()) {
+					t.Fatalf("%s: view snapshot at epoch %d (%d B) differs from engine's at epoch %d (%d B)",
+						label, c.Epoch(), view.Len(), e.Epoch(), live.Len())
+				}
+			}
+			requireSame("fresh")
+			for step := 0; step < 30; step++ {
+				switch step {
+				case 10:
+					if _, err := e.AddNodes(2); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := c.AddNodes(2); err != nil {
+						t.Fatal(err)
+					}
+				case 20:
+					e.Recompute()
+					if err := c.Recompute(); err != nil {
+						t.Fatal(err)
+					}
+				default:
+					from, to := rng.Intn(e.N()), rng.Intn(e.N())
+					up := Update{Edge: Edge{From: from, To: to}, Insert: !e.HasEdge(from, to)}
+					if _, err := e.Apply(up); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := c.Apply(up); err != nil {
+						t.Fatal(err)
+					}
+				}
+				requireSame(fmt.Sprintf("step %d", step))
+			}
+		})
 	}
 }
 

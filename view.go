@@ -13,14 +13,17 @@ import (
 )
 
 // readPath is the query path the mutable Engine and every sealed
-// engineView share, written once so the two can never drift: the
-// similarity store, the query cache and the epoch cache entries are
-// stamped with.
-type readPath struct {
+// engineView share, written once over the store's read surface so the
+// two can never drift: the similarity store, the query cache and the
+// epoch cache entries are stamped with. The Engine's S is the writable
+// simstore.Store; a view's is the immutable simstore.View its Seal
+// returned.
+type readPath[S simstore.View] struct {
 	// s is the similarity store (see Options.Backend): a dense or packed
-	// exact matrix, or the approx sampling tier. It keeps itself current
-	// under every mutation (simstore.Store's write methods).
-	s simstore.Store
+	// exact matrix, or the approx sampling tier. The Engine's keeps
+	// itself current under every mutation (simstore.Store's write
+	// methods).
+	s S
 	// cache is the dirty-row-invalidated top-k query cache, nil when
 	// disabled (Options.TopKCacheRows ≤ 0). Entries are epoch-stamped
 	// (see internal/cache): every mutation path bumps the epoch and
@@ -39,26 +42,26 @@ type readPath struct {
 // this: queries never panic — an out-of-range node yields the zero
 // result (score 0, empty top-k), matching a node the graph has never
 // related to anything.
-func (r *readPath) valid(v int) bool { return v >= 0 && v < r.s.N() }
+func (r *readPath[S]) valid(v int) bool { return v >= 0 && v < r.s.N() }
 
-func (r *readPath) similarity(a, b int) float64 {
+func (r *readPath[S]) similarity(a, b int) float64 {
 	if !r.valid(a) || !r.valid(b) {
 		return 0
 	}
 	return r.s.At(a, b)
 }
 
-func (r *readPath) similarityStderr(a, b int) (score, stderr float64) {
+func (r *readPath[S]) similarityStderr(a, b int) (score, stderr float64) {
 	if !r.valid(a) || !r.valid(b) {
 		return 0, 0
 	}
-	if smp, ok := r.s.(simstore.Sampler); ok {
+	if smp, ok := any(r.s).(simstore.Sampler); ok {
 		return smp.PairStderr(a, b)
 	}
 	return r.s.At(a, b), 0
 }
 
-func (r *readPath) cacheStats() CacheStats {
+func (r *readPath[S]) cacheStats() CacheStats {
 	if r.cache == nil {
 		return CacheStats{}
 	}
@@ -67,9 +70,9 @@ func (r *readPath) cacheStats() CacheStats {
 
 // similarities materializes the matrix; on a sealed view the O(n²) copy
 // runs entirely against frozen state, so the writer never waits on it.
-func (r *readPath) similarities() *matrix.Dense { return r.s.ToDense() }
+func (r *readPath[S]) similarities() *matrix.Dense { return r.s.ToDense() }
 
-func (r *readPath) topK(k int) []Pair {
+func (r *readPath[S]) topK(k int) []Pair {
 	if k <= 0 || r.s.Backend() == BackendApprox {
 		return nil
 	}
@@ -84,7 +87,7 @@ func (r *readPath) topK(k int) []Pair {
 	return metrics.ClonePairs(ps)
 }
 
-func (r *readPath) topKFor(a, k int) []Pair {
+func (r *readPath[S]) topKFor(a, k int) []Pair {
 	if !r.valid(a) || k <= 0 {
 		return nil
 	}
@@ -92,7 +95,7 @@ func (r *readPath) topKFor(a, k int) []Pair {
 	// does not mean the row is exhausted (weak candidates can refine to
 	// zero and drop out), which would violate the cache's
 	// short-result-serves-any-larger-k rule.
-	if smp, ok := r.s.(simstore.Sampler); ok {
+	if smp, ok := any(r.s).(simstore.Sampler); ok {
 		return smp.TopKRow(a, k)
 	}
 	// Exact backends scan a concurrency-safe row view: a zero-copy alias
@@ -122,7 +125,7 @@ func (r *readPath) topKFor(a, k int) []Pair {
 // writer — the exact stores' double buffer may only recycle a buffer
 // whose views have drained — and doubles as the /stats in-flight gauge.
 type engineView struct {
-	readPath
+	readPath[simstore.View]
 	g          *graph.Snapshot
 	n, m       int
 	opts       Options
@@ -138,7 +141,7 @@ type engineView struct {
 // row is copied.
 func (e *Engine) sealView() *engineView {
 	return &engineView{
-		readPath:   readPath{s: e.s.Seal(), cache: e.cache, epoch: e.epoch},
+		readPath:   readPath[simstore.View]{s: e.s.Seal(), cache: e.cache, epoch: e.epoch},
 		g:          e.g.Seal(),
 		n:          e.g.N(),
 		m:          e.g.M(),
@@ -153,7 +156,7 @@ func (e *Engine) sealView() *engineView {
 // walk rows are copy-on-write — never rewritten in place — so approx
 // has nothing to recycle or abandon.
 type recycler interface {
-	RecyclesBufferOf(view simstore.Store) bool
+	RecyclesBufferOf(view simstore.View) bool
 	AbandonBack()
 }
 
