@@ -35,22 +35,21 @@ func withTestBackend(tb testing.TB, o Options) Options {
 // TestBackendEquivalenceRandomStreams is the cross-backend property
 // harness: the same random stream of Apply, ApplyBatch, AddNodes and
 // Recompute, with interleaved queries, runs in lockstep on a dense and a
-// packed engine — pruning on and off, Workers 1 and 4. The packed store
-// canonicalizes the (up-to-rounding symmetric) kernel output on its
-// upper triangle, so the gate is 1e-12, the same bar the pipeline
-// equivalence test holds the incremental machinery to.
+// packed engine at Workers 1 and 4. The packed store canonicalizes the
+// (up-to-rounding symmetric) kernel output on its upper triangle, so the
+// gate is 1e-12, the same bar the pipeline equivalence test holds the
+// incremental machinery to. Inc-SR prunes, hence the subtest names; the
+// seeds take len(name).
 func TestBackendEquivalenceRandomStreams(t *testing.T) {
-	for _, disablePruning := range []bool{false, true} {
-		for _, workers := range []int{1, 4} {
-			opts := Options{K: 60, DisablePruning: disablePruning, Workers: workers}
-			name := fmt.Sprintf("pruning=%v/workers=%d", !disablePruning, workers)
-			t.Run(name, func(t *testing.T) {
-				rng := rand.New(rand.NewSource(900 + int64(workers) + int64(len(name))))
-				for trial := 0; trial < 3; trial++ {
-					runBackendLockstep(t, rng, opts)
-				}
-			})
-		}
+	for _, workers := range []int{1, 4} {
+		opts := Options{K: 60, Workers: workers}
+		name := fmt.Sprintf("pruning=true/workers=%d", workers)
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(900 + int64(workers) + int64(len(name))))
+			for trial := 0; trial < 3; trial++ {
+				runBackendLockstep(t, rng, opts)
+			}
+		})
 	}
 }
 
@@ -224,28 +223,26 @@ func TestPackedSnapshotHalvesFile(t *testing.T) {
 // scratch buffer and AddSym is pure index arithmetic.
 func TestEngineApplyZeroAllocsPacked(t *testing.T) {
 	skipIfRace(t)
-	for _, disablePruning := range []bool{false, true} {
-		rng := rand.New(rand.NewSource(5))
-		g := randTestGraph(rng, 40, 160)
-		eng, err := NewEngine(g.N(), g.Edges(), Options{C: 0.6, K: 10, Backend: BackendPacked, DisablePruning: disablePruning})
-		if err != nil {
-			t.Fatal(err)
-		}
-		edges := g.Edges()[:4]
-		toggle := func() {
-			for _, e := range edges {
-				if _, err := eng.Delete(e.From, e.To); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := eng.Insert(e.From, e.To); err != nil {
-					t.Fatal(err)
-				}
+	rng := rand.New(rand.NewSource(5))
+	g := randTestGraph(rng, 40, 160)
+	eng, err := NewEngine(g.N(), g.Edges(), Options{C: 0.6, K: 10, Backend: BackendPacked})
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := g.Edges()[:4]
+	toggle := func() {
+		for _, e := range edges {
+			if _, err := eng.Delete(e.From, e.To); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := eng.Insert(e.From, e.To); err != nil {
+				t.Fatal(err)
 			}
 		}
-		toggle() // warm up
-		if allocs := testing.AllocsPerRun(20, toggle); allocs != 0 {
-			t.Fatalf("warm packed Apply (pruning=%v) allocated %v times per toggle, want 0", !disablePruning, allocs)
-		}
+	}
+	toggle() // warm up
+	if allocs := testing.AllocsPerRun(20, toggle); allocs != 0 {
+		t.Fatalf("warm packed Apply allocated %v times per toggle, want 0", allocs)
 	}
 }
 

@@ -509,8 +509,7 @@ func BenchmarkEngineUpdateStream(b *testing.B) {
 	// PrefAttach(n, 4, 29): "hub" deletes and re-inserts the first 8
 	// edges, which join the oldest, highest-degree nodes (wide affected
 	// areas); "uniform" inserts and deletes 8 absent edges drawn
-	// uniformly (small ones). Inc-uSR ("unpruned") pays Θ(n²) per update
-	// and runs at n=1024 only. Rows carry no worker count: updates run
+	// uniformly (small ones). Rows carry no worker count: updates run
 	// on the calling goroutine whatever Options.Workers says, so every
 	// width would time the same code.
 	sweep := []struct {
@@ -520,7 +519,6 @@ func BenchmarkEngineUpdateStream(b *testing.B) {
 	}{
 		{"dense", Options{C: exp.DampingC, K: 10}, []int{1024, 4096}},
 		{"packed", Options{C: exp.DampingC, K: 10, Backend: BackendPacked}, []int{1024, 4096}},
-		{"unpruned", Options{C: exp.DampingC, K: 10, DisablePruning: true}, []int{1024}},
 	}
 	for _, sw := range sweep {
 		for _, n := range sw.ns {

@@ -9,26 +9,25 @@ import (
 // TestCacheEquivalenceRandomStreams is the property test for the query
 // cache: a random stream of mixed Apply / ApplyBatch / AddNodes /
 // Recompute, interleaved with TopK / TopKFor / Similarity queries, must
-// produce bit-identical answers with the cache on and off — across
-// pruning on/off and Workers ∈ {1, 4}. The cached engine runs with a
+// produce bit-identical answers with the cache on and off at
+// Workers ∈ {1, 4}. The cached engine runs with a
 // deliberately tiny capacity so LRU eviction, k-upgrades (a larger k
 // after a smaller one) and k-prefix hits are all exercised, and every
 // query is asked twice so the second answer comes from the warm cache.
 func TestCacheEquivalenceRandomStreams(t *testing.T) {
-	for _, disablePruning := range []bool{false, true} {
-		for _, workers := range []int{1, 4} {
-			// The suite's backend (dense, or packed under CI's
-			// SIMRANK_BACKEND matrix entry) carries the whole property:
-			// caching must be bit-transparent on every exact store.
-			opts := withTestBackend(t, Options{K: 20, DisablePruning: disablePruning, Workers: workers})
-			name := fmt.Sprintf("pruning=%v/workers=%d", !disablePruning, workers)
-			t.Run(name, func(t *testing.T) {
-				rng := rand.New(rand.NewSource(int64(workers)*1000 + int64(len(name))))
-				for trial := 0; trial < 3; trial++ {
-					runCachedStream(t, rng, opts)
-				}
-			})
-		}
+	for _, workers := range []int{1, 4} {
+		// The suite's backend (dense, or packed under CI's
+		// SIMRANK_BACKEND matrix entry) carries the whole property:
+		// caching must be bit-transparent on every exact store.
+		opts := withTestBackend(t, Options{K: 20, Workers: workers})
+		// Inc-SR prunes, hence the name; the seed takes len(name).
+		name := fmt.Sprintf("pruning=true/workers=%d", workers)
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(workers)*1000 + int64(len(name))))
+			for trial := 0; trial < 3; trial++ {
+				runCachedStream(t, rng, opts)
+			}
+		})
 	}
 }
 

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	simrank -graph edges.txt [-updates updates.txt] [-c 0.6] [-k 15]
-//	        [-top 10] [-query NODE] [-no-prune]
+//	        [-top 10] [-query NODE] [-stats]
 //
 // The graph file holds "from to" lines; the update stream holds
 // "+ from to" / "- from to" lines (comments with # or %).
@@ -36,7 +36,6 @@ func run() error {
 		k          = flag.Int("k", 15, "iteration count")
 		top        = flag.Int("top", 10, "number of top pairs to print")
 		query      = flag.Int("query", -1, "print top pairs for this node only")
-		noPrune    = flag.Bool("no-prune", false, "use Inc-uSR (no pruning) for updates")
 		printStats = flag.Bool("stats", false, "print per-update work statistics")
 	)
 	flag.Parse()
@@ -58,7 +57,7 @@ func run() error {
 
 	start := time.Now()
 	eng, err := simrank.NewEngine(g.N(), g.Edges(), simrank.Options{
-		C: *c, K: *k, DisablePruning: *noPrune,
+		C: *c, K: *k,
 	})
 	if err != nil {
 		return err

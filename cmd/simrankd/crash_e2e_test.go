@@ -241,7 +241,7 @@ func TestCrashRecoveryKill9(t *testing.T) {
 			// the same single-update-batch entry point the server's drain
 			// cycles used (sequential ?wait=1 posts never coalesce).
 			// The oracle's options must match the child's flags (simrankd
-			// defaults: -c 0.6 -k 15, pruning on).
+			// defaults: -c 0.6 -k 15).
 			serialEng, err := simrank.NewEngine(8, nil, simrank.Options{
 				C: 0.6, K: 15, Backend: tc.backend, ApproxWalks: 64, ApproxSeed: 7})
 			if err != nil {

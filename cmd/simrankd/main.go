@@ -14,7 +14,7 @@
 // Usage:
 //
 //	simrankd -graph edges.txt [-addr :8080] [-snapshot state.simr]
-//	         [-c 0.6] [-k 15] [-no-prune] [-workers 0] [-topk-cache 4096]
+//	         [-c 0.6] [-k 15] [-workers 0] [-topk-cache 4096]
 //	         [-backend dense|packed|approx] [-approx-walks 128] [-approx-seed 1]
 //	simrankd -restore state.simr [-addr :8080] [-snapshot state.simr]
 //	simrankd -n 100                       # empty graph with 100 nodes
@@ -100,7 +100,6 @@ func run() error {
 		snapshot = flag.String("snapshot", "", "snapshot path for POST /snapshot and the final shutdown snapshot")
 		c        = flag.Float64("c", 0.6, "damping factor in (0,1)")
 		k        = flag.Int("k", 15, "iteration count")
-		noPrune  = flag.Bool("no-prune", false, "use Inc-uSR (no pruning) for updates")
 		backend  = flag.String("backend", "dense", "similarity store: dense, packed or approx")
 		walks    = flag.Int("approx-walks", 128, "approx backend: walks per pair (stderr shrinks as 1/sqrt)")
 		seed     = flag.Int64("approx-seed", 1, "approx backend: derived-seed root for the stored walks")
@@ -157,19 +156,19 @@ func run() error {
 	}
 
 	if *restore != "" {
-		// C, K and pruning are baked into the restored similarity state;
+		// C and K are baked into the restored similarity state;
 		// silently running with different values than asked would be a
 		// trap, so combining them with -restore is an error. -workers and
-		// -topk-cache are the runtime knobs, applied by bootEngine.
+		// -topk-cache are not persisted, so bootEngine applies them.
 		var clash []string
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "c", "k", "no-prune", "n", "backend", "approx-walks", "approx-seed":
+			case "c", "k", "n", "backend", "approx-walks", "approx-seed":
 				clash = append(clash, "-"+f.Name)
 			}
 		})
 		if len(clash) > 0 {
-			return fmt.Errorf("%s conflict with -restore: the snapshot fixes the graph, the C/K/pruning options and the store backend (drop the flag or boot from -graph)", strings.Join(clash, ", "))
+			return fmt.Errorf("%s conflict with -restore: the snapshot fixes the graph, the C/K options and the store backend (drop the flag or boot from -graph)", strings.Join(clash, ", "))
 		}
 	}
 	if _, err := simrank.ParseBackend(*backend); err != nil {
@@ -231,13 +230,13 @@ func run() error {
 		errc <- httpSrv.ListenAndServe()
 	}()
 
-	// The runtime knobs (workers, cache) ride the options into every boot
+	// The unpersisted options (workers, cache) ride into every boot
 	// path — constructor for -graph/-n, ConfigureRestored for -restore —
 	// so that booting never advances the epoch: the serving epoch is
 	// exactly the restored/replayed history, which is what lets a read
 	// replica resume the leader's stream from its own local epoch.
 	eng, err := bootEngine(*restore, *graphPth, *nodes, simrank.Options{
-		C: *c, K: *k, DisablePruning: *noPrune, Workers: *workers,
+		C: *c, K: *k, Workers: *workers,
 		Backend: simrank.Backend(*backend), ApproxWalks: *walks, ApproxSeed: *seed,
 		TopKCacheRows: *topkRows,
 	})
@@ -335,9 +334,8 @@ func bootEngine(restore, graphPath string, nodes int, opts simrank.Options) (*si
 		if err != nil {
 			return nil, fmt.Errorf("restore %s: %w", restore, err)
 		}
-		// Snapshots persist neither runtime knob; apply them with the
-		// boot-time (non-epoch-minting) form before the first view
-		// publishes.
+		// Snapshots persist neither option; ConfigureRestored applies
+		// them without minting an epoch, before the first view publishes.
 		eng.ConfigureRestored(opts.Workers, opts.TopKCacheRows)
 		return simrank.WrapEngine(eng), nil
 	case graphPath != "":

@@ -211,7 +211,7 @@ func TestReplicaChaosKill9(t *testing.T) {
 
 	// Phase 4: leader, follower, and a serial oracle of the acknowledged
 	// stream agree bit-for-bit on every similarity. (Oracle options
-	// mirror the simrankd defaults: -c 0.6 -k 15, dense, pruning on;
+	// mirror the simrankd defaults: -c 0.6 -k 15, dense;
 	// sequential ?wait=1 posts commit as single-update batches.)
 	oracleEng, err := simrank.NewEngine(8, nil, simrank.Options{C: 0.6, K: 15})
 	if err != nil {

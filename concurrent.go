@@ -386,16 +386,6 @@ func (c *ConcurrentEngine) AddNodes(count int) (int, error) {
 // Options returns the effective options of the current view.
 func (c *ConcurrentEngine) Options() Options { return c.view.Load().opts }
 
-// SetWorkers changes the batch kernel's parallelism under the writer
-// mutex, so it never overlaps a commit, and publishes the new Options;
-// see Engine.SetWorkers.
-func (c *ConcurrentEngine) SetWorkers(workers int) {
-	c.writerMu.Lock()
-	defer c.writerMu.Unlock()
-	c.eng.SetWorkers(workers)
-	c.publish()
-}
-
 // Close does nothing, like Engine.Close: the facade holds no background
 // goroutines. The facade remains usable afterwards.
 func (c *ConcurrentEngine) Close() {}
@@ -403,17 +393,6 @@ func (c *ConcurrentEngine) Close() {}
 // CacheStats returns the query cache's counters for the current view's
 // cache; see Engine.CacheStats.
 func (c *ConcurrentEngine) CacheStats() CacheStats { return c.view.Load().cacheStats() }
-
-// SetTopKCacheRows resizes, enables or disables the query cache under
-// the writer mutex; see Engine.SetTopKCacheRows. The fresh cache
-// arrives with the new view; readers still on older views keep using
-// the cache those views were published with.
-func (c *ConcurrentEngine) SetTopKCacheRows(rows int) {
-	c.writerMu.Lock()
-	defer c.writerMu.Unlock()
-	c.eng.SetTopKCacheRows(rows)
-	c.publish()
-}
 
 // WriteSnapshot serializes the current view: a consistent snapshot at
 // that view's epoch, written without taking any engine lock — queries

@@ -19,11 +19,12 @@
 //	_, _ = eng.Insert(3, 2)         // incremental update (Inc-SR)
 //	top := eng.TopK(10)             // most similar pairs after the update
 //
-// The update path implements Algorithm 2 (Inc-SR) of the paper; set
-// Options.DisablePruning to fall back to Algorithm 1 (Inc-uSR), which
-// touches all n² pairs. Both are exact: after any update sequence the
-// scores match a batch recomputation to within the iterative truncation
-// error C^{K+1}.
+// The update path implements Algorithm 2 (Inc-SR) of the paper, which
+// is exact: after any update sequence the scores match a batch
+// recomputation to within the iterative truncation error C^{K+1}.
+// Algorithm 1 (Inc-uSR), which touches all n² pairs, lives on in
+// internal/core as the reference Inc-SR is tested against and as the
+// experiments' baseline; the engine does not run it.
 //
 // # Compute core
 //
@@ -41,7 +42,7 @@
 // that ping-pongs between two preallocated n×n buffers. Options.Workers
 // sets that kernel's parallelism and nothing else: every incremental
 // update, on every backend, runs on the calling goroutine, as the
-// paper's sequential Inc-SR and Inc-uSR do. The kernel never splits the
+// paper's sequential Inc-SR does. The kernel never splits the
 // accumulations into one cell across workers, so every worker count
 // produces bit-identical results — serving answers, snapshots and WAL
 // replay are byte-stable whatever the fan-out. See README.md ("The
@@ -110,9 +111,10 @@
 // reject writes with 409 naming the leader, gate /readyz on a lag
 // bound, and fail loudly (rather than fork silently) when the stream
 // can no longer extend their state. Epochs double as the replication
-// position, so boot-time knob configuration must not advance them —
-// that is what Engine.ConfigureRestored is for. See the README's
-// "Replication" section.
+// position, so every option is fixed at construction and only logged
+// mutations advance the epoch; a restored engine sets its unpersisted
+// options with Engine.ConfigureRestored, which leaves the epoch alone.
+// See the README's "Replication" section.
 //
 // # Similarity-store backends
 //

@@ -42,7 +42,9 @@ const (
 func ParseBackend(s string) (Backend, error) { return simstore.ParseBackend(s) }
 
 // Options configures an Engine. The zero value selects the paper's
-// defaults: C = 0.6, K = 15, pruning enabled.
+// defaults: C = 0.6, K = 15. Every option is fixed at construction,
+// except that a restored engine takes the two a snapshot does not
+// persist, Workers and TopKCacheRows, from ConfigureRestored.
 type Options struct {
 	// C is the damping factor in (0, 1); 0 selects the default 0.6
 	// (Section VI-A, following Jeh and Widom).
@@ -50,10 +52,6 @@ type Options struct {
 	// K is the number of iterations; 0 selects the default 15, with which
 	// the truncation error C^K is ≈ 5·10⁻⁴ (Section VI-A).
 	K int
-	// DisablePruning switches updates from Inc-SR (Algorithm 2) to
-	// Inc-uSR (Algorithm 1). The results are identical; only the work
-	// differs. Mostly useful for benchmarking the pruning itself.
-	DisablePruning bool
 	// RecomputeThreshold is the batch-update crossover: when ApplyBatch
 	// receives at least this fraction of |E| in one call, it recomputes
 	// from scratch instead of folding unit updates (Exp-1 shows the
@@ -64,21 +62,21 @@ type Options struct {
 	// NewEngine's initial scores, Recompute, and ApplyBatch's recompute
 	// crossover. 0 selects GOMAXPROCS; 1 runs the kernel sequentially,
 	// which additionally keeps a warm dense Recompute allocation-free.
-	// Incremental updates (Inc-SR, Inc-uSR and approx walk repair) run
-	// on the calling goroutine at every value (README "The Workers
-	// knob"), and the approx backend has no batch kernel. The result is
+	// Incremental updates (Inc-SR and approx walk repair) run on the
+	// calling goroutine at every value (README "The Workers knob"), and
+	// the approx backend has no batch kernel. The result is
 	// bit-identical for every value: the kernel never splits the
 	// accumulations into one cell across workers. Not persisted in
-	// snapshots. Changeable at runtime via SetWorkers.
+	// snapshots: a restored engine takes it from ConfigureRestored.
 	Workers int
 	// TopKCacheRows enables the read-path query cache: up to this many
 	// per-row TopKFor results (plus one global TopK result) are retained,
 	// LRU-evicted, and invalidated only for the rows each incremental
 	// update actually wrote (core.Stats.DirtyRows) — wholesale on
 	// Recompute and AddNodes. Cached answers are bit-identical to fresh
-	// scans. ≤ 0 (the default) disables caching. Like Workers this is a
-	// pure runtime knob: not persisted in snapshots, changeable after
-	// construction via SetTopKCacheRows.
+	// scans. ≤ 0 (the default) disables caching. Like Workers it is not
+	// persisted in snapshots: a restored engine takes it from
+	// ConfigureRestored.
 	TopKCacheRows int
 	// Backend selects the similarity store the engine keeps S in; the
 	// empty value selects "dense", today's exact 8n²-byte matrix. "packed"
@@ -145,7 +143,7 @@ func (o Options) validate() error {
 
 // params are the options the store's write path reads.
 func (o Options) params() simstore.Params {
-	return simstore.Params{C: o.C, K: o.K, NoPruning: o.DisablePruning}
+	return simstore.Params{C: o.C, K: o.K, Workers: o.Workers}
 }
 
 // Engine maintains a directed graph together with its (matrix-form)
@@ -177,7 +175,7 @@ func NewEngine(n int, edges []Edge, opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := simstore.New(opts.Backend, g, opts.params(), opts.Workers, opts.ApproxWalks, opts.ApproxSeed)
+	s, err := simstore.New(opts.Backend, g, opts.params(), opts.ApproxWalks, opts.ApproxSeed)
 	if err != nil {
 		return nil, fmt.Errorf("simrank: %w", err)
 	}
@@ -201,8 +199,9 @@ func buildGraph(n int, edges []Edge) (*graph.DiGraph, error) {
 }
 
 // Epoch returns the engine's monotone mutation counter: 0 at
-// construction, +1 per committed Apply, Recompute, AddNodes,
-// SetWorkers or SetTopKCacheRows. The MVCC facade stamps each
+// construction, +1 per committed Apply (an ApplyBatch counts each
+// update it folds), Recompute or AddNodes — exactly the mutations the
+// write-ahead log records. The MVCC facade stamps each
 // published read view with it, the write-ahead log tags each record
 // with it, and version-3 snapshots persist it — a restored engine
 // resumes at the serialized epoch (0 for pre-WAL v1/v2 files), so WAL
@@ -277,11 +276,11 @@ func (e *Engine) Delete(i, j int) (UpdateStats, error) {
 	return e.Apply(Update{Edge: Edge{From: i, To: j}, Insert: false})
 }
 
-// Apply performs one unit update incrementally (Inc-SR, or Inc-uSR when
-// pruning is disabled). On a warm engine this is the zero-allocation hot
-// path: the store's persistent workspace supplies the transposed
-// transition matrix (maintained in O(d) per update, never rebuilt) and
-// every scratch buffer the algorithms need. A rejected update returns
+// Apply performs one unit update incrementally (Inc-SR). On a warm
+// engine this is the zero-allocation hot path: the store's persistent
+// workspace supplies the transposed transition matrix (maintained in
+// O(d) per update, never rebuilt) and every scratch buffer the
+// algorithm needs. A rejected update returns
 // *core.ErrBadUpdate — with the same Reason on every backend — and
 // leaves the engine untouched.
 //
@@ -439,24 +438,6 @@ func SingleSourceScores(n int, edges []Edge, query int, opts Options) ([]float64
 // Options returns the engine's effective (defaulted) options.
 func (e *Engine) Options() Options { return e.opts }
 
-// SetWorkers changes the batch kernel's parallelism (see
-// Options.Workers). Unlike C, K and pruning — which are baked into the
-// similarity state — Workers is a pure runtime knob, so it is the one
-// option that may be changed after construction; snapshots do not
-// persist it, and restored engines default to GOMAXPROCS until told
-// otherwise. Like any mutation it must not run concurrently with
-// another; ConcurrentEngine.SetWorkers holds the writer mutex.
-func (e *Engine) SetWorkers(workers int) {
-	e.setWorkers(workers)
-	e.epoch++ // Options() is reader-visible state
-}
-
-// setWorkers is SetWorkers without the epoch bump.
-func (e *Engine) setWorkers(workers int) {
-	e.opts.Workers = workers
-	e.s.SetWorkers(workers)
-}
-
 // Close does nothing: the engine holds no goroutines or other
 // background resources between calls. It stays part of the API so
 // callers that close engines keep compiling, and it is safe to call any
@@ -471,33 +452,25 @@ type CacheStats = cache.Stats
 // cache is doing zero scan work exactly while RowMisses holds still.
 func (e *Engine) CacheStats() CacheStats { return e.cacheStats() }
 
-// SetTopKCacheRows resizes (or enables/disables, with rows ≤ 0) the
-// query cache. Like SetWorkers this is the runtime-knob escape hatch for
-// restored snapshots, which default to no cache; the new cache starts
-// cold with fresh counters.
-func (e *Engine) SetTopKCacheRows(rows int) {
-	e.setTopKCacheRows(rows)
-	e.epoch++ // a new (cold) cache is reader-visible state
-}
-
-// ConfigureRestored applies the runtime knobs a snapshot does not
-// persist — the batch kernel's parallelism (workers ≤ 0 keeps the
-// restored default)
-// and the query cache — WITHOUT advancing the epoch: the boot-time form
-// of SetWorkers/SetTopKCacheRows, for an engine that has not yet served
-// a reader. Read replicas in particular must configure themselves this
-// way: a replica's epoch sequence is owned by the leader's record
-// stream, and an epoch minted locally at boot would collide with — and
-// silently swallow — the leader's next record (see cmd/simrankd).
+// ConfigureRestored sets the options a snapshot does not persist — the
+// batch kernel's parallelism (workers ≤ 0 keeps the restored default)
+// and the query cache (a fresh, cold one; rows ≤ 0 disables it) —
+// without advancing the epoch. Call it after ReadSnapshot, before the
+// engine takes a write or is wrapped in a ConcurrentEngine: options are
+// otherwise fixed at construction. Read replicas in particular rely on
+// the unchanged epoch: a replica's epoch sequence is owned by the
+// leader's record stream, and an epoch minted locally at boot would
+// collide with — and silently swallow — the leader's next record (see
+// cmd/simrankd).
 func (e *Engine) ConfigureRestored(workers, topkRows int) {
 	if workers > 0 {
-		e.setWorkers(workers)
+		e.opts.Workers = workers
 	}
 	e.setTopKCacheRows(topkRows)
 }
 
-// setTopKCacheRows is SetTopKCacheRows without the epoch bump — the
-// constructor's form, so a freshly built engine starts at epoch 0.
+// setTopKCacheRows builds the query cache for rows (nil when rows ≤ 0):
+// the constructor's and ConfigureRestored's shared step.
 func (e *Engine) setTopKCacheRows(rows int) {
 	e.opts.TopKCacheRows = rows
 	if rows > 0 {

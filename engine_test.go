@@ -142,21 +142,6 @@ func TestEngineErrorsLeaveStateIntact(t *testing.T) {
 	}
 }
 
-func TestEngineDisablePruningSameResult(t *testing.T) {
-	edges := []Edge{{From: 0, To: 2}, {From: 1, To: 2}, {From: 2, To: 3}, {From: 3, To: 0}}
-	a := mustEngine(t, 5, edges, Options{C: 0.6, K: 30})
-	b := mustEngine(t, 5, edges, Options{C: 0.6, K: 30, DisablePruning: true})
-	if _, err := a.Insert(4, 2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Insert(4, 2); err != nil {
-		t.Fatal(err)
-	}
-	if d := matrix.MaxAbsDiff(a.Similarities(), b.Similarities()); d > 1e-9 {
-		t.Fatalf("pruned and unpruned engines differ by %g", d)
-	}
-}
-
 func TestEngineTopK(t *testing.T) {
 	e := mustEngine(t, 4, []Edge{{From: 0, To: 1}, {From: 0, To: 2}, {From: 3, To: 1}, {From: 3, To: 2}}, Options{C: 0.8})
 	top := e.TopK(1)

@@ -339,7 +339,7 @@ func TestQuickIncUSRMatchesBatch(t *testing.T) {
 	}
 }
 
-// Property: Inc-SR ≡ Inc-uSR (pruning lossless) on random instances.
+// Property: Inc-SR agrees with Inc-uSR within 1e-9 on random instances.
 func TestQuickIncSRMatchesIncUSR(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")

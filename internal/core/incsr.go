@@ -10,8 +10,8 @@ import (
 // (dense-backed workspaces), each rank-one term ξ_k·η_kᵀ is applied
 // directly to the output over its support only, and the M matrix is never
 // materialized — so work per iteration is proportional to the affected
-// frontier A_k×B_k rather than n². The result is entrywise identical to
-// IncUSR (the pruning is lossless).
+// frontier A_k×B_k rather than n². The result agrees with IncUSR to
+// within 1e-9: the support compaction drops entries below ZeroTol.
 //
 // This non-mutating form pays a Θ(n²) defensive copy and builds a fresh
 // Workspace (Qᵀ, in-degrees, scratch) per call. Callers applying a

@@ -13,8 +13,9 @@
 // Both algorithms take the graph *before* the update, the old similarity
 // matrix S (matrix form, Eq. 2), and the unit update, and return the new
 // similarity matrix for the updated graph. They are exact in the paper's
-// sense: the result converges to the new fixed point as K grows, and
-// IncSR ≡ IncUSR entrywise (pruning is lossless).
+// sense: the result converges to the new fixed point as K grows. IncSR
+// agrees with IncUSR to within 1e-9 rather than bit for bit: its
+// support compaction drops entries below ZeroTol that IncUSR keeps.
 package core
 
 import "sort"
@@ -123,71 +124,4 @@ func (s *SparseVec) Support() []int {
 	}
 	sort.Ints(idx)
 	return idx
-}
-
-// SparseMat is a sparse matrix stored as rows of sparse vectors; it backs
-// the pruned update matrix M_k of Inc-SR.
-type SparseMat struct {
-	N    int
-	Rows map[int]*SparseVec
-}
-
-// NewSparseMat returns an empty n×n sparse matrix.
-func NewSparseMat(n int) *SparseMat {
-	return &SparseMat{N: n, Rows: make(map[int]*SparseVec)}
-}
-
-// Add accumulates v into entry (i, j).
-func (m *SparseMat) Add(i, j int, v float64) {
-	row, ok := m.Rows[i]
-	if !ok {
-		row = NewSparseVec(m.N)
-		m.Rows[i] = row
-	}
-	row.Add(j, v)
-	if row.NNZ() == 0 {
-		delete(m.Rows, i)
-	}
-}
-
-// At returns entry (i, j).
-func (m *SparseMat) At(i, j int) float64 {
-	if row, ok := m.Rows[i]; ok {
-		return row.At(j)
-	}
-	return 0
-}
-
-// NNZ returns the number of stored entries.
-func (m *SparseMat) NNZ() int {
-	n := 0
-	//simrank:orderinvariant integer addition is commutative and exact
-	for _, row := range m.Rows {
-		n += row.NNZ()
-	}
-	return n
-}
-
-// AddOuter accumulates x·yᵀ into m for sparse x, y.
-func (m *SparseMat) AddOuter(x, y *SparseVec) {
-	//simrank:orderinvariant each distinct (i,j) is written exactly once per call
-	for i, xi := range x.Val {
-		//simrank:orderinvariant each distinct (i,j) is written exactly once per call
-		for j, yj := range y.Val {
-			m.Add(i, j, xi*yj)
-		}
-	}
-}
-
-// Each calls fn for every stored entry (unordered). Callers must fold
-// commutatively or write to distinct slots — entry order is
-// deliberately unspecified.
-func (m *SparseMat) Each(fn func(i, j int, v float64)) {
-	//simrank:orderinvariant contract: callers fold commutatively (unordered by doc)
-	for i, row := range m.Rows {
-		//simrank:orderinvariant contract: callers fold commutatively (unordered by doc)
-		for j, v := range row.Val {
-			fn(i, j, v)
-		}
-	}
 }

@@ -72,37 +72,6 @@ func TestSparseVecSupport(t *testing.T) {
 	}
 }
 
-func TestSparseMatAddAtNNZ(t *testing.T) {
-	m := NewSparseMat(4)
-	m.Add(1, 2, 3)
-	m.Add(1, 2, -3) // cancels: row disappears
-	if m.NNZ() != 0 || len(m.Rows) != 0 {
-		t.Fatalf("cancellation not cleaned: nnz=%d rows=%d", m.NNZ(), len(m.Rows))
-	}
-	m.Add(0, 0, 1)
-	m.Add(3, 1, 2)
-	if m.NNZ() != 2 || m.At(3, 1) != 2 || m.At(2, 2) != 0 {
-		t.Fatal("SparseMat state wrong")
-	}
-}
-
-func TestSparseMatAddOuterEach(t *testing.T) {
-	x, y := NewSparseVec(3), NewSparseVec(3)
-	x.Set(0, 2)
-	y.Set(1, 3)
-	y.Set(2, -1)
-	m := NewSparseMat(3)
-	m.AddOuter(x, y)
-	if m.At(0, 1) != 6 || m.At(0, 2) != -2 || m.NNZ() != 2 {
-		t.Fatal("AddOuter wrong")
-	}
-	sum := 0.0
-	m.Each(func(i, j int, v float64) { sum += v })
-	if sum != 4 {
-		t.Fatalf("Each sum = %v", sum)
-	}
-}
-
 // Property: sparse dot equals dense dot.
 func TestQuickSparseDotAgreesWithDense(t *testing.T) {
 	f := func(seed int64) bool {

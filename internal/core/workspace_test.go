@@ -386,34 +386,45 @@ func TestWorkspaceIncUSRMatchesPerCall(t *testing.T) {
 	}
 }
 
-// Steady-state updates through a warm workspace must not allocate. The
-// toggle re-inserts and re-deletes the same edges so graph-map and
-// support-slice capacities settle after the warm-up pass.
+// Steady-state updates through a warm workspace must not allocate, under
+// both algorithms: Inc-SR, which the engine runs, and Inc-uSR, which the
+// experiments fold. The toggle re-inserts and re-deletes the same edges
+// so graph-map and support-slice capacities settle after the warm-up
+// pass.
 func TestWorkspaceIncSRZeroAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("zero-allocation assertion skipped under -race: detector instrumentation allocates, so AllocsPerRun cannot prove the guarantee")
 	}
-	rng := rand.New(rand.NewSource(71))
-	n := 40
-	g := randGraph(rng, n, 4*n)
-	c, k := 0.6, 10
-	s := batch.MatrixForm(g, c, k)
-	ws := NewWorkspace(g)
-	edges := g.Edges()[:4]
-	toggle := func() {
-		for _, e := range edges {
-			for _, ins := range []bool{false, true} {
-				up := graph.Update{Edge: e, Insert: ins}
-				if _, err := ws.IncSR(s, up, c, k); err != nil {
-					t.Fatal(err)
+	algorithms := []struct {
+		name string
+		run  func(*Workspace, SimStore, graph.Update, float64, int) (Stats, error)
+	}{
+		{"Inc-SR", (*Workspace).IncSR},
+		{"Inc-uSR", (*Workspace).IncUSR},
+	}
+	for _, alg := range algorithms {
+		rng := rand.New(rand.NewSource(71))
+		n := 40
+		g := randGraph(rng, n, 4*n)
+		c, k := 0.6, 10
+		s := batch.MatrixForm(g, c, k)
+		ws := NewWorkspace(g)
+		edges := g.Edges()[:4]
+		toggle := func() {
+			for _, e := range edges {
+				for _, ins := range []bool{false, true} {
+					up := graph.Update{Edge: e, Insert: ins}
+					if _, err := alg.run(ws, s, up, c, k); err != nil {
+						t.Fatal(err)
+					}
+					g.Apply(up)
+					ws.ApplyUpdate(up)
 				}
-				g.Apply(up)
-				ws.ApplyUpdate(up)
 			}
 		}
-	}
-	toggle() // warm up pools and support capacities
-	if allocs := testing.AllocsPerRun(20, toggle); allocs != 0 {
-		t.Fatalf("warm Inc-SR allocated %v times per toggle pass, want 0", allocs)
+		toggle() // warm up pools and support capacities
+		if allocs := testing.AllocsPerRun(20, toggle); allocs != 0 {
+			t.Fatalf("warm %s allocated %v times per toggle pass, want 0", alg.name, allocs)
+		}
 	}
 }

@@ -3,8 +3,8 @@
 // HTTP (GET /wal?from=<epoch>, served by internal/server), applies
 // every record through the SAME code path boot-time WAL replay uses
 // (simrank.ConcurrentEngine.ApplyReplicated → applyWALRecord), and
-// publishes one MVCC read view per applied epoch. Because Inc-SR/
-// Inc-uSR replay is deterministic and bit-identical — the repository's
+// publishes one MVCC read view per applied epoch. Because Inc-SR
+// replay is deterministic and bit-identical — the repository's
 // equivalence harnesses pin this — a follower at epoch E serves
 // exactly the leader's answers at epoch E; the epoch is the
 // replication position end to end.

@@ -169,7 +169,7 @@ func oracleAdvance(oracle *simrank.Engine, w *wal.WAL, toEpoch uint64) error {
 // random mixed write stream (unit updates, coalesced batches, node
 // growth, recomputes) and a follower tailing its WAL stream agree
 // bit-for-bit with a serial oracle at EVERY follower-published epoch —
-// across all three backends and both pruning/worker regimes. Run under
+// across all three backends and both worker regimes. Run under
 // -race in CI, which also exercises the hub/stream/apply concurrency.
 func TestReplicationEquivalence(t *testing.T) {
 	const n0, steps = 10, 24
@@ -179,7 +179,7 @@ func TestReplicationEquivalence(t *testing.T) {
 		opts simrank.Options
 	}{
 		{"dense-incsr-w1", simrank.Options{C: 0.6, K: 8, Workers: 1, Backend: simrank.BackendDense}},
-		{"dense-incusr-w4", simrank.Options{C: 0.6, K: 8, Workers: 4, DisablePruning: true, Backend: simrank.BackendDense}},
+		{"dense-incsr-w4", simrank.Options{C: 0.6, K: 8, Workers: 4, Backend: simrank.BackendDense}},
 		{"packed-incsr-w4", simrank.Options{C: 0.6, K: 8, Workers: 4, Backend: simrank.BackendPacked}},
 		{"approx-w1", simrank.Options{C: 0.6, K: 8, Workers: 1, Backend: simrank.BackendApprox, ApproxWalks: 32, ApproxSeed: 7}},
 	}

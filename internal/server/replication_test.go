@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -174,6 +175,66 @@ func TestWALStreamHeartbeats(t *testing.T) {
 		if rec.Kind != wal.KindHeartbeat || rec.Epoch != 1 {
 			t.Fatalf("frame %d = %+v, want heartbeat at epoch 1", i, rec)
 		}
+	}
+}
+
+// TestWALStreamHeartbeatNeverTrailsRecord: a record reaches the stream
+// after its durable append and before its view publishes. A heartbeat
+// sent in that window must not report an epoch below the record's: a
+// follower takes a heartbeat behind its own epoch for a leader that lost
+// history, and stops.
+func TestWALStreamHeartbeatNeverTrailsRecord(t *testing.T) {
+	dir := t.TempDir()
+	w, err := wal.Open(dir, wal.Options{Sync: wal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close() //simrank:errok test cleanup on a SyncNone log
+	eng, err := simrank.NewConcurrentEngine(4, nil, simrank.Options{K: 4, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.SetWAL(w)
+	srv := New(eng, Config{WAL: w, HeartbeatInterval: time.Millisecond})
+	ts := newHTTPServer(t, srv)
+	// Hold the commit after the hub has the record and before the view
+	// publishes, for as long as the stream is read.
+	release := make(chan struct{})
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	defer unblock()
+	eng.SetWALNotify(func(rec *wal.Record) {
+		srv.walHub.publish(rec)
+		<-release
+	})
+
+	fr, closeStream := dialStream(t, ts.URL, "0")
+	defer closeStream()
+	done := make(chan error, 1)
+	go func() {
+		_, err := eng.Insert(0, 1)
+		done <- err
+	}()
+	var newest uint64
+	for after := 0; after < 10; {
+		rec, err := fr.Next()
+		if err != nil {
+			t.Fatalf("stream broke: %v", err)
+		}
+		if rec.Kind != wal.KindHeartbeat {
+			newest = rec.Epoch
+			continue
+		}
+		if rec.Epoch < newest {
+			t.Fatalf("heartbeat at epoch %d after record %d", rec.Epoch, newest)
+		}
+		if newest > 0 {
+			after++
+		}
+	}
+	unblock()
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -22,12 +22,18 @@ import (
 // exactly zero — tests that need non-trivial scores add co-citations.
 func newTestServer(t *testing.T, n int, cfg Config, extra ...simrank.Edge) (*Server, *simrank.ConcurrentEngine, *httptest.Server) {
 	t.Helper()
+	return newTestServerOpts(t, n, simrank.Options{}, cfg, extra...)
+}
+
+// newTestServerOpts is newTestServer over an engine built with opts.
+func newTestServerOpts(t *testing.T, n int, opts simrank.Options, cfg Config, extra ...simrank.Edge) (*Server, *simrank.ConcurrentEngine, *httptest.Server) {
+	t.Helper()
 	edges := make([]simrank.Edge, n, n+len(extra))
 	for i := 0; i < n; i++ {
 		edges[i] = simrank.Edge{From: i, To: (i + 1) % n}
 	}
 	edges = append(edges, extra...)
-	eng, err := simrank.NewConcurrentEngine(n, edges, simrank.Options{})
+	eng, err := simrank.NewConcurrentEngine(n, edges, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,9 +490,8 @@ func TestServerSnapshotEndpoint(t *testing.T) {
 // cache_row_misses counter in /stats holds still while hits advance —
 // and a committed write invalidates exactly the dirty rows.
 func TestServerTopKCacheCounters(t *testing.T) {
-	_, eng, ts := newTestServer(t, 6, Config{},
+	_, _, ts := newTestServerOpts(t, 6, simrank.Options{TopKCacheRows: 64}, Config{},
 		simrank.Edge{From: 0, To: 3}, simrank.Edge{From: 0, To: 5})
-	eng.SetTopKCacheRows(64)
 
 	get := func(url string) {
 		t.Helper()

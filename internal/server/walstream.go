@@ -147,14 +147,22 @@ func (s *Server) handleWALStream(w http.ResponseWriter, r *http.Request) {
 		return nil
 	}
 
+	// Heartbeats carry the newest durable epoch: the larger of the
+	// engine's serving epoch and the log's last record epoch. A record
+	// reaches this stream after its append and before its view
+	// publishes (live through the hub, or from disk through Replay), so
+	// the serving epoch alone can trail a record already sent, and a
+	// follower stops on a heartbeat behind its own epoch. The log's
+	// epoch alone can trail the serving one on a leader restored from a
+	// snapshot whose covered records were truncated away. A leader that
+	// really lost history still reports both behind the follower.
+	heartbeat := func() error {
+		return send(wal.Heartbeat(max(s.eng.Epoch(), lw.Stats().LastEpoch)))
+	}
 	// Lead with a heartbeat: the follower learns the leader's committed
 	// position (and so its own lag) before the first byte of backlog,
-	// even when the leader is idle and the backlog is empty. Heartbeats
-	// carry the engine's SERVING epoch, not the log's last record epoch —
-	// the two diverge on a leader restored from a snapshot whose covered
-	// records were truncated away, and the serving epoch is the position
-	// a follower actually measures its lag against.
-	if err := send(wal.Heartbeat(s.eng.Epoch())); err != nil {
+	// even when the leader is idle and the backlog is empty.
+	if err := heartbeat(); err != nil {
 		return
 	}
 
@@ -195,7 +203,7 @@ func (s *Server) handleWALStream(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		case <-hb.C:
-			if err := send(wal.Heartbeat(s.eng.Epoch())); err != nil {
+			if err := heartbeat(); err != nil {
 				return
 			}
 		}

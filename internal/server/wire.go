@@ -192,10 +192,12 @@ type StatsResponse struct {
 
 	// Write-ahead-log gauges, populated only when the process runs with
 	// -wal-dir (WALEnabled says so; the others are zero otherwise).
-	// WALEpoch is the newest logged record's epoch — it tracks the view
-	// epoch minus any unlogged knob bumps; WALFailures counts commits
-	// whose record or group-commit fsync failed (nonzero means
-	// acknowledged state could be lost in a crash — page someone).
+	// WALEpoch is the newest logged record's epoch. Every epoch after
+	// boot is a logged mutation, so once the process has committed a
+	// write WALEpoch equals Epoch after each publish, unless an append
+	// failed; WALFailures counts commits whose record or group-commit
+	// fsync failed (nonzero means acknowledged state could be lost in a
+	// crash — page someone).
 	WALEnabled  bool   `json:"wal_enabled"`
 	WALEpoch    uint64 `json:"wal_epoch"`
 	WALSegments int    `json:"wal_segments"`

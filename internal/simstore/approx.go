@@ -90,6 +90,10 @@ func (a *ApproxView) Seed() int64 { return a.seed }
 
 // SetWorkers does nothing: approx has no batch kernel, and walk repair
 // runs on the calling goroutine.
+//
+// Deprecated: no store has a worker setting (the batch kernel reads
+// Params.Workers). SetWorkers remains only for simbench's trace replay,
+// which still calls it.
 func (a *Approx) SetWorkers(int) {}
 
 // N returns the node count.

@@ -46,7 +46,7 @@ type cells struct {
 // logCellsPerCopy bounds the offset log: once it holds more than 1/8 of
 // the payload's cells, scattering them one by one costs about what one
 // memmove of the whole buffer does, so the log is dropped and the next
-// flip copies everything. Inc-uSR's Θ(n²) write-back always lands here.
+// flip copies everything.
 const logCellsPerCopy = 8
 
 // seal arms the copy-on-write machinery: the caller's sealed view now

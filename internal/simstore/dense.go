@@ -122,7 +122,7 @@ func (d *Dense) Update(g *graph.DiGraph, up graph.Update, p Params) (core.Stats,
 func (d *Dense) Recompute(g *graph.DiGraph, ups []graph.Update, p Params) {
 	ws := d.follow(g, ups)
 	d.rewrite()
-	batch.MatrixFormInto(&d.m, ws.DenseScratch(), ws.TransitionCSR(), p.C, p.K, d.workers)
+	batch.MatrixFormInto(&d.m, ws.DenseScratch(), ws.TransitionCSR(), p.C, p.K, p.Workers)
 }
 
 // AddNodes returns a dense store over n+count nodes: old rows copied
@@ -142,9 +142,7 @@ func (d *Dense) AddNodes(count int, diag float64) Store {
 	}
 	// The workspace is sized for the old n; the grown store builds its
 	// own on its first write.
-	grown := WrapDense(next)
-	grown.workers = d.workers
-	return grown
+	return WrapDense(next)
 }
 
 // MemBytes reports the 8n² serving payload (the MVCC double buffer, when

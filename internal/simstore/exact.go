@@ -6,14 +6,12 @@ import (
 )
 
 // exact is the write path the dense and packed stores share: the
-// persistent core.Workspace Inc-SR and Inc-uSR run in — the maintained
-// transition matrices plus every update scratch buffer, so a warm update
-// allocates nothing — and the worker count the batch kernel fans out
-// across. Updates run on the calling goroutine. The workspace is built
+// persistent core.Workspace Inc-SR runs in — the maintained transition
+// matrices plus every update scratch buffer, so a warm update allocates
+// nothing. Updates run on the calling goroutine. The workspace is built
 // from the graph on the first write.
 type exact struct {
-	ws      *core.Workspace
-	workers int
+	ws *core.Workspace
 }
 
 // workspace returns the persistent workspace, building it from g on
@@ -25,22 +23,14 @@ func (x *exact) workspace(g *graph.DiGraph) *core.Workspace {
 	return x.ws
 }
 
-// update runs one unit update on s and folds the edge into the
-// workspace. The workspace variants never mutate s before their last
-// error check, so a rejected update leaves both untouched.
+// update runs Inc-SR for one unit update on s and folds the edge into
+// the workspace. IncSR never mutates s before its last error check, so
+// a rejected update leaves both untouched.
 //
 //simrank:noalloc
 func (x *exact) update(s core.SimStore, g *graph.DiGraph, up graph.Update, p Params) (core.Stats, error) {
 	ws := x.workspace(g)
-	var (
-		st  core.Stats
-		err error
-	)
-	if p.NoPruning {
-		st, err = ws.IncUSR(s, up, p.C, p.K)
-	} else {
-		st, err = ws.IncSR(s, up, p.C, p.K)
-	}
+	st, err := ws.IncSR(s, up, p.C, p.K)
 	if err != nil {
 		return core.Stats{}, err
 	}
@@ -59,6 +49,3 @@ func (x *exact) follow(g *graph.DiGraph, ups []graph.Update) *core.Workspace {
 	}
 	return x.workspace(g)
 }
-
-// SetWorkers sets the worker count of the batch kernel.
-func (x *exact) SetWorkers(workers int) { x.workers = workers }

@@ -19,7 +19,7 @@ type PackedView struct {
 // form: entry (i, j) with i ≤ j lives at start[i] + (j − i), for
 // n(n+1)/2 float64s total — 8·n(n+1)/2 bytes, just over half the dense
 // layout's 8n². Both mirror entries of a pair share one cell, so the
-// symmetric write-backs of Inc-SR/Inc-uSR (AddSym) touch half the
+// symmetric write-backs of Inc-SR (AddSym) touch half the
 // memory, and the store halves the serving footprint of every exact
 // engine.
 //
@@ -198,7 +198,7 @@ func (p *Packed) Update(g *graph.DiGraph, up graph.Update, prm Params) (core.Sta
 // transiently costs 16n² bytes, but the steady state never retains a
 // dense buffer.
 func (p *Packed) Recompute(g *graph.DiGraph, ups []graph.Update, prm Params) {
-	p.SetFromDense(batchScores(p.follow(g, ups), prm, p.workers))
+	p.SetFromDense(batchScores(p.follow(g, ups), prm))
 }
 
 // AddNodes returns a packed store over n+count nodes: each old row's
@@ -206,7 +206,6 @@ func (p *Packed) Recompute(g *graph.DiGraph, ups []graph.Update, prm Params) {
 // new diagonals get diag. The result is a fresh, never-sealed store.
 func (p *Packed) AddNodes(count int, diag float64) Store {
 	next := NewPacked(p.n + count)
-	next.workers = p.workers
 	for i := 0; i < p.n; i++ {
 		copy(next.upperSeg(i)[:p.n-i], p.upperSeg(i))
 	}

@@ -329,7 +329,7 @@ var writeMethods = map[string]bool{
 	"Set": true, "Add": true, "AddSym": true, "ApplyUpdate": true,
 	"AddNodes": true, "AddEdge": true, "SetFromDense": true,
 	"SetRepairGen": true, "AbandonBack": true, "Row": true, "ColInto": true,
-	"Update": true, "Recompute": true, "SetWorkers": true,
+	"Update": true, "Recompute": true,
 }
 
 // A sealed view is immutable by its type: nothing a Seal returns has a

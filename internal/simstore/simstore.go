@@ -20,8 +20,8 @@
 //
 // Each store keeps its own S current: Store.Update and Recompute are
 // the whole write path the engine calls. The exact stores (dense,
-// packed) own the persistent core.Workspace Inc-SR and Inc-uSR run in
-// and satisfy core.SimStore through their concrete cell methods; the
+// packed) own the persistent core.Workspace Inc-SR runs in and satisfy
+// core.SimStore through their concrete cell methods; the
 // approx store has no matrix cells and no exact write-backs, so it
 // absorbs an update by repairing its walks instead.
 package simstore
@@ -64,12 +64,14 @@ func ParseBackend(s string) (Backend, error) {
 }
 
 // Params are the engine constants the write path reads: the damping
-// factor C, the iteration count K, and whether exact updates run Inc-uSR
-// (Algorithm 1) instead of Inc-SR (Algorithm 2).
+// factor C, the iteration count K, and the goroutines the exact stores'
+// batch kernel fans out across (0 selects GOMAXPROCS; every value gives
+// bit-identical results). Updates run on the calling goroutine whatever
+// Workers says, and approx, which has no batch kernel, ignores it.
 type Params struct {
-	C         float64
-	K         int
-	NoPruning bool
+	C       float64
+	K       int
+	Workers int
 }
 
 // View is the read surface of a similarity matrix S, so the engine's
@@ -133,7 +135,7 @@ type View interface {
 // copy-on-write checks' slow half entirely.
 //
 // Every update runs on the writer's goroutine, on every backend: the
-// only fan-out is the exact stores' batch kernel (SetWorkers).
+// only fan-out is the exact stores' batch kernel (Params.Workers).
 type Store interface {
 	View
 	// Seal returns an immutable point-in-time view of the store, safe
@@ -163,15 +165,8 @@ type Store interface {
 	// AddNodes returns a store over n+count nodes: old scores preserved,
 	// new rows zero except s(v, v) = diag (the approx backend grows its
 	// walk index in place — diag is implicit, s(v,v) = 1 by definition —
-	// and returns the receiver). The grown store keeps the receiver's
-	// worker setting.
+	// and returns the receiver).
 	AddNodes(count int, diag float64) Store
-	// SetWorkers bounds the goroutines the exact stores' batch kernel
-	// (Recompute) fans out across; 0 selects GOMAXPROCS, and every
-	// setting gives bit-identical results. Updates run on the calling
-	// goroutine at every setting, and approx, which has no batch kernel,
-	// ignores it.
-	SetWorkers(workers int)
 }
 
 // Sampler is the optional query surface of sampling backends: top-k by
@@ -186,23 +181,22 @@ type Sampler interface {
 }
 
 // New builds a store of backend b holding S for g's current topology.
-// The exact backends run the batch kernel across workers goroutines; the
-// approx backend samples its walk index with the given per-pair walk
+// The exact backends run the batch kernel across p.Workers goroutines;
+// the approx backend samples its walk index with the given per-pair walk
 // budget and seed root (walks and seed are ignored elsewhere), capping
 // walks at p.K steps — the depth an exact K-iteration store truncates at.
-func New(b Backend, g *graph.DiGraph, p Params, workers, walks int, seed int64) (Store, error) {
+func New(b Backend, g *graph.DiGraph, p Params, walks int, seed int64) (Store, error) {
 	switch b {
 	case BackendDense:
-		x := exact{workers: workers}
-		d := WrapDense(batchScores(x.workspace(g), p, workers))
+		var x exact
+		d := WrapDense(batchScores(x.workspace(g), p))
 		d.exact = x
 		return d, nil
 	case BackendPacked:
 		// The triangle is allocated before the kernel's two transient n×n
 		// buffers; the other order raises the process's peak RSS.
 		s := NewPacked(g.N())
-		s.workers = workers
-		s.SetFromDense(batchScores(s.workspace(g), p, workers))
+		s.SetFromDense(batchScores(s.workspace(g), p))
 		return s, nil
 	case BackendApprox:
 		a, err := NewApprox(g, p.C, p.K, walks, seed)
@@ -217,9 +211,9 @@ func New(b Backend, g *graph.DiGraph, p Params, workers, walks int, seed int64) 
 // batchScores runs the batch kernel over ws's transition matrix into a
 // fresh n×n matrix, ping-ponging through a transient scratch buffer the
 // caller does not retain.
-func batchScores(ws *core.Workspace, p Params, workers int) *matrix.Dense {
+func batchScores(ws *core.Workspace, p Params) *matrix.Dense {
 	n := ws.N()
 	out := matrix.NewDense(n, n)
-	batch.MatrixFormInto(out, matrix.NewDense(n, n), ws.TransitionCSR(), p.C, p.K, workers)
+	batch.MatrixFormInto(out, matrix.NewDense(n, n), ws.TransitionCSR(), p.C, p.K, p.Workers)
 	return out
 }

@@ -2,7 +2,7 @@
 // recovery: every committed mutation batch — link updates, node growth,
 // recompute markers — is appended as one epoch-tagged, CRC-protected
 // record *before* the MVCC view that exposes it publishes. Because
-// Inc-SR/Inc-uSR are deterministic (bit-identical replay is pinned by
+// Inc-SR is deterministic (bit-identical replay is pinned by
 // the repository's equivalence harnesses), restoring the newest
 // snapshot and replaying the log tail above its epoch reproduces the
 // exact pre-crash store.

@@ -418,7 +418,7 @@ func TestMVCCLongReaderDoesNotBlockWriter(t *testing.T) {
 }
 
 // Regression: consecutive views can share one store buffer (a publish
-// with no store writes — SetWorkers here — seals the same front again).
+// with no store write, made directly here, seals the same front again).
 // A straggling reader pinning the OLDER of the two sharers must survive
 // any number of later flips: the facade may only forget a displaced
 // view once it has drained, not after one write cycle. Before the fix,
@@ -439,7 +439,9 @@ func TestMVCCPinnedViewSurvivesSharedBufferRecycling(t *testing.T) {
 			}
 			v0 := ce.acquire() // pin the boot view (buffer A)
 			before := v0.similarities()
-			ce.SetWorkers(1) // publish v1: same buffer A, no store write
+			ce.writerMu.Lock()
+			ce.publish() // publish v1: same buffer A, no store write
+			ce.writerMu.Unlock()
 			e0 := edges[0]
 			done := make(chan *matrix.Dense, 1)
 			go func() {

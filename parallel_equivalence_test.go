@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -23,23 +22,12 @@ import (
 // float equality. Run with -race in CI to also prove the kernel's
 // fan-out is data-race free.
 func TestParallelUpdateBitEquivalence(t *testing.T) {
-	type cfg struct {
-		backend        Backend
-		disablePruning bool
-	}
-	cases := []cfg{
-		{BackendDense, false},
-		{BackendDense, true},
-		{BackendPacked, false},
-		{BackendPacked, true},
-		// The approx tier has no pruning switch on its repair path; one
-		// configuration covers it.
-		{BackendApprox, false},
-	}
-	for _, tc := range cases {
-		name := fmt.Sprintf("%s/pruning=%v", tc.backend, !tc.disablePruning)
+	for _, backend := range []Backend{BackendDense, BackendPacked, BackendApprox} {
+		// The names keep the pruning=true suffix the seed's len(name)
+		// was drawn with.
+		name := fmt.Sprintf("%s/pruning=true", backend)
 		t.Run(name, func(t *testing.T) {
-			opts := Options{K: 12, Backend: tc.backend, DisablePruning: tc.disablePruning, ApproxWalks: 32}
+			opts := Options{K: 12, Backend: backend, ApproxWalks: 32}
 			rng := rand.New(rand.NewSource(int64(len(name))))
 			model := &streamModel{n: 12 + rng.Intn(5), edges: make(map[Edge]bool)}
 			for i := 0; i < model.n; i++ {
@@ -72,7 +60,7 @@ func TestParallelUpdateBitEquivalence(t *testing.T) {
 			compare := func(step int, trace []string) {
 				t.Helper()
 				for i, par := range parallel {
-					if tc.backend == BackendApprox {
+					if backend == BackendApprox {
 						for a := 0; a < model.n; a++ {
 							for b := 0; b < model.n; b++ {
 								if got, want := par.Similarity(a, b), oracle.Similarity(a, b); got != want {
@@ -136,76 +124,6 @@ func TestParallelUpdateBitEquivalence(t *testing.T) {
 	}
 }
 
-// TestSetWorkersDuringUpdates is the -race test for resizing while a
-// writer streams: ConcurrentEngine.SetWorkers serializes with updates
-// under the writer lock and publishes the new Options, so hammering both
-// concurrently must produce no races and leave the store bit-identical
-// to a serial replay of the same update sequence. The engine starts from
-// the batch kernel's scores at Workers = 2, the replay at Workers = 1.
-func TestSetWorkersDuringUpdates(t *testing.T) {
-	const (
-		n     = 24
-		steps = 120
-	)
-	rng := rand.New(rand.NewSource(42))
-	model := &streamModel{n: n, edges: make(map[Edge]bool)}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j && rng.Float64() < 0.1 {
-				model.edges[Edge{From: i, To: j}] = true
-			}
-		}
-	}
-	edges := model.edgeList()
-	ups := make([]Update, steps)
-	for i := range ups {
-		ups[i] = model.randomUpdate(rng)
-	}
-
-	ce, err := NewConcurrentEngine(n, edges, Options{K: 10, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ce.Close()
-
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	wg.Add(1)
-	go func() { // resize continuously while the writer streams updates
-		defer wg.Done()
-		for w := 0; ; w++ {
-			select {
-			case <-stop:
-				return
-			default:
-				ce.SetWorkers(1 + w%4)
-			}
-		}
-	}()
-	for _, up := range ups {
-		if _, err := ce.Apply(up); err != nil {
-			close(stop)
-			t.Fatalf("apply %v: %v", up, err)
-		}
-	}
-	close(stop)
-	wg.Wait()
-
-	serial, err := NewEngine(n, edges, Options{K: 10, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer serial.Close()
-	for _, up := range ups {
-		if _, err := serial.Apply(up); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if d := matrix.MaxAbsDiff(ce.Similarities(), serial.Similarities()); d != 0 {
-		t.Fatalf("updates interleaved with SetWorkers drifted %g from serial replay", d)
-	}
-}
-
 // TestUpdatesRunOnCallerGoroutine pins that an incremental update starts
 // no goroutine on any backend, whatever Workers says: Workers sizes only
 // the batch kernel, whose goroutines are joined before NewEngine
@@ -214,21 +132,11 @@ func TestSetWorkersDuringUpdates(t *testing.T) {
 func TestUpdatesRunOnCallerGoroutine(t *testing.T) {
 	g := gen.PrefAttach(64, 4, 7)
 	edges := absentEdges(g, 25, 31)
-	cases := []struct {
-		backend        Backend
-		disablePruning bool
-	}{
-		{BackendDense, false},
-		{BackendDense, true},
-		{BackendPacked, false},
-		{BackendPacked, true},
-		{BackendApprox, false},
-	}
-	for _, tc := range cases {
-		t.Run(fmt.Sprintf("%s/pruning=%v", tc.backend, !tc.disablePruning), func(t *testing.T) {
+	for _, backend := range []Backend{BackendDense, BackendPacked, BackendApprox} {
+		t.Run(fmt.Sprintf("%s/pruning=true", backend), func(t *testing.T) {
 			before := runtime.NumGoroutine()
 			eng, err := NewEngine(g.N(), g.Edges(), Options{
-				K: 10, Workers: 4, Backend: tc.backend, DisablePruning: tc.disablePruning, ApproxWalks: 32,
+				K: 10, Workers: 4, Backend: backend, ApproxWalks: 32,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -40,29 +40,28 @@ func (m *streamModel) randomUpdate(rng *rand.Rand) Update {
 // folded through arbitrary interleavings of Apply, ApplyBatch (whose
 // batch sizes straddle the recompute crossover) and AddNodes, must land
 // on the same similarities as a fresh engine built over the final edge
-// set — within 1e-12, with pruning on and off, at Workers ∈ {1, 2, 4,
-// 8}. Unit updates are serial at every count; the batch kernel behind
+// set — within 1e-12, at Workers ∈ {1, 2, 4, 8}. Unit updates are
+// serial at every count; the batch kernel behind
 // the construction and the recompute crossover partitions by row, and 8
 // oversubscribes the tiny graphs, which exercises the empty-range edges
 // of that partition.
 func TestPipelineEquivalenceRandomStreams(t *testing.T) {
-	for _, disablePruning := range []bool{false, true} {
-		for _, workers := range []int{1, 2, 4, 8} {
-			// K = 60 pushes the iterative truncation error C^{K+1} ≈ 3e-14
-			// below the 1e-12 gate, so any residual difference is a real
-			// divergence between the incremental and batch paths, not
-			// truncation noise. The backend comes from the suite's
-			// SIMRANK_BACKEND hook (dense by default), so CI's matrix entry
-			// replays the whole property against the packed store.
-			opts := withTestBackend(t, Options{K: 60, DisablePruning: disablePruning, Workers: workers})
-			name := fmt.Sprintf("pruning=%v/workers=%d", !disablePruning, workers)
-			t.Run(name, func(t *testing.T) {
-				rng := rand.New(rand.NewSource(int64(workers)*100 + int64(len(name))))
-				for trial := 0; trial < 3; trial++ {
-					runRandomStream(t, rng, opts)
-				}
-			})
-		}
+	for _, workers := range []int{1, 2, 4, 8} {
+		// K = 60 pushes the iterative truncation error C^{K+1} ≈ 3e-14
+		// below the 1e-12 gate, so any residual difference is a real
+		// divergence between the incremental and batch paths, not
+		// truncation noise. The backend comes from the suite's
+		// SIMRANK_BACKEND hook (dense by default), so CI's matrix entry
+		// replays the whole property against the packed store.
+		opts := withTestBackend(t, Options{K: 60, Workers: workers})
+		// Inc-SR prunes, hence the name; the seed takes len(name).
+		name := fmt.Sprintf("pruning=true/workers=%d", workers)
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(workers)*100 + int64(len(name))))
+			for trial := 0; trial < 3; trial++ {
+				runRandomStream(t, rng, opts)
+			}
+		})
 	}
 }
 

@@ -137,45 +137,42 @@ func TestTopKForWarmCacheDoesZeroScans(t *testing.T) {
 // must not evict cached rows of the other. The left component's rows
 // keep serving as hits; the updated component's rows miss and rescan.
 func TestCacheInvalidationFollowsDirtyRows(t *testing.T) {
-	for _, disablePruning := range []bool{false, true} {
-		eng := twoComponentEngine(t, Options{TopKCacheRows: 16, DisablePruning: disablePruning})
-		for a := 0; a < 8; a++ {
-			eng.TopKFor(a, 3)
-		}
-		eng.TopK(4)
-		base := eng.CacheStats()
+	eng := twoComponentEngine(t, Options{TopKCacheRows: 16})
+	for a := 0; a < 8; a++ {
+		eng.TopKFor(a, 3)
+	}
+	eng.TopK(4)
+	base := eng.CacheStats()
 
-		if _, err := eng.Insert(5, 7); err != nil { // right component only
-			t.Fatal(err)
+	if _, err := eng.Insert(5, 7); err != nil { // right component only
+		t.Fatal(err)
+	}
+	for _, r := range eng.LastStats().DirtyRows {
+		if r < 4 {
+			t.Fatalf("update in right component dirtied left row %d", r)
 		}
-		for _, r := range eng.LastStats().DirtyRows {
-			if r < 4 {
-				t.Fatalf("pruning=%v: update in right component dirtied left row %d", !disablePruning, r)
-			}
-		}
+	}
 
-		eng.TopKFor(0, 3) // untouched row: must still be cached
-		if st := eng.CacheStats(); st.RowHits != base.RowHits+1 || st.RowMisses != base.RowMisses {
-			t.Fatalf("pruning=%v: left row rescanned after right-component update: %+v vs %+v",
-				!disablePruning, st, base)
-		}
-		eng.TopKFor(5, 3) // dirty row: must rescan
-		if st := eng.CacheStats(); st.RowMisses != base.RowMisses+1 {
-			t.Fatalf("pruning=%v: dirty row served stale: %+v", !disablePruning, st)
-		}
-		if st := eng.CacheStats(); st.InvalidatedRows == 0 {
-			t.Fatalf("pruning=%v: no rows recorded invalidated", !disablePruning)
-		}
-		// The global top-k is dropped by any dirty write.
-		eng.TopK(4)
-		if st := eng.CacheStats(); st.GlobalMisses != base.GlobalMisses+1 {
-			t.Fatalf("pruning=%v: global served stale after update", !disablePruning)
-		}
+	eng.TopKFor(0, 3) // untouched row: must still be cached
+	if st := eng.CacheStats(); st.RowHits != base.RowHits+1 || st.RowMisses != base.RowMisses {
+		t.Fatalf("left row rescanned after right-component update: %+v vs %+v", st, base)
+	}
+	eng.TopKFor(5, 3) // dirty row: must rescan
+	if st := eng.CacheStats(); st.RowMisses != base.RowMisses+1 {
+		t.Fatalf("dirty row served stale: %+v", st)
+	}
+	if st := eng.CacheStats(); st.InvalidatedRows == 0 {
+		t.Fatal("no rows recorded invalidated")
+	}
+	// The global top-k is dropped by any dirty write.
+	eng.TopK(4)
+	if st := eng.CacheStats(); st.GlobalMisses != base.GlobalMisses+1 {
+		t.Fatal("global served stale after update")
 	}
 }
 
 // Recompute and AddNodes flush wholesale; snapshots restore with the
-// cache off (a runtime knob), and SetTopKCacheRows re-enables it.
+// cache off (it is not persisted), and ConfigureRestored enables it.
 func TestCacheLifecycle(t *testing.T) {
 	eng := twoComponentEngine(t, Options{TopKCacheRows: 16})
 	eng.TopKFor(0, 3)
@@ -202,13 +199,13 @@ func TestCacheLifecycle(t *testing.T) {
 	if st := restored.CacheStats(); st != (CacheStats{}) {
 		t.Fatalf("restored engine has a live cache: %+v", st)
 	}
-	restored.SetTopKCacheRows(8)
+	restored.ConfigureRestored(0, 8)
 	restored.TopKFor(0, 3)
 	restored.TopKFor(0, 3)
 	if st := restored.CacheStats(); st.RowMisses != 1 || st.RowHits != 1 {
 		t.Fatalf("re-enabled cache not serving: %+v", st)
 	}
-	restored.SetTopKCacheRows(0)
+	restored.ConfigureRestored(0, 0)
 	if st := restored.CacheStats(); st != (CacheStats{}) {
 		t.Fatalf("disabled cache still reporting: %+v", st)
 	}

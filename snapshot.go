@@ -66,13 +66,16 @@ import (
 // v1 and v2 files restore forever (with epoch 0 — they predate the
 // WAL, so there is never a log tail above them); v3 approx files
 // restore with repair generation 0.
+//
+// The flags word is written as 0 and ignored on restore. Its bit 0 once
+// selected Inc-uSR for updates; a file that sets it restores and
+// continues under Inc-SR, the only update algorithm.
 const (
 	snapshotMagic    = "SIMR"
 	snapshotVersion  = 1
 	snapshotVersion2 = 2
 	snapshotVersion3 = 3
 	snapshotVersion4 = 4
-	flagNoPruning    = 1 << 0
 
 	backendCodeDense  = 0
 	backendCodePacked = 1
@@ -98,10 +101,6 @@ func writeSnapshotData(w io.Writer, opts Options, epoch uint64, n int, edges []g
 	if _, err := bw.WriteString(snapshotMagic); err != nil {
 		return fmt.Errorf("simrank: snapshot write: %w", err)
 	}
-	var flags uint32
-	if opts.DisablePruning {
-		flags |= flagNoPruning
-	}
 	code := uint32(backendCodeDense)
 	version := uint32(snapshotVersion3)
 	switch opts.Backend {
@@ -118,7 +117,7 @@ func writeSnapshotData(w io.Writer, opts Options, epoch uint64, n int, edges []g
 		version,
 		math.Float64bits(opts.C),
 		uint32(opts.K),
-		flags,
+		uint32(0), // flags
 		code,
 		epoch,
 		uint32(n),
@@ -201,19 +200,24 @@ func writeStorePayload(bw *bufio.Writer, store simstore.View) error {
 // recomputed; use Recompute to rebuild it from the graph if desired.
 // The exact stores' compute workspace (transition matrices, update
 // scratch) is not part of the snapshot — a restored store rebuilds it
-// lazily from the graph on its first update or recompute. Options.Workers and
-// Options.TopKCacheRows are runtime knobs and are likewise not persisted;
-// restored engines use the GOMAXPROCS default with the query cache off
-// until SetWorkers/SetTopKCacheRows say otherwise (starting the cache
-// cold is also what keeps a restore trivially consistent — there is
-// nothing stale to invalidate).
+// lazily from the graph on its first update or recompute.
+// Options.Workers and Options.TopKCacheRows are not persisted either:
+// a restored engine uses the GOMAXPROCS default with the query cache
+// off unless ConfigureRestored sets them (starting the cache cold is
+// also what keeps a restore trivially consistent — there is nothing
+// stale to invalidate).
 //
-// ReadSnapshot is safe on hostile input: its allocations are bounded by
-// the bytes actually consumed, never by the header's claimed dimensions.
-// Edges and matrix entries are parsed into incrementally grown buffers,
-// and the O(n) graph structure is only built once the full payload has
-// arrived and its checksum verified — a 50-byte input claiming 2²⁴ nodes
-// fails with an error long before any n-sized allocation happens.
+// ReadSnapshot is safe on hostile input. Until the checksum verifies,
+// its allocations are bounded by the bytes actually consumed, never by
+// the header's claimed dimensions: edges and matrix entries are parsed
+// into incrementally grown buffers, so a 50-byte input claiming 2²⁴
+// nodes fails with an error long before any n-sized allocation happens.
+// On the exact backends the verified payload then holds the n² scores
+// the store is built from, so a restore costs what its input holds. An
+// approx payload holds no walks, only their parameters: a verified
+// approx file costs what NewEngine costs for the header's n, walk
+// budget W and K — the n·W·(K+1) stored walk positions — however short
+// the file is.
 func ReadSnapshot(r io.Reader) (*Engine, error) {
 	// The tee sits *above* the buffered reader so the CRC sees exactly
 	// the bytes the parser consumes — bufio read-ahead stays out of it.
@@ -360,7 +364,7 @@ func ReadSnapshot(r io.Reader) (*Engine, error) {
 			return nil, fmt.Errorf("simrank: snapshot duplicate edge %d→%d", e.From, e.To)
 		}
 	}
-	opts := Options{C: c, K: int(k), DisablePruning: flags&flagNoPruning != 0, Backend: backend}
+	opts := Options{C: c, K: int(k), Backend: backend}
 	var store simstore.Store
 	switch backend {
 	case BackendDense:

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/matrix"
 )
 
 // snapshotBytes serializes an engine over the given graph for corpus use.
@@ -29,12 +28,14 @@ func snapshotBytes(t testing.TB, n int, edges []Edge, opts Options) []byte {
 // the 1 MiB inputs below would otherwise be free to demand petabytes).
 // When the bytes do parse, writing the restored engine back out must be
 // deterministic and stable: write → read → write is byte-identical, and
-// the re-read engine matches bit for bit.
+// the re-read engine answers every pair bit for bit (by Similarity, which
+// approx serves too; its Similarities is nil).
 func FuzzReadSnapshot(f *testing.F) {
-	// Valid corpus: the empty engine, isolated nodes only, and the
-	// paper's Fig-1 graph (with non-default options for header variety).
+	// Valid corpus: the empty engine, isolated nodes only (with
+	// non-default options and the ignored flags bit 0 for header
+	// variety), the paper's Fig-1 graph, and an approx engine over it.
 	f.Add(snapshotBytes(f, 0, nil, Options{}))
-	f.Add(snapshotBytes(f, 3, nil, Options{C: 0.8, K: 7, DisablePruning: true}))
+	f.Add(withSnapshotFlags(snapshotBytes(f, 3, nil, Options{C: 0.8, K: 7}), 1))
 	fig1, _ := graph.Fig1Graph()
 	valid := snapshotBytes(f, fig1.N(), fig1.Edges(), Options{})
 	f.Add(valid)
@@ -49,6 +50,7 @@ func FuzzReadSnapshot(f *testing.F) {
 	binary.LittleEndian.PutUint32(huge[24:], 1<<24) // n
 	binary.LittleEndian.PutUint32(huge[28:], 0)     // m
 	f.Add(huge)
+	f.Add(snapshotBytes(f, fig1.N(), fig1.Edges(), Options{Backend: BackendApprox, ApproxWalks: 16}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<20 {
@@ -72,8 +74,12 @@ func FuzzReadSnapshot(f *testing.F) {
 		if e2.Options() != e.Options() {
 			t.Fatalf("round trip changed options: %+v vs %+v", e2.Options(), e.Options())
 		}
-		if d := matrix.MaxAbsDiff(e2.Similarities(), e.Similarities()); d != 0 {
-			t.Fatalf("round trip drifted similarities by %g", d)
+		for a := 0; a < e.N(); a++ {
+			for b := 0; b < e.N(); b++ {
+				if got, want := e2.Similarity(a, b), e.Similarity(a, b); got != want {
+					t.Fatalf("round trip moved s(%d,%d) from %v to %v", a, b, want, got)
+				}
+			}
 		}
 		var second bytes.Buffer
 		if err := e2.WriteSnapshot(&second); err != nil {

@@ -2,7 +2,9 @@ package simrank
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"strings"
 	"testing"
@@ -13,7 +15,7 @@ import (
 func TestSnapshotRoundTrip(t *testing.T) {
 	e := mustEngine(t, 6, []Edge{
 		{From: 0, To: 2}, {From: 1, To: 2}, {From: 2, To: 3}, {From: 4, To: 3},
-	}, Options{C: 0.8, K: 20, DisablePruning: true})
+	}, Options{C: 0.8, K: 20})
 	if _, err := e.Insert(5, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +31,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if got.N() != e.N() || got.M() != e.M() {
 		t.Fatalf("graph mismatch: %d/%d vs %d/%d", got.N(), got.M(), e.N(), e.M())
 	}
-	if o := got.Options(); o.C != 0.8 || o.K != 20 || !o.DisablePruning {
+	if o := got.Options(); o.C != 0.8 || o.K != 20 {
 		t.Fatalf("options mismatch: %+v", o)
 	}
 	if d := matrix.MaxAbsDiff(got.Similarities(), e.Similarities()); d != 0 {
@@ -38,6 +40,46 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	// The restored engine keeps working incrementally.
 	if _, err := got.Delete(5, 2); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// withSnapshotFlags returns a copy of a snapshot with its flags word set
+// to flags and its CRC trailer recomputed to match.
+func withSnapshotFlags(data []byte, flags uint32) []byte {
+	out := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint32(out[20:], flags) // magic, version, C, K
+	body := out[:len(out)-4]
+	binary.LittleEndian.PutUint32(out[len(body):], crc32.ChecksumIEEE(body))
+	return out
+}
+
+// Bit 0 of the flags word once selected Inc-uSR. A v3 file that sets it
+// restores and updates exactly like the same file with the bit clear:
+// Inc-SR is the only update algorithm.
+func TestSnapshotIgnoresRetiredFlagBit(t *testing.T) {
+	g := randTestGraph(rand.New(rand.NewSource(1)), 30, 120)
+	ins := absentEdges(g, 1, 1)[0]
+	for _, backend := range []Backend{BackendDense, BackendPacked} {
+		t.Run(string(backend), func(t *testing.T) {
+			plain := snapshotBytes(t, g.N(), g.Edges(), Options{Backend: backend})
+			if v := binary.LittleEndian.Uint32(plain[4:]); v != 3 {
+				t.Fatalf("%s writes snapshot version %d, want 3", backend, v)
+			}
+			var scores [2]*matrix.Dense
+			for i, data := range [][]byte{plain, withSnapshotFlags(plain, 1)} {
+				e, err := ReadSnapshot(bytes.NewReader(data))
+				if err != nil {
+					t.Fatalf("flags bit %d: %v", i, err)
+				}
+				if _, err := e.Insert(ins.From, ins.To); err != nil {
+					t.Fatal(err)
+				}
+				scores[i] = e.Similarities()
+			}
+			if d := matrix.MaxAbsDiff(scores[0], scores[1]); d != 0 {
+				t.Fatalf("flags bit 0 moved the scores after one update by %g", d)
+			}
+		})
 	}
 }
 

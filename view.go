@@ -33,8 +33,8 @@ type readPath[S simstore.View] struct {
 	cache *cache.TopK
 	// epoch counts committed mutations, monotonically: the version
 	// number the MVCC facade stamps on published read views and the
-	// cache stamps on entries. Bumped by Apply, Recompute, AddNodes,
-	// SetWorkers and SetTopKCacheRows (anything a reader could observe).
+	// cache stamps on entries. Bumped by Apply, Recompute and AddNodes:
+	// the mutations the write-ahead log records.
 	epoch uint64
 }
 

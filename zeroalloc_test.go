@@ -119,17 +119,39 @@ func TestEngineApplyBatchSingleZeroAllocs(t *testing.T) {
 	}
 }
 
-// The unpruned path shares the same guarantee once its dense scratch is
-// warm.
+// Pruning bounds an update's work by its affected support; when the
+// support is every pair, nothing is pruned and the kernel runs at full
+// width — n pooled rows of M, a full touched-pair bitset, every row
+// dirty. A warm Apply must not allocate there either. The ring through
+// every node gives each node an in-neighbour, so K = 8 iterations spread
+// each toggle's delta to all n² pairs; the warm-up pass checks that it
+// does, so the zero-allocation claim is made about the unpruned case.
 func TestEngineApplyZeroAllocsUnpruned(t *testing.T) {
 	skipIfRace(t)
 	rng := rand.New(rand.NewSource(13))
-	g := randTestGraph(rng, 30, 120)
-	eng, err := NewEngine(g.N(), g.Edges(), Options{C: 0.6, K: 8, DisablePruning: true})
+	n := 30
+	g := graph.New(n)
+	for v := 0; v < n; v++ {
+		g.AddEdge(v, (v+1)%n)
+	}
+	for g.M() < 4*n {
+		g.AddEdge(rng.Intn(n), rng.Intn(n))
+	}
+	eng, err := NewEngine(g.N(), g.Edges(), Options{C: 0.6, K: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	e0 := g.Edges()[0]
+	check := func(st UpdateStats, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.AffectedPairs != n*n || len(st.DirtyRows) != n {
+			t.Fatalf("update touched %d pairs and %d rows, want all %d and %d: the case is pruned", st.AffectedPairs, len(st.DirtyRows), n*n, n)
+		}
+	}
+	check(eng.Delete(e0.From, e0.To))
+	check(eng.Insert(e0.From, e0.To))
 	toggle := func() {
 		if _, err := eng.Delete(e0.From, e0.To); err != nil {
 			t.Fatal(err)
@@ -138,7 +160,6 @@ func TestEngineApplyZeroAllocsUnpruned(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	toggle()
 	if allocs := testing.AllocsPerRun(20, toggle); allocs != 0 {
 		t.Fatalf("warm unpruned Apply allocated %v times per toggle, want 0", allocs)
 	}
