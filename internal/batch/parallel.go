@@ -10,7 +10,8 @@ import (
 // MatrixFormParallel: it computes K iterations of S ← C·Q·S·Qᵀ + (1−C)·Iₙ
 // into s, ping-ponging between s and tmp so the whole iteration allocates
 // nothing. Both buffers must be n×n (n = q's row count); tmp's contents
-// are scratch. workers ≤ 0 selects GOMAXPROCS.
+// are scratch. workers ≤ 0 selects GOMAXPROCS. The result is exactly
+// symmetric: the last step mirrors the upper triangle onto the lower.
 //
 // Each of the two sparse-dense products per iteration is row-partitioned
 // across workers (the CPU analogue of He et al.'s parallel SimRank
@@ -48,24 +49,30 @@ func MatrixFormInto(s, tmp *matrix.Dense, q *matrix.CSR, c float64, k, workers i
 				s.Add(d, d, 1-c)
 			}
 		}
-		return
+	} else {
+		for iter := 0; iter < k; iter++ {
+			// tmp = Q·S, rows split across workers.
+			//simrank:allocok parallel path: O(workers) closures per iteration, the documented trade for the speedup
+			matrix.ParallelRows(n, workers, func(lo, hi int) {
+				matrix.SpMulDense(tmp, q, s, lo, hi)
+			})
+			// s = C·(tmp·Qᵀ) + (1−C)·I; row a of the result reads only row a
+			// of tmp, so the same row partition is race-free.
+			//simrank:allocok parallel path: O(workers) closures per iteration, the documented trade for the speedup
+			matrix.ParallelRows(n, workers, func(lo, hi int) {
+				matrix.SpMulDenseT(s, q, tmp, c, lo, hi)
+				for d := lo; d < hi; d++ {
+					s.Add(d, d, 1-c)
+				}
+			})
+		}
 	}
-	for iter := 0; iter < k; iter++ {
-		// tmp = Q·S, rows split across workers.
-		//simrank:allocok parallel path: O(workers) closures per iteration, the documented trade for the speedup
-		matrix.ParallelRows(n, workers, func(lo, hi int) {
-			matrix.SpMulDense(tmp, q, s, lo, hi)
-		})
-		// s = C·(tmp·Qᵀ) + (1−C)·I; row a of the result reads only row a
-		// of tmp, so the same row partition is race-free.
-		//simrank:allocok parallel path: O(workers) closures per iteration, the documented trade for the speedup
-		matrix.ParallelRows(n, workers, func(lo, hi int) {
-			matrix.SpMulDenseT(s, q, tmp, c, lo, hi)
-			for d := lo; d < hi; d++ {
-				s.Add(d, d, 1-c)
-			}
-		})
-	}
+	// Cells (a, b) and (b, a) add the same terms grouped in different
+	// orders (the first product sums over a's in-neighbours for one and
+	// b's for the other), so they can differ in the last bits. Copying the
+	// upper triangle down makes S exactly symmetric, which lets the
+	// incremental updates read a row wherever the paper reads a column.
+	s.MirrorUpper()
 }
 
 // MatrixFormParallel computes the same matrix-form fixed point as

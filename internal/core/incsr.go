@@ -12,6 +12,8 @@ import (
 // materialized — so work per iteration is proportional to the affected
 // frontier A_k×B_k rather than n². The result agrees with IncUSR to
 // within 1e-9: the support compaction drops entries below ZeroTol.
+// s must be exactly symmetric (see SimStore), as batch.MatrixForm's
+// output is.
 //
 // This non-mutating form pays a Θ(n²) defensive copy and builds a fresh
 // Workspace (Qᵀ, in-degrees, scratch) per call. Callers applying a
@@ -33,10 +35,12 @@ func IncSR(g *graph.DiGraph, s *matrix.Dense, up graph.Update, c float64, k int)
 // untouched; the workspace itself must reflect the pre-update graph and
 // is left unchanged (call ApplyUpdate separately once the graph changes).
 //
-// s is any SimStore: the dense matrix of the classic engine or a
-// packed-symmetric store — every read respects the scratch-row aliasing
-// contract and every write goes through AddSym, so the store layout is
-// free to halve the symmetric storage.
+// s is any exactly symmetric SimStore: the dense matrix of the classic
+// engine or a packed-symmetric store. The update reads rows i and j
+// where Algorithm 2 reads the columns [S]_{·,i} and [S]_{·,j}, every
+// read respects the scratch-row aliasing contract, and every write goes
+// through AddSym, so S stays symmetric and the store layout is free to
+// halve the symmetric storage.
 //
 //simrank:noalloc
 func (ws *Workspace) IncSR(s SimStore, up graph.Update, c float64, k int) (Stats, error) {
@@ -59,11 +63,15 @@ func (ws *Workspace) IncSR(s SimStore, up graph.Update, c float64, k int) (Stats
 	//   F₂ = {y : [S]_{j,y} ≠ 0} unless the update makes/made j a source
 	//        (d_j = 0 insert, d_j = 1 delete), in which case γ has no
 	//        [S]_{·,j} term and F₂ = ∅.
+	// S is exactly symmetric, so row i is [S]_{·,i} and row j is
+	// [S]_{·,j}: one copy of row i serves F₁ here and w below, and row j
+	// serves F₂ and γ.
 	b0 := ws.b0 // used as an index set; values unused
 	b0.add(j, 1)
-	srow := s.Row(i)
+	si := ws.si
+	copy(si, s.Row(i))
 	for y := 0; y < n; y++ {
-		if srow[y] > ZeroTol || srow[y] < -ZeroTol {
+		if si[y] > ZeroTol || si[y] < -ZeroTol {
 			for _, e := range ws.qt[y] {
 				if !b0.mark[e.idx] {
 					b0.add(e.idx, 1)
@@ -71,19 +79,19 @@ func (ws *Workspace) IncSR(s SimStore, up graph.Update, c float64, k int) (Stats
 			}
 		}
 	}
-	needF2 := (up.Insert && dj > 0) || (!up.Insert && dj > 1)
-	if needF2 {
-		jrow := s.Row(j)
+	var sj []float64
+	if (up.Insert && dj > 0) || (!up.Insert && dj > 1) {
+		// No Row call may come between this one and gammaWs: a packed
+		// store serves both from one scratch buffer.
+		sj = s.Row(j)
 		for y := 0; y < n; y++ {
-			if (jrow[y] > ZeroTol || jrow[y] < -ZeroTol) && !b0.mark[y] {
+			if (sj[y] > ZeroTol || sj[y] < -ZeroTol) && !b0.mark[y] {
 				b0.add(y, 1)
 			}
 		}
 	}
 
 	// Lines 3–12: memoize [w]_b = [Q]_{b,·}·[S]_{·,i} and γ only on B₀.
-	si := ws.si
-	s.ColInto(si, i)
 	w := ws.w
 	for _, b := range b0.supp {
 		if ws.din[b] == 0 {
@@ -97,7 +105,7 @@ func (ws *Workspace) IncSR(s SimStore, up graph.Update, c float64, k int) (Stats
 	}
 	lam := lambda(s, i, j, w.at(j), c)
 	gam := ws.gam
-	gammaWs(gam, s, w, lam, up, dj, c, b0)
+	gammaWs(gam, s, sj, w, lam, up, dj, c, b0)
 
 	// Lines 13–19: iterate sparse ξ/η with the implicit
 	// Q̃x = Qx + (vᵀx)u, accumulating each rank-one term ξ_k·η_kᵀ into M.
@@ -235,10 +243,13 @@ func (ws *Workspace) srAccum(xi, eta *wsVec) {
 
 // gammaWs fills gam with gammaDense restricted to the B₀ support
 // (Algorithm 2 lines 4–12): every entry of γ outside B₀ is structurally
-// zero by the Theorem-4 argument, so it is never materialized.
+// zero by the Theorem-4 argument, so it is never materialized. sj is row
+// j of S, which stands for [S]_{·,j} by symmetry; it is read only in the
+// two branches that have an [S]_{·,j} term (an insert with d_j > 0, a
+// delete with d_j > 1) and may be nil otherwise.
 //
 //simrank:noalloc
-func gammaWs(gam *wsVec, s SimStore, w *wsVec, lam float64, up graph.Update, dj int, c float64, b0 *wsVec) {
+func gammaWs(gam *wsVec, s SimStore, sj []float64, w *wsVec, lam float64, up graph.Update, dj int, c float64, b0 *wsVec) {
 	i, j := up.Edge.From, up.Edge.To
 	if up.Insert {
 		if dj == 0 {
@@ -249,7 +260,7 @@ func gammaWs(gam *wsVec, s SimStore, w *wsVec, lam float64, up graph.Update, dj 
 		} else {
 			f := 1 / float64(dj+1)
 			for _, b := range b0.supp {
-				gam.add(b, f*(w.at(b)-s.At(b, j)/c))
+				gam.add(b, f*(w.at(b)-sj[b]/c))
 			}
 			gam.add(j, f*(lam/(2*float64(dj+1))+1/c-1))
 		}
@@ -261,7 +272,7 @@ func gammaWs(gam *wsVec, s SimStore, w *wsVec, lam float64, up graph.Update, dj 
 	} else {
 		f := 1 / float64(dj-1)
 		for _, b := range b0.supp {
-			gam.add(b, f*(s.At(b, j)/c-w.at(b)))
+			gam.add(b, f*(sj[b]/c-w.at(b)))
 		}
 		gam.add(j, f*(lam/(2*float64(dj-1))-1/c+1))
 	}

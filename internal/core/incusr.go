@@ -51,7 +51,8 @@ func lambda(s SimStore, i, j int, wj, c float64) float64 {
 
 // gammaDense fills gam with the auxiliary vector γ of Theorem 3
 // (Eqs. 27–28) given the memoized w = Q·[S]_{·,i}, the scalar λ, the old
-// S, and the update. dj is the in-degree of j in the old graph.
+// S, and the update. dj is the in-degree of j in the old graph. S is
+// exactly symmetric, so row j of S serves as [S]_{·,j}.
 //
 //simrank:noalloc
 func gammaDense(gam []float64, s SimStore, w []float64, lam float64, up graph.Update, dj int, c float64) {
@@ -66,8 +67,9 @@ func gammaDense(gam []float64, s SimStore, w []float64, lam float64, up graph.Up
 		}
 		// γ = 1/(d_j+1)·( w − (1/C)[S]_{·,j} + (λ/(2(d_j+1)) + 1/C − 1)·e_j )
 		f := 1 / float64(dj+1)
+		sj := s.Row(j)
 		for b := 0; b < n; b++ {
-			gam[b] = f * (w[b] - s.At(b, j)/c)
+			gam[b] = f * (w[b] - sj[b]/c)
 		}
 		gam[j] += f * (lam/(2*float64(dj+1)) + 1/c - 1)
 		return
@@ -82,8 +84,9 @@ func gammaDense(gam []float64, s SimStore, w []float64, lam float64, up graph.Up
 	}
 	// γ = 1/(d_j−1)·( (1/C)[S]_{·,j} − w + (λ/(2(d_j−1)) − 1/C + 1)·e_j )
 	f := 1 / float64(dj-1)
+	sj := s.Row(j)
 	for b := 0; b < n; b++ {
-		gam[b] = f * (s.At(b, j)/c - w[b])
+		gam[b] = f * (sj[b]/c - w[b])
 	}
 	gam[j] += f * (lam/(2*float64(dj-1)) - 1/c + 1)
 }
@@ -113,7 +116,8 @@ func IncUSR(g *graph.DiGraph, s *matrix.Dense, up graph.Update, c float64, k int
 // heap allocations once warm. s is mutated only after all validation; the
 // workspace must reflect the pre-update graph and is left unchanged (call
 // ApplyUpdate separately once the graph changes). Like IncSR it accepts
-// any SimStore: all writes flow through Add/AddSym so symmetric layouts
+// any exactly symmetric SimStore and reads rows where Algorithm 1 reads
+// columns: all writes flow through Add/AddSym so symmetric layouts
 // apply each unordered pair's delta to one backing cell.
 //
 //simrank:noalloc
@@ -132,8 +136,9 @@ func (ws *Workspace) IncUSR(s SimStore, up graph.Update, c float64, k int) (Stat
 	dj := ws.din[j]
 
 	// Lines 3–4: w := Q·[S]_{·,i};  λ := [S]_{i,i} + [S]_{j,j}/C − 2[w]_j − 1/C + 1.
+	// S is exactly symmetric, so [S]_{·,i} is a copy of row i.
 	si := ws.si
-	s.ColInto(si, i)
+	copy(si, s.Row(i))
 	w := ws.wD
 	ws.mulQ(w, si)
 	lam := lambda(s, i, j, w[j], c)

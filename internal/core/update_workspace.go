@@ -35,8 +35,9 @@ type Workspace struct {
 	q  [][]qEnt
 	qt [][]qEnt
 
-	// vws (Theorem 1's v) and si (the [S]_{·,i} column copy) serve both
-	// update algorithms and are always present.
+	// vws (Theorem 1's v) and si (a copy of row i of S, which is
+	// [S]_{·,i} by symmetry) serve both update algorithms and are always
+	// present.
 	vws *wsVec
 	si  []float64
 
@@ -59,7 +60,8 @@ type Workspace struct {
 	rowPool             [][]float64
 	touched             *pairBitset
 
-	// Inc-uSR dense scratch, allocated on first use (pruning disabled).
+	// Inc-uSR dense scratch, allocated on first IncUSR call (the
+	// experiments' baseline; the engine runs Inc-SR only).
 	mDense                                 *matrix.Dense
 	wD, gamD, xiD, etaD, xiNextD, etaNextD []float64
 

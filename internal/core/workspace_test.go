@@ -86,7 +86,7 @@ func seedIncSRInPlace(g *graph.DiGraph, s *matrix.Dense, up graph.Update, c floa
 	}
 	lam := lambda(s, i, j, w.at(j), c)
 	gam := newWsVec(n)
-	gammaWs(gam, s, w, lam, up, dj, c, b0)
+	gammaWs(gam, s, s.Row(j), w, lam, up, dj, c, b0)
 
 	mRows := make([][]float64, n)
 	var rowSupp []int

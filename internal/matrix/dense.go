@@ -121,18 +121,30 @@ func (m *Dense) AddSym(i, j int, v float64) {
 	m.Data[j*m.Cols+i] += v
 }
 
-// ColInto copies column j into dst (which must have length Rows), the
-// gather [S]_{·,j} that the incremental updates memoize. For symmetric
-// packed stores the column is served from row storage; the dense layout
-// gathers with stride Cols.
-func (m *Dense) ColInto(dst []float64, j int) {
-	if boundsChecks {
-		if j < 0 || j >= m.Cols {
-			panic(fmt.Sprintf("matrix: column %d out of range %d×%d", j, m.Rows, m.Cols))
-		}
+// MirrorUpper copies every entry (a, b) with a < b onto (b, a), so a
+// square m becomes exactly symmetric, holding its upper triangle's
+// values. It walks 64×64 blocks: a plain loop's column writes lie Cols
+// floats apart, and at a power-of-two Cols every one of them maps to the
+// same few cache sets.
+//
+//simrank:noalloc
+func (m *Dense) MirrorUpper() {
+	n := m.Rows
+	if m.Cols != n {
+		panic("matrix: MirrorUpper needs a square matrix")
 	}
-	for i := 0; i < m.Rows; i++ {
-		dst[i] = m.Data[i*m.Cols+j]
+	const blk = 64
+	for a0 := 0; a0 < n; a0 += blk {
+		a1 := min(a0+blk, n)
+		for b0 := a0; b0 < n; b0 += blk {
+			b1 := min(b0+blk, n)
+			for a := a0; a < a1; a++ {
+				row := m.Data[a*n : (a+1)*n]
+				for b := max(b0, a+1); b < b1; b++ {
+					m.Data[b*n+a] = row[b]
+				}
+			}
+		}
 	}
 }
 

@@ -213,6 +213,32 @@ func TestIsSymmetric(t *testing.T) {
 	}
 }
 
+// MirrorUpper must copy exactly the strict upper triangle onto the
+// lower one, leaving the diagonal and the upper triangle alone, at sizes
+// around its block edge.
+func TestMirrorUpper(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{0, 1, 2, 63, 64, 65, 130} {
+		m := NewDense(n, n)
+		for i := range m.Data {
+			m.Data[i] = rng.Float64()
+		}
+		orig := m.Clone()
+		m.MirrorUpper()
+		for a := 0; a < n; a++ {
+			for b := 0; b < n; b++ {
+				want := orig.At(a, b)
+				if a > b {
+					want = orig.At(b, a)
+				}
+				if m.At(a, b) != want {
+					t.Fatalf("n=%d: (%d,%d) = %v, want %v", n, a, b, m.At(a, b), want)
+				}
+			}
+		}
+	}
+}
+
 func TestNNZ(t *testing.T) {
 	m := NewDenseFrom([][]float64{{0, 1e-14}, {0.5, 0}})
 	if got := m.NNZ(1e-12); got != 1 {

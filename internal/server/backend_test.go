@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
@@ -80,8 +81,9 @@ func TestServerStatsReportsBackend(t *testing.T) {
 	}
 }
 
-// The exact backends serve identical query surfaces; packed answers must
-// track dense within 1e-12 through the HTTP layer too.
+// The exact backends serve identical query surfaces: both hold the same
+// exactly symmetric S, so packed answers equal dense ones bit for bit
+// through the HTTP layer too, pair for pair in /topk.
 func TestServerPackedServesQueries(t *testing.T) {
 	_, dts := newBackendServer(t, simrank.BackendDense)
 	_, pts := newBackendServer(t, simrank.BackendPacked)
@@ -94,8 +96,8 @@ func TestServerPackedServesQueries(t *testing.T) {
 		if code := getJSON(t, pts.URL+url, &ps); code != 200 {
 			t.Fatalf("packed %s = %d", url, code)
 		}
-		if d := ds.Score - ps.Score; d > 1e-12 || d < -1e-12 {
-			t.Fatalf("%s: dense %v packed %v", url, ds.Score, ps.Score)
+		if ds != ps {
+			t.Fatalf("%s: dense %+v packed %+v", url, ds, ps)
 		}
 	}
 	var dk, pk TopKResponse
@@ -105,13 +107,8 @@ func TestServerPackedServesQueries(t *testing.T) {
 	if code := getJSON(t, pts.URL+"/topk?k=6", &pk); code != 200 {
 		t.Fatalf("packed /topk = %d", code)
 	}
-	if len(dk.Pairs) != len(pk.Pairs) {
-		t.Fatalf("topk lengths %d vs %d", len(dk.Pairs), len(pk.Pairs))
-	}
-	for i := range dk.Pairs {
-		if d := dk.Pairs[i].Score - pk.Pairs[i].Score; d > 1e-12 || d < -1e-12 {
-			t.Fatalf("topk[%d]: dense %v packed %v", i, dk.Pairs[i].Score, pk.Pairs[i].Score)
-		}
+	if !slices.Equal(dk.Pairs, pk.Pairs) {
+		t.Fatalf("topk:\n dense  %v\n packed %v", dk.Pairs, pk.Pairs)
 	}
 }
 

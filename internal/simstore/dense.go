@@ -100,9 +100,6 @@ func (d *DenseView) ConcurrentRow(i int) []float64 { return d.m.Row(i) }
 // storage.
 func (d *DenseView) UpperRow(a int) []float64 { return d.m.Row(a)[a:] }
 
-// ColInto copies column j into dst.
-func (d *Dense) ColInto(dst []float64, j int) { d.m.ColInto(dst, j) }
-
 // ToDense returns an independent dense copy of S.
 func (d *DenseView) ToDense() *matrix.Dense { return d.m.Clone() }
 

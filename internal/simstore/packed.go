@@ -137,7 +137,7 @@ func (p *PackedView) rowInto(dst []float64, i int) {
 }
 
 // Row materializes row i into the writer's scratch buffer. The view is
-// valid until the next Row/ColInto call — the single-writer contract of
+// valid until the next Row call — the single-writer contract of
 // core.SimStore — and allocates nothing.
 func (p *Packed) Row(i int) []float64 {
 	p.rowInto(p.row, i)
@@ -159,9 +159,6 @@ func (p *PackedView) ConcurrentRow(i int) []float64 {
 // (snapshot restore fills a fresh store through it, which is fine).
 func (p *PackedView) UpperRow(a int) []float64 { return p.upperSeg(a) }
 
-// ColInto copies column j into dst — by symmetry, row j.
-func (p *Packed) ColInto(dst []float64, j int) { p.rowInto(dst, j) }
-
 // ToDense materializes the full symmetric matrix.
 func (p *PackedView) ToDense() *matrix.Dense {
 	d := matrix.NewDense(p.n, p.n)
@@ -172,8 +169,8 @@ func (p *PackedView) ToDense() *matrix.Dense {
 }
 
 // SetFromDense overwrites the store with src's upper triangle (src must
-// be n×n; the batch kernel's output is symmetric up to rounding, and the
-// packed store canonicalizes on the upper entries).
+// be n×n; the batch kernel's output is exactly symmetric, so nothing of
+// it is lost).
 func (p *Packed) SetFromDense(src *matrix.Dense) {
 	if src.Rows != p.n || src.Cols != p.n {
 		panic("simstore: SetFromDense dimension mismatch")

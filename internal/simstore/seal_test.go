@@ -323,12 +323,12 @@ func TestDenseWritableMatrixDiscard(t *testing.T) {
 }
 
 // writeMethods names every method that writes a store, a graph or a
-// walk index. Row and ColInto are among them: on a writer they may fill
-// scratch that concurrent readers would race on.
+// walk index. Row is among them: on a writer it may fill scratch that
+// concurrent readers would race on.
 var writeMethods = map[string]bool{
 	"Set": true, "Add": true, "AddSym": true, "ApplyUpdate": true,
 	"AddNodes": true, "AddEdge": true, "SetFromDense": true,
-	"SetRepairGen": true, "AbandonBack": true, "Row": true, "ColInto": true,
+	"SetRepairGen": true, "AbandonBack": true, "Row": true,
 	"Update": true, "Recompute": true,
 }
 

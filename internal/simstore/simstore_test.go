@@ -51,9 +51,7 @@ func TestPackedMatchesDense(t *testing.T) {
 			}
 		}
 	}
-	// Row, ConcurrentRow, UpperRow, ColInto all agree.
-	col := make([]float64, n)
-	pcol := make([]float64, n)
+	// Row, ConcurrentRow and UpperRow all agree.
 	for i := 0; i < n; i++ {
 		drow, prow := d.Row(i), p.Row(i)
 		crow := p.ConcurrentRow(i)
@@ -69,13 +67,6 @@ func TestPackedMatchesDense(t *testing.T) {
 		for k := range du {
 			if du[k] != pu[k] {
 				t.Fatalf("UpperRow(%d)[%d]: %v vs %v", i, k, du[k], pu[k])
-			}
-		}
-		d.ColInto(col, i)
-		p.ColInto(pcol, i)
-		for j := 0; j < n; j++ {
-			if col[j] != pcol[j] {
-				t.Fatalf("ColInto(%d)[%d]: %v vs %v", i, j, col[j], pcol[j])
 			}
 		}
 	}

@@ -196,8 +196,10 @@ func writeStorePayload(bw *bufio.Writer, store simstore.View) error {
 }
 
 // ReadSnapshot restores an engine previously written by WriteSnapshot.
-// The similarity matrix is trusted as-is after the CRC check, not
-// recomputed; use Recompute to rebuild it from the graph if desired.
+// The similarity matrix is trusted after the CRC check, not recomputed;
+// use Recompute to rebuild it from the graph if desired. A dense matrix
+// is made exactly symmetric on the way in, its lower triangle taking the
+// upper one's values, since the exact stores' updates depend on it.
 // The exact stores' compute workspace (transition matrices, update
 // scratch) is not part of the snapshot — a restored store rebuilds it
 // lazily from the graph on its first update or recompute.
@@ -368,7 +370,11 @@ func ReadSnapshot(r io.Reader) (*Engine, error) {
 	var store simstore.Store
 	switch backend {
 	case BackendDense:
-		store = simstore.WrapDense(&matrix.Dense{Rows: int(n), Cols: int(n), Data: vals})
+		// Files from builds whose batch kernel did not mirror S hold two
+		// triangles up to ~1e-17 apart.
+		m := &matrix.Dense{Rows: int(n), Cols: int(n), Data: vals}
+		m.MirrorUpper()
+		store = simstore.WrapDense(m)
 	case BackendPacked:
 		p := simstore.NewPacked(int(n))
 		for i, row := 0, 0; row < int(n); row++ {

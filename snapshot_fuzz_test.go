@@ -3,6 +3,8 @@ package simrank
 import (
 	"bytes"
 	"encoding/binary"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -40,16 +42,13 @@ func FuzzReadSnapshot(f *testing.F) {
 	valid := snapshotBytes(f, fig1.N(), fig1.Edges(), Options{})
 	f.Add(valid)
 	// Corrupt corpus: truncations, a bit flip in the matrix payload, and
-	// a length-corrupted header claiming 2²⁴ nodes in a few dozen bytes.
+	// a v3 header claiming 2²⁴ nodes in 44 bytes.
 	f.Add(valid[:len(valid)/2])
 	f.Add(valid[:27])
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)/2] ^= 0x40
 	f.Add(flipped)
-	huge := append([]byte(nil), valid[:32]...)
-	binary.LittleEndian.PutUint32(huge[24:], 1<<24) // n
-	binary.LittleEndian.PutUint32(huge[28:], 0)     // m
-	f.Add(huge)
+	f.Add(snapshotHeader(valid, 1<<24, 0))
 	f.Add(snapshotBytes(f, fig1.N(), fig1.Edges(), Options{Backend: BackendApprox, ApproxWalks: 16}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -91,23 +90,45 @@ func FuzzReadSnapshot(f *testing.F) {
 	})
 }
 
-// TestReadSnapshotBoundsAllocations pins the over-allocation guard the
-// fuzzer relies on: a header claiming the maximum node count backed by no
-// payload must error out instead of attempting the n² (here ≈ 2 PiB)
-// matrix allocation, which used to panic the process.
+// snapshotHeader returns the 44-byte v3 header of src — magic, version,
+// C, K, flags, backend and epoch — with n and m replaced.
+func snapshotHeader(src []byte, n, m uint32) []byte {
+	data := append([]byte(nil), src[:44]...)
+	binary.LittleEndian.PutUint32(data[36:], n)
+	binary.LittleEndian.PutUint32(data[40:], m)
+	return data
+}
+
+// TestReadSnapshotBoundsAllocations pins the guards a corrupt header
+// meets, each by the error it raises: n or m past its plausibility bound
+// is rejected outright, and plausible dimensions backed by no payload
+// fail in the edge or the matrix read, having allocated in proportion to
+// the bytes consumed rather than to m or to n² (here ≈ 2 PiB), which
+// once panicked the process.
 func TestReadSnapshotBoundsAllocations(t *testing.T) {
 	valid := snapshotBytes(t, 0, nil, Options{})
-	data := append([]byte(nil), valid[:32]...)
-	binary.LittleEndian.PutUint32(data[24:], 1<<24) // n = maxNodes
-	binary.LittleEndian.PutUint32(data[28:], 0)     // m = 0
-	if _, err := ReadSnapshot(bytes.NewReader(data)); err == nil {
-		t.Fatal("want error for length-corrupted header")
-	}
-	// Same with an m large enough that m×8 bytes dwarf the input.
-	data = append([]byte(nil), valid[:32]...)
-	binary.LittleEndian.PutUint32(data[24:], 100)
-	binary.LittleEndian.PutUint32(data[28:], 1<<27)
-	if _, err := ReadSnapshot(bytes.NewReader(data)); err == nil {
-		t.Fatal("want error for edge-count-corrupted header")
+	for _, tc := range []struct {
+		name    string
+		n, m    uint32
+		wantErr string
+	}{
+		{"n-implausible", 1<<24 + 1, 0, "dimensions implausible"},
+		{"m-implausible", 100, 1<<28 + 1, "dimensions implausible"},
+		{"n-without-matrix", 1 << 24, 0, "snapshot matrix"},
+		{"m-without-edges", 100, 1 << 27, "snapshot edge 0"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data := snapshotHeader(valid, tc.n, tc.m)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := ReadSnapshot(bytes.NewReader(data))
+			runtime.ReadMemStats(&after)
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("n=%d m=%d: error %v, want one naming %q", tc.n, tc.m, err, tc.wantErr)
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+				t.Fatalf("n=%d m=%d: allocated %d B before failing, want < 1 MiB", tc.n, tc.m, alloc)
+			}
+		})
 	}
 }
