@@ -60,7 +60,6 @@ func BenchmarkApproxRepair(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				up := graph.Update{Edge: graph.Edge{From: aux, To: j}, Insert: insert}
-				g.Apply(up)
 				a.ApplyUpdate(up)
 				insert = !insert
 			}

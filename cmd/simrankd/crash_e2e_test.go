@@ -234,9 +234,15 @@ func TestCrashRecoveryKill9(t *testing.T) {
 			// the same single-update-batch entry point the server's drain
 			// cycles used (sequential ?wait=1 posts never coalesce).
 			// The oracle's options must match the child's flags (simrankd
-			// defaults: -c 0.6 -k 15).
+			// defaults: -c 0.6 -k 15). Dense and packed hold the same
+			// exactly symmetric S, so packed recovers against a dense
+			// oracle, which also catches packed drifting from dense.
+			oracle := backend
+			if backend == simrank.BackendPacked {
+				oracle = simrank.BackendDense
+			}
 			serialEng, err := simrank.NewEngine(8, nil, simrank.Options{
-				C: 0.6, K: 15, Backend: backend, ApproxWalks: 64, ApproxSeed: 7})
+				C: 0.6, K: 15, Backend: oracle, ApproxWalks: 64, ApproxSeed: 7})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -332,7 +332,7 @@ func (c *ConcurrentEngine) ApplyBatch(ups []Update) error {
 	if c.eng.Epoch() != before {
 		// One WAL record for the whole batch — replay re-enters ApplyBatch
 		// with the same slice, so batch boundaries (and the
-		// recompute-threshold crossover they decide) reproduce exactly.
+		// recompute crossover they decide) reproduce exactly.
 		werr := c.logRecord(wal.KindBatch, ups, 0)
 		// Publish whatever committed — on the validated path that is all
 		// of it or none of it.

@@ -81,7 +81,7 @@ func TestConcurrentApplyBatch(t *testing.T) {
 	c, err := NewConcurrentEngine(6, []Edge{
 		{From: 0, To: 1}, {From: 1, To: 2}, {From: 2, To: 3}, {From: 3, To: 4},
 		{From: 4, To: 5}, {From: 5, To: 0}, {From: 0, To: 2}, {From: 1, To: 3},
-	}, Options{C: 0.6, K: 30, RecomputeThreshold: 10})
+	}, Options{C: 0.6, K: 30})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,15 +29,16 @@
 // # Compute core
 //
 // Each exact similarity store (dense, packed) owns a persistent compute
-// workspace (internal/core), built from the graph on its first write;
+// workspace (internal/core), built over the graph on its first write;
 // the approx store never builds one. The engine hands every update and
-// recompute to its store, with one code path for all backends. In the
+// recompute to its store, with one code path for all backends, and the
+// store applies the update to the graph it was built over. Q is read in
+// place from the graph's sorted in-lists, the only copy of them; in the
 // workspace the transposed transition matrix Qᵀ is maintained
-// incrementally — an edge
-// change touches one row plus the d_j rescaled entries of column j, never
-// an O(m) rebuild — and every scratch buffer of the update algorithms is
-// pooled and reused, so a warm Engine.Apply performs zero heap
-// allocations. Batch computation (NewEngine, Recompute, ApplyBatch's
+// incrementally — an edge change touches one row plus the d_j rescaled
+// entries of column j, never an O(m) rebuild — and every scratch buffer
+// of the update algorithms is pooled and reused, so a warm Engine.Apply
+// performs zero heap allocations. Batch computation (NewEngine, Recompute, ApplyBatch's
 // crossover) runs one row-partitioned sparse kernel (internal/matrix)
 // that ping-pongs between two preallocated n×n buffers and ends by
 // mirroring its upper triangle onto the lower one. S is therefore
@@ -98,10 +99,11 @@
 // and a kill -9 loses nothing acknowledged (under -wal-sync=always; see
 // the README's "Durability & crash recovery" section for the fsync
 // policies, group commit, and the recovery semantics: torn tails are
-// truncated, mid-log corruption fails the boot loudly). Successful
-// snapshots truncate the covered segments. If an append fails the
-// mutation stays committed and visible and the writer receives
-// ErrDurability.
+// truncated, mid-log corruption fails the boot loudly, and each record
+// must land replay on its own epoch, so the record after a missing one
+// is refused). Successful snapshots truncate the covered segments. If
+// an append fails the mutation stays committed and visible and the
+// writer receives ErrDurability.
 //
 // # Replication
 //
@@ -115,7 +117,8 @@
 // follower answers are bit-identical on every backend; followers
 // reject writes with 409 naming the leader, gate /readyz on a lag
 // bound, and fail loudly (rather than fork silently) when the stream
-// can no longer extend their state. Epochs double as the replication
+// can no longer extend their state — a record whose epoch is not the
+// follower's next included. Epochs double as the replication
 // position, so every option is fixed at construction and only logged
 // mutations advance the epoch; a restored engine sets its unpersisted
 // options with Engine.ConfigureRestored, which leaves the epoch alone.
@@ -130,7 +133,8 @@
 // incremental machinery writing through a symmetric AddSym, warm Apply
 // still allocation-free, scores bit-identical to dense) and "approx"
 // (no matrix at all: a writable Monte-Carlo tier over a stored-walk
-// index in O(n·(W·L+d)) memory, answering queries deterministically
+// index in O(n·W·L) memory beside the graph, whose in-lists the walks
+// draw from in place, answering queries deterministically
 // with a reported standard error — the only backend that loads
 // 100k+-node graphs). Approx absorbs edge
 // updates by incremental walk repair: every walk position is a pure

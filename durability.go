@@ -12,7 +12,10 @@ import (
 // that COMMITTED: the in-memory state (and the published view) include
 // the change, but the log does not, so a crash before the next
 // snapshot would forget it — and the log tail past this point can no
-// longer replay (the gap is detected loudly at the next boot). Callers
+// longer replay: ReplayWAL refuses the first record after the missing
+// one, and so does a follower's ApplyReplicated, which stops the
+// follower with a divergence error instead of letting it fork (bar the
+// one gap shape applyWALRecord documents). Callers
 // distinguish it from a rejected mutation with errors.Is: a rejected
 // mutation changed nothing, a durability error changed everything but
 // the disk.
@@ -20,8 +23,8 @@ var ErrDurability = errors.New("simrank: committed but not logged durably")
 
 // SetWAL installs w as the engine's write-ahead log: from now on every
 // committed mutation — Apply and ApplyBatch (one record per call, so
-// the pipeline's coalescing is preserved in the log and replay makes
-// the same recompute-threshold choices), AddNodes, Recompute — is
+// the pipeline's coalescing is preserved in the log and replay takes
+// the same side of the recompute crossover), AddNodes, Recompute — is
 // appended with its post-commit epoch BEFORE the view exposing it
 // publishes. Install before the first mutation (simrankd does so
 // before attaching the server) or the log will have holes; pass nil to
@@ -73,17 +76,17 @@ func (c *ConcurrentEngine) logRecord(kind wal.Kind, ups []Update, count int) err
 // serialized — WITHOUT re-logging, and publishes the result as one new
 // view. Each record replays through the same entry point that produced
 // it (Apply for unit records, ApplyBatch for coalesced ones, so batch
-// boundaries and the recompute-threshold crossover reproduce exactly),
-// then the engine adopts the record's epoch, keeping the numbering of
-// the previous process so post-replay appends and snapshot floors stay
-// coherent with the retained log.
+// boundaries and the recompute crossover reproduce exactly) and must
+// land the engine on the record's own epoch, so post-replay appends and
+// snapshot floors stay coherent with the retained log.
 //
 // ctx aborts between records (the boot path wires SIGTERM to it):
 // replay stops cleanly with ctx's error and no further state is
 // touched — the caller must then exit WITHOUT snapshotting the
 // half-replayed state. Any record that fails to apply — an update the
-// graph rejects, an epoch that does not line up — aborts the same way:
-// a log that disagrees with the state it claims to extend is
+// graph rejects, an epoch that is not the engine's next (a record is
+// missing before it) — aborts the same way, before that record touches
+// anything: a log that disagrees with the state it claims to extend is
 // corruption, and replaying past it would silently diverge from the
 // acknowledged stream.
 func (c *ConcurrentEngine) ReplayWAL(ctx context.Context, w *wal.WAL) (applied int, err error) {
@@ -119,10 +122,12 @@ func (c *ConcurrentEngine) ReplayWAL(ctx context.Context, w *wal.WAL) (applied i
 // snapshot+log instead of refetching the stream from epoch 0.
 //
 // Errors are the caller's divergence signal: a record that fails to
-// apply, or whose epoch does not advance past the follower's state,
-// means the stream and the local state disagree — the follower must
-// stop loudly rather than fork silently. ErrDurability wraps a local
-// WAL append failure on a record that DID apply and publish.
+// apply, or whose epoch is not the follower's next (it repeats a record
+// or follows a missing one), means the stream and the local state
+// disagree — the follower must stop loudly rather than fork silently.
+// Such a record is refused before it touches anything. ErrDurability
+// wraps a local WAL append failure on a record that DID apply and
+// publish.
 func (c *ConcurrentEngine) ApplyReplicated(rec *wal.Record) error {
 	c.writerMu.Lock()
 	defer c.writerMu.Unlock()
@@ -135,13 +140,31 @@ func (c *ConcurrentEngine) ApplyReplicated(rec *wal.Record) error {
 	return werr
 }
 
-// applyWALRecord applies one logged operation to the engine and adopts
-// the record's epoch. The record must advance past the engine's
-// current epoch (wal.Replay's from-filter and ordering guarantee this
-// for an intact log).
+// walStep returns how many epochs applying rec advances the engine: one
+// for an Update, AddNodes or Recompute record, and for a Batch record
+// one when the batch takes the recompute crossover, else one per update.
+func (e *Engine) walStep(rec *wal.Record) uint64 {
+	if rec.Kind == wal.KindBatch && !e.recomputes(len(rec.Updates)) {
+		return uint64(len(rec.Updates))
+	}
+	return 1
+}
+
+// applyWALRecord applies one logged operation to the engine, which must
+// land on the record's epoch: a record whose epoch is not the engine's
+// epoch plus walStep is refused before anything applies. That catches a
+// repeated record, a record after a missing one, and a batch logged by
+// an engine that took the other side of the recompute crossover.
+//
+// One gap passes: when the record after it is a batch of k that the
+// writer recomputed (one epoch) but this engine, whose |E| lacks the
+// missing record, folds (k epochs), and the missing record advanced
+// k−1 epochs. A record carries no crossover bit, so that log cannot be
+// told from an intact one by epochs alone.
 func (e *Engine) applyWALRecord(rec *wal.Record) error {
-	if rec.Epoch <= e.epoch {
-		return fmt.Errorf("record epoch %d does not advance past engine epoch %d", rec.Epoch, e.epoch)
+	if next := e.epoch + e.walStep(rec); rec.Epoch != next {
+		return fmt.Errorf("record epoch %d is not the engine's next epoch %d (engine at %d): the log skips, repeats or diverges",
+			rec.Epoch, next, e.epoch)
 	}
 	switch rec.Kind {
 	case wal.KindUpdate:
@@ -152,6 +175,9 @@ func (e *Engine) applyWALRecord(rec *wal.Record) error {
 			return err
 		}
 	case wal.KindBatch:
+		if len(rec.Updates) == 0 {
+			return fmt.Errorf("batch record holds no updates")
+		}
 		if err := e.ApplyBatch(rec.Updates); err != nil {
 			return err
 		}
@@ -164,12 +190,5 @@ func (e *Engine) applyWALRecord(rec *wal.Record) error {
 	default:
 		return fmt.Errorf("unknown record kind %d", uint8(rec.Kind))
 	}
-	if e.epoch > rec.Epoch {
-		// The replayed operation took MORE epoch steps than the original
-		// commit — the base state diverged (e.g. a different
-		// recompute-threshold decision). Refusing is the only safe answer.
-		return fmt.Errorf("replay overshot the record epoch (%d > %d): base state diverges from the log", e.epoch, rec.Epoch)
-	}
-	e.epoch = rec.Epoch
 	return nil
 }

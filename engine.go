@@ -52,12 +52,6 @@ type Options struct {
 	// K is the number of iterations; 0 selects the default 15, with which
 	// the truncation error C^K is ≈ 5·10⁻⁴ (Section VI-A).
 	K int
-	// RecomputeThreshold is the batch-update crossover: when ApplyBatch
-	// receives at least this fraction of |E| in one call, it recomputes
-	// from scratch instead of folding unit updates (Exp-1 shows the
-	// incremental path wins only while link updates are small). 0 selects
-	// the default 0.15; set ≥ 1 to always fold incrementally.
-	RecomputeThreshold float64
 	// Workers bounds the goroutines of the exact backends' batch kernel:
 	// NewEngine's initial scores, Recompute, and ApplyBatch's recompute
 	// crossover. 0 selects GOMAXPROCS; 1 runs the kernel sequentially,
@@ -109,9 +103,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.K == 0 {
 		o.K = 15
-	}
-	if o.RecomputeThreshold == 0 {
-		o.RecomputeThreshold = 0.15
 	}
 	if o.Backend == "" {
 		o.Backend = BackendDense
@@ -213,7 +204,7 @@ func (e *Engine) Epoch() uint64 { return e.epoch }
 func (e *Engine) Backend() Backend { return e.s.Backend() }
 
 // StoreMemBytes reports the similarity store's resident size in bytes —
-// 8n² dense, ≈4n² packed, O(n+m) approx. Served as /stats
+// 8n² dense, ≈4n² packed, O(n·W·K) approx. Served as /stats
 // "store_bytes".
 func (e *Engine) StoreMemBytes() int64 { return e.s.MemBytes() }
 
@@ -297,11 +288,11 @@ func (e *Engine) Delete(i, j int) (UpdateStats, error) {
 //
 //simrank:noalloc
 func (e *Engine) Apply(up Update) (UpdateStats, error) {
+	// The store applies up to e.g, the graph it was built over.
 	st, err := e.s.Update(e.g, up, e.opts.params())
 	if err != nil {
 		return UpdateStats{}, err
 	}
-	e.g.Apply(up)
 	e.epoch++
 	if e.cache != nil {
 		// Surgical invalidation: only the rows this update wrote lose
@@ -314,10 +305,11 @@ func (e *Engine) Apply(up Update) (UpdateStats, error) {
 	return st, nil
 }
 
-// ApplyBatch folds a batch of unit updates. When the batch is large
-// relative to the edge count (≥ RecomputeThreshold·|E|), it applies the
-// graph changes and recomputes from scratch, which Exp-1 shows is the
-// faster regime. Every update must be applicable in sequence; the whole
+// ApplyBatch folds a batch of unit updates, advancing the epoch by one
+// per update. When the batch is large relative to the edge count (see
+// recomputes), it applies the graph changes and recomputes from scratch
+// instead, which Exp-1 shows is the faster regime, and advances the
+// epoch by one. Every update must be applicable in sequence; the whole
 // batch is validated against a simulated application before anything is
 // mutated, so a failed batch is a no-op — the graph and similarities are
 // exactly as before the call.
@@ -328,11 +320,7 @@ func (e *Engine) ApplyBatch(ups []Update) error {
 	if err := e.validateBatch(ups); err != nil {
 		return err
 	}
-	denom := e.g.M()
-	if denom == 0 {
-		denom = 1
-	}
-	if float64(len(ups)) >= e.opts.RecomputeThreshold*float64(denom) {
+	if e.recomputes(len(ups)) {
 		e.s.Recompute(e.g, ups, e.opts.params())
 		e.rewrote()
 		return nil
@@ -343,6 +331,15 @@ func (e *Engine) ApplyBatch(ups []Update) error {
 		}
 	}
 	return nil
+}
+
+// recomputes reports whether a batch of k updates takes ApplyBatch's
+// recompute crossover: k ≥ 0.15·max(|E|, 1), the regime where the
+// paper's Exp-1 finds recomputing from scratch faster than folding unit
+// updates. It depends on the graph alone, so WAL replay and replicas
+// take the same path the logged commit took.
+func (e *Engine) recomputes(k int) bool {
+	return float64(k) >= 0.15*float64(max(e.g.M(), 1))
 }
 
 // validateBatch checks that every update in ups applies cleanly when the

@@ -25,7 +25,7 @@ func mustEngine(t *testing.T, n int, edges []Edge, opts Options) *Engine {
 func TestNewEngineDefaults(t *testing.T) {
 	e := mustEngine(t, 3, nil, Options{})
 	o := e.Options()
-	if o.C != 0.6 || o.K != 15 || o.RecomputeThreshold != 0.15 {
+	if o.C != 0.6 || o.K != 15 {
 		t.Fatalf("defaults wrong: %+v", o)
 	}
 }
@@ -158,15 +158,21 @@ func TestEngineTopK(t *testing.T) {
 }
 
 func TestEngineApplyBatchSmallIncremental(t *testing.T) {
-	edges := []Edge{{From: 0, To: 1}, {From: 0, To: 2}, {From: 1, To: 3}, {From: 2, To: 3}, {From: 3, To: 4}, {From: 4, To: 0}, {From: 1, To: 2}}
-	e := mustEngine(t, 6, edges, Options{C: 0.6, K: 30, RecomputeThreshold: 0.9})
+	edges := []Edge{{From: 0, To: 1}, {From: 0, To: 2}, {From: 1, To: 3}, {From: 2, To: 3}, {From: 3, To: 4}, {From: 4, To: 0}, {From: 1, To: 2},
+		{From: 1, To: 4}, {From: 2, To: 5}, {From: 3, To: 0}, {From: 4, To: 1}, {From: 5, To: 0}, {From: 0, To: 3}, {From: 2, To: 0}}
+	e := mustEngine(t, 6, edges, Options{C: 0.6, K: 30})
+	// 2 updates < 0.15·14 edges → incremental path, one epoch per update.
 	ups := []Update{
 		{Edge: Edge{From: 5, To: 3}, Insert: true},
+		{Edge: Edge{From: 5, To: 1}, Insert: true},
 	}
 	if err := e.ApplyBatch(ups); err != nil {
 		t.Fatal(err)
 	}
-	fresh := mustEngine(t, 6, append(edges, Edge{From: 5, To: 3}), Options{C: 0.6, K: 30})
+	if e.Epoch() != 2 {
+		t.Fatalf("epoch %d after a 2-update incremental batch, want 2", e.Epoch())
+	}
+	fresh := mustEngine(t, 6, append(edges, Edge{From: 5, To: 3}, Edge{From: 5, To: 1}), Options{C: 0.6, K: 30})
 	// Tolerance covers the K=30 truncation error of the old S (≈ C³¹)
 	// flowing through the incremental update.
 	if d := matrix.MaxAbsDiff(e.Similarities(), fresh.Similarities()); d > 1e-6 {
@@ -176,14 +182,17 @@ func TestEngineApplyBatchSmallIncremental(t *testing.T) {
 
 func TestEngineApplyBatchLargeRecomputes(t *testing.T) {
 	edges := []Edge{{From: 0, To: 1}, {From: 1, To: 2}}
-	e := mustEngine(t, 4, edges, Options{C: 0.6, K: 30, RecomputeThreshold: 0.1})
-	// 2 updates ≥ 0.1·2 edges → recompute path.
+	e := mustEngine(t, 4, edges, Options{C: 0.6, K: 30})
+	// 2 updates ≥ 0.15·2 edges → recompute path, one epoch in all.
 	ups := []Update{
 		{Edge: Edge{From: 2, To: 3}, Insert: true},
 		{Edge: Edge{From: 0, To: 1}, Insert: false},
 	}
 	if err := e.ApplyBatch(ups); err != nil {
 		t.Fatal(err)
+	}
+	if e.Epoch() != 1 {
+		t.Fatalf("epoch %d after a recomputed batch, want 1", e.Epoch())
 	}
 	fresh := mustEngine(t, 4, []Edge{{From: 1, To: 2}, {From: 2, To: 3}}, Options{C: 0.6, K: 30})
 	if d := matrix.MaxAbsDiff(e.Similarities(), fresh.Similarities()); d > 1e-12 {
@@ -192,7 +201,7 @@ func TestEngineApplyBatchLargeRecomputes(t *testing.T) {
 }
 
 func TestEngineApplyBatchBadSequence(t *testing.T) {
-	e := mustEngine(t, 3, []Edge{{From: 0, To: 1}}, Options{RecomputeThreshold: 0.01})
+	e := mustEngine(t, 3, []Edge{{From: 0, To: 1}}, Options{})
 	ups := []Update{{Edge: Edge{From: 0, To: 1}, Insert: true}} // already present
 	if err := e.ApplyBatch(ups); err == nil {
 		t.Fatal("want error for inapplicable batch")
@@ -205,15 +214,27 @@ func TestEngineApplyBatchBadSequence(t *testing.T) {
 // incremental and the recompute regime.
 func TestEngineApplyBatchFailureIsAtomic(t *testing.T) {
 	edges := []Edge{{From: 0, To: 1}, {From: 1, To: 2}, {From: 2, To: 3}, {From: 3, To: 0}}
+	// Nodes 5–7 point at every other node: 25 edges, enough that a
+	// 3-update batch stays under the 0.15·|E| crossover.
+	dense := append([]Edge(nil), edges...)
+	for i := 5; i < 8; i++ {
+		for j := 0; j < 8; j++ {
+			if j != i {
+				dense = append(dense, Edge{From: i, To: j})
+			}
+		}
+	}
 	for _, tc := range []struct {
-		name      string
-		threshold float64 // forces the regime
+		name  string
+		n     int
+		edges []Edge // the batch size reaches the regime through |E|
+		step  uint64 // epochs a valid 2-update batch advances on that path
 	}{
-		{"incremental", 10},
-		{"recompute", 0.01},
+		{"incremental", 8, dense, 2},
+		{"recompute", 5, edges, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			e := mustEngine(t, 5, edges, Options{C: 0.6, K: 20, RecomputeThreshold: tc.threshold})
+			e := mustEngine(t, tc.n, tc.edges, Options{C: 0.6, K: 20})
 			before := e.Similarities()
 			beforeM := e.M()
 			ups := []Update{
@@ -233,9 +254,14 @@ func TestEngineApplyBatchFailureIsAtomic(t *testing.T) {
 			if d := matrix.MaxAbsDiff(e.Similarities(), before); d != 0 {
 				t.Fatalf("failed batch perturbed similarities by %g", d)
 			}
-			// The engine stays fully usable after the rejected batch.
-			if err := e.ApplyBatch(ups[:1]); err != nil {
+			// The engine stays fully usable after the rejected batch, and
+			// the valid updates take the regime under test.
+			epoch := e.Epoch()
+			if err := e.ApplyBatch([]Update{ups[0], ups[2]}); err != nil {
 				t.Fatalf("engine unusable after failed batch: %v", err)
+			}
+			if got := e.Epoch() - epoch; got != tc.step {
+				t.Fatalf("valid batch advanced %d epochs, want %d", got, tc.step)
 			}
 		})
 	}
@@ -245,7 +271,7 @@ func TestEngineApplyBatchFailureIsAtomic(t *testing.T) {
 // batch *in sequence*: deleting an edge and re-inserting it in the same
 // batch is legal, and inserting the same missing edge twice is not.
 func TestEngineApplyBatchSequenceReuse(t *testing.T) {
-	e := mustEngine(t, 3, []Edge{{From: 0, To: 1}}, Options{RecomputeThreshold: 10})
+	e := mustEngine(t, 3, []Edge{{From: 0, To: 1}}, Options{})
 	ok := []Update{
 		{Edge: Edge{From: 0, To: 1}, Insert: false},
 		{Edge: Edge{From: 0, To: 1}, Insert: true},
@@ -302,7 +328,7 @@ func TestQuickEngineTracksBatch(t *testing.T) {
 		for g.M() < 2*n {
 			g.AddEdge(rng.Intn(n), rng.Intn(n))
 		}
-		e, err := NewEngine(n, g.Edges(), Options{C: 0.6, K: 50, RecomputeThreshold: 10})
+		e, err := NewEngine(n, g.Edges(), Options{C: 0.6, K: 50})
 		if err != nil {
 			return false
 		}

@@ -58,7 +58,6 @@ func TestDirtyRowsCoverEveryChangedRow(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					g.Apply(up)
 					ws.ApplyUpdate(up)
 
 					dirty := make(map[int]bool, len(st.DirtyRows))
@@ -98,7 +97,6 @@ func TestDirtyRowsSurviveRejectedUpdate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Apply(up)
 	ws.ApplyUpdate(up)
 	want := append([]int(nil), st.DirtyRows...)
 	if len(want) == 0 {

@@ -16,7 +16,7 @@ import (
 // output is.
 //
 // This non-mutating form pays a Θ(n²) defensive copy and builds a fresh
-// Workspace (Qᵀ, in-degrees, scratch) per call. Callers applying a
+// Workspace (Qᵀ and scratch) per call; g is not modified. Callers applying a
 // stream of updates should hold a Workspace and use its IncSR method,
 // which updates s in place and meets the O(K(nd + |AFF|)) bound with
 // zero heap allocations once warm — the engine facade does so.
@@ -30,10 +30,10 @@ func IncSR(g *graph.DiGraph, s *matrix.Dense, up graph.Update, c float64, k int)
 }
 
 // IncSR performs one unit update on s (Algorithm 2) using the workspace's
-// maintained Qᵀ and in-degrees — the zero-allocation steady-state path.
-// s is mutated only after all validation, so a failed update leaves it
-// untouched; the workspace itself must reflect the pre-update graph and
-// is left unchanged (call ApplyUpdate separately once the graph changes).
+// maintained Qᵀ and its graph's in-lists — the zero-allocation
+// steady-state path. s is mutated only after all validation, so a failed
+// update leaves it untouched; the workspace and its graph are left
+// unchanged (call ApplyUpdate next to apply the update to both).
 //
 // s is any exactly symmetric SimStore: the dense matrix of the classic
 // engine or a packed-symmetric store. The update reads rows i and j
@@ -56,7 +56,7 @@ func (ws *Workspace) IncSR(s SimStore, up graph.Update, c float64, k int) (Stats
 	ws.ensureIncSR()
 	ws.resetDirty()
 	i, j := up.Edge.From, up.Edge.To
-	dj := ws.din[j]
+	dj := len(ws.g.In(j))
 
 	// Line 3: B₀ = F₁ ∪ F₂ ∪ {j} (Eqs. 38–40).
 	//   F₁ = out-neighbors of nodes y with [S]_{i,y} ≠ 0 — covers supp(Q·[S]_{·,i});
@@ -94,14 +94,15 @@ func (ws *Workspace) IncSR(s SimStore, up graph.Update, c float64, k int) (Stats
 	// Lines 3–12: memoize [w]_b = [Q]_{b,·}·[S]_{·,i} and γ only on B₀.
 	w := ws.w
 	for _, b := range b0.supp {
-		if ws.din[b] == 0 {
+		in := ws.g.In(b)
+		if len(in) == 0 {
 			continue
 		}
 		var sum float64
-		for _, e := range ws.q[b] {
-			sum += si[e.idx]
+		for _, t := range in {
+			sum += si[t]
 		}
-		w.add(b, sum/float64(ws.din[b]))
+		w.add(b, sum/float64(len(in)))
 	}
 	lam := lambda(s, i, j, w.at(j), c)
 	gam := ws.gam

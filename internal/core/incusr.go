@@ -96,11 +96,10 @@ func gammaDense(gam []float64, s SimStore, w []float64, lam float64, up graph.Up
 // iteration count k, it returns the new similarity matrix for g ⊕ update
 // without any matrix-matrix multiplication.
 //
-// g and s are not modified; the caller applies the update to g afterwards
-// (or uses the public facade, which does both). Like IncSR it copies s and
-// builds a fresh Workspace per call; stream callers should hold a
-// Workspace and use its IncUSR method, which updates s in place and
-// reuses the dense scratch across updates.
+// g and s are not modified. Like IncSR it copies s and builds a fresh
+// Workspace per call; stream callers should hold a Workspace and use its
+// IncUSR method, which updates s in place and reuses the dense scratch
+// across updates.
 func IncUSR(g *graph.DiGraph, s *matrix.Dense, up graph.Update, c float64, k int) (*matrix.Dense, Stats, error) {
 	out := s.Clone()
 	st, err := NewWorkspace(g).IncUSR(out, up, c, k)
@@ -110,12 +109,12 @@ func IncUSR(g *graph.DiGraph, s *matrix.Dense, up graph.Update, c float64, k int
 	return out, st, nil
 }
 
-// IncUSR performs one unit update on s (Algorithm 1) using the
-// workspace's maintained Q and in-degrees and its persistent dense
-// scratch (M plus the ξ/η/w/γ vectors, allocated on first use) — zero
-// heap allocations once warm. s is mutated only after all validation; the
-// workspace must reflect the pre-update graph and is left unchanged (call
-// ApplyUpdate separately once the graph changes). Like IncSR it accepts
+// IncUSR performs one unit update on s (Algorithm 1), reading Q from the
+// workspace graph's in-lists, with its persistent dense scratch (M plus
+// the ξ/η/w/γ vectors, allocated on first use) — zero heap allocations
+// once warm. s is mutated only after all validation; the workspace and
+// its graph are left unchanged (call ApplyUpdate next to apply the
+// update to both). Like IncSR it accepts
 // any exactly symmetric SimStore and reads rows where Algorithm 1 reads
 // columns: all writes flow through Add/AddSym so symmetric layouts
 // apply each unordered pair's delta to one backing cell.
@@ -133,7 +132,7 @@ func (ws *Workspace) IncUSR(s SimStore, up graph.Update, c float64, k int) (Stat
 	ws.ensureDense()
 	ws.resetDirty()
 	i, j := up.Edge.From, up.Edge.To
-	dj := ws.din[j]
+	dj := len(ws.g.In(j))
 
 	// Lines 3–4: w := Q·[S]_{·,i};  λ := [S]_{i,i} + [S]_{j,j}/C − 2[w]_j − 1/C + 1.
 	// S is exactly symmetric, so [S]_{·,i} is a copy of row i.

@@ -1,38 +1,41 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/graph"
 	"repro/internal/matrix"
 )
 
-// qEnt is one entry of a dynamic sparse row: column index and value.
+// qEnt is one entry of a row of Qᵀ: column index and value.
 type qEnt struct {
 	idx int
 	val float64
 }
 
-// Workspace is the persistent compute state of one engine: the transition
-// matrices maintained incrementally across updates, plus every scratch
-// buffer the Inc-SR/Inc-uSR hot paths need. With a warm Workspace a unit
-// update performs zero heap allocations and never rebuilds the O(m)
-// transposed transition matrix — an edge change touches one row of Qᵀ and
-// rescales the d_j entries of column j, O(d_j·log d) total.
+// Workspace is the persistent compute state of one engine over one
+// graph: the transposed transition matrix maintained incrementally
+// across updates, plus every scratch buffer the Inc-SR/Inc-uSR hot paths
+// need. With a warm Workspace a unit update performs zero heap
+// allocations and never rebuilds the O(m) transposed transition matrix —
+// an edge change touches one row of Qᵀ and rescales the d_j entries of
+// column j, O(d_j·log d) total.
 //
-// A Workspace mirrors one graph: construct it with NewWorkspace and call
-// ApplyUpdate after every update applied to the graph (the engine facade
-// does both). It is not safe for concurrent use.
+// Row j of Q is read in place from the graph: [Q]_{j,i} = 1/|I(j)| for
+// i ∈ g.In(j), ascending. A Workspace therefore owns its graph's
+// updates: construct it with NewWorkspace(g) and apply every later
+// update through ApplyUpdate, which also applies it to g. It is not
+// safe for concurrent use.
 type Workspace struct {
-	n   int
-	din []int // in-degrees, maintained by ApplyUpdate
+	g *graph.DiGraph
+	n int
 
-	// q holds Q: row j lists (i, 1/d_j) for i ∈ I(j), sorted by i — the
-	// gather layout of Inc-uSR's mat-vecs and of the batch recompute. qt
-	// holds Qᵀ: row b lists (a, 1/d_a) for a ∈ O(b), sorted by a — the
-	// sparse scatter layout of Inc-SR's ξ/η iteration; it is transposed
-	// from q on the first IncSR (see ensureIncSR) and maintained
-	// incrementally from then on. Sorted rows make every result
-	// independent of Go's map iteration order.
-	q  [][]qEnt
+	// qt holds Qᵀ: row b lists (a, 1/d_a) for a ∈ O(b), sorted by a — the
+	// sparse scatter layout of Inc-SR's ξ/η iteration, with the weights
+	// inline. It is transposed from the graph's in-lists on the first
+	// IncSR (see ensureIncSR) and maintained incrementally from then on.
+	// Sorted rows make every result independent of Go's map iteration
+	// order.
 	qt [][]qEnt
 
 	// vws (Theorem 1's v) and si (a copy of row i of S, which is
@@ -70,40 +73,25 @@ type Workspace struct {
 	qCSR    matrix.CSR
 }
 
-// NewWorkspace builds the persistent update state for g's current
-// topology: O(n + m) time and the only allocation point of the steady
-// state.
+// NewWorkspace builds the persistent update state over g, which it
+// adopts: every later update to g must go through ApplyUpdate. O(n) time;
+// Qᵀ and the update scratch follow on first use.
 func NewWorkspace(g *graph.DiGraph) *Workspace {
 	n := g.N()
-	ws := &Workspace{
+	return &Workspace{
+		g:         g,
 		n:         n,
-		din:       make([]int, n),
-		q:         make([][]qEnt, n),
 		vws:       newWsVec(n),
 		si:        make([]float64, n),
 		dirtyMark: make([]bool, n),
 	}
-	for v := 0; v < n; v++ {
-		ws.din[v] = g.InDegree(v)
-	}
-	for j := 0; j < n; j++ {
-		d := ws.din[j]
-		if d == 0 {
-			continue
-		}
-		wv := 1 / float64(d)
-		for _, i := range g.InNeighbors(j) { // ascending
-			ws.q[j] = append(ws.q[j], qEnt{i, wv})
-		}
-	}
-	return ws
 }
 
 // ensureIncSR allocates the Inc-SR-only state on first use: Qᵀ
-// (transposed from the maintained Q; iterating target rows in ascending
-// order leaves every Qᵀ row sorted) plus the sparse scratch vectors and
-// the touched-pair bitset. Inc-uSR-only and batch-only workspaces never
-// pay for any of it.
+// (transposed from the graph's in-lists; iterating target rows in
+// ascending order leaves every Qᵀ row sorted) plus the sparse scratch
+// vectors and the touched-pair bitset. Inc-uSR-only and batch-only
+// workspaces never pay for any of it.
 func (ws *Workspace) ensureIncSR() {
 	if ws.qt != nil {
 		return
@@ -111,8 +99,9 @@ func (ws *Workspace) ensureIncSR() {
 	n := ws.n
 	qt := make([][]qEnt, n)
 	for a := 0; a < n; a++ {
-		for _, e := range ws.q[a] {
-			qt[e.idx] = append(qt[e.idx], qEnt{a, e.val})
+		in, wv := ws.qRow(a)
+		for _, i := range in {
+			qt[i] = append(qt[i], qEnt{a, wv})
 		}
 	}
 	ws.qt = qt
@@ -164,7 +153,7 @@ func (ws *Workspace) markDirty(r int) {
 	}
 }
 
-// searchEnt returns the position of idx in the sorted row (or the
+// searchEnt returns the position of idx in the sorted Qᵀ row (or the
 // insertion point if absent).
 //
 //simrank:noalloc
@@ -181,13 +170,24 @@ func searchEnt(row []qEnt, idx int) int {
 	return lo
 }
 
+// qRow returns row a of Q as read from the graph: the columns I(a),
+// ascending, and their common weight 1/|I(a)|.
+//
+//simrank:noalloc
+func (ws *Workspace) qRow(a int) (in []int32, w float64) {
+	in = ws.g.In(a)
+	if len(in) == 0 {
+		return nil, 0
+	}
+	return in, 1 / float64(len(in))
+}
+
 // hasEdge reports whether edge (i, j) is present, i.e. i ∈ I(j).
 //
 //simrank:noalloc
 func (ws *Workspace) hasEdge(i, j int) bool {
-	row := ws.q[j]
-	p := searchEnt(row, i)
-	return p < len(row) && row[p].idx == i
+	_, ok := slices.BinarySearch(ws.g.In(j), int32(i))
+	return ok
 }
 
 // setEnt overwrites the value at idx, which must be present.
@@ -217,53 +217,37 @@ func removeEnt(row []qEnt, idx int) []qEnt {
 	return row[:len(row)-1]
 }
 
-// ApplyUpdate folds one unit update into the maintained Q, Qᵀ and
-// in-degrees. Call it exactly when the update is applied to the graph,
-// after IncSR/IncUSR (which read the pre-update state). An insertion or
-// deletion of (i, j) touches row i of Qᵀ plus the d_j entries of column j
-// (found by binary search in their rows), and row j of Q — O(d) work, no
-// O(m) rebuild, no sort.
+// ApplyUpdate folds one valid unit update into the maintained Qᵀ, then
+// applies it to the workspace's graph. Call it after IncSR/IncUSR, which
+// read the pre-update state. An insertion or deletion of (i, j) touches
+// row i of Qᵀ plus the d_j entries of column j (found by binary search
+// in the rows of j's in-neighbors) — O(d) work, no O(m) rebuild, no sort.
 //
 //simrank:noalloc
 func (ws *Workspace) ApplyUpdate(up graph.Update) {
 	i, j := up.Edge.From, up.Edge.To
-	hasQt := ws.qt != nil // Qᵀ is lazy; when absent it is rebuilt from Q on demand
-	if up.Insert {
-		dj := ws.din[j]
-		nv := 1 / float64(dj+1)
-		if hasQt {
-			// Column j of Qᵀ lives in the rows of j's current in-neighbors.
-			for _, e := range ws.q[j] {
-				setEnt(ws.qt[e.idx], j, nv)
+	if ws.qt != nil { // Qᵀ is lazy; when absent ensureIncSR builds it from the graph
+		// Column j of Qᵀ lives in the rows of j's in-neighbors.
+		in := ws.g.In(j)
+		if up.Insert {
+			nv := 1 / float64(len(in)+1)
+			for _, a := range in {
+				setEnt(ws.qt[a], j, nv)
 			}
 			ws.qt[i] = insertEnt(ws.qt[i], j, nv)
-		}
-		row := ws.q[j]
-		for t := range row {
-			row[t].val = nv
-		}
-		ws.q[j] = insertEnt(row, i, nv)
-		ws.din[j] = dj + 1
-		return
-	}
-	dj := ws.din[j]
-	if hasQt {
-		ws.qt[i] = removeEnt(ws.qt[i], j)
-	}
-	ws.q[j] = removeEnt(ws.q[j], i)
-	if dj > 1 {
-		nv := 1 / float64(dj-1)
-		row := ws.q[j]
-		for t := range row {
-			row[t].val = nv
-		}
-		if hasQt {
-			for _, e := range row {
-				setEnt(ws.qt[e.idx], j, nv)
+		} else {
+			ws.qt[i] = removeEnt(ws.qt[i], j)
+			if d := len(in) - 1; d > 0 {
+				nv := 1 / float64(d)
+				for _, a := range in {
+					if int(a) != i {
+						setEnt(ws.qt[a], j, nv)
+					}
+				}
 			}
 		}
 	}
-	ws.din[j] = dj - 1
+	ws.g.Apply(up)
 }
 
 // decompose validates the update and computes the rank-one decomposition
@@ -277,7 +261,8 @@ func (ws *Workspace) decompose(up graph.Update) (uv float64, err error) {
 	if i < 0 || i >= ws.n || j < 0 || j >= ws.n {
 		return 0, &ErrBadUpdate{up, "node out of range"}
 	}
-	dj := ws.din[j]
+	in, w := ws.qRow(j)
+	dj := len(in)
 	v := ws.vws
 	if up.Insert {
 		if ws.hasEdge(i, j) {
@@ -288,9 +273,8 @@ func (ws *Workspace) decompose(up graph.Update) (uv float64, err error) {
 			return 1, nil
 		}
 		v.add(i, 1)
-		w := 1 / float64(dj)
-		for _, e := range ws.q[j] {
-			v.add(e.idx, -w) // subtract [Q]_{j,t} = 1/d_j
+		for _, t := range in {
+			v.add(int(t), -w) // subtract [Q]_{j,t} = 1/d_j
 		}
 		v.compact(ZeroTol)
 		return 1 / float64(dj+1), nil
@@ -303,24 +287,24 @@ func (ws *Workspace) decompose(up graph.Update) (uv float64, err error) {
 		return 1, nil
 	}
 	v.add(i, -1)
-	w := 1 / float64(dj)
-	for _, e := range ws.q[j] {
-		v.add(e.idx, w) // add [Q]_{j,t}
+	for _, t := range in {
+		v.add(int(t), w) // add [Q]_{j,t}
 	}
 	v.compact(ZeroTol)
 	return 1 / float64(dj-1), nil
 }
 
-// mulQ computes dst = Q·x for dense x, gathering along the sorted rows
-// of the maintained Q — entrywise the same left-to-right accumulation as
-// a CSR mat-vec on the freshly built transition matrix.
+// mulQ computes dst = Q·x for dense x, gathering along the graph's
+// sorted in-lists with weight 1/|I(a)| — entrywise the same left-to-right
+// accumulation as a CSR mat-vec on the freshly built transition matrix.
 //
 //simrank:noalloc
 func (ws *Workspace) mulQ(dst, x []float64) {
 	for a := 0; a < ws.n; a++ {
+		in, wv := ws.qRow(a)
 		var s float64
-		for _, e := range ws.q[a] {
-			s += e.val * x[e.idx]
+		for _, i := range in {
+			s += wv * x[i]
 		}
 		dst[a] = s
 	}
@@ -339,8 +323,8 @@ func (ws *Workspace) scatterQ(x, dst *wsVec) {
 	}
 }
 
-// TransitionCSR materializes the maintained Q into a reusable CSR (rows
-// sorted, identical to graph.BackwardTransition of the mirrored graph).
+// TransitionCSR materializes Q from the graph's in-lists into a reusable
+// CSR (rows sorted, identical to graph.BackwardTransition).
 // The returned matrix aliases workspace storage and is valid until the
 // next ApplyUpdate; steady-state calls allocate nothing once the backing
 // arrays have grown to the graph's edge count.
@@ -355,9 +339,10 @@ func (ws *Workspace) TransitionCSR() *matrix.CSR {
 	csr.ColIdx = csr.ColIdx[:0]
 	csr.Val = csr.Val[:0]
 	for j := 0; j < ws.n; j++ {
-		for _, e := range ws.q[j] {
-			csr.ColIdx = append(csr.ColIdx, e.idx)
-			csr.Val = append(csr.Val, e.val)
+		in, wv := ws.qRow(j)
+		for _, i := range in {
+			csr.ColIdx = append(csr.ColIdx, int(i))
+			csr.Val = append(csr.Val, wv)
 		}
 		csr.RowPtr[j+1] = len(csr.ColIdx)
 	}

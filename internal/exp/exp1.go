@@ -25,11 +25,12 @@ type incAlgo func(ws *core.Workspace, s core.SimStore, up graph.Update, c float6
 
 // foldDelta folds a delta one unit update at a time with algo, holding
 // one Workspace for the whole fold as the engine does, and returns the
-// final similarities with each update's stats. The stats carry no
-// DirtyRows: that slice aliases workspace scratch the next update
+// final similarities with each update's stats. The workspace applies the
+// delta to its own clone of base, so base is left alone. The stats carry
+// no DirtyRows: that slice aliases workspace scratch the next update
 // rewrites.
 func foldDelta(algo incAlgo, base *graph.DiGraph, s *matrix.Dense, delta []graph.Update, c float64, k int) (*matrix.Dense, []core.Stats, error) {
-	ws := core.NewWorkspace(base)
+	ws := core.NewWorkspace(base.Clone())
 	cur := s.Clone() // one copy for the whole fold; updates run in place
 	stats := make([]core.Stats, 0, len(delta))
 	for _, up := range delta {

@@ -1,5 +1,6 @@
-// Package graph implements the dynamic directed graph substrate: in/out
-// adjacency with O(1) amortized edge insertion and deletion, snapshots,
+// Package graph implements the dynamic directed graph substrate: out
+// adjacency sets, sorted in-neighbour lists I(v) that Inc-SR's Q and the
+// approx walk index read in place, snapshots,
 // edge-list I/O, and the degree statistics that the paper's complexity
 // analysis (average in-degree d) is stated in terms of.
 //
@@ -11,6 +12,8 @@ package graph
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/cow"
@@ -23,7 +26,9 @@ type Edge struct {
 }
 
 // DiGraph is a mutable directed graph over nodes 0..N-1. Both out- and
-// in-adjacency are maintained so O(a) and I(a) lookups are O(1).
+// in-adjacency are maintained: O(a) is a set, so edge membership is
+// O(1), and I(a) an ascending list, the one copy of the in-neighbours
+// the update algorithms and the walk index read.
 type DiGraph struct {
 	n int
 	// out is the out-adjacency, one set per node in a copy-on-write
@@ -31,8 +36,10 @@ type DiGraph struct {
 	// sealed: snapshots serve HasEdge and Edges, both out-side; the
 	// in-adjacency stays writer-private.
 	out cow.Table[map[int]struct{}]
-	in  []map[int]struct{}
-	m   int // number of edges
+	// in[v] is I(v) in ascending order, kept sorted by binary-search
+	// insert and delete in place.
+	in [][]int32
+	m  int // number of edges
 }
 
 // Snapshot is an immutable point-in-time view of a graph's topology,
@@ -84,20 +91,14 @@ func (s *Snapshot) HasEdge(i, j int) bool {
 // DiGraph.Edges produces, from the sealed topology.
 func (s *Snapshot) Edges() []Edge { return sortedEdges(s.m, &s.out) }
 
-// New returns an empty directed graph with n nodes.
+// New returns an empty directed graph with n nodes. Node ids are stored
+// as int32, so n may not exceed math.MaxInt32.
 func New(n int) *DiGraph {
 	if n < 0 {
 		panic(fmt.Sprintf("graph: negative node count %d", n))
 	}
-	g := &DiGraph{
-		n:   n,
-		out: cow.New(cloneSet),
-		in:  make([]map[int]struct{}, n),
-	}
-	for i := 0; i < n; i++ {
-		g.out.Append(make(map[int]struct{}))
-		g.in[i] = make(map[int]struct{})
-	}
+	g := &DiGraph{out: cow.New(cloneSet)}
+	g.AddNodes(n)
 	return g
 }
 
@@ -115,16 +116,20 @@ func FromEdges(n int, edges []Edge) *DiGraph {
 func (g *DiGraph) N() int { return g.n }
 
 // AddNodes appends k isolated nodes, returning the id of the first new
-// node. Existing ids are unchanged.
+// node. Existing ids are unchanged. It panics when the node count would
+// exceed math.MaxInt32.
 func (g *DiGraph) AddNodes(k int) int {
 	if k < 0 {
 		panic(fmt.Sprintf("graph: negative node increment %d", k))
 	}
+	if k > math.MaxInt32-g.n {
+		panic(fmt.Sprintf("graph: %d + %d nodes exceed the int32 id range", g.n, k))
+	}
 	first := g.n
 	for i := 0; i < k; i++ {
 		g.out.Append(make(map[int]struct{}))
-		g.in = append(g.in, make(map[int]struct{}))
 	}
+	g.in = append(g.in, make([][]int32, k)...)
 	g.n += k
 	return first
 }
@@ -156,7 +161,9 @@ func (g *DiGraph) AddEdge(i, j int) bool {
 		return false
 	}
 	g.out.Own(i)[j] = struct{}{}
-	g.in[j][i] = struct{}{}
+	in := g.in[j]
+	p, _ := slices.BinarySearch(in, int32(i))
+	g.in[j] = slices.Insert(in, p, int32(i))
 	g.m++
 	return true
 }
@@ -169,7 +176,9 @@ func (g *DiGraph) RemoveEdge(i, j int) bool {
 		return false
 	}
 	delete(g.out.Own(i), j)
-	delete(g.in[j], i)
+	in := g.in[j]
+	p, _ := slices.BinarySearch(in, int32(i))
+	g.in[j] = slices.Delete(in, p, p+1)
 	g.m--
 	return true
 }
@@ -186,10 +195,20 @@ func (g *DiGraph) OutDegree(v int) int {
 	return len(g.out.Get(v))
 }
 
-// InNeighbors returns I(v) in ascending order.
+// In returns I(v) in ascending order, aliasing the graph's storage: the
+// caller must not modify it, and it is valid until the next mutation.
+// An out-of-range v panics on the index. In is small enough to inline:
+// the walk index calls it for every step it draws.
+func (g *DiGraph) In(v int) []int32 { return g.in[v] }
+
+// InNeighbors returns a copy of I(v) in ascending order.
 func (g *DiGraph) InNeighbors(v int) []int {
 	g.check(v)
-	return sortedKeys(g.in[v])
+	out := make([]int, len(g.in[v]))
+	for k, u := range g.in[v] {
+		out[k] = int(u)
+	}
+	return out
 }
 
 // OutNeighbors returns O(v) in ascending order.
@@ -198,12 +217,11 @@ func (g *DiGraph) OutNeighbors(v int) []int {
 	return sortedKeys(g.out.Get(v))
 }
 
-// EachInNeighbor calls fn for every in-neighbor of v (unordered).
+// EachInNeighbor calls fn for every in-neighbor of v, in ascending order.
 func (g *DiGraph) EachInNeighbor(v int, fn func(u int)) {
 	g.check(v)
-	//simrank:orderinvariant contract: callers fold commutatively (unordered by doc; audited in rankone.go, stats.go)
-	for u := range g.in[v] {
-		fn(u)
+	for _, u := range g.in[v] {
+		fn(int(u))
 	}
 }
 
@@ -252,12 +270,10 @@ func sortedEdges(m int, out *cow.Table[map[int]struct{}]) []Edge {
 
 // Clone returns an independent deep copy of g.
 func (g *DiGraph) Clone() *DiGraph {
-	c := New(g.n)
-	for i := 0; i < g.n; i++ {
-		//simrank:orderinvariant set insertion; the resulting adjacency sets are order-free
-		for j := range g.out.Get(i) {
-			c.AddEdge(i, j)
-		}
+	c := &DiGraph{n: g.n, m: g.m, out: cow.New(cloneSet), in: make([][]int32, g.n)}
+	for v := 0; v < g.n; v++ {
+		c.out.Append(cloneSet(g.out.Get(v)))
+		c.in[v] = slices.Clone(g.in[v])
 	}
 	return c
 }
@@ -282,10 +298,9 @@ func (g *DiGraph) BackwardTransition() *matrix.CSR {
 			continue
 		}
 		w := 1 / float64(d)
-		//simrank:orderinvariant COO triples; NewCSR sorts by (i,j) before building
-		for i := range g.in[j] {
+		for _, i := range g.in[j] {
 			is = append(is, j)
-			js = append(js, i)
+			js = append(js, int(i))
 			vs = append(vs, w)
 		}
 	}

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -78,6 +79,26 @@ func TestOutOfRangePanics(t *testing.T) {
 		}
 	}()
 	New(2).AddEdge(0, 5)
+}
+
+// TestNodeCountBeyondInt32Panics: in-lists store ids as int32, so a node
+// count past math.MaxInt32 is refused before anything is allocated.
+func TestNodeCountBeyondInt32Panics(t *testing.T) {
+	wantPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s: want panic", name)
+			}
+		}()
+		f()
+	}
+	wantPanic("New", func() { New(math.MaxInt32 + 1) })
+	g := New(2)
+	wantPanic("AddNodes", func() { g.AddNodes(math.MaxInt32 - 1) })
+	if g.N() != 2 {
+		t.Fatalf("refused AddNodes changed N to %d", g.N())
+	}
 }
 
 func TestEdgesSorted(t *testing.T) {

@@ -13,10 +13,12 @@
 //
 // The Index stores W truncated reverse walks per node, in the
 // fingerprint style of [5]: walk w of node u starts at u and each step t
-// draws uniformly from the in-neighbors of the previous position. The
-// draw at (u, w, t) comes from a derived seed — a pure hash of
-// (seed, u, w, t) — rather than a shared RNG stream, which buys three
-// properties at once:
+// draws uniformly from the in-neighbors of the previous position, read
+// in place from the graph's sorted in-lists (graph.DiGraph.In). The
+// index adopts the graph it is built over and applies every later edge
+// update to it (Apply), so the in-lists exist once. The draw at
+// (u, w, t) comes from a derived seed — a pure hash of (seed, u, w, t) —
+// rather than a shared RNG stream, which buys three properties at once:
 //
 //   - the entire walk set is a pure function of (graph, seed, W, L), so
 //     a fresh rebuild at the same seed reproduces it bit-identically;
@@ -107,9 +109,10 @@ type View struct {
 type Index struct {
 	View
 
-	// ins[v] is the in-neighbor list of v in ascending order — the
-	// sampling population of a draw made *from* v.
-	ins [][]int32
+	// g is the graph the walks are drawn over: g.In(v), ascending, is
+	// the sampling population of a draw made *from* v. The index applies
+	// every edge update to g itself (Apply).
+	g *graph.DiGraph
 
 	// postings[v] packs the (walk, step) occurrences at v for steps
 	// 1..L-1 as walkID<<stepBits | step, walkID = u*W + w. Step-0
@@ -122,8 +125,6 @@ type Index struct {
 	// total and live track posting entries including and excluding
 	// tombstones; total > 2·live + n triggers compaction.
 	total, live int
-	// edges is Σ|ins[v]|, kept by Reset and Apply for MemBytes.
-	edges int
 
 	// work and dirty are repair's scratch, reused by every update: the
 	// packed (walk, step) work list and the owners of changed walks,
@@ -132,11 +133,12 @@ type Index struct {
 	dirty []int
 }
 
-// NewIndex builds the stored-walk index of g's current topology: c is
-// the damping factor in (0,1), walkLen the walk cap (≤ 0 selects a
-// default bounding the truncation error below 10⁻³ for the given c;
-// the cap must stay ≤ 255 so postings pack), walks the per-node walk
-// count, seed the derived-seed root. Construction costs O(n·walks·len).
+// NewIndex builds the stored-walk index over g, which it adopts (see
+// Reset): c is the damping factor in (0,1), walkLen the walk cap (≤ 0
+// selects a default bounding the truncation error below 10⁻³ for the
+// given c; the cap must stay ≤ 255 so postings pack), walks the per-node
+// walk count, seed the derived-seed root. Construction costs
+// O(n·walks·len).
 func NewIndex(g *graph.DiGraph, c float64, walkLen, walks int, seed int64) (*Index, error) {
 	if c <= 0 || c >= 1 {
 		return nil, fmt.Errorf("montecarlo: damping factor %v outside (0,1)", c)
@@ -204,25 +206,16 @@ func stepDraw(base uint64, t int) uint64 {
 // stride is the per-walk row stride.
 func (ix *View) stride() int { return ix.walkLen + 1 }
 
-// Reset rebuilds the whole index from g — the full-resample safety
-// valve behind Recompute and the constructor. Fresh rows are allocated
-// wholesale, so sealed views keep serving their frozen walks untouched.
-// The repair-generation counter survives (a recompute is itself a
-// generation), the work counters keep accumulating.
+// Reset adopts g and rebuilds the whole index from it — the
+// full-resample safety valve behind Recompute and the constructor. From
+// here on g changes only through Apply and AddNodes. Fresh rows are
+// allocated wholesale, so sealed views keep serving their frozen walks
+// untouched. The repair-generation counter survives (a recompute is
+// itself a generation), the work counters keep accumulating.
 func (ix *Index) Reset(g *graph.DiGraph) {
 	n := g.N()
+	ix.g = g
 	ix.n = n
-	ix.ins = make([][]int32, n)
-	ix.edges = 0
-	for v := 0; v < n; v++ {
-		nbrs := g.InNeighbors(v)
-		row := make([]int32, len(nbrs))
-		for i, u := range nbrs {
-			row[i] = int32(u)
-		}
-		ix.ins[v] = row
-		ix.edges += len(row)
-	}
 	ix.rows = cow.New(slices.Clone[[]int32])
 	ix.postings = make([][]uint64, n)
 	ix.total, ix.live = 0, 0
@@ -255,7 +248,7 @@ func (ix *Index) step(prev int32, base uint64, t int) int32 {
 	if prev < 0 {
 		return -1
 	}
-	nbrs := ix.ins[prev]
+	nbrs := ix.g.In(int(prev))
 	if len(nbrs) == 0 {
 		return -1
 	}
@@ -279,38 +272,23 @@ func (ix *Index) postNode(u int) {
 	}
 }
 
-// Apply mutates the in-neighbor list for one edge update and repairs
+// Apply applies one edge update to the index's graph and repairs
 // exactly the invalidated walk suffixes. It returns the ascending list
 // of nodes whose stored walks changed (the MVCC DirtyRows set) and
-// whether the graph actually changed (false for an insert of a present
-// edge or a delete of an absent one — then nothing was touched). The
-// list is the index's scratch: valid until the next Apply.
+// whether the graph actually changed (false for an out-of-range node,
+// an insert of a present edge or a delete of an absent one — then
+// nothing was touched). The list is the index's scratch: valid until
+// the next Apply.
 func (ix *Index) Apply(up graph.Update) (dirty []int, changed bool) {
 	j := up.Edge.To
-	if j < 0 || j >= ix.n || up.Edge.From < 0 || up.Edge.From >= ix.n {
+	if j < 0 || j >= ix.n || up.Edge.From < 0 || up.Edge.From >= ix.n || !ix.g.Apply(up) {
 		return nil, false
-	}
-	from := int32(up.Edge.From)
-	if up.Insert {
-		next, ok := insertSorted(ix.ins[j], from)
-		if !ok {
-			return nil, false
-		}
-		ix.ins[j] = next
-		ix.edges++
-	} else {
-		next, ok := removeSorted(ix.ins[j], from)
-		if !ok {
-			return nil, false
-		}
-		ix.ins[j] = next
-		ix.edges--
 	}
 	return ix.repair(j), true
 }
 
-// repair resamples every walk suffix invalidated by a change to ins[j]:
-// the W walks owned by j (their first draw samples ins[j]) plus every
+// repair resamples every walk suffix invalidated by a change to I(j):
+// the W walks owned by j (their first draw samples I(j)) plus every
 // live postings[j] occurrence, deduplicated per walk to its earliest
 // affected step. Suffixes are resampled in full — an early exit on a
 // re-converged position would be unsound when the old suffix revisits j
@@ -413,10 +391,11 @@ func (ix *Index) compact() {
 	}
 }
 
-// AddNodes appends count isolated nodes: their walks start at home and
-// die immediately (no in-neighbors), which is exactly what a fresh
-// rebuild over the grown graph would sample — determinism holds across
-// growth too.
+// AddNodes appends rows and postings for the last count nodes of the
+// index's graph, which the caller has already grown by them: isolated
+// nodes, whose walks start at home and die immediately (no
+// in-neighbors), which is exactly what a fresh rebuild over the grown
+// graph would sample — determinism holds across growth too.
 func (ix *Index) AddNodes(count int) {
 	if count < 0 {
 		panic(fmt.Sprintf("montecarlo: negative node count %d", count))
@@ -433,7 +412,6 @@ func (ix *Index) AddNodes(count int) {
 			}
 		}
 		ix.rows.Append(row)
-		ix.ins = append(ix.ins, nil)
 		ix.postings = append(ix.postings, nil)
 	}
 	ix.n += count
@@ -443,24 +421,20 @@ func (ix *Index) AddNodes(count int) {
 // View header plus ⌈n/64⌉ block pointer copies, no walk data copied.
 // The writer's next change to a node's walks clones that node's row
 // first (copy-on-write), so the view serves frozen walks forever. The
-// in-neighbor lists, postings and repair scratch stay with the writer.
+// graph, postings and repair scratch stay with the writer.
 func (ix *Index) Seal() *View {
 	v := ix.View
 	v.rows = ix.rows.Seal()
 	return &v
 }
 
-// Clone returns an independent deep copy the writer can mutate without
-// affecting the receiver.
+// Clone returns an independent deep copy, graph included, the writer can
+// mutate without affecting the receiver.
 func (ix *Index) Clone() *Index {
-	dup := &Index{View: ix.View, total: ix.total, live: ix.live, edges: ix.edges}
+	dup := &Index{View: ix.View, g: ix.g.Clone(), total: ix.total, live: ix.live}
 	dup.rows = cow.New(slices.Clone[[]int32])
 	for u := 0; u < ix.n; u++ {
 		dup.rows.Append(slices.Clone(ix.rows.Get(u)))
-	}
-	dup.ins = make([][]int32, ix.n)
-	for v, nbrs := range ix.ins {
-		dup.ins[v] = append([]int32(nil), nbrs...)
 	}
 	dup.postings = make([][]uint64, ix.n)
 	for v, ps := range ix.postings {
@@ -477,12 +451,12 @@ func (ix *View) MemBytes() int64 {
 }
 
 // MemBytes reports the writer's resident size: the view's walks plus
-// the in-neighbor lists and postings — O(n·(W·L + d)) total. edges
-// counts the in-neighbor entries and total the posting entries, so the
-// sum equals a walk over the slices' lengths at 24 B per slice header, 4
-// per neighbor and 8 per posting.
+// the postings — O(n·W·L) total. total counts the posting entries, so
+// the sum equals a walk over the postings' lengths at 24 B per slice
+// header and 8 per posting. The in-lists the walks draw from are the
+// graph's, not counted here.
 func (ix *Index) MemBytes() int64 {
-	return ix.View.MemBytes() + int64(ix.n)*48 + 4*int64(ix.edges) + 8*int64(ix.total)
+	return ix.View.MemBytes() + int64(ix.n)*24 + 8*int64(ix.total)
 }
 
 // meetStep returns the first step at which walk w of a and walk w of b
@@ -595,8 +569,8 @@ type Scored struct {
 //   - step propagates -1, so a walk's live steps form a prefix, and v
 //     can score only by sitting at a's position at one of a's live
 //     steps;
-//   - every walk of v draws step 1 from the same list ins[v], and a
-//     change to ins[j] resamples all of j's walks from step 1, so walk 0
+//   - every walk of v draws step 1 from the same list I(v), and a
+//     change to I(j) resamples all of j's walks from step 1, so walk 0
 //     is dead at step 1 exactly when all of v's walks are.
 //
 // So a query node with no in-links returns at once, a node whose walks
@@ -668,26 +642,4 @@ func (ix *View) TopK(a, k, walks, refineFactor int) []Scored {
 		k = len(refined)
 	}
 	return refined[:k]
-}
-
-// insertSorted adds v to an ascending slice, reporting false if present.
-func insertSorted(s []int32, v int32) ([]int32, bool) {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	if i < len(s) && s[i] == v {
-		return s, false
-	}
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s, true
-}
-
-// removeSorted deletes v from an ascending slice, reporting false if
-// absent.
-func removeSorted(s []int32, v int32) ([]int32, bool) {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	if i >= len(s) || s[i] != v {
-		return s, false
-	}
-	return append(s[:i], s[i+1:]...), true
 }

@@ -261,6 +261,37 @@ func TestEpochRegressionIsTerminal(t *testing.T) {
 	}
 }
 
+// TestEpochGapIsTerminal: a stream that skips a record — records 1, 2,
+// then 4 — is divergence too: Run returns ErrDiverged at record 4
+// without applying it, instead of forking past the missing epoch 3.
+func TestEpochGapIsTerminal(t *testing.T) {
+	fl := newFakeLeader(t)
+	eng := newFollowerEngine(t)
+	rep := replica.New(eng, replica.Options{
+		Leader:       fl.srv.URL,
+		StallTimeout: 5 * time.Second,
+		BackoffMin:   time.Millisecond,
+	})
+	done := startReplica(t, rep)
+
+	for _, e := range []uint64{1, 2} {
+		fl.send(t, &wal.Record{Epoch: e, Kind: wal.KindRecompute})
+	}
+	waitFor(t, "applied epoch 2", func() bool { return rep.Stats().AppliedEpoch == 2 })
+	fl.send(t, &wal.Record{Epoch: 4, Kind: wal.KindAddNodes, Count: 1}) // epoch 3 missing
+	select {
+	case err := <-done:
+		if !errors.Is(err, replica.ErrDiverged) {
+			t.Fatalf("Run returned %v, want ErrDiverged", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run kept going past a missing record")
+	}
+	if rep.Stats().AppliedEpoch != 2 || eng.Epoch() != 2 || eng.N() != 4 {
+		t.Fatalf("record after the gap mutated state: applied %d, epoch %d, n %d", rep.Stats().AppliedEpoch, eng.Epoch(), eng.N())
+	}
+}
+
 // TestHeartbeatRegressionIsTerminal: a heartbeat claiming the leader's
 // position is BEHIND what this follower already applied means the
 // follower replayed history the leader no longer has (a leader

@@ -269,8 +269,10 @@ func (r *Replica) stream(ctx context.Context) error {
 
 // handleFrame applies one decoded frame: heartbeats move the leader's
 // known position, records advance the follower's state. Both enforce
-// strict epoch coherence — a position behind the follower's applied
-// epoch means the leader's history is not ours.
+// strict epoch coherence — a heartbeat behind the follower's applied
+// epoch means the leader's history is not ours, and ApplyReplicated
+// refuses a record whose epoch is not the follower's next (a repeat, or
+// the record after a missing one).
 func (r *Replica) handleFrame(rec *wal.Record) error {
 	applied := r.applied.Load()
 	if rec.Kind == wal.KindHeartbeat {
@@ -280,10 +282,6 @@ func (r *Replica) handleFrame(rec *wal.Record) error {
 		}
 		r.noteLeaderEpoch(rec.Epoch)
 		return nil
-	}
-	if rec.Epoch <= applied {
-		return fmt.Errorf("%w: record epoch %d does not advance past follower epoch %d",
-			ErrDiverged, rec.Epoch, applied)
 	}
 	if err := r.eng.ApplyReplicated(rec); err != nil {
 		if errors.Is(err, simrank.ErrDurability) {

@@ -1,14 +1,17 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
-	"slices"
 	"testing"
 	"time"
 
 	simrank "repro"
+	"repro/internal/gen"
 )
 
 // newBackendServer builds a server over an engine with the given
@@ -82,34 +85,75 @@ func TestServerStatsReportsBackend(t *testing.T) {
 }
 
 // The exact backends serve identical query surfaces: both hold the same
-// exactly symmetric S, so packed answers equal dense ones bit for bit
-// through the HTTP layer too, pair for pair in /topk.
+// exactly symmetric S, so a dense and a packed server fed one update
+// stream answer every query with the same bytes — /similarity for every
+// pair, /topkfor for every node, and the whole /topk.
 func TestServerPackedServesQueries(t *testing.T) {
-	_, dts := newBackendServer(t, simrank.BackendDense)
-	_, pts := newBackendServer(t, simrank.BackendPacked)
-	for a := 0; a < 12; a++ {
-		var ds, ps SimilarityResponse
-		url := fmt.Sprintf("/similarity?a=%d&b=%d", a, (a+3)%12)
-		if code := getJSON(t, dts.URL+url, &ds); code != 200 {
-			t.Fatalf("dense %s = %d", url, code)
+	const n = 64
+	g := gen.PrefAttach(n, 3, 5)
+	var dense, packed string
+	for _, backend := range []simrank.Backend{simrank.BackendDense, simrank.BackendPacked} {
+		eng, err := simrank.NewConcurrentEngine(n, g.Edges(), simrank.Options{Backend: backend})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if code := getJSON(t, pts.URL+url, &ps); code != 200 {
-			t.Fatalf("packed %s = %d", url, code)
+		srv := New(eng, Config{})
+		ts := httptest.NewServer(srv)
+		t.Cleanup(func() {
+			ts.Close()
+			srv.Close()
+		})
+		if backend == simrank.BackendDense {
+			dense = ts.URL
+		} else {
+			packed = ts.URL
 		}
-		if ds != ps {
-			t.Fatalf("%s: dense %+v packed %+v", url, ds, ps)
+	}
+	// One toggle stream, acked on both servers: each step deletes a
+	// present edge or inserts an absent one.
+	rng := rand.New(rand.NewSource(11))
+	for step := 0; step < 32; step++ {
+		from, to := rng.Intn(n), rng.Intn(n)
+		up := UpdateJSON{From: from, To: to}
+		if g.HasEdge(from, to) {
+			up.Op = "delete"
+		}
+		g.Apply(simrank.Update{Edge: simrank.Edge{From: from, To: to}, Insert: up.Op == ""})
+		for _, base := range []string{dense, packed} {
+			if code := postJSON(t, base+"/updates?wait=1", up, nil); code != 200 {
+				t.Fatalf("step %d: POST %+v = %d", step, up, code)
+			}
 		}
 	}
-	var dk, pk TopKResponse
-	if code := getJSON(t, dts.URL+"/topk?k=6", &dk); code != 200 {
-		t.Fatalf("dense /topk = %d", code)
+	body := func(url string) []byte {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s = %d %s", url, resp.StatusCode, b)
+		}
+		return b
 	}
-	if code := getJSON(t, pts.URL+"/topk?k=6", &pk); code != 200 {
-		t.Fatalf("packed /topk = %d", code)
+	same := func(path string) {
+		t.Helper()
+		if d, p := body(dense+path), body(packed+path); !bytes.Equal(d, p) {
+			t.Fatalf("%s:\n dense  %s\n packed %s", path, d, p)
+		}
 	}
-	if !slices.Equal(dk.Pairs, pk.Pairs) {
-		t.Fatalf("topk:\n dense  %v\n packed %v", dk.Pairs, pk.Pairs)
+	for a := 0; a < n; a++ {
+		for b := 0; b < n; b++ {
+			same(fmt.Sprintf("/similarity?a=%d&b=%d", a, b))
+		}
+		same(fmt.Sprintf("/topkfor?node=%d&k=%d", a, n))
 	}
+	same(fmt.Sprintf("/topk?k=%d", n*(n-1)/2))
 }
 
 // The approx tier serves the full read surface — /similarity with a

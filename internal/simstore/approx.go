@@ -25,12 +25,13 @@ type ApproxView struct {
 
 // Approx is the sampling tier: no materialized S at all. Queries read a
 // stored-walk index (montecarlo.Index) of W truncated reverse walks per
-// node — O(n·(W·L + d)) memory, still far below the exact tiers' Θ(n²)
-// — and score a pair by the first-meeting-time estimator, with
+// node — O(n·W·L) memory beside the graph, still far below the exact
+// tiers' Θ(n²) — and score a pair by the first-meeting-time estimator, with
 // per-answer standard errors through the Sampler interface.
 //
-// The store is *writable through the graph*: ApplyUpdate mutates one
-// in-neighbor list and repairs exactly the walk suffixes the change
+// The store is *writable through the graph*: ApplyUpdate applies the
+// edge to the graph the walks are drawn over, which changes one
+// in-neighbor list, and repairs exactly the walk suffixes the change
 // invalidates (the paper's affected-area idea applied to the walk
 // index), and AddNodes grows the index by isolated nodes. Because every
 // walk position derives from a pure (seed, node, walk, step) hash, the
@@ -99,7 +100,7 @@ func (a *Approx) SetWorkers(int) {}
 // N returns the node count.
 func (a *ApproxView) N() int { return a.idx.N() }
 
-// ApplyUpdate mutates the graph topology inside the walk index and
+// ApplyUpdate applies up to the graph the walk index was built over and
 // repairs the invalidated walk suffixes. It returns the ascending list
 // of nodes whose stored walks changed — the engine's DirtyRows set for
 // this update — in the index's repair scratch, valid until the next
@@ -110,8 +111,9 @@ func (a *Approx) ApplyUpdate(up graph.Update) []int {
 }
 
 // Update rejects up with the exact stores' *core.ErrBadUpdate reasons
-// when it does not apply to g, the graph the walk index mirrors, and
-// otherwise repairs the walks through ApplyUpdate. DirtyRows names the
+// when it does not apply to g, the graph the walk index was built over,
+// and otherwise applies it to g and repairs the walks through
+// ApplyUpdate. DirtyRows names the
 // nodes whose walk sets changed and, as on the exact stores, aliases
 // scratch that is valid until the next update; no other Stats field is
 // populated.
@@ -203,8 +205,9 @@ func (a *Approx) AddNodes(count int, diag float64) Store {
 // MemBytes reports the walk payload a view serves, O(n·W·L).
 func (a *ApproxView) MemBytes() int64 { return a.idx.MemBytes() }
 
-// MemBytes reports the writer's walk index, O(n·(W·L + d)): stored walk
-// positions plus the in-neighbor lists and repair postings.
+// MemBytes reports the writer's walk index, O(n·W·L): stored walk
+// positions plus the repair postings. The in-lists the walks draw from
+// are the graph's and are not counted.
 func (a *Approx) MemBytes() int64 { return a.index.MemBytes() }
 
 // Backend names the implementation.

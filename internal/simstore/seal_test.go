@@ -423,7 +423,6 @@ func TestApproxSealedViewSurvivesRepairs(t *testing.T) {
 	v := a.Seal()
 	frozen := v.At(1, 3)
 	up := graph.Update{Edge: graph.Edge{From: 0, To: 3}, Insert: true}
-	g.Apply(up)
 	a.ApplyUpdate(up)
 	if got := v.At(1, 3); got != frozen {
 		t.Fatalf("sealed view drifted under repair: %v vs %v", got, frozen)

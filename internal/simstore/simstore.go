@@ -11,12 +11,12 @@
 //     exact incremental-update machinery (every write flows through the
 //     symmetric AddSym, landing on one backing cell);
 //   - approx: no materialized S at all — a Monte-Carlo sampling tier
-//     over a stored-walk index (internal/montecarlo), O(n·(W·L + d))
-//     memory, answering queries by reading the meeting points of stored
-//     coalescing reverse walks with a reported standard error. Writable
-//     through the graph: an edge update repairs exactly the invalidated
-//     walk suffixes (ApplyUpdate), bit-identical to a fresh rebuild at
-//     the same seed.
+//     over a stored-walk index (internal/montecarlo), O(n·W·L) memory
+//     beside the graph, answering queries by reading the meeting points
+//     of stored coalescing reverse walks with a reported standard error.
+//     Writable through the graph: an edge update repairs exactly the
+//     invalidated walk suffixes (ApplyUpdate), bit-identical to a fresh
+//     rebuild at the same seed.
 //
 // Each store keeps its own S current: Store.Update and Recompute are
 // the whole write path the engine calls. The exact stores (dense,
@@ -45,7 +45,8 @@ const (
 	// BackendPacked is the symmetric upper-triangular store (≈4n² bytes).
 	BackendPacked Backend = "packed"
 	// BackendApprox is the Monte-Carlo stored-walk sampling tier
-	// (O(n·(W·L+d)) bytes, writable via incremental walk repair).
+	// (O(n·W·L) bytes beside the graph, writable via incremental walk
+	// repair).
 	BackendApprox Backend = "approx"
 )
 
@@ -149,16 +150,17 @@ type Store interface {
 	// are intrinsically safe at any age.
 	Seal() View
 
-	// Update applies one unit update to S. g is the graph before the
-	// update: the exact stores build their workspace from it on first
-	// use, the approx store validates against it. Update validates
-	// before writing — a rejected update returns *core.ErrBadUpdate and
-	// leaves the store untouched — and never mutates g; the caller
-	// applies up to g once Update succeeds. The returned DirtyRows name
-	// the rows of S whose scores may have moved.
+	// Update applies one unit update to S and to g, which must be the
+	// graph the store was built over: the exact stores' workspace and
+	// the approx store's walk index read its in-lists in place. Update
+	// validates first — a rejected update returns *core.ErrBadUpdate
+	// and leaves the store and g untouched — then updates S and applies
+	// up to g. The returned DirtyRows name the rows of S whose scores
+	// may have moved.
 	Update(g *graph.DiGraph, up graph.Update, p Params) (core.Stats, error)
-	// Recompute applies ups to g, then rebuilds S from scratch over the
-	// result. ups carries ApplyBatch's recompute crossover: a batch the
+	// Recompute applies ups to g, the graph the store was built over,
+	// then rebuilds S from scratch over the result. ups carries
+	// ApplyBatch's recompute crossover: a batch the
 	// caller has validated, applied here with no incremental work. A
 	// plain recompute passes nil.
 	Recompute(g *graph.DiGraph, ups []graph.Update, p Params)

@@ -187,7 +187,6 @@ func TestApproxWritableSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	up := graph.Update{Edge: graph.Edge{From: 3, To: 1}, Insert: true}
-	g.Apply(up)
 	dirty := a.ApplyUpdate(up)
 	if len(dirty) == 0 {
 		t.Fatal("inserting an in-edge of a live node should dirty some walk rows")
@@ -195,6 +194,7 @@ func TestApproxWritableSurface(t *testing.T) {
 	if a.RepairGen() != 1 {
 		t.Fatalf("repair generation = %d, want 1", a.RepairGen())
 	}
+	g.AddNodes(2)
 	if a.AddNodes(2, 0.4) != Store(a) {
 		t.Fatal("approx AddNodes grows in place and returns the receiver")
 	}

@@ -17,7 +17,7 @@
 // Kinds: KindUpdate (one unit update: from u32, to u32, op u8),
 // KindBatch (count u32, then count updates — one coalesced drain
 // cycle, replayed through the same ApplyBatch entry point so the
-// recompute-threshold choice reproduces), KindAddNodes (count u32) and
+// recompute crossover reproduces), KindAddNodes (count u32) and
 // KindRecompute (no body).
 //
 // Recovery is paranoid by construction:
@@ -33,7 +33,11 @@
 //     would silently diverge from the acknowledged stream.
 //   - Record epochs must be strictly increasing across the whole log
 //     and each segment's name must match its first record — an epoch
-//     gap or regression fails Open rather than replaying out of order.
+//     regression or a reordered segment fails Open rather than
+//     replaying out of order. A missing record is invisible here: a
+//     Batch record advances the epoch by 1 or by its length, which only
+//     the engine knows, so the engine's replay checks each record's
+//     epoch step instead.
 //
 // Durability policy is configurable (SyncPolicy): SyncAlways fsyncs
 // every append (group commit comes for free upstream — the coalescing
@@ -402,7 +406,7 @@ func (w *WAL) validateSegment(s *segment, final bool, prevEpoch *uint64) error {
 			return fmt.Errorf("wal: segment %s claims first epoch %d but starts with record epoch %d", filepath.Base(s.path), s.firstEpoch, rec.Epoch)
 		}
 		if rec.Epoch <= *prevEpoch {
-			return fmt.Errorf("wal: epoch %d at %s offset %d does not advance past %d (gap or reordering — refusing to replay)", rec.Epoch, filepath.Base(s.path), offset, *prevEpoch)
+			return fmt.Errorf("wal: epoch %d at %s offset %d does not advance past %d (regression or reordering — refusing to replay)", rec.Epoch, filepath.Base(s.path), offset, *prevEpoch)
 		}
 		*prevEpoch = rec.Epoch
 		s.lastEpoch = rec.Epoch
@@ -475,7 +479,7 @@ func replaySegment(s segment, from uint64, prev *uint64, fn func(*Record) error)
 
 // Append logs one record durably according to the sync policy. The
 // record's epoch must advance past every record already logged — the
-// property replay's gap detection relies on. Safe for concurrent use;
+// ordering replay relies on. Safe for concurrent use;
 // calls are serialized internally.
 func (w *WAL) Append(rec *Record) error {
 	w.mu.Lock()

@@ -122,7 +122,7 @@ func TestReplayFrom(t *testing.T) {
 }
 
 // TestEpochMustAdvance: appends that do not advance the epoch chain are
-// refused — the invariant replay's gap detection relies on.
+// refused — the ordering replay relies on.
 func TestEpochMustAdvance(t *testing.T) {
 	w := mustOpen(t, t.TempDir(), Options{})
 	if err := w.Append(batchRec(5, upd(0, 1, true))); err != nil {

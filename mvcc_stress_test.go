@@ -141,7 +141,7 @@ func runMVCCStress(t *testing.T, backend Backend, workers int) {
 		readers = 4
 	)
 	opts := Options{C: 0.6, K: 6, Backend: backend, ApproxWalks: 32,
-		TopKCacheRows: 12, RecomputeThreshold: 100, Workers: workers}
+		TopKCacheRows: 12, Workers: workers}
 	edges, sched := buildMVCCSchedule(11, n0, steps)
 
 	ce, err := NewConcurrentEngine(n0, edges, opts)

@@ -55,7 +55,7 @@ func TestFileToEnginePipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	eng, err := NewEngine(parsed.N(), parsed.Edges(), Options{C: 0.6, K: 25, RecomputeThreshold: 10})
+	eng, err := NewEngine(parsed.N(), parsed.Edges(), Options{C: 0.6, K: 25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestFileToEnginePipeline(t *testing.T) {
 func TestSnapshotPipeline(t *testing.T) {
 	dir := t.TempDir()
 	g := gen.PrefAttach(40, 4, 9)
-	eng, err := NewEngine(g.N(), g.Edges(), Options{C: 0.6, K: 25, RecomputeThreshold: 10})
+	eng, err := NewEngine(g.N(), g.Edges(), Options{C: 0.6, K: 25})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package simrank
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/wal"
@@ -123,22 +124,105 @@ func TestApplyWALRecordRejects(t *testing.T) {
 		}
 	})
 	t.Run("epoch-overshoot", func(t *testing.T) {
-		// A 3-update batch steps the incremental path's epoch by 3 (the
-		// high threshold pins that path); a record claiming the commit
-		// only advanced 1 was written against a base that took a different
-		// path — the recompute crossover decided differently there.
-		e, err := NewEngine(4, []Edge{{From: 0, To: 1}}, Options{K: 8, Workers: 1, RecomputeThreshold: 1e9})
+		// A batch record's epoch step is decided by the replaying engine's
+		// |E|: one per update below the recompute crossover, one above it.
+		// A record claiming the other step was written against a base that
+		// took the other path, and is refused before anything applies.
+		batch := []Update{
+			{Edge: Edge{From: 1, To: 2}, Insert: true},
+			{Edge: Edge{From: 2, To: 3}, Insert: true},
+			{Edge: Edge{From: 3, To: 1}, Insert: true},
+		}
+		// Node 0 points at 20 nodes: 3 updates < 0.15·21 edges fold.
+		folding := []Edge{{From: 0, To: 1}}
+		for v := 4; v < 24; v++ {
+			folding = append(folding, Edge{From: 0, To: v})
+		}
+		for _, tc := range []struct {
+			name  string
+			edges []Edge
+			step  uint64 // the step the record wrongly claims
+		}{
+			{"folded-batch-claims-1", folding, 1},
+			{"recomputed-batch-claims-3", []Edge{{From: 0, To: 1}}, 3},
+		} {
+			t.Run(tc.name, func(t *testing.T) {
+				e, err := NewEngine(24, tc.edges, Options{K: 8, Workers: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rec := &wal.Record{Epoch: e.Epoch() + tc.step, Kind: wal.KindBatch, Updates: batch}
+				if err := e.applyWALRecord(rec); err == nil {
+					t.Fatal("batch record with the wrong epoch step applied")
+				}
+				if e.Epoch() != 0 || e.M() != len(tc.edges) || e.HasEdge(1, 2) {
+					t.Fatalf("refused record changed the engine: epoch %d, %d edges", e.Epoch(), e.M())
+				}
+			})
+		}
+	})
+}
+
+// TestReplayRefusesRecordAfterGap: a log or stream that skips a record
+// is refused at the record after the gap, before that record applies —
+// boot-time replay and the follower path alike. The log holds epochs 1
+// and 3; epoch 2 was never written (a failed append).
+func TestReplayRefusesRecordAfterGap(t *testing.T) {
+	edges := []Edge{{From: 0, To: 1}, {From: 1, To: 2}, {From: 2, To: 0}}
+	opts := Options{K: 8, Workers: 1}
+	rec1 := &wal.Record{Epoch: 1, Kind: wal.KindUpdate, Updates: []Update{{Edge: Edge{From: 0, To: 2}, Insert: true}}}
+	rec3 := &wal.Record{Epoch: 3, Kind: wal.KindUpdate, Updates: []Update{{Edge: Edge{From: 2, To: 3}, Insert: true}}}
+	w, err := wal.Open(t.TempDir(), wal.Options{Sync: wal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close() //simrank:errok test cleanup on a SyncNone log
+	for _, rec := range []*wal.Record{rec1, rec3} {
+		if err := w.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// refused checks the writer's own state, which a failed replay
+	// leaves unpublished.
+	refused := func(t *testing.T, e *Engine) {
+		t.Helper()
+		if e.Epoch() != 1 || !e.HasEdge(0, 2) {
+			t.Fatalf("epoch %d, edge 0→2 %v: want record 1 applied and epoch 1", e.Epoch(), e.HasEdge(0, 2))
+		}
+		if e.HasEdge(2, 3) {
+			t.Fatal("the record after the gap applied")
+		}
+	}
+
+	t.Run("ReplayWAL", func(t *testing.T) {
+		ce, err := NewConcurrentEngine(4, edges, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec := &wal.Record{Epoch: e.Epoch() + 1, Kind: wal.KindBatch, Updates: []Update{
-			{Edge: Edge{From: 1, To: 2}, Insert: true},
-			{Edge: Edge{From: 2, To: 3}, Insert: true},
-			{Edge: Edge{From: 3, To: 0}, Insert: true},
-		}}
-		if err := e.applyWALRecord(rec); err == nil {
-			t.Fatal("overshooting batch record applied")
+		applied, err := ce.ReplayWAL(context.Background(), w)
+		if err == nil {
+			t.Fatal("ReplayWAL accepted a log with a missing record")
 		}
+		if applied != 1 || !strings.Contains(err.Error(), "epoch 3") {
+			t.Fatalf("ReplayWAL applied %d records, err %v: want 1, naming epoch 3", applied, err)
+		}
+		refused(t, ce.eng)
+	})
+	t.Run("ApplyReplicated", func(t *testing.T) {
+		ce, err := NewConcurrentEngine(4, edges, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ce.ApplyReplicated(rec1); err != nil {
+			t.Fatal(err)
+		}
+		if err := ce.ApplyReplicated(rec3); err == nil {
+			t.Fatal("ApplyReplicated accepted the record after a gap")
+		}
+		if ce.Epoch() != 1 || ce.HasEdge(2, 3) {
+			t.Fatalf("published view at epoch %d, edge 2→3 %v: want epoch 1 without it", ce.Epoch(), ce.HasEdge(2, 3))
+		}
+		refused(t, ce.eng)
 	})
 }
 

@@ -96,9 +96,9 @@ func TestEngineApplyBatchSingleZeroAllocs(t *testing.T) {
 	skipIfRace(t)
 	rng := rand.New(rand.NewSource(7))
 	g := randTestGraph(rng, 40, 160)
-	// RecomputeThreshold ≥ 1 keeps a singleton batch on the incremental
-	// path regardless of |E|.
-	eng, err := NewEngine(g.N(), g.Edges(), Options{C: 0.6, K: 10, RecomputeThreshold: 2})
+	// A singleton batch over 160 edges stays under the 0.15·|E|
+	// crossover, so it folds incrementally.
+	eng, err := NewEngine(g.N(), g.Edges(), Options{C: 0.6, K: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
