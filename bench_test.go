@@ -452,10 +452,10 @@ func BenchmarkEngineInsert(b *testing.B) {
 // BenchmarkEngineUpdateStream measures sustained update throughput on a
 // warm engine: a stream of deletes and re-inserts over a rotating edge
 // set, the steady-state shape of a live link feed. The "persistent"
-// variant is the engine hot path (workspace reuse + incremental Qᵀ; the
-// allocs/op column must read 0); "perCall" is the seed behavior — a fresh
-// workspace, Qᵀ rebuild and CSR sort on every update — kept as the
-// baseline the tentpole is measured against.
+// variant is the engine hot path (workspace reuse; the allocs/op column
+// must read 0); "perCall" builds a fresh workspace, with all of its
+// scratch, on every update — the seed's per-update shape — kept as the
+// baseline the persistent path is measured against.
 func BenchmarkEngineUpdateStream(b *testing.B) {
 	d := gen.SmallDatasets()[0]
 	edges := d.Base.Edges()[:8]

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"net"
 	"net/http"
 	"os"
@@ -24,6 +25,8 @@ import (
 	"time"
 
 	simrank "repro"
+	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/matrix"
 )
 
@@ -162,9 +165,9 @@ func (c *child) post(t *testing.T, path string) {
 	}
 }
 
-// crashStream is the acknowledged update schedule: phase one before the
-// mid-stream snapshot, phase two after it (recovered from the WAL tail
-// alone). All on an empty 8-node graph.
+// crashPhase1 and crashPhase2 are a short acknowledged update schedule:
+// phase one before a mid-stream snapshot, phase two after it (recovered
+// from the WAL tail alone). All on an empty 8-node graph.
 var crashPhase1 = []simrank.Update{
 	{Edge: simrank.Edge{From: 0, To: 1}, Insert: true},
 	{Edge: simrank.Edge{From: 1, To: 2}, Insert: true},
@@ -183,9 +186,45 @@ var crashPhase2 = []simrank.Update{
 	{Edge: simrank.Edge{From: 1, To: 7}, Insert: true},
 }
 
+// kill9Graph writes the edge list TestCrashRecoveryKill9 boots from and
+// returns the graph with its acknowledged toggle stream, split at the
+// mid-stream snapshot. The graph and stream are large enough that a
+// dense and a packed store that summed any cell differently would
+// differ somewhere in the last bits; 8 nodes and 12 updates would not.
+func kill9Graph(t *testing.T, path string) (*graph.DiGraph, []simrank.Update, []simrank.Update) {
+	t.Helper()
+	g := gen.PrefAttach(48, 3, 5)
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := graph.WriteEdgeList(f, g); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Every third toggle deletes an existing edge; the rest toggle a
+	// uniform pair, which mostly inserts.
+	model := g.Clone()
+	rng := rand.New(rand.NewSource(9))
+	ups := make([]simrank.Update, 0, 60)
+	for len(ups) < cap(ups) {
+		e := simrank.Edge{From: rng.Intn(g.N()), To: rng.Intn(g.N())}
+		if len(ups)%3 == 2 {
+			e = model.Edges()[rng.Intn(model.M())]
+		}
+		up := simrank.Update{Edge: e, Insert: !model.HasEdge(e.From, e.To)}
+		model.Apply(up)
+		ups = append(ups, up)
+	}
+	return g, ups[:30], ups[30:]
+}
+
 // TestCrashRecoveryKill9 is the end-to-end durability proof, per
-// backend: stream acknowledged writes into a live simrankd (taking a
-// mid-stream snapshot so recovery exercises restore + tail replay),
+// backend: boot a live simrankd from an edge list, stream acknowledged
+// writes into it (taking a mid-stream snapshot so recovery exercises
+// restore + tail replay),
 // SIGKILL it with no warning, restart over the same WAL directory, shut
 // down gracefully, and compare the final persisted state against a
 // serial in-process replay of the acknowledged stream — bit-identical
@@ -203,18 +242,20 @@ func TestCrashRecoveryKill9(t *testing.T) {
 			dir := t.TempDir()
 			walDir := filepath.Join(dir, "wal")
 			snap := filepath.Join(dir, "state.simr")
+			graphFile := filepath.Join(dir, "edges.txt")
+			base, phase1, phase2 := kill9Graph(t, graphFile)
 
-			args := []string{"-n", "8", "-backend", string(backend),
+			args := []string{"-graph", graphFile, "-backend", string(backend),
 				"-wal-dir", walDir, "-snapshot", snap}
 			if backend == simrank.BackendApprox {
 				args = append(args, "-approx-walks", "64", "-approx-seed", "7")
 			}
 			p1 := startChild(t, args...)
-			for _, up := range crashPhase1 {
+			for _, up := range phase1 {
 				p1.ack(t, up)
 			}
 			p1.post(t, "/snapshot") // sealed segments below this epoch may vanish
-			for _, up := range crashPhase2 {
+			for _, up := range phase2 {
 				p1.ack(t, up)
 			}
 			p1.kill9(t)
@@ -241,13 +282,13 @@ func TestCrashRecoveryKill9(t *testing.T) {
 			if backend == simrank.BackendPacked {
 				oracle = simrank.BackendDense
 			}
-			serialEng, err := simrank.NewEngine(8, nil, simrank.Options{
+			serialEng, err := simrank.NewEngine(base.N(), base.Edges(), simrank.Options{
 				C: 0.6, K: 15, Backend: oracle, ApproxWalks: 64, ApproxSeed: 7})
 			if err != nil {
 				t.Fatal(err)
 			}
 			serial := simrank.WrapEngine(serialEng)
-			for _, up := range append(append([]simrank.Update(nil), crashPhase1...), crashPhase2...) {
+			for _, up := range append(append([]simrank.Update(nil), phase1...), phase2...) {
 				if err := serial.ApplyBatch([]simrank.Update{up}); err != nil {
 					t.Fatal(err)
 				}

@@ -32,12 +32,11 @@
 // workspace (internal/core), built over the graph on its first write;
 // the approx store never builds one. The engine hands every update and
 // recompute to its store, with one code path for all backends, and the
-// store applies the update to the graph it was built over. Q is read in
-// place from the graph's sorted in-lists, the only copy of them; in the
-// workspace the transposed transition matrix Qᵀ is maintained
-// incrementally — an edge change touches one row plus the d_j rescaled
-// entries of column j, never an O(m) rebuild — and every scratch buffer
-// of the update algorithms is pooled and reused, so a warm Engine.Apply
+// store applies the update to the graph it was built over. Q and Qᵀ are
+// read in place from the graph's sorted in- and out-lists, the only copy
+// of the adjacency, so an edge change is the graph's own sorted insert
+// or delete and never an O(m) rebuild; every scratch buffer of the
+// update algorithms is pooled and reused, so a warm Engine.Apply
 // performs zero heap allocations. Batch computation (NewEngine, Recompute, ApplyBatch's
 // crossover) runs one row-partitioned sparse kernel (internal/matrix)
 // that ping-pongs between two preallocated n×n buffers and ends by
@@ -69,7 +68,7 @@
 // double-buffer and re-sync only the cells each commit wrote (warm Apply
 // stays zero-allocation), and approx copy-on-writes per-node walk rows,
 // so a pinned view keeps serving its frozen walk set while the writer
-// repairs past it. The walk rows and the graph's out-adjacency sit in
+// repairs past it. The walk rows and the graph's out-lists sit in
 // 64-row blocks (internal/cow), so each of their seals copies ⌈n/64⌉
 // block pointers. The plain Engine never seals and pays nothing.
 // See the README's "Concurrency model" section for costs and the

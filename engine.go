@@ -269,11 +269,10 @@ func (e *Engine) Delete(i, j int) (UpdateStats, error) {
 
 // Apply performs one unit update incrementally (Inc-SR). On a warm
 // engine this is the zero-allocation hot path: the store's persistent
-// workspace supplies the transposed transition matrix (maintained in
-// O(d) per update, never rebuilt) and every scratch buffer the
-// algorithm needs. A rejected update returns
-// *core.ErrBadUpdate — with the same Reason on every backend — and
-// leaves the engine untouched.
+// workspace reads Q and Qᵀ from the graph's sorted adjacency and
+// supplies every scratch buffer the algorithm needs. A rejected update
+// returns *core.ErrBadUpdate — with the same Reason on every backend —
+// and leaves the engine untouched.
 //
 // The returned UpdateStats.DirtyRows aliases workspace scratch: it is
 // valid until this engine's next update (copy it to retain) — see the

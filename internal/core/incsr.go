@@ -16,7 +16,7 @@ import (
 // output is.
 //
 // This non-mutating form pays a Θ(n²) defensive copy and builds a fresh
-// Workspace (Qᵀ and scratch) per call; g is not modified. Callers applying a
+// Workspace (its scratch) per call; g is not modified. Callers applying a
 // stream of updates should hold a Workspace and use its IncSR method,
 // which updates s in place and meets the O(K(nd + |AFF|)) bound with
 // zero heap allocations once warm — the engine facade does so.
@@ -29,11 +29,11 @@ func IncSR(g *graph.DiGraph, s *matrix.Dense, up graph.Update, c float64, k int)
 	return out, st, nil
 }
 
-// IncSR performs one unit update on s (Algorithm 2) using the workspace's
-// maintained Qᵀ and its graph's in-lists — the zero-allocation
-// steady-state path. s is mutated only after all validation, so a failed
-// update leaves it untouched; the workspace and its graph are left
-// unchanged (call ApplyUpdate next to apply the update to both).
+// IncSR performs one unit update on s (Algorithm 2), reading Q and Qᵀ
+// from its graph's in- and out-lists — the zero-allocation steady-state
+// path. s is mutated only after all validation, so a failed
+// update leaves it untouched; the graph is left unchanged (call
+// ApplyUpdate next to apply the update to it).
 //
 // s is any exactly symmetric SimStore: the dense matrix of the classic
 // engine or a packed-symmetric store. The update reads rows i and j
@@ -72,9 +72,9 @@ func (ws *Workspace) IncSR(s SimStore, up graph.Update, c float64, k int) (Stats
 	copy(si, s.Row(i))
 	for y := 0; y < n; y++ {
 		if si[y] > ZeroTol || si[y] < -ZeroTol {
-			for _, e := range ws.qt[y] {
-				if !b0.mark[e.idx] {
-					b0.add(e.idx, 1)
+			for _, a := range ws.g.Out(y) {
+				if !b0.mark[a] {
+					b0.add(int(a), 1)
 				}
 			}
 		}

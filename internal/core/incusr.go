@@ -112,9 +112,9 @@ func IncUSR(g *graph.DiGraph, s *matrix.Dense, up graph.Update, c float64, k int
 // IncUSR performs one unit update on s (Algorithm 1), reading Q from the
 // workspace graph's in-lists, with its persistent dense scratch (M plus
 // the ξ/η/w/γ vectors, allocated on first use) — zero heap allocations
-// once warm. s is mutated only after all validation; the workspace and
-// its graph are left unchanged (call ApplyUpdate next to apply the
-// update to both). Like IncSR it accepts
+// once warm. s is mutated only after all validation; the graph is left
+// unchanged (call ApplyUpdate next to apply the update to it). Like
+// IncSR it accepts
 // any exactly symmetric SimStore and reads rows where Algorithm 1 reads
 // columns: all writes flow through Add/AddSym so symmetric layouts
 // apply each unordered pair's delta to one backing cell.

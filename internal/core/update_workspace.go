@@ -1,42 +1,24 @@
 package core
 
 import (
-	"slices"
-
 	"repro/internal/graph"
 	"repro/internal/matrix"
 )
 
-// qEnt is one entry of a row of Qᵀ: column index and value.
-type qEnt struct {
-	idx int
-	val float64
-}
-
 // Workspace is the persistent compute state of one engine over one
-// graph: the transposed transition matrix maintained incrementally
-// across updates, plus every scratch buffer the Inc-SR/Inc-uSR hot paths
-// need. With a warm Workspace a unit update performs zero heap
-// allocations and never rebuilds the O(m) transposed transition matrix —
-// an edge change touches one row of Qᵀ and rescales the d_j entries of
-// column j, O(d_j·log d) total.
+// graph: every scratch buffer the Inc-SR/Inc-uSR hot paths need. With a
+// warm Workspace a unit update performs zero heap allocations.
 //
-// Row j of Q is read in place from the graph: [Q]_{j,i} = 1/|I(j)| for
-// i ∈ g.In(j), ascending. A Workspace therefore owns its graph's
-// updates: construct it with NewWorkspace(g) and apply every later
-// update through ApplyUpdate, which also applies it to g. It is not
-// safe for concurrent use.
+// Q and Qᵀ are read in place from the graph's sorted adjacency: row j of
+// Q is [Q]_{j,i} = 1/|I(j)| for i ∈ g.In(j), and row b of Qᵀ is
+// [Qᵀ]_{b,a} = 1/|I(a)| for a ∈ g.Out(b), both ascending. An edge change
+// is therefore just the graph's own sorted insert or delete. A Workspace
+// reads the graph it was built over: construct it with NewWorkspace(g)
+// and apply every later update through ApplyUpdate (or to g directly).
+// It is not safe for concurrent use.
 type Workspace struct {
 	g *graph.DiGraph
 	n int
-
-	// qt holds Qᵀ: row b lists (a, 1/d_a) for a ∈ O(b), sorted by a — the
-	// sparse scatter layout of Inc-SR's ξ/η iteration, with the weights
-	// inline. It is transposed from the graph's in-lists on the first
-	// IncSR (see ensureIncSR) and maintained incrementally from then on.
-	// Sorted rows make every result independent of Go's map iteration
-	// order.
-	qt [][]qEnt
 
 	// vws (Theorem 1's v) and si (a copy of row i of S, which is
 	// [S]_{·,i} by symmetry) serve both update algorithms and are always
@@ -73,9 +55,9 @@ type Workspace struct {
 	qCSR    matrix.CSR
 }
 
-// NewWorkspace builds the persistent update state over g, which it
-// adopts: every later update to g must go through ApplyUpdate. O(n) time;
-// Qᵀ and the update scratch follow on first use.
+// NewWorkspace builds the persistent update state over g, whose
+// adjacency it reads in place. O(n) time; the Inc-SR scratch follows on
+// first use.
 func NewWorkspace(g *graph.DiGraph) *Workspace {
 	n := g.N()
 	return &Workspace{
@@ -87,24 +69,14 @@ func NewWorkspace(g *graph.DiGraph) *Workspace {
 	}
 }
 
-// ensureIncSR allocates the Inc-SR-only state on first use: Qᵀ
-// (transposed from the graph's in-lists; iterating target rows in
-// ascending order leaves every Qᵀ row sorted) plus the sparse scratch
-// vectors and the touched-pair bitset. Inc-uSR-only and batch-only
-// workspaces never pay for any of it.
+// ensureIncSR allocates the Inc-SR-only state on first use: the sparse
+// scratch vectors and the touched-pair bitset. Inc-uSR-only and
+// batch-only workspaces never pay for any of it.
 func (ws *Workspace) ensureIncSR() {
-	if ws.qt != nil {
+	if ws.b0 != nil {
 		return
 	}
 	n := ws.n
-	qt := make([][]qEnt, n)
-	for a := 0; a < n; a++ {
-		in, wv := ws.qRow(a)
-		for _, i := range in {
-			qt[i] = append(qt[i], qEnt{a, wv})
-		}
-	}
-	ws.qt = qt
 	ws.b0 = newWsVec(n)
 	ws.w = newWsVec(n)
 	ws.gam = newWsVec(n)
@@ -153,23 +125,6 @@ func (ws *Workspace) markDirty(r int) {
 	}
 }
 
-// searchEnt returns the position of idx in the sorted Qᵀ row (or the
-// insertion point if absent).
-//
-//simrank:noalloc
-func searchEnt(row []qEnt, idx int) int {
-	lo, hi := 0, len(row)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if row[mid].idx < idx {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
 // qRow returns row a of Q as read from the graph: the columns I(a),
 // ascending, and their common weight 1/|I(a)|.
 //
@@ -182,73 +137,10 @@ func (ws *Workspace) qRow(a int) (in []int32, w float64) {
 	return in, 1 / float64(len(in))
 }
 
-// hasEdge reports whether edge (i, j) is present, i.e. i ∈ I(j).
-//
-//simrank:noalloc
-func (ws *Workspace) hasEdge(i, j int) bool {
-	_, ok := slices.BinarySearch(ws.g.In(j), int32(i))
-	return ok
-}
-
-// setEnt overwrites the value at idx, which must be present.
-//
-//simrank:noalloc
-func setEnt(row []qEnt, idx int, v float64) {
-	row[searchEnt(row, idx)].val = v
-}
-
-// insertEnt adds (idx, v) keeping the row sorted; idx must be absent.
-//
-//simrank:noalloc
-func insertEnt(row []qEnt, idx int, v float64) []qEnt {
-	p := searchEnt(row, idx)
-	row = append(row, qEnt{})
-	copy(row[p+1:], row[p:])
-	row[p] = qEnt{idx, v}
-	return row
-}
-
-// removeEnt deletes idx, which must be present, keeping the row sorted.
-//
-//simrank:noalloc
-func removeEnt(row []qEnt, idx int) []qEnt {
-	p := searchEnt(row, idx)
-	copy(row[p:], row[p+1:])
-	return row[:len(row)-1]
-}
-
-// ApplyUpdate folds one valid unit update into the maintained Qᵀ, then
-// applies it to the workspace's graph. Call it after IncSR/IncUSR, which
-// read the pre-update state. An insertion or deletion of (i, j) touches
-// row i of Qᵀ plus the d_j entries of column j (found by binary search
-// in the rows of j's in-neighbors) — O(d) work, no O(m) rebuild, no sort.
-//
-//simrank:noalloc
-func (ws *Workspace) ApplyUpdate(up graph.Update) {
-	i, j := up.Edge.From, up.Edge.To
-	if ws.qt != nil { // Qᵀ is lazy; when absent ensureIncSR builds it from the graph
-		// Column j of Qᵀ lives in the rows of j's in-neighbors.
-		in := ws.g.In(j)
-		if up.Insert {
-			nv := 1 / float64(len(in)+1)
-			for _, a := range in {
-				setEnt(ws.qt[a], j, nv)
-			}
-			ws.qt[i] = insertEnt(ws.qt[i], j, nv)
-		} else {
-			ws.qt[i] = removeEnt(ws.qt[i], j)
-			if d := len(in) - 1; d > 0 {
-				nv := 1 / float64(d)
-				for _, a := range in {
-					if int(a) != i {
-						setEnt(ws.qt[a], j, nv)
-					}
-				}
-			}
-		}
-	}
-	ws.g.Apply(up)
-}
+// ApplyUpdate applies one valid unit update to the workspace's graph,
+// which is all it takes to update Q and Qᵀ. Call it after IncSR/IncUSR,
+// which read the pre-update state.
+func (ws *Workspace) ApplyUpdate(up graph.Update) { ws.g.Apply(up) }
 
 // decompose validates the update and computes the rank-one decomposition
 // ΔQ = u·vᵀ of Theorem 1 into the workspace: v is written to ws.vws
@@ -265,7 +157,7 @@ func (ws *Workspace) decompose(up graph.Update) (uv float64, err error) {
 	dj := len(in)
 	v := ws.vws
 	if up.Insert {
-		if ws.hasEdge(i, j) {
+		if ws.g.HasEdge(i, j) {
 			return 0, &ErrBadUpdate{up, "edge already present"}
 		}
 		if dj == 0 {
@@ -279,7 +171,7 @@ func (ws *Workspace) decompose(up graph.Update) (uv float64, err error) {
 		v.compact(ZeroTol)
 		return 1 / float64(dj+1), nil
 	}
-	if !ws.hasEdge(i, j) {
+	if !ws.g.HasEdge(i, j) {
 		return 0, &ErrBadUpdate{up, "edge absent"}
 	}
 	if dj == 1 {
@@ -311,42 +203,31 @@ func (ws *Workspace) mulQ(dst, x []float64) {
 }
 
 // scatterQ computes dst += Q·x for workspace vectors:
-// [Q·x]_a = Σ_{b ∈ I(a)} x_b / d_a, accumulated along the rows of Qᵀ.
+// [Q·x]_a = Σ_{b ∈ I(a)} x_b / d_a, accumulated along the rows of Qᵀ:
+// row b is the graph's out-list O(b), and x_b is multiplied by each
+// entry's weight 1/|I(a)|.
 //
 //simrank:noalloc
 func (ws *Workspace) scatterQ(x, dst *wsVec) {
 	for _, b := range x.supp {
 		xb := x.vals[b]
-		for _, e := range ws.qt[b] {
-			dst.add(e.idx, xb*e.val)
+		for _, a := range ws.g.Out(b) {
+			_, w := ws.qRow(int(a))
+			dst.add(int(a), xb*w)
 		}
 	}
 }
 
 // TransitionCSR materializes Q from the graph's in-lists into a reusable
-// CSR (rows sorted, identical to graph.BackwardTransition).
-// The returned matrix aliases workspace storage and is valid until the
-// next ApplyUpdate; steady-state calls allocate nothing once the backing
-// arrays have grown to the graph's edge count.
+// CSR (graph.DiGraph.BackwardTransitionInto). The returned matrix aliases
+// workspace storage and is valid until the next ApplyUpdate; steady-state
+// calls allocate nothing once the backing arrays have grown to the
+// graph's edge count.
 //
 //simrank:noalloc
 func (ws *Workspace) TransitionCSR() *matrix.CSR {
-	csr := &ws.qCSR
-	if csr.RowPtr == nil {
-		csr.RowPtr = make([]int, ws.n+1) //simrank:allocok first-use growth; steady state reuses the backing array
-	}
-	csr.RowsN, csr.ColsN = ws.n, ws.n
-	csr.ColIdx = csr.ColIdx[:0]
-	csr.Val = csr.Val[:0]
-	for j := 0; j < ws.n; j++ {
-		in, wv := ws.qRow(j)
-		for _, i := range in {
-			csr.ColIdx = append(csr.ColIdx, int(i))
-			csr.Val = append(csr.Val, wv)
-		}
-		csr.RowPtr[j+1] = len(csr.ColIdx)
-	}
-	return csr
+	ws.g.BackwardTransitionInto(&ws.qCSR)
+	return &ws.qCSR
 }
 
 // DenseScratch returns the workspace's n×n ping-pong buffer for batch

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/batch"
@@ -30,7 +31,7 @@ func seedTransposedQ(g *graph.DiGraph, din []int) *matrix.CSR {
 // kept as the reference the workspace-backed path must reproduce
 // bit-for-bit. The only change from the seed code is that adjacency is
 // iterated in sorted order (InNeighbors/OutNeighbors instead of the
-// unordered Each* map walks) — the workspace's sorted rows fix exactly
+// seed's unordered map walks) — the graph's sorted lists fix exactly
 // that iteration order, and float accumulation is order-sensitive.
 func seedIncSRInPlace(g *graph.DiGraph, s *matrix.Dense, up graph.Update, c float64, k int) (Stats, error) {
 	n := g.N()
@@ -48,7 +49,7 @@ func seedIncSRInPlace(g *graph.DiGraph, s *matrix.Dense, up graph.Update, c floa
 	for v := 0; v < n; v++ {
 		din[v] = g.InDegree(v)
 	}
-	qt := seedTransposedQ(g, din)
+	qtCSR := seedTransposedQ(g, din)
 
 	b0 := newWsVec(n)
 	b0.add(j, 1)
@@ -145,9 +146,9 @@ func seedIncSRInPlace(g *graph.DiGraph, s *matrix.Dense, up graph.Update, c floa
 	scatter := func(x, dst *wsVec) {
 		for _, b := range x.supp {
 			xb := x.vals[b]
-			lo, hi := qt.RowPtr[b], qt.RowPtr[b+1]
+			lo, hi := qtCSR.RowPtr[b], qtCSR.RowPtr[b+1]
 			for kk := lo; kk < hi; kk++ {
-				dst.add(qt.ColIdx[kk], xb*qt.Val[kk])
+				dst.add(qtCSR.ColIdx[kk], xb*qtCSR.Val[kk])
 			}
 		}
 	}
@@ -257,59 +258,37 @@ func TestWorkspaceIncSRMatchesSeedReference(t *testing.T) {
 	}
 }
 
-// The incrementally-maintained Qᵀ must equal a from-scratch workspace
-// build after any update stream.
+// After any update stream the workspace's Q, read from the graph's
+// in-lists into reused arrays, must equal a Q built independently from
+// the edge list: [Q]_{j,i} = 1/|I(j)| for each edge (i, j), sorted into
+// CSR by matrix.NewCSR.
 func TestWorkspaceMaintenanceMatchesRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 6; trial++ {
 		n := 5 + rng.Intn(30)
 		g := randGraph(rng, n, 2*n)
 		ws := NewWorkspace(g)
-		// Build Qᵀ up front so the stream exercises its incremental
-		// maintenance, not a rebuild at comparison time; halfway through,
-		// lateQt starts from a mid-stream lazy transpose and must converge
-		// to the same state.
-		ws.ensureIncSR()
-		var lateQt *Workspace
+		ws.TransitionCSR() // fill once, so the final call reuses the arrays
 		for step := 0; step < 40; step++ {
-			up := randUpdate(rng, g)
-			ws.ApplyUpdate(up)
-			if step == 20 {
-				lateQt = NewWorkspace(g.Clone())
-				lateQt.ensureIncSR()
-			} else if step > 20 {
-				lateQt.ApplyUpdate(up)
-			}
+			ws.ApplyUpdate(randUpdate(rng, g))
 		}
-		fresh := NewWorkspace(g)
-		fresh.ensureIncSR()
-		for v := 0; v < n; v++ {
-			if !rowsEqual(ws.qt[v], fresh.qt[v]) {
-				t.Fatalf("Qᵀ row %d = %v, want %v", v, ws.qt[v], fresh.qt[v])
-			}
-			if !rowsEqual(lateQt.qt[v], fresh.qt[v]) {
-				t.Fatalf("late-transposed Qᵀ row %d = %v, want %v", v, lateQt.qt[v], fresh.qt[v])
-			}
+		edges := g.Edges()
+		din := make([]int, n)
+		for _, e := range edges {
+			din[e.To]++
 		}
-		// And the materialized CSR must equal the graph's own build.
+		var is, js []int
+		var vs []float64
+		for _, e := range edges {
+			is, js, vs = append(is, e.To), append(js, e.From), append(vs, 1/float64(din[e.To]))
+		}
+		want := matrix.NewCSR(n, n, is, js, vs)
 		got := ws.TransitionCSR()
-		want := g.BackwardTransition()
-		if matrix.MaxAbsDiff(got.Dense(), want.Dense()) != 0 {
-			t.Fatal("TransitionCSR differs from BackwardTransition")
+		if got.RowsN != n || got.ColsN != n || !slices.Equal(got.RowPtr, want.RowPtr) ||
+			!slices.Equal(got.ColIdx, want.ColIdx) || !slices.Equal(got.Val, want.Val) {
+			t.Fatalf("trial %d: TransitionCSR %+v, want %+v", trial, got, want)
 		}
 	}
-}
-
-func rowsEqual(a, b []qEnt) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // decompose must agree with the allocating Decompose (Theorem 1).
@@ -380,7 +359,7 @@ func TestWorkspaceIncUSRMatchesPerCall(t *testing.T) {
 // Steady-state updates through a warm workspace must not allocate, under
 // both algorithms: Inc-SR, which the engine runs, and Inc-uSR, which the
 // experiments fold. The toggle re-inserts and re-deletes the same edges
-// so graph-map and support-slice capacities settle after the warm-up
+// so graph-list and support-slice capacities settle after the warm-up
 // pass.
 func TestWorkspaceIncSRZeroAllocs(t *testing.T) {
 	if race.Enabled {

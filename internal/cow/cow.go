@@ -81,9 +81,11 @@ func (t *Table[T]) Own(i int) T {
 	return b.rows[k]
 }
 
-// set replaces row i by v, which the caller hands over: no sealed view
-// may reference it.
-func (t *Table[T]) set(i int, v T) {
+// Set replaces row i by v, which the caller hands over: no sealed view
+// may reference it. A write that changes a row's length (a slice
+// payload that grows or shrinks) takes the row with Own, changes it,
+// and stores the result back with Set.
+func (t *Table[T]) Set(i int, v T) {
 	b, k := t.writable(i), i&(BlockRows-1)
 	b.rows[k] = v
 	b.owned |= 1 << k
@@ -96,7 +98,7 @@ func (t *Table[T]) Append(v T) {
 		t.blocks = append(t.blocks, &block[T]{gen: t.gen})
 	}
 	t.n++
-	t.set(t.n-1, v)
+	t.Set(t.n-1, v)
 }
 
 // writable returns the block holding row i, first replacing it by a

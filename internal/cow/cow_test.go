@@ -54,7 +54,7 @@ func requireRows(t *testing.T, tab *Table[[]int], want [][]int, label string) {
 	}
 }
 
-// Random Own/set/Append/Seal sequences: after every step the writer
+// Random Own/Set/Append/Seal sequences: after every step the writer
 // reads its own writes and every view still reads the rows it was
 // sealed with, across block boundaries and partly filled last blocks.
 func TestRandomOpsMatchPlainCopies(t *testing.T) {
@@ -84,7 +84,7 @@ func TestRandomOpsMatchPlainCopies(t *testing.T) {
 					ref[i][k] = v
 				case op < 7 && len(ref) > 0:
 					i, r := rng.Intn(len(ref)), fresh()
-					tab.set(i, r)
+					tab.Set(i, r)
 					ref[i] = slices.Clone(r)
 				case op < 9:
 					r := fresh()
@@ -115,7 +115,7 @@ func TestAppendIntoSharedPartialBlock(t *testing.T) {
 	view := tab.Seal()
 	tab.Append([]int{65})
 	tab.Own(64)[0] = -64
-	tab.set(0, []int{-1})
+	tab.Set(0, []int{-1})
 	if view.Len() != 65 || view.Blocks() != 2 || len(view.Block(1)) != 1 {
 		t.Fatalf("view shape changed: Len %d, Blocks %d", view.Len(), view.Blocks())
 	}
@@ -128,7 +128,7 @@ func TestAppendIntoSharedPartialBlock(t *testing.T) {
 }
 
 // Own clones a row at most once per seal, and never on a table that was
-// never sealed or for a row set or Append handed over.
+// never sealed or for a row Set or Append handed over.
 func TestOwnClonesOncePerSeal(t *testing.T) {
 	clones := 0
 	tab := New(func(r []int) []int { clones++; return slices.Clone(r) })
@@ -145,7 +145,7 @@ func TestOwnClonesOncePerSeal(t *testing.T) {
 		tab.Own(3)[0]++
 		tab.Own(70)[0]++
 	}
-	tab.set(71, []int{0})
+	tab.Set(71, []int{0})
 	tab.Own(71)[0]++
 	if clones != 2 {
 		t.Fatalf("cloned %d rows for 2 shared rows touched after one seal, want 2", clones)
@@ -220,7 +220,7 @@ func TestConcurrentReaders(t *testing.T) {
 			tab.Append([]int{step, step})
 			ref = append(ref, []int{step, step})
 		case 2:
-			tab.set(i, []int{-step, step})
+			tab.Set(i, []int{-step, step})
 			ref[i] = []int{-step, step}
 		default:
 			tab.Own(i)[1] = step

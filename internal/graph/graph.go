@@ -1,8 +1,8 @@
-// Package graph implements the dynamic directed graph substrate: out
-// adjacency sets, sorted in-neighbour lists I(v) that Inc-SR's Q and the
-// approx walk index read in place, snapshots,
-// edge-list I/O, and the degree statistics that the paper's complexity
-// analysis (average in-degree d) is stated in terms of.
+// Package graph implements the dynamic directed graph substrate: sorted
+// out- and in-neighbour lists O(v) and I(v), which Inc-SR's Qᵀ and Q and
+// the approx walk index read in place, snapshots, edge-list I/O, and the
+// degree statistics that the paper's complexity analysis (average
+// in-degree d) is stated in terms of.
 //
 // Nodes are dense integers 0..n-1. An edge (i, j) is directed from i to j,
 // matching the paper: "each edge depicts a reference from one paper to
@@ -11,10 +11,10 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/cow"
 	"repro/internal/matrix"
@@ -25,19 +25,18 @@ type Edge struct {
 	From, To int
 }
 
-// DiGraph is a mutable directed graph over nodes 0..N-1. Both out- and
-// in-adjacency are maintained: O(a) is a set, so edge membership is
-// O(1), and I(a) an ascending list, the one copy of the in-neighbours
-// the update algorithms and the walk index read.
+// DiGraph is a mutable directed graph over nodes 0..N-1. Both adjacencies
+// are ascending []int32 lists, the one copy of each that the update
+// algorithms and the walk index read: O(a) holds the rows of Qᵀ and
+// answers edge membership by binary search, I(a) the rows of Q.
 type DiGraph struct {
 	n int
-	// out is the out-adjacency, one set per node in a copy-on-write
-	// table that Seal shares with snapshots. Only the out-adjacency is
-	// sealed: snapshots serve HasEdge and Edges, both out-side; the
-	// in-adjacency stays writer-private.
-	out cow.Table[map[int]struct{}]
-	// in[v] is I(v) in ascending order, kept sorted by binary-search
-	// insert and delete in place.
+	// out[v] is O(v) in ascending order, one row per node in a
+	// copy-on-write table that Seal shares with snapshots. Only the
+	// out-adjacency is sealed: snapshots serve HasEdge and Edges, both
+	// out-side; the in-adjacency stays writer-private.
+	out cow.Table[[]int32]
+	// in[v] is I(v) in ascending order.
 	in [][]int32
 	m  int // number of edges
 }
@@ -49,26 +48,15 @@ type DiGraph struct {
 // enumeration (for snapshot serialization).
 type Snapshot struct {
 	n, m int
-	out  cow.Table[map[int]struct{}]
+	out  cow.Table[[]int32]
 }
 
 // Seal returns an immutable snapshot sharing the current out-adjacency:
 // ⌈n/64⌉ block pointer copies (cow.Table.Seal), no per-edge work. The
 // writer's next mutation of a row clones the row's block header and
-// then its out-set, so the snapshot never observes it.
+// then its out-list, so the snapshot never observes it.
 func (g *DiGraph) Seal() *Snapshot {
 	return &Snapshot{n: g.n, m: g.m, out: g.out.Seal()}
-}
-
-// cloneSet copies an out-set for a writer about to change it, with room
-// for the one edge it is about to gain.
-func cloneSet(s map[int]struct{}) map[int]struct{} {
-	dup := make(map[int]struct{}, len(s)+1)
-	//simrank:orderinvariant set copy; the resulting set is order-free
-	for j := range s {
-		dup[j] = struct{}{}
-	}
-	return dup
 }
 
 // N returns the number of nodes.
@@ -83,13 +71,13 @@ func (s *Snapshot) HasEdge(i, j int) bool {
 	if i < 0 || i >= s.n || j < 0 || j >= s.n {
 		return false
 	}
-	_, ok := s.out.Get(i)[j]
+	_, ok := slices.BinarySearch(s.out.Get(i), int32(j))
 	return ok
 }
 
 // Edges returns all edges sorted by (From, To) — the same enumeration
 // DiGraph.Edges produces, from the sealed topology.
-func (s *Snapshot) Edges() []Edge { return sortedEdges(s.m, &s.out) }
+func (s *Snapshot) Edges() []Edge { return edges(s.m, &s.out) }
 
 // New returns an empty directed graph with n nodes. Node ids are stored
 // as int32, so n may not exceed math.MaxInt32.
@@ -97,20 +85,27 @@ func New(n int) *DiGraph {
 	if n < 0 {
 		panic(fmt.Sprintf("graph: negative node count %d", n))
 	}
-	g := &DiGraph{out: cow.New(cloneSet)}
+	g := &DiGraph{out: cow.New(slices.Clone[[]int32])}
 	g.AddNodes(n)
 	return g
 }
 
 // FromEdges builds a graph with n nodes and the given edges. Duplicate
-// edges are collapsed.
+// edges are collapsed. It inserts a copy of the edges sorted by
+// (From, To), so every insert appends to both of its lists and the build
+// takes O(m log m) whatever order the edges come in.
 func FromEdges(n int, edges []Edge) *DiGraph {
 	g := New(n)
-	for _, e := range edges {
+	sorted := slices.Clone(edges)
+	slices.SortFunc(sorted, cmpEdges)
+	for _, e := range sorted {
 		g.AddEdge(e.From, e.To)
 	}
 	return g
 }
+
+// cmpEdges orders edges by (From, To).
+func cmpEdges(a, b Edge) int { return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To)) }
 
 // N returns the number of nodes.
 func (g *DiGraph) N() int { return g.n }
@@ -127,7 +122,7 @@ func (g *DiGraph) AddNodes(k int) int {
 	}
 	first := g.n
 	for i := 0; i < k; i++ {
-		g.out.Append(make(map[int]struct{}))
+		g.out.Append(nil)
 	}
 	g.in = append(g.in, make([][]int32, k)...)
 	g.n += k
@@ -147,7 +142,7 @@ func (g *DiGraph) check(v int) {
 func (g *DiGraph) HasEdge(i, j int) bool {
 	g.check(i)
 	g.check(j)
-	_, ok := g.out.Get(i)[j]
+	_, ok := slices.BinarySearch(g.out.Get(i), int32(j))
 	return ok
 }
 
@@ -157,13 +152,13 @@ func (g *DiGraph) HasEdge(i, j int) bool {
 func (g *DiGraph) AddEdge(i, j int) bool {
 	g.check(i)
 	g.check(j)
-	if _, ok := g.out.Get(i)[j]; ok {
+	p, ok := slices.BinarySearch(g.out.Get(i), int32(j))
+	if ok {
 		return false
 	}
-	g.out.Own(i)[j] = struct{}{}
-	in := g.in[j]
-	p, _ := slices.BinarySearch(in, int32(i))
-	g.in[j] = slices.Insert(in, p, int32(i))
+	g.out.Set(i, slices.Insert(g.out.Own(i), p, int32(j)))
+	p, _ = slices.BinarySearch(g.in[j], int32(i))
+	g.in[j] = slices.Insert(g.in[j], p, int32(i))
 	g.m++
 	return true
 }
@@ -172,13 +167,13 @@ func (g *DiGraph) AddEdge(i, j int) bool {
 func (g *DiGraph) RemoveEdge(i, j int) bool {
 	g.check(i)
 	g.check(j)
-	if _, ok := g.out.Get(i)[j]; !ok {
+	p, ok := slices.BinarySearch(g.out.Get(i), int32(j))
+	if !ok {
 		return false
 	}
-	delete(g.out.Own(i), j)
-	in := g.in[j]
-	p, _ := slices.BinarySearch(in, int32(i))
-	g.in[j] = slices.Delete(in, p, p+1)
+	g.out.Set(i, slices.Delete(g.out.Own(i), p, p+1))
+	p, _ = slices.BinarySearch(g.in[j], int32(i))
+	g.in[j] = slices.Delete(g.in[j], p, p+1)
 	g.m--
 	return true
 }
@@ -201,20 +196,30 @@ func (g *DiGraph) OutDegree(v int) int {
 // the walk index calls it for every step it draws.
 func (g *DiGraph) In(v int) []int32 { return g.in[v] }
 
+// Out returns O(v) in ascending order, aliasing the graph's storage
+// under the same rules as In. It is small enough to inline: Inc-SR
+// reads it as row v of Qᵀ.
+func (g *DiGraph) Out(v int) []int32 { return g.out.Get(v) }
+
 // InNeighbors returns a copy of I(v) in ascending order.
 func (g *DiGraph) InNeighbors(v int) []int {
 	g.check(v)
-	out := make([]int, len(g.in[v]))
-	for k, u := range g.in[v] {
+	return ints(g.in[v])
+}
+
+// OutNeighbors returns a copy of O(v) in ascending order.
+func (g *DiGraph) OutNeighbors(v int) []int {
+	g.check(v)
+	return ints(g.out.Get(v))
+}
+
+// ints returns a row of node ids widened to int.
+func ints(row []int32) []int {
+	out := make([]int, len(row))
+	for k, u := range row {
 		out[k] = int(u)
 	}
 	return out
-}
-
-// OutNeighbors returns O(v) in ascending order.
-func (g *DiGraph) OutNeighbors(v int) []int {
-	g.check(v)
-	return sortedKeys(g.out.Get(v))
 }
 
 // EachInNeighbor calls fn for every in-neighbor of v, in ascending order.
@@ -225,54 +230,37 @@ func (g *DiGraph) EachInNeighbor(v int, fn func(u int)) {
 	}
 }
 
-// EachOutNeighbor calls fn for every out-neighbor of v (unordered).
+// EachOutNeighbor calls fn for every out-neighbor of v, in ascending
+// order.
 func (g *DiGraph) EachOutNeighbor(v int, fn func(u int)) {
 	g.check(v)
-	//simrank:orderinvariant contract: callers fold commutatively (unordered by doc; audited in rankone.go, stats.go)
-	for u := range g.out.Get(v) {
-		fn(u)
+	for _, u := range g.out.Get(v) {
+		fn(int(u))
 	}
-}
-
-func sortedKeys(s map[int]struct{}) []int {
-	out := make([]int, 0, len(s))
-	//simrank:orderinvariant collects keys only; sorted before return
-	for v := range s {
-		out = append(out, v)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // Edges returns all edges sorted by (From, To).
-func (g *DiGraph) Edges() []Edge { return sortedEdges(g.m, &g.out) }
+func (g *DiGraph) Edges() []Edge { return edges(g.m, &g.out) }
 
-// sortedEdges enumerates an out-adjacency into the canonical (From, To)
-// order — shared by the live graph and sealed snapshots, so the
-// snapshot file format sees one enumeration no matter which side
-// serialized it.
-func sortedEdges(m int, out *cow.Table[map[int]struct{}]) []Edge {
+// edges enumerates an out-adjacency in row order, which is the canonical
+// (From, To) order because each row is ascending — shared by the live
+// graph and sealed snapshots, so the snapshot file format sees one
+// enumeration no matter which side serialized it.
+func edges(m int, out *cow.Table[[]int32]) []Edge {
 	es := make([]Edge, 0, m)
 	for i := 0; i < out.Len(); i++ {
-		//simrank:orderinvariant collects edges only; canonically sorted below
-		for j := range out.Get(i) {
-			es = append(es, Edge{i, j})
+		for _, j := range out.Get(i) {
+			es = append(es, Edge{i, int(j)})
 		}
 	}
-	sort.Slice(es, func(a, b int) bool {
-		if es[a].From != es[b].From {
-			return es[a].From < es[b].From
-		}
-		return es[a].To < es[b].To
-	})
 	return es
 }
 
 // Clone returns an independent deep copy of g.
 func (g *DiGraph) Clone() *DiGraph {
-	c := &DiGraph{n: g.n, m: g.m, out: cow.New(cloneSet), in: make([][]int32, g.n)}
+	c := &DiGraph{n: g.n, m: g.m, out: cow.New(slices.Clone[[]int32]), in: make([][]int32, g.n)}
 	for v := 0; v < g.n; v++ {
-		c.out.Append(cloneSet(g.out.Get(v)))
+		c.out.Append(slices.Clone(g.out.Get(v)))
 		c.in[v] = slices.Clone(g.in[v])
 	}
 	return c
@@ -290,37 +278,31 @@ func (g *DiGraph) AvgInDegree() float64 {
 // [Q]_{j,i} = 1/|I(j)| if (i, j) ∈ E, 0 otherwise — the row-normalized
 // transpose of the adjacency matrix (footnote 2 of the paper).
 func (g *DiGraph) BackwardTransition() *matrix.CSR {
-	var is, js []int
-	var vs []float64
-	for j := 0; j < g.n; j++ {
-		d := len(g.in[j])
-		if d == 0 {
-			continue
-		}
-		w := 1 / float64(d)
-		for _, i := range g.in[j] {
-			is = append(is, j)
-			js = append(js, int(i))
-			vs = append(vs, w)
-		}
-	}
-	return matrix.NewCSR(g.n, g.n, is, js, vs)
+	var q matrix.CSR
+	g.BackwardTransitionInto(&q)
+	return &q
 }
 
-// Adjacency builds the (unnormalized) adjacency matrix A with
-// [A]_{i,j} = 1 iff (i, j) ∈ E.
-func (g *DiGraph) Adjacency() *matrix.CSR {
-	var is, js []int
-	var vs []float64
-	for i := 0; i < g.n; i++ {
-		//simrank:orderinvariant COO triples; NewCSR sorts by (i,j) before building
-		for j := range g.out.Get(i) {
-			is = append(is, i)
-			js = append(js, j)
-			vs = append(vs, 1)
-		}
+// BackwardTransitionInto writes Q into q, reusing q's arrays: row j lists
+// I(j) ascending, each entry 1/|I(j)|. Once the arrays have grown to the
+// graph's size and edge count, a call allocates nothing.
+//
+//simrank:noalloc
+func (g *DiGraph) BackwardTransitionInto(q *matrix.CSR) {
+	q.RowsN, q.ColsN = g.n, g.n
+	if cap(q.RowPtr) < g.n+1 {
+		q.RowPtr = make([]int, g.n+1) //simrank:allocok first use or growth; steady state reuses the array
 	}
-	return matrix.NewCSR(g.n, g.n, is, js, vs)
+	q.RowPtr = q.RowPtr[:g.n+1]
+	q.ColIdx, q.Val = q.ColIdx[:0], q.Val[:0]
+	for j, in := range g.in {
+		w := 1 / float64(len(in))
+		for _, i := range in {
+			q.ColIdx = append(q.ColIdx, int(i))
+			q.Val = append(q.Val, w)
+		}
+		q.RowPtr[j+1] = len(q.ColIdx)
+	}
 }
 
 // Apply performs one unit update and reports whether the graph changed.

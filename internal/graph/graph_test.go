@@ -1,8 +1,8 @@
 package graph
 
 import (
-	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -115,6 +115,38 @@ func TestEdgesSorted(t *testing.T) {
 	}
 }
 
+// FromEdges builds the same graph whatever order the edges come in:
+// a shuffled list with duplicates, the sorted list, and inserting the
+// shuffled list edge by edge all give the same Edges, In and Out.
+func TestFromEdgesOrderIndependent(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const n = 150
+	var shuffled []Edge
+	for range 6 * n {
+		shuffled = append(shuffled, Edge{rng.Intn(n), rng.Intn(n)})
+	}
+	shuffled = append(shuffled, shuffled[:n]...)
+	rng.Shuffle(len(shuffled), func(a, b int) { shuffled[a], shuffled[b] = shuffled[b], shuffled[a] })
+	byInsert := New(n)
+	for _, e := range shuffled {
+		byInsert.AddEdge(e.From, e.To)
+	}
+	sorted := FromEdges(n, shuffled).Edges()
+	if !slices.IsSortedFunc(sorted, cmpEdges) {
+		t.Fatal("Edges is not sorted by (From, To)")
+	}
+	for name, g := range map[string]*DiGraph{"shuffled": FromEdges(n, shuffled), "sorted": FromEdges(n, sorted), "AddEdge": byInsert} {
+		if !slices.Equal(g.Edges(), sorted) {
+			t.Fatalf("%s: Edges differ", name)
+		}
+		for v := 0; v < n; v++ {
+			if !slices.Equal(g.In(v), byInsert.In(v)) || !slices.Equal(g.Out(v), byInsert.Out(v)) {
+				t.Fatalf("%s: node %d: In %v Out %v, want In %v Out %v", name, v, g.In(v), g.Out(v), byInsert.In(v), byInsert.Out(v))
+			}
+		}
+	}
+}
+
 func TestCloneIndependent(t *testing.T) {
 	g := FromEdges(3, []Edge{{0, 1}})
 	c := g.Clone()
@@ -153,14 +185,6 @@ func TestBackwardTransitionRowStochastic(t *testing.T) {
 	// [Q]_{j,i} nonzero iff (i,j) ∈ E.
 	if q.At(3, 2) != 1 {
 		t.Fatalf("Q[3][2] = %v, want 1", q.At(3, 2))
-	}
-}
-
-func TestAdjacency(t *testing.T) {
-	g := FromEdges(3, []Edge{{0, 1}, {1, 2}})
-	a := g.Adjacency()
-	if a.At(0, 1) != 1 || a.At(1, 2) != 1 || a.At(1, 0) != 0 {
-		t.Fatal("adjacency mismatch")
 	}
 }
 
@@ -399,56 +423,131 @@ func TestSealConcurrentReaders(t *testing.T) {
 	wg.Wait()
 }
 
-// Snapshots must stay frozen when the graph spans several copy-on-write
-// blocks: random edge toggles, seals and AddNodes growth — including
-// growth into a shared, partly filled last block and across a block
-// boundary — checked against each snapshot's edge list at seal time
-// after every step.
-func TestSealIsolationAcrossBlocks(t *testing.T) {
+// sealIsolationSeed encodes FuzzSealIsolation's seed for a graph of n
+// nodes: 48 edge toggles, then 80 random ops. Seeds stay short because
+// the fuzzer minimizes every new input it finds, at one run per try.
+func sealIsolationSeed(n int) []byte {
+	rng := rand.New(rand.NewSource(int64(n)))
+	data := []byte{byte(n - 1)}
+	for range 48 {
+		data = append(data, 15, byte(rng.Intn(n)), byte(rng.Intn(n)))
+	}
+	for range 80 {
+		data = append(data, byte(rng.Intn(16)), byte(rng.Intn(256)), byte(rng.Intn(256)))
+	}
+	return data
+}
+
+// adjBits models one adjacency of a graph of up to 256 nodes: row v has
+// bit u set when u is in v's list.
+type adjBits [4 * 64][4]uint64
+
+func (m *adjBits) flip(v, u int) { m[v][u>>6] ^= 1 << (u & 63) }
+
+func (m *adjBits) has(v, u int) bool { return m[v][u>>6]>>(u&63)&1 != 0 }
+
+// matches reports whether row lists exactly row v's set bits in
+// ascending order, which makes it strictly ascending.
+func (m *adjBits) matches(v int, row []int32) bool {
+	k := 0
+	for w, word := range m[v] {
+		for ; word != 0; word &= word - 1 {
+			if k == len(row) || int(row[k]) != w<<6+bits.TrailingZeros64(word) {
+				return false
+			}
+			k++
+		}
+	}
+	return k == len(row)
+}
+
+// edges lists the modelled out-adjacency of nodes 0..n-1 in (From, To)
+// order.
+func (m *adjBits) edges(n int) []Edge {
+	var es []Edge
+	for v := range n {
+		for w, word := range m[v] {
+			for ; word != 0; word &= word - 1 {
+				es = append(es, Edge{v, w<<6 + bits.TrailingZeros64(word)})
+			}
+		}
+	}
+	return es
+}
+
+// Snapshots must stay frozen, and the live lists sorted and exact, when
+// the graph spans several copy-on-write blocks. The first byte sets the
+// node count (1–256, up to four 64-row blocks); then each 3-byte op
+// [kind, a, b] is AddNodes (kind 0, capped at 256 nodes), Seal (kind 1
+// or 2; up to four snapshots are retained, a fifth replacing snapshot
+// a mod 4) or the toggle of edge (a mod N, b mod N). After every op each
+// live Out(v) and In(v) lists exactly the model's set bits in ascending
+// order, and each retained snapshot's N, M and Edges equal the model
+// frozen at its seal, as does its HasEdge of the edge just toggled — an
+// insert into a row a snapshot still shares would show here.
+func FuzzSealIsolation(f *testing.F) {
+	for _, n := range []int{63, 64, 65, 130} {
+		f.Add(sealIsolationSeed(n))
+	}
 	type frozen struct {
 		snap  *Snapshot
 		n     int
 		edges []Edge
 	}
-	for _, n := range []int{63, 64, 65, 130} {
-		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(n)))
-			g := New(n)
-			for g.M() < 3*n {
-				g.AddEdge(rng.Intn(n), rng.Intn(n))
-			}
-			views := []frozen{{g.Seal(), g.N(), g.Edges()}}
-			for step := 0; step < 200; step++ {
-				switch op := rng.Intn(20); {
-				case op == 0:
-					g.AddNodes(1 + rng.Intn(3))
-				case op < 3:
-					views = append(views, frozen{g.Seal(), g.N(), g.Edges()})
-				default:
-					i, j := rng.Intn(g.N()), rng.Intn(g.N())
-					if !g.RemoveEdge(i, j) {
-						g.AddEdge(i, j)
-					}
+	const maxNodes, maxOps, maxViews = 4 * 64, 256, 4
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		g := New(1 + int(data[0]))
+		var out, in adjBits
+		var views []frozen
+		for p, ops := 1, 0; p+3 <= len(data) && ops < maxOps; p, ops = p+3, ops+1 {
+			kind, a, b := data[p]%16, int(data[p+1]), int(data[p+2])
+			toggled := Edge{-1, -1}
+			switch {
+			case kind == 0:
+				if k := 1 + a%3; g.N()+k <= maxNodes {
+					g.AddNodes(k)
 				}
-				for v, f := range views {
-					if f.snap.N() != f.n || f.snap.M() != len(f.edges) {
-						t.Fatalf("step %d view %d: N=%d M=%d, sealed with N=%d M=%d", step, v, f.snap.N(), f.snap.M(), f.n, len(f.edges))
-					}
-					if got := f.snap.Edges(); !slices.Equal(got, f.edges) {
-						t.Fatalf("step %d view %d: edges drifted from the sealed state", step, v)
-					}
-					for _, e := range f.edges[:min(8, len(f.edges))] {
-						if !f.snap.HasEdge(e.From, e.To) {
-							t.Fatalf("step %d view %d: sealed edge %v missing", step, v, e)
-						}
-					}
+			case kind <= 2:
+				v := frozen{g.Seal(), g.N(), out.edges(g.N())}
+				if len(views) < maxViews {
+					views = append(views, v)
+				} else {
+					views[a%maxViews] = v
+				}
+			default:
+				toggled = Edge{a % g.N(), b % g.N()}
+				if out.has(toggled.From, toggled.To) {
+					g.RemoveEdge(toggled.From, toggled.To)
+				} else {
+					g.AddEdge(toggled.From, toggled.To)
+				}
+				out.flip(toggled.From, toggled.To)
+				in.flip(toggled.To, toggled.From)
+			}
+			for v := 0; v < g.N(); v++ {
+				if !out.matches(v, g.Out(v)) || !in.matches(v, g.In(v)) {
+					t.Fatalf("op %d node %d: Out %v In %v differ from the model", ops, v, g.Out(v), g.In(v))
 				}
 			}
-			if g.N() <= n {
-				t.Fatal("the stream never grew the graph")
+			for vi, fr := range views {
+				if fr.snap.N() != fr.n || fr.snap.M() != len(fr.edges) {
+					t.Fatalf("op %d view %d: N=%d M=%d, sealed with N=%d M=%d", ops, vi, fr.snap.N(), fr.snap.M(), fr.n, len(fr.edges))
+				}
+				if !slices.Equal(fr.snap.Edges(), fr.edges) {
+					t.Fatalf("op %d view %d: edges drifted from the sealed state", ops, vi)
+				}
+				if toggled.From >= 0 && fr.snap.HasEdge(toggled.From, toggled.To) != slices.Contains(fr.edges, toggled) {
+					t.Fatalf("op %d view %d: HasEdge%v follows the writer", ops, vi, toggled)
+				}
 			}
-		})
-	}
+		}
+		if g.M() != len(out.edges(g.N())) {
+			t.Fatalf("M = %d, model has %d edges", g.M(), len(out.edges(g.N())))
+		}
+	})
 }
 
 // sealSink keeps sealed views on the heap, as a publish does.

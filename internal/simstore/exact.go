@@ -6,10 +6,11 @@ import (
 )
 
 // exact is the write path the dense and packed stores share: the
-// persistent core.Workspace Inc-SR runs in — the maintained Qᵀ plus
-// every update scratch buffer, so a warm update allocates nothing.
-// Updates run on the calling goroutine. The workspace is built over the
-// graph on the first write and from then on applies every update to it.
+// persistent core.Workspace Inc-SR runs in, holding every update scratch
+// buffer, so a warm update allocates nothing. Updates run on the calling
+// goroutine. The workspace is built over the graph on the first write
+// and reads Q and Qᵀ from the graph's sorted adjacency, so applying an
+// update to the graph is all it takes to keep them current.
 type exact struct {
 	ws *core.Workspace
 }
@@ -23,31 +24,25 @@ func (x *exact) workspace(g *graph.DiGraph) *core.Workspace {
 	return x.ws
 }
 
-// update runs Inc-SR for one unit update on s, then applies the edge
-// through the workspace to Qᵀ and g. IncSR never mutates s before its
-// last error check, so a rejected update leaves all three untouched.
+// update runs Inc-SR for one unit update on s, then applies the edge to
+// g. IncSR never mutates s before its last error check, so a rejected
+// update leaves both untouched.
 //
 //simrank:noalloc
 func (x *exact) update(s core.SimStore, g *graph.DiGraph, up graph.Update, p Params) (core.Stats, error) {
-	ws := x.workspace(g)
-	st, err := ws.IncSR(s, up, p.C, p.K)
+	st, err := x.workspace(g).IncSR(s, up, p.C, p.K)
 	if err != nil {
 		return core.Stats{}, err
 	}
-	ws.ApplyUpdate(up)
+	g.Apply(up)
 	return st, nil
 }
 
-// follow applies ups through the workspace when it is built, and to g
-// otherwise, and returns the workspace of the result — the first half of
-// a Recompute.
+// follow applies ups to g and returns the workspace over it — the first
+// half of a Recompute.
 func (x *exact) follow(g *graph.DiGraph, ups []graph.Update) *core.Workspace {
 	for _, up := range ups {
-		if x.ws != nil {
-			x.ws.ApplyUpdate(up)
-		} else {
-			g.Apply(up)
-		}
+		g.Apply(up)
 	}
 	return x.workspace(g)
 }

@@ -137,7 +137,7 @@ type engineView struct {
 
 // sealView freezes the engine's current state into a publishable view.
 // Writer-side only; the graph seal and the approx store's seal each
-// copy ⌈n/64⌉ block pointers — no similarity payload, out-set or walk
+// copy ⌈n/64⌉ block pointers — no similarity payload, out-list or walk
 // row is copied.
 func (e *Engine) sealView() *engineView {
 	return &engineView{
