@@ -593,7 +593,7 @@ func BenchmarkEngineRecompute(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			eng.Recompute() // warm the workspace CSR + scratch
+			eng.Recompute() // warm the workspace scratch
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -655,17 +655,18 @@ func BenchmarkAblationIterations(b *testing.B) {
 // computation against the sequential one (the He et al. [8] analogue).
 func BenchmarkParallelBatch(b *testing.B) {
 	g := gen.PrefAttach(400, 6, 23)
-	q := g.BackwardTransition()
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			batch.MatrixFormQ(q, 0.6, 5)
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			batch.MatrixFormParallel(q, 0.6, 5, 0)
-		}
-	})
+	n := g.N()
+	s, tmp := matrix.NewDense(n, n), matrix.NewDense(n, n)
+	for _, bc := range []struct {
+		name    string
+		workers int
+	}{{"sequential", 1}, {"parallel", 0}} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				batch.MatrixFormInto(s, tmp, g, 0.6, 5, bc.workers)
+			}
+		})
+	}
 }
 
 // BenchmarkMonteCarloPair measures the probabilistic single-pair estimate

@@ -102,7 +102,8 @@
 // must land replay on its own epoch, so the record after a missing one
 // is refused). Successful snapshots truncate the covered segments. If
 // an append fails the mutation stays committed and visible and the
-// writer receives ErrDurability.
+// writer receives ErrDurability, as does every later writer: a log
+// whose disk call failed stays failed, so it never holds a gap.
 //
 // # Replication
 //

@@ -11,14 +11,12 @@ import (
 // ErrDurability wraps a write-ahead-log append failure on a mutation
 // that COMMITTED: the in-memory state (and the published view) include
 // the change, but the log does not, so a crash before the next
-// snapshot would forget it — and the log tail past this point can no
-// longer replay: ReplayWAL refuses the first record after the missing
-// one, and so does a follower's ApplyReplicated, which stops the
-// follower with a divergence error instead of letting it fork (bar the
-// one gap shape applyWALRecord documents). Callers
-// distinguish it from a rejected mutation with errors.Is: a rejected
-// mutation changed nothing, a durability error changed everything but
-// the disk.
+// snapshot would forget it. A log whose disk call failed stays failed
+// (wal.WAL.Append), so every later mutation reports ErrDurability too,
+// and the log ends at the last record before the failure, which a
+// restart replays. Callers distinguish it from a rejected mutation with
+// errors.Is: a rejected mutation changed nothing, a durability error
+// changed everything but the disk.
 var ErrDurability = errors.New("simrank: committed but not logged durably")
 
 // SetWAL installs w as the engine's write-ahead log: from now on every
@@ -160,7 +158,8 @@ func (e *Engine) walStep(rec *wal.Record) uint64 {
 // writer recomputed (one epoch) but this engine, whose |E| lacks the
 // missing record, folds (k epochs), and the missing record advanced
 // k−1 epochs. A record carries no crossover bit, so that log cannot be
-// told from an intact one by epochs alone.
+// told from an intact one by epochs alone. The WAL no longer writes a
+// log with a gap: after a failed append it refuses every later one.
 func (e *Engine) applyWALRecord(rec *wal.Record) error {
 	if next := e.epoch + e.walStep(rec); rec.Epoch != next {
 		return fmt.Errorf("record epoch %d is not the engine's next epoch %d (engine at %d): the log skips, repeats or diverges",

@@ -428,7 +428,7 @@ func SingleSourceScores(n int, edges []Edge, query int, opts Options) ([]float64
 	if err != nil {
 		return nil, err
 	}
-	return batch.SingleSource(g.BackwardTransition(), opts.C, opts.K, query)
+	return batch.SingleSource(g, opts.C, opts.K, query)
 }
 
 // Options returns the engine's effective (defaulted) options.

@@ -43,14 +43,10 @@ func JehWidom(g *graph.DiGraph, c float64, k int) *matrix.Dense {
 	n := g.N()
 	s := matrix.Identity(n)
 	next := matrix.NewDense(n, n)
-	ins := make([][]int, n)
-	for v := 0; v < n; v++ {
-		ins[v] = g.InNeighbors(v)
-	}
 	for iter := 0; iter < k; iter++ {
 		next.Zero()
 		for a := 0; a < n; a++ {
-			ia := ins[a]
+			ia := g.In(a)
 			if len(ia) == 0 {
 				continue
 			}
@@ -58,13 +54,13 @@ func JehWidom(g *graph.DiGraph, c float64, k int) *matrix.Dense {
 				if a == b {
 					continue
 				}
-				ib := ins[b]
+				ib := g.In(b)
 				if len(ib) == 0 {
 					continue
 				}
 				var sum float64
 				for _, i := range ia {
-					row := s.Row(i)
+					row := s.Row(int(i))
 					for _, j := range ib {
 						sum += row[j]
 					}
@@ -90,21 +86,17 @@ func PartialSums(g *graph.DiGraph, c float64, k int) *matrix.Dense {
 	s := matrix.Identity(n)
 	next := matrix.NewDense(n, n)
 	partial := matrix.NewDense(n, n) // partial[a][j] = Σ_{i∈I(a)} s(i,j)
-	ins := make([][]int, n)
-	for v := 0; v < n; v++ {
-		ins[v] = g.InNeighbors(v)
-	}
 	for iter := 0; iter < k; iter++ {
 		partial.Zero()
 		for a := 0; a < n; a++ {
 			row := partial.Row(a)
-			for _, i := range ins[a] {
-				matrix.Axpy(1, s.Row(i), row)
+			for _, i := range g.In(a) {
+				matrix.Axpy(1, s.Row(int(i)), row)
 			}
 		}
 		next.Zero()
 		for a := 0; a < n; a++ {
-			da := len(ins[a])
+			da := len(g.In(a))
 			if da == 0 {
 				continue
 			}
@@ -114,12 +106,12 @@ func PartialSums(g *graph.DiGraph, c float64, k int) *matrix.Dense {
 				if a == b {
 					continue
 				}
-				db := len(ins[b])
+				db := len(g.In(b))
 				if db == 0 {
 					continue
 				}
 				var sum float64
-				for _, j := range ins[b] {
+				for _, j := range g.In(b) {
 					sum += prow[j]
 				}
 				nrow[b] = c * sum / float64(da*db)
@@ -143,10 +135,6 @@ func PartialSumsShared(g *graph.DiGraph, c float64, k int) *matrix.Dense {
 	n := g.N()
 	s := matrix.Identity(n)
 	next := matrix.NewDense(n, n)
-	ins := make([][]int, n)
-	for v := 0; v < n; v++ {
-		ins[v] = g.InNeighbors(v)
-	}
 	// Group nodes by identical in-neighbor set: each group computes its
 	// partial-sum row once. The key is the varint encoding of the sorted
 	// neighbor ids — deterministic and collision-free (varints are
@@ -157,7 +145,7 @@ func PartialSumsShared(g *graph.DiGraph, c float64, k int) *matrix.Dense {
 	var keyBuf []byte
 	for v := 0; v < n; v++ {
 		keyBuf = keyBuf[:0]
-		for _, u := range ins[v] {
+		for _, u := range g.In(v) {
 			keyBuf = binary.AppendUvarint(keyBuf, uint64(u))
 		}
 		key := string(keyBuf)
@@ -174,13 +162,13 @@ func PartialSumsShared(g *graph.DiGraph, c float64, k int) *matrix.Dense {
 		partial.Zero()
 		for gid, rep := range groupRep {
 			row := partial.Row(gid)
-			for _, i := range ins[rep] {
-				matrix.Axpy(1, s.Row(i), row)
+			for _, i := range g.In(rep) {
+				matrix.Axpy(1, s.Row(int(i)), row)
 			}
 		}
 		next.Zero()
 		for a := 0; a < n; a++ {
-			da := len(ins[a])
+			da := len(g.In(a))
 			if da == 0 {
 				continue
 			}
@@ -190,12 +178,12 @@ func PartialSumsShared(g *graph.DiGraph, c float64, k int) *matrix.Dense {
 				if a == b {
 					continue
 				}
-				db := len(ins[b])
+				db := len(g.In(b))
 				if db == 0 {
 					continue
 				}
 				var sum float64
-				for _, j := range ins[b] {
+				for _, j := range g.In(b) {
 					sum += prow[j]
 				}
 				nrow[b] = c * sum / float64(da*db)
@@ -215,19 +203,13 @@ func PartialSumsShared(g *graph.DiGraph, c float64, k int) *matrix.Dense {
 //
 //	S = (1−C)·Σ_k C^k·Q^k·(Qᵀ)^k.
 //
-// O(Kdn²) time via two sparse-dense products per iteration.
+// O(Kdn²) time via two sparse-dense products per iteration. It is the
+// one-worker run of MatrixFormInto; the output is bit-identical to every
+// other worker count.
 func MatrixForm(g *graph.DiGraph, c float64, k int) *matrix.Dense {
 	validate(g, c, k)
-	q := g.BackwardTransition()
-	return MatrixFormQ(q, c, k)
-}
-
-// MatrixFormQ is MatrixForm for a pre-built transition matrix Q. It is the
-// workers = 1 case of the unified kernel (see MatrixFormInto); output is
-// bit-identical to every other worker count.
-func MatrixFormQ(q *matrix.CSR, c float64, k int) *matrix.Dense {
-	n := q.RowsN
+	n := g.N()
 	s := matrix.NewDense(n, n)
-	MatrixFormInto(s, matrix.NewDense(n, n), q, c, k, 1)
+	MatrixFormInto(s, matrix.NewDense(n, n), g, c, k, 1)
 	return s
 }

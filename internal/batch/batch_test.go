@@ -236,11 +236,10 @@ func TestSingleSourceMatchesMatrixColumn(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	for trial := 0; trial < 5; trial++ {
 		g := randGraph(rng, 5+rng.Intn(10), 25)
-		q := g.BackwardTransition()
 		c, k := 0.6, 8
-		full := MatrixFormQ(q, c, k)
+		full := MatrixForm(g, c, k)
 		for query := 0; query < g.N(); query += 2 {
-			col, err := SingleSource(q, c, k, query)
+			col, err := SingleSource(g, c, k, query)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -256,24 +255,23 @@ func TestSingleSourceMatchesMatrixColumn(t *testing.T) {
 
 func TestSingleSourceErrors(t *testing.T) {
 	g := graph.FromEdges(3, []graph.Edge{{From: 0, To: 1}})
-	q := g.BackwardTransition()
-	if _, err := SingleSource(q, 0.6, 5, -1); err == nil {
+	if _, err := SingleSource(g, 0.6, 5, -1); err == nil {
 		t.Fatal("want error for bad query")
 	}
-	if _, err := SingleSource(q, 0.6, 5, 3); err == nil {
+	if _, err := SingleSource(g, 0.6, 5, 3); err == nil {
 		t.Fatal("want error for out-of-range query")
 	}
-	if _, err := SingleSource(q, 0, 5, 0); err == nil {
+	if _, err := SingleSource(g, 0, 5, 0); err == nil {
 		t.Fatal("want error for bad C")
 	}
-	if _, err := SingleSource(q, 0.6, -1, 0); err == nil {
+	if _, err := SingleSource(g, 0.6, -1, 0); err == nil {
 		t.Fatal("want error for negative K")
 	}
 }
 
 func TestSingleSourceZeroIterations(t *testing.T) {
 	g := graph.FromEdges(2, []graph.Edge{{From: 0, To: 1}})
-	col, err := SingleSource(g.BackwardTransition(), 0.8, 0, 1)
+	col, err := SingleSource(g, 0.8, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

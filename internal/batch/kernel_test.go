@@ -1,18 +1,21 @@
 package batch
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/matrix"
 )
 
-// seedMatrixFormQ is the pre-kernel implementation of MatrixFormQ, kept
-// as the reference the unified in-place/parallel kernel must reproduce
-// bit-for-bit: it allocates a fresh dense result per iteration and runs
-// the untiled column-scatter second product. Its one addition is the
-// kernel's last step, a plain loop copying the upper triangle onto the
-// lower one.
+// seedMatrixFormQ is the pre-kernel implementation of the matrix form
+// over a CSR of Q, kept as the reference the in-place/parallel kernel
+// must reproduce bit-for-bit: it allocates a fresh dense result per
+// iteration and runs the untiled column-scatter second product. Its one
+// addition is the kernel's last step, a plain loop copying the upper
+// triangle onto the lower one.
 func seedMatrixFormQ(q *matrix.CSR, c float64, k int) *matrix.Dense {
 	n := q.RowsN
 	s := matrix.Identity(n).Scale(1 - c)
@@ -48,10 +51,18 @@ func seedMatrixFormQ(q *matrix.CSR, c float64, k int) *matrix.Dense {
 	return s
 }
 
-// The unified kernel must be entrywise identical (exact float equality)
-// to the seed implementation for every worker count: the per-entry
-// accumulation order is fixed by the CSR layout, not the partition or the
-// scatter tiling.
+// matrixFormWorkers runs MatrixFormInto at the given worker count into
+// fresh buffers.
+func matrixFormWorkers(g *graph.DiGraph, c float64, k, workers int) *matrix.Dense {
+	n := g.N()
+	s := matrix.NewDense(n, n)
+	MatrixFormInto(s, matrix.NewDense(n, n), g, c, k, workers)
+	return s
+}
+
+// The kernel must be entrywise identical (exact float equality) to the
+// seed implementation for every worker count: each cell adds the same
+// terms in the order of Q's sorted CSR rows, whatever the partition.
 func TestMatrixFormKernelMatchesSeedReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 8; trial++ {
@@ -61,12 +72,12 @@ func TestMatrixFormKernelMatchesSeedReference(t *testing.T) {
 		c := 0.3 + 0.5*rng.Float64()
 		k := rng.Intn(9)
 		want := seedMatrixFormQ(q, c, k)
-		if d := matrix.MaxAbsDiff(MatrixFormQ(q, c, k), want); d != 0 {
-			t.Fatalf("trial %d: MatrixFormQ differs from seed by %g", trial, d)
+		if d := matrix.MaxAbsDiff(MatrixForm(g, c, k), want); d != 0 {
+			t.Fatalf("trial %d: MatrixForm differs from seed by %g", trial, d)
 		}
 		for _, workers := range []int{0, 1, 2, 3, 7, n + 5} {
-			if d := matrix.MaxAbsDiff(MatrixFormParallel(q, c, k, workers), want); d != 0 {
-				t.Fatalf("trial %d: MatrixFormParallel(workers=%d) differs from seed by %g", trial, workers, d)
+			if d := matrix.MaxAbsDiff(matrixFormWorkers(g, c, k, workers), want); d != 0 {
+				t.Fatalf("trial %d: MatrixFormInto(workers=%d) differs from seed by %g", trial, workers, d)
 			}
 		}
 	}
@@ -76,8 +87,7 @@ func TestMatrixFormKernelMatchesSeedReference(t *testing.T) {
 func TestMatrixFormIntoReusesDirtyBuffers(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := randGraph(rng, 30, 90)
-	q := g.BackwardTransition()
-	want := seedMatrixFormQ(q, 0.6, 6)
+	want := seedMatrixFormQ(g.BackwardTransition(), 0.6, 6)
 	s := matrix.NewDense(30, 30)
 	tmp := matrix.NewDense(30, 30)
 	for i := range s.Data {
@@ -85,7 +95,7 @@ func TestMatrixFormIntoReusesDirtyBuffers(t *testing.T) {
 		tmp.Data[i] = rng.Float64()
 	}
 	for _, workers := range []int{1, 3} {
-		MatrixFormInto(s, tmp, q, 0.6, 6, workers)
+		MatrixFormInto(s, tmp, g, 0.6, 6, workers)
 		if d := matrix.MaxAbsDiff(s, want); d != 0 {
 			t.Fatalf("workers=%d: dirty-buffer run differs by %g", workers, d)
 		}
@@ -94,13 +104,12 @@ func TestMatrixFormIntoReusesDirtyBuffers(t *testing.T) {
 
 func TestMatrixFormIntoDimensionPanic(t *testing.T) {
 	g := randGraph(rand.New(rand.NewSource(3)), 10, 20)
-	q := g.BackwardTransition()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("want panic for mismatched buffers")
 		}
 	}()
-	MatrixFormInto(matrix.NewDense(9, 9), matrix.NewDense(10, 10), q, 0.6, 3, 1)
+	MatrixFormInto(matrix.NewDense(9, 9), matrix.NewDense(10, 10), g, 0.6, 3, 1)
 }
 
 // The varint group key of PartialSumsShared must keep the grouping
@@ -117,4 +126,65 @@ func TestPartialSumsSharedGroupingExact(t *testing.T) {
 			t.Fatalf("trial %d: shared grouping drifted %g from PartialSums", trial, d)
 		}
 	}
+}
+
+// matrixFormFuzzSeed encodes a FuzzMatrixFormMatchesSeed input: n, C,
+// K and the worker count, then one (from, to) byte pair per edge.
+func matrixFormFuzzSeed(n, cByte, k, workers int, edges []graph.Edge) []byte {
+	b := []byte{byte(n - 1), byte(cByte), byte(k), byte(workers - 1)}
+	for _, e := range edges {
+		b = append(b, byte(e.From), byte(e.To))
+	}
+	return b
+}
+
+// FuzzMatrixFormMatchesSeed: on any graph of up to 48 nodes, self-loops
+// and nodes without in-links included, the kernel over the graph's lists
+// must equal the seed reference over the CSR of Q in every cell, −0
+// included, at one worker and at the decoded count (up to n + 2), the
+// second run reusing the first run's buffers.
+func FuzzMatrixFormMatchesSeed(f *testing.F) {
+	star := func(n int, in bool) []graph.Edge {
+		var es []graph.Edge
+		for i := 1; i < n; i++ {
+			if in {
+				es = append(es, graph.Edge{From: i, To: 0})
+			} else {
+				es = append(es, graph.Edge{From: 0, To: i})
+			}
+		}
+		return es
+	}
+	var cycle []graph.Edge
+	for i := 0; i < 9; i++ {
+		cycle = append(cycle, graph.Edge{From: i, To: (i + 1) % 9})
+	}
+	f.Add(matrixFormFuzzSeed(1, 59, 5, 1, nil))
+	f.Add(matrixFormFuzzSeed(8, 59, 6, 3, star(8, true)))
+	f.Add(matrixFormFuzzSeed(8, 79, 6, 10, star(8, false)))
+	f.Add(matrixFormFuzzSeed(9, 59, 8, 2, cycle))
+	f.Add(matrixFormFuzzSeed(40, 59, 8, 3, gen.PrefAttach(40, 4, 1).Edges()))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		n := 1 + int(data[0])%48
+		c := float64(1+int(data[1])%99) / 100
+		k := int(data[2]) % 9
+		workers := 1 + int(data[3])%(n+2)
+		g := graph.New(n)
+		for p := data[4:]; len(p) >= 2; p = p[2:] {
+			g.AddEdge(int(p[0])%n, int(p[1])%n)
+		}
+		want := seedMatrixFormQ(g.BackwardTransition(), c, k)
+		s, tmp := matrix.NewDense(n, n), matrix.NewDense(n, n)
+		for _, w := range []int{1, workers} {
+			MatrixFormInto(s, tmp, g, c, k, w)
+			for i, v := range want.Data {
+				if math.Float64bits(s.Data[i]) != math.Float64bits(v) {
+					t.Fatalf("workers=%d: cell (%d, %d) = %v, seed %v", w, i/n, i%n, s.Data[i], v)
+				}
+			}
+		}
+	})
 }

@@ -12,10 +12,9 @@ func TestMatrixFormParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 5; trial++ {
 		g := randGraph(rng, 10+rng.Intn(30), 60+rng.Intn(60))
-		q := g.BackwardTransition()
-		seq := MatrixFormQ(q, 0.6, 8)
+		seq := MatrixForm(g, 0.6, 8)
 		for _, workers := range []int{1, 2, 4, 7} {
-			par := MatrixFormParallel(q, 0.6, 8, workers)
+			par := matrixFormWorkers(g, 0.6, 8, workers)
 			if d := matrix.MaxAbsDiff(seq, par); d != 0 {
 				t.Fatalf("trial %d workers %d: parallel diverges by %g", trial, workers, d)
 			}
@@ -26,9 +25,8 @@ func TestMatrixFormParallelMatchesSequential(t *testing.T) {
 func TestMatrixFormParallelDefaultsWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	g := randGraph(rng, 20, 80)
-	q := g.BackwardTransition()
-	par := MatrixFormParallel(q, 0.8, 5, 0) // GOMAXPROCS
-	seq := MatrixFormQ(q, 0.8, 5)
+	par := matrixFormWorkers(g, 0.8, 5, 0) // GOMAXPROCS
+	seq := MatrixForm(g, 0.8, 5)
 	if matrix.MaxAbsDiff(seq, par) != 0 {
 		t.Fatal("default worker count diverges")
 	}
@@ -37,9 +35,8 @@ func TestMatrixFormParallelDefaultsWorkers(t *testing.T) {
 func TestMatrixFormParallelMoreWorkersThanRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	g := randGraph(rng, 3, 4)
-	q := g.BackwardTransition()
-	par := MatrixFormParallel(q, 0.6, 4, 64)
-	seq := MatrixFormQ(q, 0.6, 4)
+	par := matrixFormWorkers(g, 0.6, 4, 64)
+	seq := MatrixForm(g, 0.6, 4)
 	if matrix.MaxAbsDiff(seq, par) != 0 {
 		t.Fatal("worker clamp diverges")
 	}
@@ -50,9 +47,8 @@ func TestQuickParallelDeterministic(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := randGraph(rng, 5+rng.Intn(15), 30)
-		q := g.BackwardTransition()
-		a := MatrixFormParallel(q, 0.6, 6, 2)
-		b := MatrixFormParallel(q, 0.6, 6, 5)
+		a := matrixFormWorkers(g, 0.6, 6, 2)
+		b := matrixFormWorkers(g, 0.6, 6, 5)
 		return matrix.MaxAbsDiff(a, b) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {

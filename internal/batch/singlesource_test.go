@@ -1,9 +1,11 @@
 package batch
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/matrix"
 	"repro/internal/race"
 )
 
@@ -16,15 +18,60 @@ func TestSingleSourceMatchesMatrixForm(t *testing.T) {
 		n := 5 + rng.Intn(20)
 		g := randGraph(rng, n, 3*n)
 		full := MatrixForm(g, 0.6, 10)
-		q := g.BackwardTransition()
 		for query := 0; query < n; query++ {
-			col, err := SingleSource(q, 0.6, 10, query)
+			col, err := SingleSource(g, 0.6, 10, query)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for v := 0; v < n; v++ {
 				if d := col[v] - full.At(v, query); d > 1e-12 || d < -1e-12 {
 					t.Fatalf("SingleSource(%d)[%d] = %v, full %v", query, v, col[v], full.At(v, query))
+				}
+			}
+		}
+	}
+}
+
+// seedSingleSource is SingleSource as it read a CSR of Q, kept as the
+// reference the graph form must reproduce bit for bit: Qᵀ·x through
+// CSR.MulVecT, Q·x through CSR.MulVec.
+func seedSingleSource(q *matrix.CSR, c float64, k, query int) []float64 {
+	out := make([]float64, q.RowsN)
+	out[query] = 1 - c
+	back := make([]float64, q.RowsN)
+	back[query] = 1
+	ck := 1.0
+	for t := 1; t <= k; t++ {
+		back = q.MulVecT(back)
+		ck *= c
+		fwd := back
+		for s := 0; s < t; s++ {
+			fwd = q.MulVec(fwd)
+		}
+		matrix.Axpy((1-c)*ck, fwd, out)
+	}
+	return out
+}
+
+// Reading Q and Qᵀ from the graph's in-lists must reproduce the CSR form
+// on every entry, −0 included, on graphs with self-loops and with nodes
+// that have no in-links.
+func TestSingleSourceMatchesCSRSeed(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 6; trial++ {
+		n := 3 + rng.Intn(30)
+		g := randGraph(rng, n, n+rng.Intn(2*n))
+		q := g.BackwardTransition()
+		c, k := 0.3+0.5*rng.Float64(), rng.Intn(12)
+		for query := 0; query < n; query++ {
+			got, err := SingleSource(g, c, k, query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := seedSingleSource(q, c, k, query)
+			for v := range want {
+				if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+					t.Fatalf("trial %d query %d: entry %d = %v, CSR seed %v", trial, query, v, got[v], want[v])
 				}
 			}
 		}
@@ -42,10 +89,9 @@ func TestSingleSourceAllocsIndependentOfK(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(17))
 	g := randGraph(rng, 60, 240)
-	q := g.BackwardTransition()
 	measure := func(k int) float64 {
 		return testing.AllocsPerRun(20, func() {
-			if _, err := SingleSource(q, 0.6, k, 3); err != nil {
+			if _, err := SingleSource(g, 0.6, k, 3); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -58,27 +104,5 @@ func TestSingleSourceAllocsIndependentOfK(t *testing.T) {
 	// headroom for runtime accounting, but nowhere near K² vectors.
 	if large > 8 {
 		t.Fatalf("SingleSource allocated %v times, want the constant buffer set (≤ 8)", large)
-	}
-}
-
-// CSR.MulVecTTo must be bit-identical to the allocating MulVecT.
-func TestMulVecTToMatchesMulVecT(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	g := randGraph(rng, 30, 120)
-	q := g.BackwardTransition()
-	x := make([]float64, 30)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	want := q.MulVecT(x)
-	got := make([]float64, 30)
-	for i := range got {
-		got[i] = rng.NormFloat64() // stale garbage the kernel must clear
-	}
-	q.MulVecTTo(got, x)
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("MulVecTTo[%d] = %v, want %v", i, got[i], want[i])
-		}
 	}
 }

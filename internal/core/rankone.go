@@ -78,9 +78,9 @@ func Decompose(g *graph.DiGraph, up graph.Update) (RankOne, error) {
 			u.Set(j, 1/float64(dj+1))
 			v.Set(i, 1)
 			w := 1 / float64(dj)
-			g.EachInNeighbor(j, func(t int) {
-				v.Add(t, -w) // subtract [Q]_{j,t} = 1/d_j
-			})
+			for _, t := range g.In(j) {
+				v.Add(int(t), -w) // subtract [Q]_{j,t} = 1/d_j
+			}
 		}
 		return RankOne{U: u, V: v}, nil
 	}
@@ -91,9 +91,9 @@ func Decompose(g *graph.DiGraph, up graph.Update) (RankOne, error) {
 		u.Set(j, 1/float64(dj-1))
 		v.Set(i, -1)
 		w := 1 / float64(dj)
-		g.EachInNeighbor(j, func(t int) {
-			v.Add(t, w) // add [Q]_{j,t}
-		})
+		for _, t := range g.In(j) {
+			v.Add(int(t), w) // add [Q]_{j,t}
+		}
 	}
 	return RankOne{U: u, V: v}, nil
 }

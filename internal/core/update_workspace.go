@@ -52,7 +52,6 @@ type Workspace struct {
 
 	// Batch-recompute scratch, allocated on first use.
 	scratch *matrix.Dense
-	qCSR    matrix.CSR
 }
 
 // NewWorkspace builds the persistent update state over g, whose
@@ -87,9 +86,6 @@ func (ws *Workspace) ensureIncSR() {
 	ws.mRows = make([][]float64, n)
 	ws.touched = newPairBitset(n)
 }
-
-// N returns the node count the workspace was built for.
-func (ws *Workspace) N() int { return ws.n }
 
 // SetWorkers does nothing: every update runs on the calling goroutine,
 // and the batch kernel takes its worker count as an argument.
@@ -218,17 +214,13 @@ func (ws *Workspace) scatterQ(x, dst *wsVec) {
 	}
 }
 
-// TransitionCSR materializes Q from the graph's in-lists into a reusable
-// CSR (graph.DiGraph.BackwardTransitionInto). The returned matrix aliases
-// workspace storage and is valid until the next ApplyUpdate; steady-state
-// calls allocate nothing once the backing arrays have grown to the
-// graph's edge count.
+// TransitionCSR returns the workspace's graph, which the batch kernel
+// reads Q and Qᵀ from.
 //
-//simrank:noalloc
-func (ws *Workspace) TransitionCSR() *matrix.CSR {
-	ws.g.BackwardTransitionInto(&ws.qCSR)
-	return &ws.qCSR
-}
+// Deprecated: pass the graph to batch.MatrixFormInto directly.
+// TransitionCSR remains only for simbench's trace replay, which still
+// calls it.
+func (ws *Workspace) TransitionCSR() *graph.DiGraph { return ws.g }
 
 // DenseScratch returns the workspace's n×n ping-pong buffer for batch
 // recomputation, allocated on first use and reused afterwards.

@@ -18,11 +18,11 @@ func seedTransposedQ(g *graph.DiGraph, din []int) *matrix.CSR {
 	js := make([]int, 0, g.M())
 	vs := make([]float64, 0, g.M())
 	for b := 0; b < g.N(); b++ {
-		g.EachOutNeighbor(b, func(a int) {
+		for _, a := range g.Out(b) {
 			is = append(is, b)
-			js = append(js, a)
+			js = append(js, int(a))
 			vs = append(vs, 1/float64(din[a]))
-		})
+		}
 	}
 	return matrix.NewCSR(g.N(), g.N(), is, js, vs)
 }
@@ -30,7 +30,7 @@ func seedTransposedQ(g *graph.DiGraph, din []int) *matrix.CSR {
 // seedIncSRInPlace is the pre-workspace implementation of IncSRInPlace,
 // kept as the reference the workspace-backed path must reproduce
 // bit-for-bit. The only change from the seed code is that adjacency is
-// iterated in sorted order (InNeighbors/OutNeighbors instead of the
+// iterated in sorted order (the graph's In/Out lists instead of the
 // seed's unordered map walks) — the graph's sorted lists fix exactly
 // that iteration order, and float accumulation is order-sensitive.
 func seedIncSRInPlace(g *graph.DiGraph, s *matrix.Dense, up graph.Update, c float64, k int) (Stats, error) {
@@ -56,9 +56,9 @@ func seedIncSRInPlace(g *graph.DiGraph, s *matrix.Dense, up graph.Update, c floa
 	srow := s.Row(i)
 	for y := 0; y < n; y++ {
 		if srow[y] > ZeroTol || srow[y] < -ZeroTol {
-			for _, b := range g.OutNeighbors(y) {
+			for _, b := range g.Out(y) {
 				if !b0.mark[b] {
-					b0.add(b, 1)
+					b0.add(int(b), 1)
 				}
 			}
 		}
@@ -80,7 +80,7 @@ func seedIncSRInPlace(g *graph.DiGraph, s *matrix.Dense, up graph.Update, c floa
 			continue
 		}
 		var sum float64
-		for _, y := range g.InNeighbors(b) {
+		for _, y := range g.In(b) {
 			sum += si[y]
 		}
 		w.add(b, sum/float64(din[b]))
@@ -126,8 +126,8 @@ func seedIncSRInPlace(g *graph.DiGraph, s *matrix.Dense, up graph.Update, c floa
 		vws.add(i, 1)
 		if dj > 0 {
 			f := 1 / float64(dj)
-			for _, t := range g.InNeighbors(j) {
-				vws.add(t, -f)
+			for _, t := range g.In(j) {
+				vws.add(int(t), -f)
 			}
 			vws.compact(ZeroTol)
 		}
@@ -135,8 +135,8 @@ func seedIncSRInPlace(g *graph.DiGraph, s *matrix.Dense, up graph.Update, c floa
 		vws.add(i, -1)
 		if dj > 1 {
 			f := 1 / float64(dj)
-			for _, t := range g.InNeighbors(j) {
-				vws.add(t, f)
+			for _, t := range g.In(j) {
+				vws.add(int(t), f)
 			}
 			vws.compact(ZeroTol)
 		}
@@ -258,17 +258,16 @@ func TestWorkspaceIncSRMatchesSeedReference(t *testing.T) {
 	}
 }
 
-// After any update stream the workspace's Q, read from the graph's
-// in-lists into reused arrays, must equal a Q built independently from
-// the edge list: [Q]_{j,i} = 1/|I(j)| for each edge (i, j), sorted into
-// CSR by matrix.NewCSR.
+// After any update stream applied through the workspace, Q read from the
+// graph's in-lists must equal a Q built independently from the edge
+// list: [Q]_{j,i} = 1/|I(j)| for each edge (i, j), sorted into CSR by
+// matrix.NewCSR.
 func TestWorkspaceMaintenanceMatchesRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 6; trial++ {
 		n := 5 + rng.Intn(30)
 		g := randGraph(rng, n, 2*n)
 		ws := NewWorkspace(g)
-		ws.TransitionCSR() // fill once, so the final call reuses the arrays
 		for step := 0; step < 40; step++ {
 			ws.ApplyUpdate(randUpdate(rng, g))
 		}
@@ -283,10 +282,10 @@ func TestWorkspaceMaintenanceMatchesRebuild(t *testing.T) {
 			is, js, vs = append(is, e.To), append(js, e.From), append(vs, 1/float64(din[e.To]))
 		}
 		want := matrix.NewCSR(n, n, is, js, vs)
-		got := ws.TransitionCSR()
+		got := g.BackwardTransition()
 		if got.RowsN != n || got.ColsN != n || !slices.Equal(got.RowPtr, want.RowPtr) ||
 			!slices.Equal(got.ColIdx, want.ColIdx) || !slices.Equal(got.Val, want.Val) {
-			t.Fatalf("trial %d: TransitionCSR %+v, want %+v", trial, got, want)
+			t.Fatalf("trial %d: BackwardTransition %+v, want %+v", trial, got, want)
 		}
 	}
 }

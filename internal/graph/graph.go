@@ -1,8 +1,8 @@
 // Package graph implements the dynamic directed graph substrate: sorted
-// out- and in-neighbour lists O(v) and I(v), which Inc-SR's Qᵀ and Q and
-// the approx walk index read in place, snapshots, edge-list I/O, and the
-// degree statistics that the paper's complexity analysis (average
-// in-degree d) is stated in terms of.
+// out- and in-neighbour lists O(v) and I(v), which Inc-SR, the batch
+// kernel and the approx walk index read in place, snapshots, edge-list
+// I/O, and the degree statistics that the paper's complexity analysis
+// (average in-degree d) is stated in terms of.
 //
 // Nodes are dense integers 0..n-1. An edge (i, j) is directed from i to j,
 // matching the paper: "each edge depicts a reference from one paper to
@@ -201,44 +201,6 @@ func (g *DiGraph) In(v int) []int32 { return g.in[v] }
 // reads it as row v of Qᵀ.
 func (g *DiGraph) Out(v int) []int32 { return g.out.Get(v) }
 
-// InNeighbors returns a copy of I(v) in ascending order.
-func (g *DiGraph) InNeighbors(v int) []int {
-	g.check(v)
-	return ints(g.in[v])
-}
-
-// OutNeighbors returns a copy of O(v) in ascending order.
-func (g *DiGraph) OutNeighbors(v int) []int {
-	g.check(v)
-	return ints(g.out.Get(v))
-}
-
-// ints returns a row of node ids widened to int.
-func ints(row []int32) []int {
-	out := make([]int, len(row))
-	for k, u := range row {
-		out[k] = int(u)
-	}
-	return out
-}
-
-// EachInNeighbor calls fn for every in-neighbor of v, in ascending order.
-func (g *DiGraph) EachInNeighbor(v int, fn func(u int)) {
-	g.check(v)
-	for _, u := range g.in[v] {
-		fn(int(u))
-	}
-}
-
-// EachOutNeighbor calls fn for every out-neighbor of v, in ascending
-// order.
-func (g *DiGraph) EachOutNeighbor(v int, fn func(u int)) {
-	g.check(v)
-	for _, u := range g.out.Get(v) {
-		fn(int(u))
-	}
-}
-
 // Edges returns all edges sorted by (From, To).
 func (g *DiGraph) Edges() []Edge { return edges(g.m, &g.out) }
 
@@ -276,25 +238,10 @@ func (g *DiGraph) AvgInDegree() float64 {
 
 // BackwardTransition builds the backward transition matrix Q in CSR form:
 // [Q]_{j,i} = 1/|I(j)| if (i, j) ∈ E, 0 otherwise — the row-normalized
-// transpose of the adjacency matrix (footnote 2 of the paper).
+// transpose of the adjacency matrix (footnote 2 of the paper). Row j
+// lists I(j) ascending.
 func (g *DiGraph) BackwardTransition() *matrix.CSR {
-	var q matrix.CSR
-	g.BackwardTransitionInto(&q)
-	return &q
-}
-
-// BackwardTransitionInto writes Q into q, reusing q's arrays: row j lists
-// I(j) ascending, each entry 1/|I(j)|. Once the arrays have grown to the
-// graph's size and edge count, a call allocates nothing.
-//
-//simrank:noalloc
-func (g *DiGraph) BackwardTransitionInto(q *matrix.CSR) {
-	q.RowsN, q.ColsN = g.n, g.n
-	if cap(q.RowPtr) < g.n+1 {
-		q.RowPtr = make([]int, g.n+1) //simrank:allocok first use or growth; steady state reuses the array
-	}
-	q.RowPtr = q.RowPtr[:g.n+1]
-	q.ColIdx, q.Val = q.ColIdx[:0], q.Val[:0]
+	q := &matrix.CSR{RowsN: g.n, ColsN: g.n, RowPtr: make([]int, g.n+1)}
 	for j, in := range g.in {
 		w := 1 / float64(len(in))
 		for _, i := range in {
@@ -303,6 +250,7 @@ func (g *DiGraph) BackwardTransitionInto(q *matrix.CSR) {
 		}
 		q.RowPtr[j+1] = len(q.ColIdx)
 	}
+	return q
 }
 
 // Apply performs one unit update and reports whether the graph changed.

@@ -53,22 +53,22 @@ func TestDegreesAndNeighbors(t *testing.T) {
 	if g.InDegree(2) != 3 || g.OutDegree(2) != 1 {
 		t.Fatalf("deg in=%d out=%d", g.InDegree(2), g.OutDegree(2))
 	}
-	in := g.InNeighbors(2)
-	if len(in) != 3 || in[0] != 0 || in[1] != 1 || in[2] != 3 {
-		t.Fatalf("InNeighbors = %v", in)
+	if in := g.In(2); !slices.Equal(in, []int32{0, 1, 3}) {
+		t.Fatalf("In = %v", in)
 	}
-	out := g.OutNeighbors(2)
-	if len(out) != 1 || out[0] != 0 {
-		t.Fatalf("OutNeighbors = %v", out)
+	if out := g.Out(2); !slices.Equal(out, []int32{0}) {
+		t.Fatalf("Out = %v", out)
 	}
 }
 
 func TestEachNeighbor(t *testing.T) {
 	g := FromEdges(3, []Edge{{0, 2}, {1, 2}})
 	seen := map[int]bool{}
-	g.EachInNeighbor(2, func(u int) { seen[u] = true })
+	for _, u := range g.In(2) {
+		seen[int(u)] = true
+	}
 	if !seen[0] || !seen[1] || len(seen) != 2 {
-		t.Fatalf("EachInNeighbor saw %v", seen)
+		t.Fatalf("In(2) saw %v", seen)
 	}
 }
 
@@ -252,7 +252,7 @@ func TestFig1Graph(t *testing.T) {
 		t.Fatal("old G must not contain the dashed edge (i,j)")
 	}
 	// Example 4 requires I(j) = {h, k} in the old G.
-	in := g.InNeighbors(FigJ)
+	in := g.In(FigJ)
 	if len(in) != 2 || in[0] != FigH || in[1] != FigK {
 		t.Fatalf("I(j) = %v, want [h k]", in)
 	}
@@ -289,13 +289,13 @@ func TestQuickDynamicConsistency(t *testing.T) {
 		}
 		// In-adjacency must mirror out-adjacency.
 		for v := 0; v < n; v++ {
-			for _, u := range g.InNeighbors(v) {
-				if !g.HasEdge(u, v) {
+			for _, u := range g.In(v) {
+				if !g.HasEdge(int(u), v) {
 					return false
 				}
 			}
-			for _, u := range g.OutNeighbors(v) {
-				if !g.HasEdge(v, u) {
+			for _, u := range g.Out(v) {
+				if !g.HasEdge(v, int(u)) {
 					return false
 				}
 			}

@@ -61,15 +61,15 @@ func Diameter(g *DiGraph) int {
 		for len(queue) > 0 {
 			v := queue[0]
 			queue = queue[1:]
-			g.EachOutNeighbor(v, func(u int) {
+			for _, u := range g.Out(v) {
 				if dist[u] < 0 {
 					dist[u] = dist[v] + 1
 					if dist[u] > diam {
 						diam = dist[u]
 					}
-					queue = append(queue, u)
+					queue = append(queue, int(u))
 				}
-			})
+			}
 		}
 	}
 	return diam

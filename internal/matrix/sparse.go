@@ -82,52 +82,35 @@ func (m *CSR) At(i, j int) float64 {
 
 // MulVec returns m·x.
 func (m *CSR) MulVec(x []float64) []float64 {
-	out := make([]float64, m.RowsN)
-	m.MulVecTo(out, x)
-	return out
-}
-
-// MulVecTo computes m·x into dst, which must have length RowsN.
-func (m *CSR) MulVecTo(dst, x []float64) {
-	if len(x) != m.ColsN || len(dst) != m.RowsN {
+	if len(x) != m.ColsN {
 		panic("matrix: CSR MulVec dimension mismatch")
 	}
-	for i := 0; i < m.RowsN; i++ {
+	out := make([]float64, m.RowsN)
+	for i := range out {
 		var s float64
 		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
 			s += m.Val[k] * x[m.ColIdx[k]]
 		}
-		dst[i] = s
+		out[i] = s
 	}
+	return out
 }
 
 // MulVecT returns mᵀ·x without materializing the transpose.
 func (m *CSR) MulVecT(x []float64) []float64 {
-	out := make([]float64, m.ColsN)
-	m.MulVecTTo(out, x)
-	return out
-}
-
-// MulVecTTo computes mᵀ·x into dst (length ColsN) without materializing
-// the transpose. dst is zeroed first, then accumulated in the same
-// row-major scatter order as MulVecT, so the two are bit-identical —
-// this is the reusable-buffer form that keeps repeated-series callers
-// (batch.SingleSource) at O(n) live memory.
-func (m *CSR) MulVecTTo(dst, x []float64) {
-	if len(x) != m.RowsN || len(dst) != m.ColsN {
+	if len(x) != m.RowsN {
 		panic("matrix: CSR MulVecT dimension mismatch")
 	}
-	for j := range dst {
-		dst[j] = 0
-	}
+	out := make([]float64, m.ColsN)
 	for i, xi := range x {
 		if xi == 0 {
 			continue
 		}
 		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			dst[m.ColIdx[k]] += m.Val[k] * xi
+			out[m.ColIdx[k]] += m.Val[k] * xi
 		}
 	}
+	return out
 }
 
 // RowDot returns [m]_{i,·}·x, the inner product of row i with x.

@@ -117,9 +117,9 @@ func (d *Dense) Update(g *graph.DiGraph, up graph.Update, p Params) (core.Stats,
 // overwrites every cell (it starts from S₀ = (1−C)I), so a pending flip
 // swaps buffers without the syncing copy.
 func (d *Dense) Recompute(g *graph.DiGraph, ups []graph.Update, p Params) {
-	ws := d.follow(g, ups)
+	follow(g, ups)
 	d.rewrite()
-	batch.MatrixFormInto(&d.m, ws.DenseScratch(), ws.TransitionCSR(), p.C, p.K, p.Workers)
+	batch.MatrixFormInto(&d.m, d.workspace(g).DenseScratch(), g, p.C, p.K, p.Workers)
 }
 
 // AddNodes returns a dense store over n+count nodes: old rows copied

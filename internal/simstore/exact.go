@@ -38,11 +38,9 @@ func (x *exact) update(s core.SimStore, g *graph.DiGraph, up graph.Update, p Par
 	return st, nil
 }
 
-// follow applies ups to g and returns the workspace over it — the first
-// half of a Recompute.
-func (x *exact) follow(g *graph.DiGraph, ups []graph.Update) *core.Workspace {
+// follow applies ups to g — the first half of a Recompute.
+func follow(g *graph.DiGraph, ups []graph.Update) {
 	for _, up := range ups {
 		g.Apply(up)
 	}
-	return x.workspace(g)
 }

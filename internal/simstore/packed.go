@@ -195,7 +195,8 @@ func (p *Packed) Update(g *graph.DiGraph, up graph.Update, prm Params) (core.Sta
 // transiently costs 16n² bytes, but the steady state never retains a
 // dense buffer.
 func (p *Packed) Recompute(g *graph.DiGraph, ups []graph.Update, prm Params) {
-	p.SetFromDense(batchScores(p.follow(g, ups), prm))
+	follow(g, ups)
+	p.SetFromDense(batchScores(g, prm))
 }
 
 // AddNodes returns a packed store over n+count nodes: each old row's

@@ -190,15 +190,12 @@ type Sampler interface {
 func New(b Backend, g *graph.DiGraph, p Params, walks int, seed int64) (Store, error) {
 	switch b {
 	case BackendDense:
-		var x exact
-		d := WrapDense(batchScores(x.workspace(g), p))
-		d.exact = x
-		return d, nil
+		return WrapDense(batchScores(g, p)), nil
 	case BackendPacked:
 		// The triangle is allocated before the kernel's two transient n×n
 		// buffers; the other order raises the process's peak RSS.
 		s := NewPacked(g.N())
-		s.SetFromDense(batchScores(s.workspace(g), p))
+		s.SetFromDense(batchScores(g, p))
 		return s, nil
 	case BackendApprox:
 		a, err := NewApprox(g, p.C, p.K, walks, seed)
@@ -210,12 +207,12 @@ func New(b Backend, g *graph.DiGraph, p Params, walks int, seed int64) (Store, e
 	return nil, fmt.Errorf("simstore: unknown backend %q", b)
 }
 
-// batchScores runs the batch kernel over ws's transition matrix into a
-// fresh n×n matrix, ping-ponging through a transient scratch buffer the
-// caller does not retain.
-func batchScores(ws *core.Workspace, p Params) *matrix.Dense {
-	n := ws.N()
+// batchScores runs the batch kernel over g into a fresh n×n matrix,
+// ping-ponging through a transient scratch buffer the caller does not
+// retain.
+func batchScores(g *graph.DiGraph, p Params) *matrix.Dense {
+	n := g.N()
 	out := matrix.NewDense(n, n)
-	batch.MatrixFormInto(out, matrix.NewDense(n, n), ws.TransitionCSR(), p.C, p.K, p.Workers)
+	batch.MatrixFormInto(out, matrix.NewDense(n, n), g, p.C, p.K, p.Workers)
 	return out
 }

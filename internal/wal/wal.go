@@ -235,6 +235,12 @@ type WAL struct {
 	last     uint64 // newest record epoch (0 when empty)
 	dirty    bool   // unsynced appended bytes
 	closed   bool
+	// failed is the first error of a tail write, an fsync, a segment
+	// create or seal, or a directory sync, or an over-size record. Once
+	// set, Append and Sync return it and touch no file: past such a
+	// failure the disk may hold a torn frame or miss a record, and an
+	// append after it would bury the one or write a gap.
+	failed error
 
 	appends   atomic.Int64
 	fsyncs    atomic.Int64
@@ -479,13 +485,20 @@ func replaySegment(s segment, from uint64, prev *uint64, fn func(*Record) error)
 
 // Append logs one record durably according to the sync policy. The
 // record's epoch must advance past every record already logged — the
-// ordering replay relies on. Safe for concurrent use;
-// calls are serialized internally.
+// ordering replay relies on. A closed log, a heartbeat or an epoch that
+// does not advance is refused for this call only. Any other failure
+// fails the log: this and every later Append and Sync return the first
+// error, so the log ends at the last record written whole, and the next
+// Open truncates whatever part of a frame the failure left behind. Safe
+// for concurrent use; calls are serialized internally.
 func (w *WAL) Append(rec *Record) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
 		return ErrClosed
+	}
+	if w.failed != nil {
+		return w.failed
 	}
 	if rec.Kind == KindHeartbeat {
 		// Heartbeats are stream liveness frames, not operations: storing
@@ -497,15 +510,16 @@ func (w *WAL) Append(rec *Record) error {
 	}
 	w.buf = appendRecord(w.buf[:0], rec)
 	if len(w.buf) > maxRecordBytes {
-		return fmt.Errorf("wal: record of %d bytes exceeds the %d-byte bound", len(w.buf), maxRecordBytes)
+		// The caller has committed the mutation already; logging the
+		// next one would leave a gap where this record belongs.
+		return w.fail(fmt.Errorf("wal: record of %d bytes exceeds the %d-byte bound", len(w.buf), maxRecordBytes))
 	}
 	if err := w.rotateLocked(rec.Epoch); err != nil {
-		return err
+		return w.fail(err)
 	}
 	if _, err := w.tail.Write(w.buf); err != nil {
-		// A short write leaves a torn tail exactly like a crash would;
-		// the next Open truncates it. Do not advance the epoch chain.
-		return fmt.Errorf("wal: append: %w", err)
+		// A short write leaves a torn tail exactly like a crash would.
+		return w.fail(fmt.Errorf("wal: append: %w", err))
 	}
 	n := int64(len(w.buf))
 	w.tailSize += n
@@ -565,7 +579,8 @@ func (w *WAL) rotateLocked(epoch uint64) error {
 func (w *WAL) Policy() SyncPolicy { return w.opts.Sync }
 
 // Sync forces appended records to stable storage now, whatever the
-// policy — the group-commit hook ?wait=1 acknowledgements ride on.
+// policy — the group-commit hook ?wait=1 acknowledgements ride on. On a
+// failed log it returns the first error.
 func (w *WAL) Sync() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -575,12 +590,18 @@ func (w *WAL) Sync() error {
 	return w.syncLocked()
 }
 
+// syncLocked fsyncs the tail if it holds unsynced bytes. A failed fsync
+// fails the log: a retry can report success after the kernel dropped
+// the pages that did not reach the disk.
 func (w *WAL) syncLocked() error {
+	if w.failed != nil {
+		return w.failed
+	}
 	if !w.dirty || w.tail == nil {
 		return nil
 	}
 	if err := w.tail.Sync(); err != nil {
-		return fmt.Errorf("wal: fsync: %w", err)
+		return w.fail(fmt.Errorf("wal: fsync: %w", err))
 	}
 	w.dirty = false
 	w.fsyncs.Add(1)
@@ -635,10 +656,19 @@ func (w *WAL) Truncate(upto uint64) error {
 	w.segments = kept
 	if removed {
 		if err := syncPath(w.dir); err != nil {
-			return fmt.Errorf("wal: sync dir after truncate: %w", err)
+			return w.fail(fmt.Errorf("wal: sync dir after truncate: %w", err))
 		}
 	}
 	return nil
+}
+
+// fail records err as the log's failure unless an earlier one is
+// recorded, and returns err.
+func (w *WAL) fail(err error) error {
+	if w.failed == nil {
+		w.failed = err
+	}
+	return err
 }
 
 // Stats reports the log's current gauges and lifetime counters.
@@ -659,7 +689,8 @@ func (w *WAL) Stats() Stats {
 	return st
 }
 
-// Close flushes and closes the log. Idempotent.
+// Close flushes and closes the log. Idempotent. On a failed log it
+// closes the tail without a flush and returns the first error.
 func (w *WAL) Close() error {
 	w.mu.Lock()
 	if w.closed {

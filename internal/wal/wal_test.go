@@ -3,7 +3,9 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"testing"
@@ -137,6 +139,133 @@ func TestEpochMustAdvance(t *testing.T) {
 	if err := w.Append(batchRec(6, upd(1, 2, true))); err != nil {
 		t.Fatalf("advancing epoch refused: %v", err)
 	}
+}
+
+// assertFailedLog checks that w refuses Append and Sync with first and
+// leaves every file alone, then that reopening dir replays exactly the
+// epochs given, truncating torn bytes of the failed record.
+func assertFailedLog(t *testing.T, w *WAL, dir string, first error, torn int64, epochs ...uint64) {
+	t.Helper()
+	before := dirSizes(t, dir)
+	if err := w.Append(batchRec(9, upd(2, 3, true))); !errors.Is(err, first) {
+		t.Fatalf("Append after the failure = %v, want the first error %v", err, first)
+	}
+	if err := w.Sync(); !errors.Is(err, first) {
+		t.Fatalf("Sync after the failure = %v, want the first error %v", err, first)
+	}
+	if after := dirSizes(t, dir); !maps.Equal(after, before) {
+		t.Fatalf("failed log touched its files: %v → %v", before, after)
+	}
+	if err := w.Close(); !errors.Is(err, first) {
+		t.Fatalf("Close = %v, want the first error %v", err, first)
+	}
+	w2 := mustOpen(t, dir, Options{})
+	if st := w2.Stats(); st.TornBytes != torn {
+		t.Fatalf("reopen truncated %d torn bytes, want %d", st.TornBytes, torn)
+	}
+	got := collect(t, w2, 0)
+	if len(got) != len(epochs) {
+		t.Fatalf("reopen replayed %d records, want epochs %v", len(got), epochs)
+	}
+	for i, r := range got {
+		if r.Epoch != epochs[i] {
+			t.Fatalf("record %d has epoch %d, want %d", i, r.Epoch, epochs[i])
+		}
+	}
+}
+
+// dirSizes maps each file in dir to its size.
+func dirSizes(t *testing.T, dir string) map[string]int64 {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := map[string]int64{}
+	for _, e := range entries {
+		info, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes[e.Name()] = info.Size()
+	}
+	return sizes
+}
+
+// TestFailedWriteFailsLog: a tail write that fails can leave part of its
+// frame behind — here the first 7 bytes of epoch 2's, what a short write
+// leaves. Appending past it would bury it mid-log, where Open refuses
+// the whole log as damage; a failed log appends nothing, so the partial
+// frame stays the tail and Open truncates it.
+func TestFailedWriteFailsLog(t *testing.T) {
+	dir := t.TempDir()
+	w := mustOpen(t, dir, Options{})
+	if err := w.Append(batchRec(1, upd(0, 1, true))); err != nil {
+		t.Fatal(err)
+	}
+	rw := w.tail
+	ro, err := os.Open(rw.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = ro.Close() }()
+	w.tail = ro // a real Write through it fails
+	first := w.Append(batchRec(2, upd(1, 2, true)))
+	w.tail = rw
+	if first == nil {
+		t.Fatal("Append through a read-only handle succeeded")
+	}
+	if _, err := rw.Write(appendRecord(nil, batchRec(2, upd(1, 2, true)))[:7]); err != nil {
+		t.Fatal(err)
+	}
+	assertFailedLog(t, w, dir, first, 7, 1)
+}
+
+// TestFailedFsyncFailsLog: an fsync error fails the log, since a retried
+// fsync can report success after the kernel dropped the pages that
+// failed to reach the disk. Sync fails here through a closed handle; the
+// SyncInterval flusher and SyncAlways appends fsync through the same
+// path.
+func TestFailedFsyncFailsLog(t *testing.T) {
+	dir := t.TempDir()
+	w := mustOpen(t, dir, Options{Sync: SyncNone})
+	if err := w.Append(batchRec(1, upd(0, 1, true))); err != nil {
+		t.Fatal(err)
+	}
+	dead, err := os.Open(w.tail.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dead.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rw := w.tail
+	w.tail = dead
+	first := w.Sync()
+	w.tail = rw
+	if first == nil {
+		t.Fatal("Sync through a closed handle succeeded")
+	}
+	assertFailedLog(t, w, dir, first, 0, 1)
+}
+
+// TestFailedRotateFailsLog: a segment that cannot be created fails the
+// log, so no later Append creates a segment after the missing record.
+func TestFailedRotateFailsLog(t *testing.T) {
+	dir := t.TempDir()
+	w := mustOpen(t, dir, Options{SegmentBytes: 1})
+	if err := w.Append(batchRec(1, upd(0, 1, true))); err != nil {
+		t.Fatal(err)
+	}
+	// Epoch 2's segment name is taken, so its exclusive create fails.
+	if err := os.WriteFile(filepath.Join(dir, segmentName(2)), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	first := w.Append(batchRec(2, upd(1, 2, true)))
+	if first == nil {
+		t.Fatal("Append over a taken segment name succeeded")
+	}
+	assertFailedLog(t, w, dir, first, 0, 1)
 }
 
 // TestTornTailTruncates: a partial record at the tail — every possible

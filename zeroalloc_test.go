@@ -177,7 +177,7 @@ func TestEngineRecomputeZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Recompute() // warm the CSR materialization buffers
+	eng.Recompute() // warm the workspace and its scratch buffer
 	if allocs := testing.AllocsPerRun(10, eng.Recompute); allocs != 0 {
 		t.Fatalf("warm Recompute allocated %v times, want 0", allocs)
 	}
