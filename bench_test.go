@@ -593,7 +593,7 @@ func BenchmarkEngineRecompute(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			eng.Recompute() // warm the workspace scratch
+			eng.Recompute() // warm the store's kernel scratch
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -38,9 +38,10 @@
 // or delete and never an O(m) rebuild; every scratch buffer of the
 // update algorithms is pooled and reused, so a warm Engine.Apply
 // performs zero heap allocations. Batch computation (NewEngine, Recompute, ApplyBatch's
-// crossover) runs one row-partitioned sparse kernel (internal/matrix)
-// that ping-pongs between two preallocated n×n buffers and ends by
-// mirroring its upper triangle onto the lower one. S is therefore
+// crossover) runs one row-partitioned sparse kernel (internal/batch)
+// over S and T = Q·S, visiting only the cells its per-row support
+// bitmaps flag as possibly non-zero, and ends by mirroring its upper
+// triangle onto the lower one. S is therefore
 // exactly symmetric on both exact stores (updates write both mirror
 // cells, and restore mirrors an older dense snapshot), so Inc-SR reads
 // rows i and j wherever the paper reads the columns [S]·,i and [S]·,j,

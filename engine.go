@@ -387,10 +387,11 @@ func (e *Engine) AddNodes(count int) (first int, err error) {
 // Recompute rebuilds the similarities from scratch with the batch
 // algorithm (the engine's safety valve; never needed for correctness).
 // The exact backends run the row-parallel kernel across Options.Workers
-// goroutines: dense ping-pongs between its matrix and a persistent
-// scratch buffer, so a warm sequential recompute (Workers = 1) allocates
-// nothing; packed iterates on two transient dense buffers, transiently
-// costing 16n² bytes, and compresses the result back. The approx backend
+// goroutines: dense writes into its matrix with a persistent kernel
+// scratch (T and its support bitmaps), so a warm sequential recompute
+// (Workers = 1) allocates nothing; packed iterates on two transient
+// dense buffers and their bitmaps, transiently costing 16.25n² bytes,
+// and compresses the result back. The approx backend
 // resamples its whole walk set from the current graph — by the derived
 // -seed invariant the outcome is identical to the incremental repairs
 // that could have reached the same topology, so here too Recompute is

@@ -203,13 +203,16 @@ func PartialSumsShared(g *graph.DiGraph, c float64, k int) *matrix.Dense {
 //
 //	S = (1−C)·Σ_k C^k·Q^k·(Qᵀ)^k.
 //
-// O(Kdn²) time via two sparse-dense products per iteration. It is the
-// one-worker run of MatrixFormInto; the output is bit-identical to every
-// other worker count.
+// Each iteration costs time in proportion to the flagged cells of S and
+// T = Q·S (those that may be non-zero), plus ⌈n/64⌉ bitmap words per row
+// and per in-edge; the run adds three fixed O(n²) passes (the two initial
+// clears and the final mirror). A dense S costs the whole-row O(Kdn²).
+// It is the one-worker run of MatrixFormScratch; the output is
+// bit-identical to every other worker count.
 func MatrixForm(g *graph.DiGraph, c float64, k int) *matrix.Dense {
 	validate(g, c, k)
 	n := g.N()
 	s := matrix.NewDense(n, n)
-	MatrixFormInto(s, matrix.NewDense(n, n), g, c, k, 1)
+	MatrixFormScratch(s, NewScratch(n), g, c, k, 1)
 	return s
 }

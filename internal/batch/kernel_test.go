@@ -1,6 +1,7 @@
 package batch
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -83,7 +84,10 @@ func TestMatrixFormKernelMatchesSeedReference(t *testing.T) {
 	}
 }
 
-// MatrixFormInto must overwrite whatever its buffers previously held.
+// MatrixFormInto must overwrite whatever its buffers previously held,
+// and one Scratch must serve runs over different graphs: a support flag
+// or a cell of T left over from the previous graph would leak into the
+// next result.
 func TestMatrixFormIntoReusesDirtyBuffers(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := randGraph(rng, 30, 90)
@@ -98,6 +102,17 @@ func TestMatrixFormIntoReusesDirtyBuffers(t *testing.T) {
 		MatrixFormInto(s, tmp, g, 0.6, 6, workers)
 		if d := matrix.MaxAbsDiff(s, want); d != 0 {
 			t.Fatalf("workers=%d: dirty-buffer run differs by %g", workers, d)
+		}
+	}
+	const n = 130
+	sc := NewScratch(n)
+	s = matrix.NewDense(n, n)
+	for _, workers := range []int{1, 3} {
+		for trial, g := range []*graph.DiGraph{randGraph(rng, n, 6*n), gen.PrefAttach(n, 4, 1), randGraph(rng, n, 2*n)} {
+			MatrixFormScratch(s, sc, g, 0.6, 8, workers)
+			if d := matrix.MaxAbsDiff(s, seedMatrixFormQ(g.BackwardTransition(), 0.6, 8)); d != 0 {
+				t.Fatalf("workers=%d graph %d: reused Scratch differs by %g", workers, trial, d)
+			}
 		}
 	}
 }
@@ -138,11 +153,14 @@ func matrixFormFuzzSeed(n, cByte, k, workers int, edges []graph.Edge) []byte {
 	return b
 }
 
-// FuzzMatrixFormMatchesSeed: on any graph of up to 48 nodes, self-loops
-// and nodes without in-links included, the kernel over the graph's lists
-// must equal the seed reference over the CSR of Q in every cell, −0
+// FuzzMatrixFormMatchesSeed: on any graph of up to 200 nodes, self-loops,
+// cycles and nodes without in-links included, the kernel over the graph's
+// lists must equal the seed reference over the CSR of Q in every cell, −0
 // included, at one worker and at the decoded count (up to n + 2), the
-// second run reusing the first run's buffers.
+// second run reusing the first run's buffers. Above 64 nodes a support
+// bitmap row spans several words. Cycles matter: on a DAG Q is nilpotent,
+// so an error made in an early iteration can vanish exactly after
+// depth-many iterations.
 func FuzzMatrixFormMatchesSeed(f *testing.F) {
 	star := func(n int, in bool) []graph.Edge {
 		var es []graph.Edge
@@ -164,11 +182,16 @@ func FuzzMatrixFormMatchesSeed(f *testing.F) {
 	f.Add(matrixFormFuzzSeed(8, 79, 6, 10, star(8, false)))
 	f.Add(matrixFormFuzzSeed(9, 59, 8, 2, cycle))
 	f.Add(matrixFormFuzzSeed(40, 59, 8, 3, gen.PrefAttach(40, 4, 1).Edges()))
+	f.Add(matrixFormFuzzSeed(64, 59, 8, 2, gen.ER(64, 192, 2).Edges()))
+	f.Add(matrixFormFuzzSeed(65, 59, 8, 3, gen.ER(65, 195, 3).Edges()))
+	// Dense and cyclic: S fills to ~all non-zero within a few iterations,
+	// so full bitmap words and the whole-row loops run.
+	f.Add(matrixFormFuzzSeed(130, 59, 8, 3, gen.ER(130, 1040, 4).Edges()))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			return
 		}
-		n := 1 + int(data[0])%48
+		n := 1 + int(data[0])%200
 		c := float64(1+int(data[1])%99) / 100
 		k := int(data[2]) % 9
 		workers := 1 + int(data[3])%(n+2)
@@ -187,4 +210,30 @@ func FuzzMatrixFormMatchesSeed(f *testing.F) {
 			}
 		}
 	})
+}
+
+// BenchmarkMatrixForm times the kernel at simbench's K on reused
+// buffers, at one and two workers, on a graph whose S stays sparse and
+// one whose S fills up: PrefAttach(2048, 4, 1), simbench's boot graph,
+// is a DAG with S ~1% non-zero, so the support bitmaps skip nearly every
+// cell; ER(1000, 4000, 1) is cyclic with S ~95% non-zero, so nearly
+// every row takes the whole-row loops.
+func BenchmarkMatrixForm(b *testing.B) {
+	for _, gc := range []struct {
+		name string
+		g    *graph.DiGraph
+	}{
+		{"PrefAttach(2048,4,1)", gen.PrefAttach(2048, 4, 1)},
+		{"ER(1000,4000,1)", gen.ER(1000, 4000, 1)},
+	} {
+		n := gc.g.N()
+		s, tmp := matrix.NewDense(n, n), matrix.NewDense(n, n)
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/workers=%d", gc.name, workers), func(b *testing.B) {
+				for b.Loop() {
+					MatrixFormInto(s, tmp, gc.g, 0.6, 15, workers)
+				}
+			})
+		}
+	}
 }

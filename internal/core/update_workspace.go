@@ -49,9 +49,6 @@ type Workspace struct {
 	// experiments' baseline; the engine runs Inc-SR only).
 	mDense                                 *matrix.Dense
 	wD, gamD, xiD, etaD, xiNextD, etaNextD []float64
-
-	// Batch-recompute scratch, allocated on first use.
-	scratch *matrix.Dense
 }
 
 // NewWorkspace builds the persistent update state over g, whose
@@ -221,15 +218,6 @@ func (ws *Workspace) scatterQ(x, dst *wsVec) {
 // TransitionCSR remains only for simbench's trace replay, which still
 // calls it.
 func (ws *Workspace) TransitionCSR() *graph.DiGraph { return ws.g }
-
-// DenseScratch returns the workspace's n×n ping-pong buffer for batch
-// recomputation, allocated on first use and reused afterwards.
-func (ws *Workspace) DenseScratch() *matrix.Dense {
-	if ws.scratch == nil {
-		ws.scratch = matrix.NewDense(ws.n, ws.n)
-	}
-	return ws.scratch
-}
 
 // ensureDense allocates the Inc-uSR dense scratch on first use.
 func (ws *Workspace) ensureDense() {

@@ -7,7 +7,7 @@ import (
 
 func TestParallelRowsCoversRangeExactlyOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 7, 100} {
-		for _, n := range []int{0, 1, 5, 64} {
+		for _, n := range []int{0, 1, 5, 64, 65, 200} {
 			var mu sync.Mutex
 			hits := make([]int, n)
 			ParallelRows(n, workers, func(lo, hi int) {

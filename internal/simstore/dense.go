@@ -32,6 +32,8 @@ type Dense struct {
 	DenseView
 	cells
 	exact
+	// kernel is Recompute's batch working memory, allocated on first use.
+	kernel *batch.Scratch
 }
 
 // NewDense returns a zeroed n×n dense store.
@@ -111,15 +113,18 @@ func (d *Dense) Update(g *graph.DiGraph, up graph.Update, p Params) (core.Stats,
 	return d.update(d, g, up, p)
 }
 
-// Recompute applies ups to g (see Store), then reruns the batch kernel,
-// ping-ponging between the live buffer and the workspace's persistent
-// scratch — a warm recompute at one worker allocates nothing. The kernel
-// overwrites every cell (it starts from S₀ = (1−C)I), so a pending flip
-// swaps buffers without the syncing copy.
+// Recompute applies ups to g (see Store), then reruns the batch kernel
+// into the live buffer with the store's persistent kernel scratch — a
+// warm recompute at one worker allocates nothing. The kernel overwrites
+// every cell (it starts from S₀ = (1−C)I), so a pending flip swaps
+// buffers without the syncing copy.
 func (d *Dense) Recompute(g *graph.DiGraph, ups []graph.Update, p Params) {
 	follow(g, ups)
 	d.rewrite()
-	batch.MatrixFormInto(&d.m, d.workspace(g).DenseScratch(), g, p.C, p.K, p.Workers)
+	if d.kernel == nil {
+		d.kernel = batch.NewScratch(d.m.Rows)
+	}
+	batch.MatrixFormScratch(&d.m, d.kernel, g, p.C, p.K, p.Workers)
 }
 
 // AddNodes returns a dense store over n+count nodes: old rows copied

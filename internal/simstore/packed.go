@@ -192,8 +192,8 @@ func (p *Packed) Update(g *graph.DiGraph, up graph.Update, prm Params) (core.Sta
 // Recompute applies ups to g (see Store), then reruns the batch kernel
 // on two transient dense buffers (its sparse-dense products need full
 // rows) and compresses the result back into the triangle: a recompute
-// transiently costs 16n² bytes, but the steady state never retains a
-// dense buffer.
+// transiently costs 16n² bytes, plus n²/4 for the kernel's support
+// bitmaps, but the steady state never retains a dense buffer.
 func (p *Packed) Recompute(g *graph.DiGraph, ups []graph.Update, prm Params) {
 	follow(g, ups)
 	p.SetFromDense(batchScores(g, prm))

@@ -208,11 +208,10 @@ func New(b Backend, g *graph.DiGraph, p Params, walks int, seed int64) (Store, e
 }
 
 // batchScores runs the batch kernel over g into a fresh n×n matrix,
-// ping-ponging through a transient scratch buffer the caller does not
-// retain.
+// with transient kernel scratch the caller does not retain.
 func batchScores(g *graph.DiGraph, p Params) *matrix.Dense {
 	n := g.N()
 	out := matrix.NewDense(n, n)
-	batch.MatrixFormInto(out, matrix.NewDense(n, n), g, p.C, p.K, p.Workers)
+	batch.MatrixFormScratch(out, batch.NewScratch(n), g, p.C, p.K, p.Workers)
 	return out
 }

@@ -165,8 +165,9 @@ func TestEngineApplyZeroAllocsUnpruned(t *testing.T) {
 	}
 }
 
-// A warm sequential Recompute (Workers = 1) ping-pongs between the
-// engine's matrix and the workspace scratch — zero allocations. (The
+// A warm sequential Recompute (Workers = 1) runs the kernel in the
+// engine's matrix with the dense store's kernel scratch — zero
+// allocations. (The
 // parallel path allocates O(Workers) per iteration for its goroutines;
 // that small constant is the documented trade.)
 func TestEngineRecomputeZeroAllocs(t *testing.T) {
