@@ -205,10 +205,12 @@ func PartialSumsShared(g *graph.DiGraph, c float64, k int) *matrix.Dense {
 //
 // Each iteration costs time in proportion to the flagged cells of S and
 // T = Q·S (those that may be non-zero), plus ⌈n/64⌉ bitmap words per row
-// and per in-edge; the run adds three fixed O(n²) passes (the two initial
-// clears and the final mirror). A dense S costs the whole-row O(Kdn²).
-// It is the one-worker run of MatrixFormScratch; the output is
-// bit-identical to every other worker count.
+// and per in-edge. The run adds two passes over S's bitmap (its reset
+// and the final mirror) and none over the n² cells: S and T start in
+// fresh +0 matrices and the mirror visits only flagged cells, so only
+// the pages their supports cover are written. A dense S costs the
+// whole-row O(Kdn²). It is the one-worker run of MatrixFormScratch; the
+// output is bit-identical to every other worker count.
 func MatrixForm(g *graph.DiGraph, c float64, k int) *matrix.Dense {
 	validate(g, c, k)
 	n := g.N()

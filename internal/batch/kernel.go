@@ -1,6 +1,8 @@
 package batch
 
 import (
+	"fmt"
+	"math"
 	"math/bits"
 	"runtime"
 
@@ -12,9 +14,11 @@ import (
 // n: the n×n product T = Q·S and two support bitmaps of ⌈n/64⌉ words per
 // row, one row per row of S and one per row of T. A set bit j in row a
 // means cell (a, j) may be non-zero; a clear bit guarantees the cell
-// holds +0. The kernel resets all of it at the start of every run, so a
-// Scratch may be reused across runs and graphs of the same n, but not by
-// two runs at once.
+// holds +0. T keeps that rule between runs: a run resets only S's flags,
+// and writes each row of T only after clearing the row's flagged cells,
+// so a cell of T left over from an earlier run, over any graph, is
+// cleared through its flag. A Scratch may therefore be reused across
+// runs and graphs of the same n, but not by two runs at once.
 type Scratch struct {
 	t            *matrix.Dense
 	sBits, tBits []uint64
@@ -22,10 +26,12 @@ type Scratch struct {
 }
 
 // NewScratch allocates the kernel's working memory for n nodes: 8n²
-// bytes for T and n²/4 bytes for the two bitmaps.
+// bytes for T and n²/4 bytes for the two bitmaps. A run writes only the
+// pages of T that its support covers.
 func NewScratch(n int) *Scratch { return newScratch(matrix.NewDense(n, n)) }
 
-// newScratch builds the bitmaps around an existing n×n buffer for T.
+// newScratch builds the bitmaps around an existing n×n buffer for T,
+// which must hold +0 in every cell.
 func newScratch(t *matrix.Dense) *Scratch {
 	words := (t.Rows + 63) / 64
 	return &Scratch{
@@ -42,25 +48,30 @@ func newScratch(t *matrix.Dense) *Scratch {
 // cell's.
 func dense(count, n int) bool { return 4*count > n }
 
-// MatrixFormInto is the matrix-form kernel behind MatrixForm: it
-// computes K iterations of S ← C·Q·S·Qᵀ + (1−C)·Iₙ into s, using tmp as
-// the scratch buffer for T = Q·S. Both buffers must be n×n (n = g.N());
-// tmp's contents are overwritten. It allocates the kernel's support
-// bitmaps (n²/4 bytes) on every call; MatrixFormScratch with a retained
-// Scratch allocates nothing.
+// MatrixFormInto computes K iterations of S ← C·Q·S·Qᵀ + (1−C)·Iₙ into
+// s, using tmp as the scratch buffer for T = Q·S. Both buffers must be
+// n×n (n = g.N()) and may hold anything: it clears both, then runs
+// MatrixFormScratch over a transient Scratch around tmp. It allocates
+// the support bitmaps (n²/4 bytes) on every call; MatrixFormScratch with
+// a retained Scratch allocates nothing and clears nothing.
 func MatrixFormInto(s, tmp *matrix.Dense, g *graph.DiGraph, c float64, k, workers int) {
 	n := g.N()
 	if tmp.Rows != n || tmp.Cols != n {
 		panic("batch: MatrixFormInto buffer dimension mismatch")
 	}
+	s.Zero()
+	tmp.Zero()
 	MatrixFormScratch(s, newScratch(tmp), g, c, k, workers)
 }
 
 // MatrixFormScratch computes K iterations of S ← C·Q·S·Qᵀ + (1−C)·Iₙ
 // into s (n×n, n = g.N()) in the working memory sc, which must have been
-// made for the same n. workers ≤ 0 selects GOMAXPROCS. The result is
-// exactly symmetric: the last step mirrors the upper triangle onto the
-// lower.
+// made for the same n. workers ≤ 0 selects GOMAXPROCS. Every cell of s
+// must arrive +0, as in a fresh matrix: the kernel writes only the cells
+// its supports flag, so it never clears s, and a run writes only the
+// pages of s and T those supports cover. Building with -tags boundschecks
+// checks this contract on entry. The result is exactly symmetric: the
+// last step mirrors the upper triangle onto the lower.
 //
 // Q and Qᵀ are read in place from the graph's sorted lists: row a of Q
 // is I(a) weighted 1/|I(a)|, and row x of Qᵀ is O(x), whose entry b
@@ -76,7 +87,9 @@ func MatrixFormInto(s, tmp *matrix.Dense, g *graph.DiGraph, c float64, k, worker
 // no bit, because every entry is ≥ +0 (never −0) and adding w·(+0) to
 // such a cell leaves it as it was, so every cell adds the same non-zero
 // terms in the same order as the whole-row loops, whatever the support,
-// the dense fallback or the partition. The result is bit-identical for
+// the dense fallback or the partition. The mirror, too, visits only
+// flagged cells: a pair with neither cell flagged holds +0 in both,
+// which is what copying would leave. The result is bit-identical for
 // every worker count.
 //
 //simrank:noalloc
@@ -88,11 +101,12 @@ func MatrixFormScratch(s *matrix.Dense, sc *Scratch, g *graph.DiGraph, c float64
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	// S₀ = (1−C)·Iₙ, flagged on the diagonal; T starts at +0, unflagged.
-	s.Zero()
-	sc.t.Zero()
+	if entryChecks {
+		sc.checkEntry(s)
+	}
+	// S₀ = (1−C)·Iₙ, flagged on the diagonal. T is +0 wherever it is
+	// unflagged, and mulQ clears a row's flagged cells before writing it.
 	clear(sc.sBits)
-	clear(sc.tBits)
 	for d := 0; d < n; d++ {
 		s.Set(d, d, 1-c)
 		sc.sBits[d*sc.words+d>>6] = 1 << (d & 63)
@@ -118,7 +132,50 @@ func MatrixFormScratch(s *matrix.Dense, sc *Scratch, g *graph.DiGraph, c float64
 	// b's for the other), so they can differ in the last bits. Copying the
 	// upper triangle down makes S exactly symmetric, which lets the
 	// incremental updates read a row wherever the paper reads a column.
-	s.MirrorUpper()
+	sc.mirror(s)
+}
+
+// mirror copies the upper triangle of s onto the lower one, as
+// matrix.Dense.MirrorUpper does, visiting only flagged cells: a flagged
+// (a, b) above the diagonal is copied to (b, a), and a flagged (a, b)
+// below it is overwritten by (b, a). A pair with neither cell flagged
+// holds +0 in both, which is what the full mirror would leave there.
+//
+//simrank:noalloc
+func (sc *Scratch) mirror(s *matrix.Dense) {
+	nw, n := sc.words, s.Cols
+	for a := 0; a < n; a++ {
+		row := s.Row(a)
+		for q, word := range sc.sBits[a*nw : (a+1)*nw] {
+			for ; word != 0; word &= word - 1 {
+				b := q<<6 | bits.TrailingZeros64(word)
+				if b > a {
+					s.Data[b*n+a] = row[b]
+				} else if b < a {
+					row[b] = s.Data[b*n+a]
+				}
+			}
+		}
+	}
+}
+
+// checkEntry panics, naming the cell, unless every cell of s is +0 and
+// every cell of T outside its flags is +0: the state a run relies on
+// instead of clearing. It is called behind the constant entryChecks
+// guard, so release builds pay nothing.
+func (sc *Scratch) checkEntry(s *matrix.Dense) {
+	for i, v := range s.Data {
+		if math.Float64bits(v) != 0 {
+			panic(fmt.Sprintf("batch: MatrixFormScratch: cell (%d, %d) of s is %v, not +0", i/s.Cols, i%s.Cols, v))
+		}
+	}
+	n := sc.t.Cols
+	for i, v := range sc.t.Data {
+		a, j := i/n, i%n
+		if sc.tBits[a*sc.words+j>>6]&(1<<(j&63)) == 0 && math.Float64bits(v) != 0 {
+			panic(fmt.Sprintf("batch: MatrixFormScratch: unflagged cell (%d, %d) of T is %v, not +0", a, j, v))
+		}
+	}
 }
 
 // mulQ writes rows [lo, hi) of T = Q·S and their flags: row a is

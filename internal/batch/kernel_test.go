@@ -87,7 +87,9 @@ func TestMatrixFormKernelMatchesSeedReference(t *testing.T) {
 // MatrixFormInto must overwrite whatever its buffers previously held,
 // and one Scratch must serve runs over different graphs: a support flag
 // or a cell of T left over from the previous graph would leak into the
-// next result.
+// next result. MatrixFormScratch needs s to arrive +0, so s alone is
+// cleared between its runs; T and the flags stay as the last run left
+// them.
 func TestMatrixFormIntoReusesDirtyBuffers(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := randGraph(rng, 30, 90)
@@ -109,10 +111,58 @@ func TestMatrixFormIntoReusesDirtyBuffers(t *testing.T) {
 	s = matrix.NewDense(n, n)
 	for _, workers := range []int{1, 3} {
 		for trial, g := range []*graph.DiGraph{randGraph(rng, n, 6*n), gen.PrefAttach(n, 4, 1), randGraph(rng, n, 2*n)} {
+			s.Zero()
 			MatrixFormScratch(s, sc, g, 0.6, 8, workers)
 			if d := matrix.MaxAbsDiff(s, seedMatrixFormQ(g.BackwardTransition(), 0.6, 8)); d != 0 {
 				t.Fatalf("workers=%d graph %d: reused Scratch differs by %g", workers, trial, d)
 			}
+		}
+	}
+}
+
+// The kernel's last step mirrors only flagged cells. It must equal
+// MirrorUpper bit for bit whenever unflagged cells hold +0, for every
+// flag pattern of a pair (upper only, lower only, both, neither) and for
+// a fully flagged row. In kernel runs a cell is non-zero only when its
+// mirror cell is, so there a lower-only flag covers +0 on both sides;
+// only hand-built values reach the case the lower-flag half exists for.
+func TestMirrorMatchesMirrorUpper(t *testing.T) {
+	const n = 70 // two bitmap words per row, the second partial
+	rng := rand.New(rand.NewSource(23))
+	sc := NewScratch(n)
+	s := matrix.NewDense(n, n)
+	flag := func(a, b int) {
+		sc.sBits[a*sc.words+b>>6] |= 1 << (b & 63)
+		s.Set(a, b, rng.Float64())
+	}
+	for a := 0; a < n; a++ {
+		flag(a, a)
+		for b := a + 1; b < n; b++ {
+			// Pairs (0, 1)–(0, 4) take the four patterns in turn; the
+			// rest draw one.
+			pattern := b - 1
+			if a > 0 || b > 4 {
+				pattern = rng.Intn(4)
+			}
+			if pattern == 0 || pattern == 2 {
+				flag(a, b) // upper
+			}
+			if pattern == 1 || pattern == 2 {
+				flag(b, a) // lower
+			}
+		}
+	}
+	const full = 37
+	fillFlags(sc.sBits[full*sc.words:(full+1)*sc.words], n)
+	for b := range s.Row(full) {
+		s.Set(full, b, rng.Float64())
+	}
+	want := s.Clone()
+	want.MirrorUpper()
+	sc.mirror(s)
+	for i, v := range want.Data {
+		if math.Float64bits(s.Data[i]) != math.Float64bits(v) {
+			t.Fatalf("cell (%d, %d) = %v, MirrorUpper %v", i/n, i%n, s.Data[i], v)
 		}
 	}
 }
@@ -157,7 +207,10 @@ func matrixFormFuzzSeed(n, cByte, k, workers int, edges []graph.Edge) []byte {
 // cycles and nodes without in-links included, the kernel over the graph's
 // lists must equal the seed reference over the CSR of Q in every cell, −0
 // included, at one worker and at the decoded count (up to n + 2), the
-// second run reusing the first run's buffers. Above 64 nodes a support
+// second run reusing the first run's buffers. Then one kept Scratch runs
+// over the graph with one edge toggled and over the graph itself, with
+// only s cleared in between, so every cell of T left over from the other
+// graph must be cleared through its flag. Above 64 nodes a support
 // bitmap row spans several words. Cycles matter: on a DAG Q is nilpotent,
 // so an error made in an early iteration can vanish exactly after
 // depth-many iterations.
@@ -201,23 +254,46 @@ func FuzzMatrixFormMatchesSeed(f *testing.F) {
 		}
 		want := seedMatrixFormQ(g.BackwardTransition(), c, k)
 		s, tmp := matrix.NewDense(n, n), matrix.NewDense(n, n)
-		for _, w := range []int{1, workers} {
-			MatrixFormInto(s, tmp, g, c, k, w)
+		check := func(run string, want *matrix.Dense) {
 			for i, v := range want.Data {
 				if math.Float64bits(s.Data[i]) != math.Float64bits(v) {
-					t.Fatalf("workers=%d: cell (%d, %d) = %v, seed %v", w, i/n, i%n, s.Data[i], v)
+					t.Fatalf("%s: cell (%d, %d) = %v, seed %v", run, i/n, i%n, s.Data[i], v)
 				}
 			}
+		}
+		for _, w := range []int{1, workers} {
+			MatrixFormInto(s, tmp, g, c, k, w)
+			check(fmt.Sprintf("MatrixFormInto workers=%d", w), want)
+		}
+		// The K and worker bytes double as the toggled edge, so it is
+		// present in some inputs and absent in others.
+		toggled := g.Clone()
+		if u, v := int(data[2])%n, int(data[3])%n; !toggled.RemoveEdge(u, v) {
+			toggled.AddEdge(u, v)
+		}
+		sc := NewScratch(n)
+		for _, run := range []struct {
+			name string
+			g    *graph.DiGraph
+			want *matrix.Dense
+		}{
+			{"kept Scratch, toggled graph", toggled, seedMatrixFormQ(toggled.BackwardTransition(), c, k)},
+			{"kept Scratch, graph", g, want},
+		} {
+			clear(s.Data)
+			MatrixFormScratch(s, sc, run.g, c, k, workers)
+			check(run.name, run.want)
 		}
 	})
 }
 
-// BenchmarkMatrixForm times the kernel at simbench's K on reused
-// buffers, at one and two workers, on a graph whose S stays sparse and
-// one whose S fills up: PrefAttach(2048, 4, 1), simbench's boot graph,
-// is a DAG with S ~1% non-zero, so the support bitmaps skip nearly every
-// cell; ER(1000, 4000, 1) is cyclic with S ~95% non-zero, so nearly
-// every row takes the whole-row loops.
+// BenchmarkMatrixForm times what a dense Recompute runs at simbench's K
+// — a clear of s, then the kernel on a kept Scratch — at one and two
+// workers, on a graph whose S stays sparse and one whose S fills up:
+// PrefAttach(2048, 4, 1), simbench's boot graph, is a DAG with S ~1%
+// non-zero, so the support bitmaps skip nearly every cell;
+// ER(1000, 4000, 1) is cyclic with S ~95% non-zero, so nearly every row
+// takes the whole-row loops.
 func BenchmarkMatrixForm(b *testing.B) {
 	for _, gc := range []struct {
 		name string
@@ -227,11 +303,12 @@ func BenchmarkMatrixForm(b *testing.B) {
 		{"ER(1000,4000,1)", gen.ER(1000, 4000, 1)},
 	} {
 		n := gc.g.N()
-		s, tmp := matrix.NewDense(n, n), matrix.NewDense(n, n)
+		s, sc := matrix.NewDense(n, n), NewScratch(n)
 		for _, workers := range []int{1, 2} {
 			b.Run(fmt.Sprintf("%s/workers=%d", gc.name, workers), func(b *testing.B) {
 				for b.Loop() {
-					MatrixFormInto(s, tmp, gc.g, 0.6, 15, workers)
+					clear(s.Data)
+					MatrixFormScratch(s, sc, gc.g, 0.6, 15, workers)
 				}
 			})
 		}

@@ -12,7 +12,7 @@ package core
 //   - S must be exactly symmetric: At(a, b) == At(b, a) bit for bit.
 //     The algorithms read row i wherever the paper reads the column
 //     [S]_{·,i}, which is only the same vector when the two triangles
-//     agree. The batch kernel (internal/batch.MatrixFormInto) mirrors
+//     agree. The batch kernel (internal/batch.MatrixFormScratch) mirrors
 //     its upper triangle onto the lower one, and AddSym keeps the two
 //     equal, so a store that starts from either stays symmetric.
 //   - Row may return a view aliasing store-internal scratch that is only

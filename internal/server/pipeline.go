@@ -255,8 +255,11 @@ func (p *pipeline) drain() {
 // batch would reject every update in it ("edge already present") —
 // misreporting a durability incident as a client error. Instead the
 // cycle is acknowledged with the durability error itself.
+//
+// The cycle leaves the queue depth once its batch apply returns, before
+// any waiter is notified, so a waiter that reads the depth never finds
+// its own cycle still counted.
 func (p *pipeline) commit(cycle []writeReq, total int) {
-	defer p.stats.depth.Add(int64(-total))
 	var ups []simrank.Update
 	if len(cycle) == 1 {
 		ups = cycle[0].ups
@@ -267,6 +270,7 @@ func (p *pipeline) commit(cycle []writeReq, total int) {
 		}
 	}
 	err := p.timedApply(ups)
+	p.stats.depth.Add(int64(-total))
 	if err == nil || errors.Is(err, simrank.ErrDurability) {
 		p.acknowledge(cycle, len(ups), err)
 		return

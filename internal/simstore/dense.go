@@ -115,12 +115,14 @@ func (d *Dense) Update(g *graph.DiGraph, up graph.Update, p Params) (core.Stats,
 
 // Recompute applies ups to g (see Store), then reruns the batch kernel
 // into the live buffer with the store's persistent kernel scratch — a
-// warm recompute at one worker allocates nothing. The kernel overwrites
-// every cell (it starts from S₀ = (1−C)I), so a pending flip swaps
-// buffers without the syncing copy.
+// warm recompute at one worker allocates nothing. The whole buffer is
+// rewritten (cleared, since the kernel needs S to arrive +0, then filled
+// from S₀ = (1−C)I), so a pending flip swaps buffers without the syncing
+// copy.
 func (d *Dense) Recompute(g *graph.DiGraph, ups []graph.Update, p Params) {
 	follow(g, ups)
 	d.rewrite()
+	clear(d.m.Data)
 	if d.kernel == nil {
 		d.kernel = batch.NewScratch(d.m.Rows)
 	}

@@ -193,7 +193,7 @@ func New(b Backend, g *graph.DiGraph, p Params, walks int, seed int64) (Store, e
 		return WrapDense(batchScores(g, p)), nil
 	case BackendPacked:
 		// The triangle is allocated before the kernel's two transient n×n
-		// buffers; the other order raises the process's peak RSS.
+		// buffers; in the other order a boot now and then peaks higher.
 		s := NewPacked(g.N())
 		s.SetFromDense(batchScores(g, p))
 		return s, nil
