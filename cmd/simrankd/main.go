@@ -285,13 +285,13 @@ func run() error {
 		}()
 	}
 	srv.Attach(eng)
-	// The exact boot's batch kernel leaves its transient n×n buffers
-	// dead in the heap (T, and on the packed store the dense S too),
-	// holding the pages their supports covered, and the next GC would
-	// only fire once the heap doubles past them — after the first
-	// publish has allocated the store's second buffer on top, which sets
-	// the process's peak RSS. Collect and return them now; the server
-	// already answers /readyz, so boot time does not include this.
+	// The exact boot's batch kernel leaves its working memory dead in
+	// the heap (row lists, whole rows and accumulators: a few MiB on
+	// simbench's graphs, no n×n buffer), and the next GC would only fire
+	// once the heap doubles past it — after the first publish has
+	// allocated the store's second buffer on top, which sets the
+	// process's peak RSS. Collect and return it now; the server already
+	// answers /readyz, so boot time does not include this.
 	debug.FreeOSMemory()
 	fmt.Printf("simrankd: engine ready (%d nodes, %d edges, %s store, %d store bytes, epoch %d)\n",
 		eng.N(), eng.M(), eng.Backend(), eng.StoreMemBytes(), eng.Epoch())

@@ -39,9 +39,9 @@
 // update algorithms is pooled and reused, so a warm Engine.Apply
 // performs zero heap allocations. Batch computation (NewEngine, Recompute, ApplyBatch's
 // crossover) runs one row-partitioned sparse kernel (internal/batch)
-// over S and T = Q·S, visiting only the cells its per-row support
-// bitmaps flag as possibly non-zero, and ends by mirroring its upper
-// triangle onto the lower one. S is therefore
+// that keeps S and T = Q·S as per-row support lists, visiting only the
+// cells that may be non-zero, and ends by writing each upper cell of S
+// to both mirror cells (to the one packed cell on packed). S is therefore
 // exactly symmetric on both exact stores (updates write both mirror
 // cells, and restore mirrors an older dense snapshot), so Inc-SR reads
 // rows i and j wherever the paper reads the columns [S]·,i and [S]·,j,

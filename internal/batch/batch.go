@@ -203,14 +203,14 @@ func PartialSumsShared(g *graph.DiGraph, c float64, k int) *matrix.Dense {
 //
 //	S = (1−C)·Σ_k C^k·Q^k·(Qᵀ)^k.
 //
-// Each iteration costs time in proportion to the flagged cells of S and
-// T = Q·S (those that may be non-zero), plus ⌈n/64⌉ bitmap words per row
-// and per in-edge. The run adds two passes over S's bitmap (its reset
-// and the final mirror) and none over the n² cells: S and T start in
-// fresh +0 matrices and the mirror visits only flagged cells, so only
-// the pages their supports cover are written. A dense S costs the
-// whole-row O(Kdn²). It is the one-worker run of MatrixFormScratch; the
-// output is bit-identical to every other worker count.
+// Each iteration costs time in proportion to the listed cells of S and
+// T = Q·S (those that may be non-zero), plus ⌈n/64⌉ mark words per row,
+// and S and T are kept as per-row support lists, so the run holds no
+// n×n buffer beside s and writes only the pages of s that S's support
+// covers. A row with more than n/4 cells is summed whole, so a dense S
+// costs the whole-row O(Kdn²). It is the one-worker run of
+// MatrixFormScratch; the output is bit-identical to every other worker
+// count.
 func MatrixForm(g *graph.DiGraph, c float64, k int) *matrix.Dense {
 	validate(g, c, k)
 	n := g.N()

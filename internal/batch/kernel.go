@@ -11,312 +11,496 @@ import (
 )
 
 // Scratch is the matrix-form kernel's working memory for one node count
-// n: the n×n product T = Q·S and two support bitmaps of ⌈n/64⌉ words per
-// row, one row per row of S and one per row of T. A set bit j in row a
-// means cell (a, j) may be non-zero; a clear bit guarantees the cell
-// holds +0. T keeps that rule between runs: a run resets only S's flags,
-// and writes each row of T only after clearing the row's flagged cells,
-// so a cell of T left over from an earlier run, over any graph, is
-// cleared through its flag. A Scratch may therefore be reused across
-// runs and graphs of the same n, but not by two runs at once.
+// n. It holds S and T = Q·S as per-row support lists, a row-wise sparse
+// product in the manner of Gustavson's (ACM TOMS 1978): a sparse row is
+// its non-zero columns in ascending order plus their values, kept in the
+// arena of its 64-row block, and a row with more than n/4 cells is kept
+// whole, as n values. Each worker owns an n-float accumulator and a mark
+// bitmap of ⌈n/64⌉ words, in which a row is summed before it is stored;
+// both hold +0 and no mark between rows. Each run also fills a table of
+// the weights 1/|I(b)|. Arenas, whole-row buffers and accumulators are
+// reused across iterations and runs and grow only when a run needs more
+// room than any run before it, so a Scratch may be reused across runs
+// and graphs of the same n, but not by two runs at once.
 type Scratch struct {
-	t            *matrix.Dense
-	sBits, tBits []uint64
-	words        int
+	n    int
+	s, t lists
+	acc  []accumulator
+	// inv[b] is 1/|I(b)|, the weight of b in every row of Qᵀ (and of
+	// every entry of row b of Q), refreshed by each run.
+	inv []float64
 }
 
-// NewScratch allocates the kernel's working memory for n nodes: 8n²
-// bytes for T and n²/4 bytes for the two bitmaps. A run writes only the
-// pages of T that its support covers.
-func NewScratch(n int) *Scratch { return newScratch(matrix.NewDense(n, n)) }
+// lists holds one n×n matrix as per-row support lists.
+type lists struct {
+	blocks []block
+	// whole[a] is row a kept whole in this run, or nil while the row is
+	// sparse. Supports only grow within a run (every entry is ≥ +0), so
+	// a row that has turned whole stays whole until the run ends.
+	whole [][]float64
+	// spare[a] is row a's whole-row buffer, kept across runs once a run
+	// needed it.
+	spare [][]float64
+	// home, when set, is the dense matrix whose rows hold S's whole rows
+	// instead of spare: MatrixFormScratch's s.
+	home *matrix.Dense
+}
 
-// newScratch builds the bitmaps around an existing n×n buffer for T,
-// which must hold +0 in every cell.
-func newScratch(t *matrix.Dense) *Scratch {
-	words := (t.Rows + 63) / 64
-	return &Scratch{
-		t:     t,
-		sBits: make([]uint64, t.Rows*words),
-		tBits: make([]uint64, t.Rows*words),
-		words: words,
+// block is the arena of one 64-row block, written by one worker at a
+// time: the entries of sparse row lo+r are cols[end[r−1]:end[r]] and the
+// values at the same offsets (end[−1] reads as 0). A whole row adds no
+// entries.
+type block struct {
+	end  [matrix.RowBlock]int
+	cols []int32
+	vals []float64
+}
+
+// accumulator is one worker's dense row: vals holds +0 outside the row
+// being summed, and marks flags every column that row has written.
+type accumulator struct {
+	vals  []float64
+	marks []uint64
+}
+
+// NewScratch allocates the kernel's working memory for n nodes: the
+// row tables, ⌈n/64⌉ empty arenas, the weights 1/|I(b)| and one
+// accumulator. Arenas, whole
+// rows and further workers' accumulators are allocated by the first run
+// that needs them.
+func NewScratch(n int) *Scratch {
+	blocks := (n + matrix.RowBlock - 1) / matrix.RowBlock
+	newLists := func() lists {
+		return lists{blocks: make([]block, blocks), whole: make([][]float64, n), spare: make([][]float64, n)}
 	}
+	return &Scratch{n: n, s: newLists(), t: newLists(), acc: []accumulator{newAccumulator(n)}, inv: make([]float64, n)}
 }
 
-// dense reports whether a row with count of its n cells flagged takes
-// the contiguous whole-row loop instead of visiting its flags: above a
-// quarter, since the loop's per-cell cost is a fraction of a flagged
-// cell's.
+func newAccumulator(n int) accumulator {
+	return accumulator{vals: make([]float64, n), marks: make([]uint64, (n+63)/64)}
+}
+
+// Bytes reports the memory the Scratch holds: arenas, row tables,
+// whole-row buffers, accumulators and weights. Whole rows of S kept in
+// MatrixFormScratch's s belong to s and are not counted.
+func (sc *Scratch) Bytes() int64 {
+	var b int
+	for _, m := range [2]*lists{&sc.s, &sc.t} {
+		b += 2 * 24 * sc.n // whole and spare
+		for i := range m.blocks {
+			blk := &m.blocks[i]
+			b += 8*len(blk.end) + 4*cap(blk.cols) + 8*cap(blk.vals)
+		}
+		for _, row := range m.spare {
+			b += 8 * cap(row)
+		}
+	}
+	for _, acc := range sc.acc {
+		b += 8*cap(acc.vals) + 8*cap(acc.marks)
+	}
+	return int64(b + 8*cap(sc.inv))
+}
+
+// dense reports whether a row with count of its n cells in its support
+// is kept whole: above a quarter, since the whole-row loops' per-cell
+// cost is a fraction of a listed entry's.
 func dense(count, n int) bool { return 4*count > n }
 
 // MatrixFormInto computes K iterations of S ← C·Q·S·Qᵀ + (1−C)·Iₙ into
-// s, using tmp as the scratch buffer for T = Q·S. Both buffers must be
-// n×n (n = g.N()) and may hold anything: it clears both, then runs
-// MatrixFormScratch over a transient Scratch around tmp. It allocates
-// the support bitmaps (n²/4 bytes) on every call; MatrixFormScratch with
-// a retained Scratch allocates nothing and clears nothing.
+// s, which must be n×n (n = g.N()) and may hold anything: it clears s,
+// then runs MatrixFormScratch over a fresh Scratch. tmp is only checked
+// to be n×n and is otherwise unused (the kernel keeps no n×n T); the
+// parameter stays so existing callers compile. MatrixFormScratch with a
+// retained Scratch allocates nothing.
 func MatrixFormInto(s, tmp *matrix.Dense, g *graph.DiGraph, c float64, k, workers int) {
 	n := g.N()
 	if tmp.Rows != n || tmp.Cols != n {
 		panic("batch: MatrixFormInto buffer dimension mismatch")
 	}
-	s.Zero()
-	tmp.Zero()
-	MatrixFormScratch(s, newScratch(tmp), g, c, k, workers)
+	clear(s.Data)
+	MatrixFormScratch(s, NewScratch(n), g, c, k, workers)
 }
 
 // MatrixFormScratch computes K iterations of S ← C·Q·S·Qᵀ + (1−C)·Iₙ
 // into s (n×n, n = g.N()) in the working memory sc, which must have been
 // made for the same n. workers ≤ 0 selects GOMAXPROCS. Every cell of s
-// must arrive +0, as in a fresh matrix: the kernel writes only the cells
-// its supports flag, so it never clears s, and a run writes only the
-// pages of s and T those supports cover. Building with -tags boundschecks
+// must arrive +0, as in a fresh matrix: rows of S that turn whole during
+// the run are kept in s, and the last step writes each upper cell
+// (a, b), b ≥ a, of the sparse rows into (a, b) and (b, a), so only the
+// pages S's support covers are written. Building with -tags boundschecks
 // checks this contract on entry. The result is exactly symmetric: the
-// last step mirrors the upper triangle onto the lower.
+// lower triangle is the upper one mirrored.
 //
 // Q and Qᵀ are read in place from the graph's sorted lists: row a of Q
 // is I(a) weighted 1/|I(a)|, and row x of Qᵀ is O(x), whose entry b
 // weighs 1/|I(b)|. Each product writes an output row from one row of
-// its input, so both are row-partitioned across workers (the CPU
-// analogue of He et al.'s parallel SimRank aggregation [8], which the
-// paper's related work contrasts with its pruning approach).
+// its input, so both are row-partitioned across workers in 64-row
+// blocks (the CPU analogue of He et al.'s parallel SimRank aggregation
+// [8], which the paper's related work contrasts with its pruning
+// approach).
 //
-// The bitmaps let both products skip the cells of S and T that are
-// provably zero, the idea behind Lizorkin et al.'s essential node pairs
-// [13]: on a preferential-attachment graph S stays ~1% non-zero, and a
-// node without in-links keeps the single cell (1−C)·e_k. Skipping moves
-// no bit, because every entry is ≥ +0 (never −0) and adding w·(+0) to
-// such a cell leaves it as it was, so every cell adds the same non-zero
-// terms in the same order as the whole-row loops, whatever the support,
-// the dense fallback or the partition. The mirror, too, visits only
-// flagged cells: a pair with neither cell flagged holds +0 in both,
-// which is what copying would leave. The result is bit-identical for
-// every worker count.
+// Both products visit only the listed cells of S and T, the idea behind
+// Lizorkin et al.'s essential node pairs [13]: on a preferential-
+// attachment graph S stays ~1% non-zero, and a node without in-links
+// keeps the single cell (1−C)·e_k. Skipping moves no bit, because every
+// entry is ≥ +0 (never −0) and adding w·(+0) to such a cell leaves it as
+// it was, so every cell adds the same non-zero terms in the same order
+// as whole-row loops would, whatever the supports, the whole rows or the
+// partition. The result is bit-identical for every worker count.
 //
 //simrank:noalloc
 func MatrixFormScratch(s *matrix.Dense, sc *Scratch, g *graph.DiGraph, c float64, k, workers int) {
 	n := g.N()
-	if s.Rows != n || s.Cols != n || sc.t.Rows != n || sc.t.Cols != n {
+	if s.Rows != n || s.Cols != n || sc.n != n {
 		panic("batch: MatrixFormScratch buffer dimension mismatch")
 	}
+	sc.run(s, g, c, k, workers)
+	sc.writeSym(s)
+}
+
+// writeSym writes the run's S into s, which holds +0 outside the rows
+// of S kept whole there. Cells (a, b) and (b, a) add the same terms
+// grouped in different orders (the first product sums over a's
+// in-neighbours for one and b's for the other), so they can differ in
+// the last bits; writing each upper cell (a, b), b ≥ a, to both makes S
+// exactly symmetric, which lets the incremental updates read a row
+// wherever the paper reads a column. A whole row already in s holds its
+// own sums below the diagonal; they are cleared first, so a cell whose
+// mirror no row lists is left +0. The Scratch keeps no alias of s after
+// it.
+//
+//simrank:noalloc
+func (sc *Scratch) writeSym(s *matrix.Dense) {
+	n := sc.n
+	for a := 0; a < n; a++ {
+		if sc.s.whole[a] != nil {
+			clear(s.Row(a)[:a])
+		}
+	}
+	for a := 0; a < n; a++ {
+		if row := sc.s.whole[a]; row != nil {
+			for b := a + 1; b < n; b++ {
+				s.Data[b*n+a] = row[b]
+			}
+			continue
+		}
+		cols, vals := sc.s.list(a)
+		for p, b := range cols {
+			if int(b) >= a {
+				s.Data[a*n+int(b)] = vals[p]
+				s.Data[int(b)*n+a] = vals[p]
+			}
+		}
+	}
+	clear(sc.s.whole)
+	sc.s.home = nil
+}
+
+// MatrixFormUpper computes the same S as MatrixFormScratch in the
+// working memory sc (made for n = g.N()) without an n×n buffer: for each
+// row a it writes cells (a, a), …, (a, n−1) into upper(a), a slice of
+// n−a values that must arrive +0 (a sparse row writes only its
+// entries). A packed upper triangle is filled this way.
+//
+//simrank:noalloc
+func MatrixFormUpper(sc *Scratch, g *graph.DiGraph, c float64, k, workers int, upper func(a int) []float64) {
+	n := g.N()
+	if sc.n != n {
+		panic("batch: MatrixFormUpper scratch dimension mismatch")
+	}
+	sc.run(nil, g, c, k, workers)
+	for a := 0; a < n; a++ {
+		dst := upper(a)[:n-a]
+		if entryChecks {
+			checkZero(dst, a)
+		}
+		if row := sc.s.whole[a]; row != nil {
+			copy(dst, row[a:])
+			continue
+		}
+		cols, vals := sc.s.list(a)
+		for p, b := range cols {
+			if int(b) >= a {
+				dst[int(b)-a] = vals[p]
+			}
+		}
+	}
+}
+
+// run computes K iterations into sc's lists, keeping S's whole rows in
+// home's rows when home is set.
+//
+//simrank:noalloc
+func (sc *Scratch) run(home *matrix.Dense, g *graph.DiGraph, c float64, k, workers int) {
+	n := sc.n
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if entryChecks {
-		sc.checkEntry(s)
+	workers = min(workers, (n+matrix.RowBlock-1)/matrix.RowBlock)
+	for len(sc.acc) < workers {
+		sc.acc = append(sc.acc, newAccumulator(n)) //simrank:allocok a worker count above every earlier run's
 	}
-	// S₀ = (1−C)·Iₙ, flagged on the diagonal. T is +0 wherever it is
-	// unflagged, and mulQ clears a row's flagged cells before writing it.
-	clear(sc.sBits)
+	if entryChecks {
+		sc.checkEntry(home)
+	}
+	// 1/|I(b)| is computed once per run, not once per term: division is
+	// correctly rounded, so every product sees the same bits. A node
+	// without in-links gets +Inf, which no product reads.
+	for b := range sc.inv {
+		sc.inv[b] = 1 / float64(len(g.In(b)))
+	}
+	// S₀ = (1−C)·Iₙ: every row sparse, holding its diagonal cell.
+	clear(sc.s.whole)
+	clear(sc.t.whole)
+	sc.s.home = home
 	for d := 0; d < n; d++ {
-		s.Set(d, d, 1-c)
-		sc.sBits[d*sc.words+d>>6] = 1 << (d & 63)
+		blk := sc.s.begin(d)
+		blk.cols = append(blk.cols, int32(d))
+		blk.vals = append(blk.vals, 1-c)
+		blk.end[d%matrix.RowBlock] = len(blk.cols)
 	}
 	if workers <= 1 {
 		// Serial fast path: calling the row kernels directly (instead of
 		// through ParallelRows) keeps the closures from escaping, so a
 		// one-worker recompute performs zero heap allocations.
+		acc := &sc.acc[0]
 		for iter := 0; iter < k; iter++ {
-			sc.mulQ(s, g, 0, n)
-			sc.mulQT(s, g, c, 0, n)
+			sc.mulQ(g, acc, 0, n)
+			sc.mulQT(g, c, acc, 0, n)
 		}
-	} else {
-		for iter := 0; iter < k; iter++ {
-			//simrank:allocok parallel path: O(workers) closures per iteration, the documented trade for the speedup
-			matrix.ParallelRows(n, workers, func(lo, hi int) { sc.mulQ(s, g, lo, hi) })
-			//simrank:allocok parallel path: O(workers) closures per iteration, the documented trade for the speedup
-			matrix.ParallelRows(n, workers, func(lo, hi int) { sc.mulQT(s, g, c, lo, hi) })
-		}
+		return
 	}
-	// Cells (a, b) and (b, a) add the same terms grouped in different
-	// orders (the first product sums over a's in-neighbours for one and
-	// b's for the other), so they can differ in the last bits. Copying the
-	// upper triangle down makes S exactly symmetric, which lets the
-	// incremental updates read a row wherever the paper reads a column.
-	sc.mirror(s)
+	for iter := 0; iter < k; iter++ {
+		//simrank:allocok parallel path: O(workers) closures per iteration, the documented trade for the speedup
+		matrix.ParallelRows(n, workers, func(w, lo, hi int) { sc.mulQ(g, &sc.acc[w], lo, hi) })
+		//simrank:allocok parallel path: O(workers) closures per iteration, the documented trade for the speedup
+		matrix.ParallelRows(n, workers, func(w, lo, hi int) { sc.mulQT(g, c, &sc.acc[w], lo, hi) })
+	}
 }
 
-// mirror copies the upper triangle of s onto the lower one, as
-// matrix.Dense.MirrorUpper does, visiting only flagged cells: a flagged
-// (a, b) above the diagonal is copied to (b, a), and a flagged (a, b)
-// below it is overwritten by (b, a). A pair with neither cell flagged
-// holds +0 in both, which is what the full mirror would leave there.
+// mulQ writes rows [lo, hi) of T = Q·S: row a is Σ_{i ∈ I(a)} S[i]/|I(a)|,
+// added in ascending i. A row whole in the last iteration, or with a
+// whole term, is summed whole in place (its support covers the term's);
+// any other is summed in acc and stored by emit. Row a reads only S and
+// writes only its own block, so disjoint blocks are race-free.
 //
 //simrank:noalloc
-func (sc *Scratch) mirror(s *matrix.Dense) {
-	nw, n := sc.words, s.Cols
-	for a := 0; a < n; a++ {
-		row := s.Row(a)
-		for q, word := range sc.sBits[a*nw : (a+1)*nw] {
-			for ; word != 0; word &= word - 1 {
-				b := q<<6 | bits.TrailingZeros64(word)
-				if b > a {
-					s.Data[b*n+a] = row[b]
-				} else if b < a {
-					row[b] = s.Data[b*n+a]
+func (sc *Scratch) mulQ(g *graph.DiGraph, acc *accumulator, lo, hi int) {
+	for a := lo; a < hi; a++ {
+		blk := sc.t.begin(a)
+		in, w := g.In(a), sc.inv[a]
+		row := sc.t.whole[a]
+		if row == nil {
+			for _, i := range in {
+				if sc.s.whole[i] != nil {
+					row = sc.t.makeWhole(a)
+					break
 				}
 			}
 		}
-	}
-}
-
-// checkEntry panics, naming the cell, unless every cell of s is +0 and
-// every cell of T outside its flags is +0: the state a run relies on
-// instead of clearing. It is called behind the constant entryChecks
-// guard, so release builds pay nothing.
-func (sc *Scratch) checkEntry(s *matrix.Dense) {
-	for i, v := range s.Data {
-		if math.Float64bits(v) != 0 {
-			panic(fmt.Sprintf("batch: MatrixFormScratch: cell (%d, %d) of s is %v, not +0", i/s.Cols, i%s.Cols, v))
-		}
-	}
-	n := sc.t.Cols
-	for i, v := range sc.t.Data {
-		a, j := i/n, i%n
-		if sc.tBits[a*sc.words+j>>6]&(1<<(j&63)) == 0 && math.Float64bits(v) != 0 {
-			panic(fmt.Sprintf("batch: MatrixFormScratch: unflagged cell (%d, %d) of T is %v, not +0", a, j, v))
-		}
-	}
-}
-
-// mulQ writes rows [lo, hi) of T = Q·S and their flags: row a is
-// Σ_{i ∈ I(a)} S[i]/|I(a)|, added in ascending i, and is flagged with
-// the union of its terms' flags. A term adds only its flagged cells,
-// or its whole row when that row is dense. Row a reads only S and its
-// flags, so disjoint ranges are race-free.
-//
-//simrank:noalloc
-func (sc *Scratch) mulQ(s *matrix.Dense, g *graph.DiGraph, lo, hi int) {
-	nw, n := sc.words, s.Cols
-	for a := lo; a < hi; a++ {
-		row := sc.t.Row(a)
-		tb := sc.tBits[a*nw : (a+1)*nw]
-		clearFlagged(row, tb)
-		in := g.In(a)
-		w := 1 / float64(len(in))
-		for _, i := range in {
-			src := s.Row(int(i))
-			sb := sc.sBits[int(i)*nw : (int(i)+1)*nw]
-			count := 0
-			for q, word := range sb {
-				tb[q] |= word
-				count += bits.OnesCount64(word)
-			}
-			if dense(count, n) {
-				matrix.Axpy(w, src, row)
-				continue
-			}
-			for q, word := range sb {
-				for ; word != 0; word &= word - 1 {
-					j := q<<6 | bits.TrailingZeros64(word)
-					row[j] += w * src[j]
-				}
-			}
-		}
-	}
-}
-
-// mulQT writes rows [lo, hi) of S = C·(T·Qᵀ) + (1−C)·Iₙ and their flags.
-// Row a is Σ_x T[a][x]·(row x of Qᵀ) over ascending x, so cell (a, b)
-// adds T[a][x]/|I(b)| for x ∈ I(b) in ascending order. Only the flagged
-// x of a sparse T[a] are visited, and each b written is flagged; a dense
-// T[a] is scanned whole and its row of S flagged all ones. A zero
-// T[a][x] is skipped either way. Row a reads only row a of T, so
-// disjoint ranges are race-free.
-//
-//simrank:noalloc
-func (sc *Scratch) mulQT(s *matrix.Dense, g *graph.DiGraph, c float64, lo, hi int) {
-	nw, n := sc.words, s.Cols
-	for a := lo; a < hi; a++ {
-		row := s.Row(a)
-		sb := sc.sBits[a*nw : (a+1)*nw]
-		clearFlagged(row, sb)
-		src := sc.t.Row(a)
-		tb := sc.tBits[a*nw : (a+1)*nw]
-		if dense(onesCount(tb), n) {
-			for x, v := range src {
-				if v == 0 {
+		if row != nil {
+			clear(row)
+			for _, i := range in {
+				if src := sc.s.whole[i]; src != nil {
+					matrix.Axpy(w, src, row)
 					continue
 				}
-				for _, b := range g.Out(x) {
-					row[b] += 1 / float64(len(g.In(int(b)))) * v
+				cols, vals := sc.s.list(int(i))
+				vals = vals[:len(cols)]
+				for p, j := range cols {
+					row[j] += w * vals[p]
 				}
 			}
-			matrix.ScaleVec(c, row)
-			fillFlags(sb, n)
 		} else {
-			for q, word := range tb {
-				for ; word != 0; word &= word - 1 {
-					x := q<<6 | bits.TrailingZeros64(word)
-					v := src[x]
-					if v == 0 {
-						continue
-					}
-					for _, b := range g.Out(x) {
-						row[b] += 1 / float64(len(g.In(int(b)))) * v
-						sb[b>>6] |= 1 << (b & 63)
-					}
+			for _, i := range in {
+				cols, vals := sc.s.list(int(i))
+				vals = vals[:len(cols)]
+				for p, j := range cols {
+					acc.vals[j] += w * vals[p]
+					acc.marks[j>>6] |= 1 << (j & 63)
 				}
 			}
-			scaleFlagged(c, row, sb)
+			sc.t.emit(a, acc)
 		}
-		row[a] += 1 - c
-		sb[a>>6] |= 1 << (a & 63)
+		blk.end[a%matrix.RowBlock] = len(blk.cols)
 	}
 }
 
-// clearFlagged sets row's flagged cells to +0, or the whole row when its
-// support is dense, and clears the flags.
+// mulQT writes rows [lo, hi) of S = C·(T·Qᵀ) + (1−C)·Iₙ. Row a is
+// Σ_x T[a][x]·(row x of Qᵀ) over ascending x, so cell (a, b) adds
+// T[a][x]/|I(b)| for x ∈ I(b) in ascending order; a zero T[a][x] is
+// skipped. The sum is scaled by C, and 1−C is added on the diagonal. A
+// row whole in the last iteration is summed in place, any other in acc,
+// marking the columns it writes. Row a reads only row a of T and writes
+// only its own block, so disjoint blocks are race-free.
 //
 //simrank:noalloc
-func clearFlagged(row []float64, flags []uint64) {
-	if dense(onesCount(flags), len(row)) {
-		clear(row)
-		clear(flags)
+func (sc *Scratch) mulQT(g *graph.DiGraph, c float64, acc *accumulator, lo, hi int) {
+	for a := lo; a < hi; a++ {
+		blk := sc.s.begin(a)
+		row := sc.s.whole[a]
+		if row != nil {
+			clear(row)
+		}
+		if src := sc.t.whole[a]; src != nil {
+			for x, v := range src {
+				if v != 0 {
+					sc.spread(g.Out(x), v, row, acc)
+				}
+			}
+		} else {
+			cols, vals := sc.t.list(a)
+			vals = vals[:len(cols)]
+			for p, x := range cols {
+				if v := vals[p]; v != 0 {
+					sc.spread(g.Out(int(x)), v, row, acc)
+				}
+			}
+		}
+		if row != nil {
+			matrix.ScaleVec(c, row)
+			row[a] += 1 - c
+		} else {
+			for q, word := range acc.marks {
+				for ; word != 0; word &= word - 1 {
+					acc.vals[q<<6|bits.TrailingZeros64(word)] *= c
+				}
+			}
+			acc.vals[a] += 1 - c
+			acc.marks[a>>6] |= 1 << (a & 63)
+			sc.s.emit(a, acc)
+		}
+		blk.end[a%matrix.RowBlock] = len(blk.cols)
+	}
+}
+
+// spread adds v/|I(b)| to cell b of the row being summed for each b in
+// out: of row when it is whole, else of acc, marking b.
+//
+//simrank:noalloc
+func (sc *Scratch) spread(out []int32, v float64, row []float64, acc *accumulator) {
+	inv := sc.inv
+	if row != nil {
+		for _, b := range out {
+			row[b] += inv[b] * v
+		}
 		return
 	}
-	for q, word := range flags {
-		for ; word != 0; word &= word - 1 {
-			row[q<<6|bits.TrailingZeros64(word)] = 0
-		}
-		flags[q] = 0
+	for _, b := range out {
+		acc.vals[b] += inv[b] * v
+		acc.marks[b>>6] |= 1 << (b & 63)
 	}
 }
 
-// scaleFlagged multiplies row's flagged cells by c, or the whole row
-// when its support is dense; an unflagged cell is +0 either way.
+// begin returns row a's block, emptying its arena when a is the block's
+// first row: each product rewrites a block from its first row on.
 //
 //simrank:noalloc
-func scaleFlagged(c float64, row []float64, flags []uint64) {
-	if dense(onesCount(flags), len(row)) {
-		matrix.ScaleVec(c, row)
-		return
+func (m *lists) begin(a int) *block {
+	blk := &m.blocks[a/matrix.RowBlock]
+	if a%matrix.RowBlock == 0 {
+		blk.cols = blk.cols[:0]
+		blk.vals = blk.vals[:0]
 	}
-	for q, word := range flags {
-		for ; word != 0; word &= word - 1 {
-			row[q<<6|bits.TrailingZeros64(word)] *= c
-		}
-	}
+	return blk
 }
 
-// onesCount returns the number of set flags.
+// list returns the entries of sparse row i: ascending columns and their
+// values. A whole row lists none.
 //
 //simrank:noalloc
-func onesCount(flags []uint64) int {
+func (m *lists) list(i int) ([]int32, []float64) {
+	blk := &m.blocks[i/matrix.RowBlock]
+	r, lo := i%matrix.RowBlock, 0
+	if r > 0 {
+		lo = blk.end[r-1]
+	}
+	hi := blk.end[r]
+	return blk.cols[lo:hi], blk.vals[lo:hi]
+}
+
+// makeWhole keeps row a whole for the rest of the run and returns its
+// buffer, whose old contents the caller overwrites: row a of home, or
+// the row's spare buffer, allocated by the first run that needs it.
+//
+//simrank:noalloc
+func (m *lists) makeWhole(a int) []float64 {
+	var row []float64
+	if m.home != nil {
+		row = m.home.Row(a)
+	} else {
+		if m.spare[a] == nil {
+			m.spare[a] = make([]float64, len(m.whole)) //simrank:allocok a row's first whole run, reused by every later one
+		}
+		row = m.spare[a]
+	}
+	m.whole[a] = row
+	return row
+}
+
+// emit stores the row summed in acc as row a: whole when more than a
+// quarter of its columns are marked, else as its marked entries in
+// ascending column order, appended to the block's arena. It leaves acc
+// at +0 with no marks.
+//
+//simrank:noalloc
+func (m *lists) emit(a int, acc *accumulator) {
 	count := 0
-	for _, word := range flags {
+	for _, word := range acc.marks {
 		count += bits.OnesCount64(word)
 	}
-	return count
+	if dense(count, len(acc.vals)) {
+		copy(m.makeWhole(a), acc.vals)
+		clear(acc.vals)
+		clear(acc.marks)
+		return
+	}
+	blk := &m.blocks[a/matrix.RowBlock]
+	for q, word := range acc.marks {
+		if word == 0 {
+			continue
+		}
+		for ; word != 0; word &= word - 1 {
+			j := q<<6 | bits.TrailingZeros64(word)
+			blk.cols = append(blk.cols, int32(j))
+			blk.vals = append(blk.vals, acc.vals[j])
+			acc.vals[j] = 0
+		}
+		acc.marks[q] = 0
+	}
 }
 
-// fillFlags flags all n cells of a row.
-//
-//simrank:noalloc
-func fillFlags(flags []uint64, n int) {
-	for q := range flags {
-		flags[q] = ^uint64(0)
+// checkEntry panics, naming the cell, unless every cell of s (when set)
+// is +0 and every accumulator holds +0 with no marks: the state a run
+// relies on instead of clearing. It is called behind the constant
+// entryChecks guard, so release builds pay nothing.
+func (sc *Scratch) checkEntry(s *matrix.Dense) {
+	if s != nil {
+		for i, v := range s.Data {
+			if math.Float64bits(v) != 0 {
+				panic(fmt.Sprintf("batch: matrix form: cell (%d, %d) of s is %v, not +0", i/s.Cols, i%s.Cols, v))
+			}
+		}
 	}
-	if r := n & 63; r != 0 {
-		flags[len(flags)-1] = 1<<r - 1
+	for w, acc := range sc.acc {
+		for j, v := range acc.vals {
+			if math.Float64bits(v) != 0 {
+				panic(fmt.Sprintf("batch: matrix form: cell %d of worker %d's accumulator is %v, not +0", j, w, v))
+			}
+		}
+		for q, word := range acc.marks {
+			if word != 0 {
+				panic(fmt.Sprintf("batch: matrix form: worker %d's accumulator has column %d marked", w, q<<6|bits.TrailingZeros64(word)))
+			}
+		}
+	}
+}
+
+// checkZero panics unless row a's upper segment dst arrives +0.
+func checkZero(dst []float64, a int) {
+	for j, v := range dst {
+		if math.Float64bits(v) != 0 {
+			panic(fmt.Sprintf("batch: MatrixFormUpper: cell (%d, %d) of the upper triangle is %v, not +0", a, a+j, v))
+		}
 	}
 }

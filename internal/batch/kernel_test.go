@@ -85,11 +85,11 @@ func TestMatrixFormKernelMatchesSeedReference(t *testing.T) {
 }
 
 // MatrixFormInto must overwrite whatever its buffers previously held,
-// and one Scratch must serve runs over different graphs: a support flag
-// or a cell of T left over from the previous graph would leak into the
-// next result. MatrixFormScratch needs s to arrive +0, so s alone is
-// cleared between its runs; T and the flags stay as the last run left
-// them.
+// and one Scratch must serve runs over different graphs: a list entry,
+// a whole row or an accumulator cell left over from the previous graph
+// would leak into the next result. MatrixFormScratch needs s to arrive
+// +0, so s alone is cleared between its runs; the Scratch stays as the
+// last run left it.
 func TestMatrixFormIntoReusesDirtyBuffers(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := randGraph(rng, 30, 90)
@@ -120,23 +120,23 @@ func TestMatrixFormIntoReusesDirtyBuffers(t *testing.T) {
 	}
 }
 
-// The kernel's last step mirrors only flagged cells. It must equal
-// MirrorUpper bit for bit whenever unflagged cells hold +0, for every
-// flag pattern of a pair (upper only, lower only, both, neither) and for
-// a fully flagged row. In kernel runs a cell is non-zero only when its
-// mirror cell is, so there a lower-only flag covers +0 on both sides;
-// only hand-built values reach the case the lower-flag half exists for.
-func TestMirrorMatchesMirrorUpper(t *testing.T) {
-	const n = 70 // two bitmap words per row, the second partial
+// The kernel's last step writes each listed upper cell of S to both
+// mirror cells and mirrors a whole row's upper half, after clearing the
+// sums the row holds below the diagonal. It must equal MirrorUpper of
+// the matrix the lists describe, bit for bit, for every listing pattern
+// of a pair (upper only, lower only, both, neither) and for a whole row.
+// In kernel runs a cell is non-zero only when its mirror cell is, so
+// there a lower-only listing covers +0 on both sides; only hand-built
+// values reach the case the whole row's clear exists for.
+func TestWriteSymMatchesMirrorUpper(t *testing.T) {
+	const n, full = 70, 37 // two mark words per row, the second partial
 	rng := rand.New(rand.NewSource(23))
-	sc := NewScratch(n)
-	s := matrix.NewDense(n, n)
-	flag := func(a, b int) {
-		sc.sBits[a*sc.words+b>>6] |= 1 << (b & 63)
-		s.Set(a, b, rng.Float64())
+	listed := make([][]bool, n)
+	for a := range listed {
+		listed[a] = make([]bool, n)
+		listed[a][a] = true
 	}
 	for a := 0; a < n; a++ {
-		flag(a, a)
 		for b := a + 1; b < n; b++ {
 			// Pairs (0, 1)–(0, 4) take the four patterns in turn; the
 			// rest draw one.
@@ -144,26 +144,42 @@ func TestMirrorMatchesMirrorUpper(t *testing.T) {
 			if a > 0 || b > 4 {
 				pattern = rng.Intn(4)
 			}
-			if pattern == 0 || pattern == 2 {
-				flag(a, b) // upper
-			}
-			if pattern == 1 || pattern == 2 {
-				flag(b, a) // lower
-			}
+			listed[a][b] = pattern == 0 || pattern == 2 // upper
+			listed[b][a] = pattern == 1 || pattern == 2 // lower
 		}
 	}
-	const full = 37
-	fillFlags(sc.sBits[full*sc.words:(full+1)*sc.words], n)
-	for b := range s.Row(full) {
-		s.Set(full, b, rng.Float64())
+	sc := NewScratch(n)
+	s, want := matrix.NewDense(n, n), matrix.NewDense(n, n)
+	sc.s.home = s
+	for a := 0; a < n; a++ {
+		blk := sc.s.begin(a)
+		if a == full {
+			row := sc.s.makeWhole(a)
+			for b := range row {
+				row[b] = rng.Float64()
+			}
+			copy(want.Row(a), row)
+		} else {
+			for b := 0; b < n; b++ {
+				if listed[a][b] {
+					v := rng.Float64()
+					blk.cols = append(blk.cols, int32(b))
+					blk.vals = append(blk.vals, v)
+					want.Set(a, b, v)
+				}
+			}
+		}
+		blk.end[a%matrix.RowBlock] = len(blk.cols)
 	}
-	want := s.Clone()
 	want.MirrorUpper()
-	sc.mirror(s)
+	sc.writeSym(s)
 	for i, v := range want.Data {
 		if math.Float64bits(s.Data[i]) != math.Float64bits(v) {
 			t.Fatalf("cell (%d, %d) = %v, MirrorUpper %v", i/n, i%n, s.Data[i], v)
 		}
+	}
+	if sc.s.home != nil || sc.s.whole[full] != nil {
+		t.Fatal("writeSym left an alias of s in the Scratch")
 	}
 }
 
@@ -207,12 +223,18 @@ func matrixFormFuzzSeed(n, cByte, k, workers int, edges []graph.Edge) []byte {
 // cycles and nodes without in-links included, the kernel over the graph's
 // lists must equal the seed reference over the CSR of Q in every cell, −0
 // included, at one worker and at the decoded count (up to n + 2), the
-// second run reusing the first run's buffers. Then one kept Scratch runs
-// over the graph with one edge toggled and over the graph itself, with
-// only s cleared in between, so every cell of T left over from the other
-// graph must be cleared through its flag. Above 64 nodes a support
-// bitmap row spans several words. Cycles matter: on a DAG Q is nilpotent,
-// so an error made in an early iteration can vanish exactly after
+// second run reusing the first run's s. Then one kept Scratch runs four
+// times: MatrixFormUpper fills a packed upper triangle over the graph
+// with every node in-linked from node 0, whose S fills up, so most rows
+// turn whole in their own buffers; MatrixFormScratch runs over the graph
+// with one edge toggled and over the graph itself, with only s cleared
+// in between, so whole rows live in s; and MatrixFormUpper fills the
+// triangle over the graph again. Each result must equal the seed's, the
+// triangles its upper triangle. A list entry, a whole row or an
+// accumulator cell left over from an earlier run would leak into a later
+// result. Above 64 nodes a mark bitmap spans several words and the
+// lists several arena blocks. Cycles matter: on a DAG Q is nilpotent, so
+// an error made in an early iteration can vanish exactly after
 // depth-many iterations.
 func FuzzMatrixFormMatchesSeed(f *testing.F) {
 	star := func(n int, in bool) []graph.Edge {
@@ -230,6 +252,14 @@ func FuzzMatrixFormMatchesSeed(f *testing.F) {
 	for i := 0; i < 9; i++ {
 		cycle = append(cycle, graph.Edge{From: i, To: (i + 1) % 9})
 	}
+	// A complete binary out-tree of depth 6: a leaf's row gains its
+	// cousins one generation per iteration (1, 2, 4, … cells), so it
+	// crosses the n/4 threshold (32 of 127 cells) in the fifth iteration
+	// and is summed whole from then on.
+	var tree []graph.Edge
+	for v := 1; v < 127; v++ {
+		tree = append(tree, graph.Edge{From: (v - 1) / 2, To: v})
+	}
 	f.Add(matrixFormFuzzSeed(1, 59, 5, 1, nil))
 	f.Add(matrixFormFuzzSeed(8, 59, 6, 3, star(8, true)))
 	f.Add(matrixFormFuzzSeed(8, 79, 6, 10, star(8, false)))
@@ -238,8 +268,12 @@ func FuzzMatrixFormMatchesSeed(f *testing.F) {
 	f.Add(matrixFormFuzzSeed(64, 59, 8, 2, gen.ER(64, 192, 2).Edges()))
 	f.Add(matrixFormFuzzSeed(65, 59, 8, 3, gen.ER(65, 195, 3).Edges()))
 	// Dense and cyclic: S fills to ~all non-zero within a few iterations,
-	// so full bitmap words and the whole-row loops run.
+	// so full mark words and the whole-row loops run.
 	f.Add(matrixFormFuzzSeed(130, 59, 8, 3, gen.ER(130, 1040, 4).Edges()))
+	f.Add(matrixFormFuzzSeed(127, 59, 8, 2, tree))
+	// Sparse and cyclic at the dense seed's n: the kept Scratch comes to
+	// it from a full S, with every row's spare buffer allocated.
+	f.Add(matrixFormFuzzSeed(130, 59, 8, 3, gen.ER(130, 130, 5).Edges()))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			return
@@ -265,6 +299,10 @@ func FuzzMatrixFormMatchesSeed(f *testing.F) {
 			MatrixFormInto(s, tmp, g, c, k, w)
 			check(fmt.Sprintf("MatrixFormInto workers=%d", w), want)
 		}
+		filled := g.Clone()
+		for v := 0; v < n; v++ {
+			filled.AddEdge(0, v)
+		}
 		// The K and worker bytes double as the toggled edge, so it is
 		// present in some inputs and absent in others.
 		toggled := g.Clone()
@@ -272,6 +310,23 @@ func FuzzMatrixFormMatchesSeed(f *testing.F) {
 			toggled.AddEdge(u, v)
 		}
 		sc := NewScratch(n)
+		tri, start := make([]float64, n*(n+1)/2), make([]int, n)
+		for a, off := 0, 0; a < n; a++ {
+			start[a] = off
+			off += n - a
+		}
+		upper := func(run string, g *graph.DiGraph, want *matrix.Dense) {
+			clear(tri)
+			MatrixFormUpper(sc, g, c, k, workers, func(a int) []float64 { return tri[start[a]:] })
+			for a := 0; a < n; a++ {
+				for b := a; b < n; b++ {
+					if got, v := tri[start[a]+b-a], want.At(a, b); math.Float64bits(got) != math.Float64bits(v) {
+						t.Fatalf("%s: cell (%d, %d) = %v, seed %v", run, a, b, got, v)
+					}
+				}
+			}
+		}
+		upper("kept Scratch, MatrixFormUpper, filled graph", filled, seedMatrixFormQ(filled.BackwardTransition(), c, k))
 		for _, run := range []struct {
 			name string
 			g    *graph.DiGraph
@@ -284,6 +339,7 @@ func FuzzMatrixFormMatchesSeed(f *testing.F) {
 			MatrixFormScratch(s, sc, run.g, c, k, workers)
 			check(run.name, run.want)
 		}
+		upper("kept Scratch, MatrixFormUpper, graph", g, want)
 	})
 }
 
@@ -291,7 +347,7 @@ func FuzzMatrixFormMatchesSeed(f *testing.F) {
 // — a clear of s, then the kernel on a kept Scratch — at one and two
 // workers, on a graph whose S stays sparse and one whose S fills up:
 // PrefAttach(2048, 4, 1), simbench's boot graph, is a DAG with S ~1%
-// non-zero, so the support bitmaps skip nearly every cell;
+// non-zero, so the support lists skip nearly every cell;
 // ER(1000, 4000, 1) is cyclic with S ~95% non-zero, so nearly every row
 // takes the whole-row loops.
 func BenchmarkMatrixForm(b *testing.B) {

@@ -1,6 +1,7 @@
 package simstore
 
 import (
+	"repro/internal/batch"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/matrix"
@@ -42,6 +43,8 @@ type Packed struct {
 	row []float64 // scratch for Row (single-writer contract)
 
 	exact
+	// kernel is Recompute's batch working memory, allocated on first use.
+	kernel *batch.Scratch
 }
 
 // NewPacked returns a zeroed n-node packed store.
@@ -190,13 +193,19 @@ func (p *Packed) Update(g *graph.DiGraph, up graph.Update, prm Params) (core.Sta
 }
 
 // Recompute applies ups to g (see Store), then reruns the batch kernel
-// on two transient dense buffers (its sparse-dense products need full
-// rows) and compresses the result back into the triangle: a recompute
-// transiently costs 16n² bytes, plus n²/4 for the kernel's support
-// bitmaps, but the steady state never retains a dense buffer.
+// with the store's persistent kernel scratch and writes the triangle
+// straight from the kernel's row lists: no n×n buffer is allocated. The
+// whole triangle is rewritten (cleared, since a sparse row writes only
+// its entries, then filled), so a pending flip swaps buffers without the
+// syncing copy.
 func (p *Packed) Recompute(g *graph.DiGraph, ups []graph.Update, prm Params) {
 	follow(g, ups)
-	p.SetFromDense(batchScores(g, prm))
+	p.rewrite()
+	clear(p.tri)
+	if p.kernel == nil {
+		p.kernel = batch.NewScratch(p.n)
+	}
+	batch.MatrixFormUpper(p.kernel, g, prm.C, prm.K, prm.Workers, p.upperSeg)
 }
 
 // AddNodes returns a packed store over n+count nodes: each old row's

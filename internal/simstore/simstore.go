@@ -183,19 +183,23 @@ type Sampler interface {
 }
 
 // New builds a store of backend b holding S for g's current topology.
-// The exact backends run the batch kernel across p.Workers goroutines;
-// the approx backend samples its walk index with the given per-pair walk
-// budget and seed root (walks and seed are ignored elsewhere), capping
-// walks at p.K steps — the depth an exact K-iteration store truncates at.
+// The exact backends run the batch kernel across p.Workers goroutines in
+// a transient batch.Scratch: dense into a fresh n×n matrix, packed
+// straight into its triangle from the kernel's row lists, so a packed
+// boot allocates no n×n buffer. The approx backend samples its walk
+// index with the given per-pair walk budget and seed root (walks and
+// seed are ignored elsewhere), capping walks at p.K steps — the depth an
+// exact K-iteration store truncates at.
 func New(b Backend, g *graph.DiGraph, p Params, walks int, seed int64) (Store, error) {
+	n := g.N()
 	switch b {
 	case BackendDense:
-		return WrapDense(batchScores(g, p)), nil
+		s := matrix.NewDense(n, n)
+		batch.MatrixFormScratch(s, batch.NewScratch(n), g, p.C, p.K, p.Workers)
+		return WrapDense(s), nil
 	case BackendPacked:
-		// The triangle is allocated before the kernel's two transient n×n
-		// buffers; in the other order a boot now and then peaks higher.
-		s := NewPacked(g.N())
-		s.SetFromDense(batchScores(g, p))
+		s := NewPacked(n)
+		batch.MatrixFormUpper(batch.NewScratch(n), g, p.C, p.K, p.Workers, s.upperSeg)
 		return s, nil
 	case BackendApprox:
 		a, err := NewApprox(g, p.C, p.K, walks, seed)
@@ -205,13 +209,4 @@ func New(b Backend, g *graph.DiGraph, p Params, walks int, seed int64) (Store, e
 		return a, nil
 	}
 	return nil, fmt.Errorf("simstore: unknown backend %q", b)
-}
-
-// batchScores runs the batch kernel over g into a fresh n×n matrix,
-// with transient kernel scratch the caller does not retain.
-func batchScores(g *graph.DiGraph, p Params) *matrix.Dense {
-	n := g.N()
-	out := matrix.NewDense(n, n)
-	batch.MatrixFormScratch(out, batch.NewScratch(n), g, p.C, p.K, p.Workers)
-	return out
 }
