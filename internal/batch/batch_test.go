@@ -105,7 +105,7 @@ func TestMatrixFormSeries(t *testing.T) {
 	g := randGraph(rng, 8, 20)
 	c, kIter := 0.8, 6
 	got := MatrixForm(g, c, kIter)
-	qd := g.BackwardTransition().Dense()
+	qd := g.BackwardTransition()
 	n := g.N()
 	want := matrix.NewDense(n, n)
 	qk := matrix.Identity(n)
@@ -141,7 +141,7 @@ func TestMatrixFormFixedPointResidual(t *testing.T) {
 	g := randGraph(rng, 9, 25)
 	c, kIter := 0.6, 12
 	s := MatrixForm(g, c, kIter)
-	qd := g.BackwardTransition().Dense()
+	qd := g.BackwardTransition()
 	rhs := matrix.Mul(matrix.Mul(qd, s), qd.T()).Scale(c)
 	for i := 0; i < g.N(); i++ {
 		rhs.Add(i, i, 1-c)

@@ -11,30 +11,35 @@ import (
 	"repro/internal/matrix"
 )
 
-// seedMatrixFormQ is the pre-kernel implementation of the matrix form
-// over a CSR of Q, kept as the reference the in-place/parallel kernel
-// must reproduce bit-for-bit: it allocates a fresh dense result per
-// iteration and runs the untiled column-scatter second product. Its one
-// addition is the kernel's last step, a plain loop copying the upper
-// triangle onto the lower one.
-func seedMatrixFormQ(q *matrix.CSR, c float64, k int) *matrix.Dense {
-	n := q.RowsN
+// seedMatrixFormQ is the pre-kernel implementation of the matrix form,
+// kept as the reference the in-place/parallel kernel must reproduce
+// bit-for-bit: it allocates a fresh dense result per iteration and runs
+// the untiled column-scatter second product. It visits each row's
+// non-zero entries of Q in ascending column order, the order the seed's
+// sparse rows stored them in. Its one addition is the kernel's last
+// step, a plain loop copying the upper triangle onto the lower one.
+func seedMatrixFormQ(q *matrix.Dense, c float64, k int) *matrix.Dense {
+	n := q.Rows
 	s := matrix.Identity(n).Scale(1 - c)
 	tmp := matrix.NewDense(n, n)
 	for iter := 0; iter < k; iter++ {
 		tmp.Zero()
-		for i := 0; i < q.RowsN; i++ {
+		for i := 0; i < n; i++ {
 			drow := tmp.Row(i)
-			for kk := q.RowPtr[i]; kk < q.RowPtr[i+1]; kk++ {
-				matrix.Axpy(q.Val[kk], s.Row(q.ColIdx[kk]), drow)
+			for col, v := range q.Row(i) {
+				if v != 0 {
+					matrix.Axpy(v, s.Row(col), drow)
+				}
 			}
 		}
 		next := matrix.NewDense(n, n)
-		for i := 0; i < q.RowsN; i++ {
-			for kk := q.RowPtr[i]; kk < q.RowPtr[i+1]; kk++ {
-				col, v := q.ColIdx[kk], q.Val[kk]
-				for a := 0; a < tmp.Rows; a++ {
-					next.Data[a*next.Cols+i] += v * tmp.Data[a*tmp.Cols+col]
+		for i := 0; i < n; i++ {
+			for col, v := range q.Row(i) {
+				if v == 0 {
+					continue
+				}
+				for a := 0; a < n; a++ {
+					next.Data[a*n+i] += v * tmp.Data[a*n+col]
 				}
 			}
 		}
@@ -63,7 +68,8 @@ func matrixFormWorkers(g *graph.DiGraph, c float64, k, workers int) *matrix.Dens
 
 // The kernel must be entrywise identical (exact float equality) to the
 // seed implementation for every worker count: each cell adds the same
-// terms in the order of Q's sorted CSR rows, whatever the partition.
+// terms in the order of Q's rows, ascending columns, whatever the
+// partition.
 func TestMatrixFormKernelMatchesSeedReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 8; trial++ {
@@ -221,7 +227,7 @@ func matrixFormFuzzSeed(n, cByte, k, workers int, edges []graph.Edge) []byte {
 
 // FuzzMatrixFormMatchesSeed: on any graph of up to 200 nodes, self-loops,
 // cycles and nodes without in-links included, the kernel over the graph's
-// lists must equal the seed reference over the CSR of Q in every cell, −0
+// lists must equal the seed reference over a dense Q in every cell, −0
 // included, at one worker and at the decoded count (up to n + 2), the
 // second run reusing the first run's s. Then one kept Scratch runs four
 // times: MatrixFormUpper fills a packed upper triangle over the graph

@@ -12,8 +12,8 @@ import (
 // matrix — the query shape of Fujiwara et al. [9] ("top-k similar nodes
 // in O(n) space"). Each series term reuses the previous back-walk vector
 // (Qᵀ)^k·e_q and pays k forward multiplications, so the total cost is
-// O(K²·m) time and O(n) memory. Both Q·x and Qᵀ·x are read from the
-// graph's in-lists.
+// O(K²·m) time and O(n) memory. Both Q·x and Qᵀ·x are the graph's
+// products over its in-lists (MulQ, MulQT).
 func SingleSource(g *graph.DiGraph, c float64, k, query int) ([]float64, error) {
 	n := g.N()
 	if query < 0 || query >= n {
@@ -40,47 +40,17 @@ func SingleSource(g *graph.DiGraph, c float64, k, query int) ([]float64, error) 
 	fwdNext := make([]float64, n)
 	ck := 1.0
 	for t := 1; t <= k; t++ {
-		mulQTVec(backNext, back, g)
+		g.MulQT(backNext, back)
 		back, backNext = backNext, back
 		ck *= c
 		// Forward: fwd = Q^t · back.
 		copy(fwd, back)
 		cur, nxt := fwd, fwdNext
 		for s := 0; s < t; s++ {
-			mulQVec(nxt, cur, g)
+			g.MulQ(nxt, cur)
 			cur, nxt = nxt, cur
 		}
 		matrix.Axpy((1-c)*ck, cur, out)
 	}
 	return out, nil
-}
-
-// mulQVec writes dst = Q·x: dst[i] = Σ_{j ∈ I(i)} x[j]/|I(i)|, added in
-// ascending j.
-func mulQVec(dst, x []float64, g *graph.DiGraph) {
-	for i := range dst {
-		in := g.In(i)
-		w := 1 / float64(len(in))
-		var sum float64
-		for _, j := range in {
-			sum += w * x[j]
-		}
-		dst[i] = sum
-	}
-}
-
-// mulQTVec writes dst = Qᵀ·x, scattering each non-zero x[i] over I(i)
-// with weight 1/|I(i)|, rows in ascending i.
-func mulQTVec(dst, x []float64, g *graph.DiGraph) {
-	clear(dst)
-	for i, xi := range x {
-		in := g.In(i)
-		if xi == 0 || len(in) == 0 {
-			continue
-		}
-		w := 1 / float64(len(in))
-		for _, j := range in {
-			dst[j] += w * xi
-		}
-	}
 }

@@ -32,13 +32,15 @@ func TestSingleSourceMatchesMatrixForm(t *testing.T) {
 	}
 }
 
-// seedSingleSource is SingleSource as it read a CSR of Q, kept as the
+// seedSingleSource is SingleSource as it read a sparse Q, kept as the
 // reference the graph form must reproduce bit for bit: Qᵀ·x through
-// CSR.MulVecT, Q·x through CSR.MulVec.
-func seedSingleSource(q *matrix.CSR, c float64, k, query int) []float64 {
-	out := make([]float64, q.RowsN)
+// Dense.MulVecT, which skips a zero x[i] as the sparse product did, and
+// Q·x through Dense.MulVec. The dense products add a ±0 for each zero
+// entry of Q to a sum that starts at +0, which moves no bit.
+func seedSingleSource(q *matrix.Dense, c float64, k, query int) []float64 {
+	out := make([]float64, q.Rows)
 	out[query] = 1 - c
-	back := make([]float64, q.RowsN)
+	back := make([]float64, q.Rows)
 	back[query] = 1
 	ck := 1.0
 	for t := 1; t <= k; t++ {
@@ -53,9 +55,9 @@ func seedSingleSource(q *matrix.CSR, c float64, k, query int) []float64 {
 	return out
 }
 
-// Reading Q and Qᵀ from the graph's in-lists must reproduce the CSR form
-// on every entry, −0 included, on graphs with self-loops and with nodes
-// that have no in-links.
+// Reading Q and Qᵀ from the graph's in-lists must reproduce the seed's
+// products on every entry, −0 included, on graphs with self-loops and
+// with nodes that have no in-links.
 func TestSingleSourceMatchesCSRSeed(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 6; trial++ {
@@ -71,7 +73,7 @@ func TestSingleSourceMatchesCSRSeed(t *testing.T) {
 			want := seedSingleSource(q, c, k, query)
 			for v := range want {
 				if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
-					t.Fatalf("trial %d query %d: entry %d = %v, CSR seed %v", trial, query, v, got[v], want[v])
+					t.Fatalf("trial %d query %d: entry %d = %v, seed %v", trial, query, v, got[v], want[v])
 				}
 			}
 		}

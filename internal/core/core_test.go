@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -46,17 +47,17 @@ func checkRankOne(t *testing.T, g *graph.DiGraph, up graph.Update) {
 	if err != nil {
 		t.Fatalf("Decompose(%v): %v", up, err)
 	}
-	oldQ := g.BackwardTransition().Dense()
+	oldQ := g.BackwardTransition()
 	g2 := g.Clone()
 	if !g2.Apply(up) {
 		t.Fatalf("update %v did not apply", up)
 	}
-	newQ := g2.BackwardTransition().Dense()
+	newQ := g2.BackwardTransition()
 	want := matrix.NewDense(g.N(), g.N())
 	for i := range want.Data {
 		want.Data[i] = newQ.Data[i] - oldQ.Data[i]
 	}
-	got := matrix.Outer(ro.U.Dense(), ro.V.Dense())
+	got := matrix.Outer(ro.U, ro.V)
 	if d := matrix.MaxAbsDiff(got, want); d > 1e-14 {
 		t.Fatalf("update %v: ‖u·vᵀ − ΔQ‖_max = %g", up, d)
 	}
@@ -68,8 +69,8 @@ func TestDecomposeInsertFreshTarget(t *testing.T) {
 	up := graph.Update{Edge: graph.Edge{From: 2, To: 0}, Insert: true}
 	checkRankOne(t, g, up)
 	ro, _ := Decompose(g, up)
-	if ro.U.At(0) != 1 || ro.U.NNZ() != 1 || ro.V.At(2) != 1 || ro.V.NNZ() != 1 {
-		t.Fatalf("d_j=0 decomposition wrong: u=%v v=%v", ro.U.Val, ro.V.Val)
+	if !slices.Equal(ro.U, []float64{1, 0, 0}) || !slices.Equal(ro.V, []float64{0, 0, 1}) {
+		t.Fatalf("d_j=0 decomposition wrong: u=%v v=%v", ro.U, ro.V)
 	}
 }
 
@@ -79,11 +80,11 @@ func TestDecomposeInsertExistingTarget(t *testing.T) {
 	up := graph.Update{Edge: graph.Edge{From: 2, To: 3}, Insert: true}
 	checkRankOne(t, g, up)
 	ro, _ := Decompose(g, up)
-	if math.Abs(ro.U.At(3)-1.0/3) > 1e-15 {
-		t.Fatalf("u_j = %v, want 1/3", ro.U.At(3))
+	if math.Abs(ro.U[3]-1.0/3) > 1e-15 {
+		t.Fatalf("u_j = %v, want 1/3", ro.U[3])
 	}
-	if math.Abs(ro.V.At(2)-1) > 1e-15 || math.Abs(ro.V.At(0)+0.5) > 1e-15 {
-		t.Fatalf("v = %v", ro.V.Val)
+	if math.Abs(ro.V[2]-1) > 1e-15 || math.Abs(ro.V[0]+0.5) > 1e-15 {
+		t.Fatalf("v = %v", ro.V)
 	}
 }
 
@@ -93,8 +94,8 @@ func TestDecomposeDeleteLastInEdge(t *testing.T) {
 	up := graph.Update{Edge: graph.Edge{From: 0, To: 1}, Insert: false}
 	checkRankOne(t, g, up)
 	ro, _ := Decompose(g, up)
-	if ro.U.At(1) != 1 || ro.V.At(0) != -1 {
-		t.Fatalf("d_j=1 deletion wrong: u=%v v=%v", ro.U.Val, ro.V.Val)
+	if ro.U[1] != 1 || ro.V[0] != -1 {
+		t.Fatalf("d_j=1 deletion wrong: u=%v v=%v", ro.U, ro.V)
 	}
 }
 
@@ -136,11 +137,11 @@ func TestQuickTheorem1(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		oldQ := g.BackwardTransition().Dense()
+		oldQ := g.BackwardTransition()
 		g2 := g.Clone()
 		g2.Apply(up)
-		newQ := g2.BackwardTransition().Dense()
-		diff := matrix.Outer(ro.U.Dense(), ro.V.Dense())
+		newQ := g2.BackwardTransition()
+		diff := matrix.Outer(ro.U, ro.V)
 		for i := range diff.Data {
 			diff.Data[i] -= newQ.Data[i] - oldQ.Data[i]
 		}

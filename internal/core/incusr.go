@@ -139,7 +139,7 @@ func (ws *Workspace) IncUSR(s SimStore, up graph.Update, c float64, k int) (Stat
 	si := ws.si
 	copy(si, s.Row(i))
 	w := ws.wD
-	ws.mulQ(w, si)
+	ws.g.MulQ(w, si)
 	lam := lambda(s, i, j, w[j], c)
 
 	// Lines 5–12: γ per Theorem 3.
@@ -163,12 +163,12 @@ func (ws *Workspace) IncUSR(s SimStore, up graph.Update, c float64, k int) (Stat
 	xiNext, etaNext := ws.xiNextD, ws.etaNextD
 	for iter := 0; iter < k; iter++ {
 		vxi := ws.vws.dotDense(xi)
-		ws.mulQ(xiNext, xi)
+		ws.g.MulQ(xiNext, xi)
 		matrix.ScaleVec(c, xiNext)
 		xiNext[uj] += c * vxi * uv
 
 		veta := ws.vws.dotDense(eta)
-		ws.mulQ(etaNext, eta)
+		ws.g.MulQ(etaNext, eta)
 		etaNext[uj] += veta * uv
 
 		matrix.AddOuter(m, 1, xiNext, etaNext)

@@ -7,10 +7,10 @@ import (
 )
 
 // RankOne is the rank-one decomposition ΔQ = u·vᵀ of the transition-matrix
-// change caused by one unit link update (Theorem 1). Both vectors are
-// sparse: u has a single entry at j; v has at most d_j+1 entries.
+// change caused by one unit link update (Theorem 1), as dense n-vectors:
+// u has a single non-zero entry at j, v at most d_j+1.
 type RankOne struct {
-	U, V *SparseVec
+	U, V []float64
 }
 
 // ErrBadUpdate reports an update that does not apply to the given graph
@@ -50,7 +50,9 @@ func CheckUpdate(g *graph.DiGraph, up graph.Update, pending map[graph.Edge]bool)
 }
 
 // Decompose computes u, v with ΔQ = u·vᵀ for the unit update up applied to
-// the old graph g (Theorem 1, Eqs. 17–18).
+// the old graph g (Theorem 1, Eqs. 17–18), as fresh dense n-vectors. The
+// updates run its allocation-free form, Workspace.decompose, which is
+// tested against it; the Inc-SVD baseline and the ablations call it.
 //
 // Insertion of (i, j):
 //
@@ -68,31 +70,31 @@ func Decompose(g *graph.DiGraph, up graph.Update) (RankOne, error) {
 	i, j := up.Edge.From, up.Edge.To
 	n := g.N()
 	dj := g.InDegree(j)
-	u := NewSparseVec(n)
-	v := NewSparseVec(n)
+	u := make([]float64, n)
+	v := make([]float64, n)
 	if up.Insert {
 		if dj == 0 {
-			u.Set(j, 1)
-			v.Set(i, 1)
+			u[j] = 1
+			v[i] = 1
 		} else {
-			u.Set(j, 1/float64(dj+1))
-			v.Set(i, 1)
+			u[j] = 1 / float64(dj+1)
+			v[i] = 1
 			w := 1 / float64(dj)
 			for _, t := range g.In(j) {
-				v.Add(int(t), -w) // subtract [Q]_{j,t} = 1/d_j
+				v[t] -= w // subtract [Q]_{j,t} = 1/d_j
 			}
 		}
 		return RankOne{U: u, V: v}, nil
 	}
 	if dj == 1 {
-		u.Set(j, 1)
-		v.Set(i, -1)
+		u[j] = 1
+		v[i] = -1
 	} else {
-		u.Set(j, 1/float64(dj-1))
-		v.Set(i, -1)
+		u[j] = 1 / float64(dj-1)
+		v[i] = -1
 		w := 1 / float64(dj)
 		for _, t := range g.In(j) {
-			v.Add(int(t), w) // add [Q]_{j,t}
+			v[t] += w // add [Q]_{j,t}
 		}
 	}
 	return RankOne{U: u, V: v}, nil

@@ -179,22 +179,6 @@ func (ws *Workspace) decompose(up graph.Update) (uv float64, err error) {
 	return 1 / float64(dj-1), nil
 }
 
-// mulQ computes dst = Q·x for dense x, gathering along the graph's
-// sorted in-lists with weight 1/|I(a)| — entrywise the same left-to-right
-// accumulation as a CSR mat-vec on the freshly built transition matrix.
-//
-//simrank:noalloc
-func (ws *Workspace) mulQ(dst, x []float64) {
-	for a := 0; a < ws.n; a++ {
-		in, wv := ws.qRow(a)
-		var s float64
-		for _, i := range in {
-			s += wv * x[i]
-		}
-		dst[a] = s
-	}
-}
-
 // scatterQ computes dst += Q·x for workspace vectors:
 // [Q·x]_a = Σ_{b ∈ I(a)} x_b / d_a, accumulated along the rows of Qᵀ:
 // row b is the graph's out-list O(b), and x_b is multiplied by each

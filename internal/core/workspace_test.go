@@ -1,8 +1,8 @@
 package core
 
 import (
+	"math"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"repro/internal/batch"
@@ -11,20 +11,17 @@ import (
 	"repro/internal/race"
 )
 
-// seedTransposedQ is the pre-workspace per-update Qᵀ build: O(m) triples
-// plus the CSR sort, exactly what the incremental maintenance replaces.
-func seedTransposedQ(g *graph.DiGraph, din []int) *matrix.CSR {
-	is := make([]int, 0, g.M())
-	js := make([]int, 0, g.M())
-	vs := make([]float64, 0, g.M())
+// seedTransposedQ is the pre-workspace per-update Qᵀ build, exactly what
+// the incremental maintenance replaces: row b holds 1/|I(a)| at each
+// a ∈ O(b).
+func seedTransposedQ(g *graph.DiGraph, din []int) *matrix.Dense {
+	qt := matrix.NewDense(g.N(), g.N())
 	for b := 0; b < g.N(); b++ {
 		for _, a := range g.Out(b) {
-			is = append(is, b)
-			js = append(js, int(a))
-			vs = append(vs, 1/float64(din[a]))
+			qt.Set(b, int(a), 1/float64(din[a]))
 		}
 	}
-	return matrix.NewCSR(g.N(), g.N(), is, js, vs)
+	return qt
 }
 
 // seedIncSRInPlace is the pre-workspace implementation of IncSRInPlace,
@@ -49,7 +46,7 @@ func seedIncSRInPlace(g *graph.DiGraph, s *matrix.Dense, up graph.Update, c floa
 	for v := 0; v < n; v++ {
 		din[v] = g.InDegree(v)
 	}
-	qtCSR := seedTransposedQ(g, din)
+	qt := seedTransposedQ(g, din)
 
 	b0 := newWsVec(n)
 	b0.add(j, 1)
@@ -141,14 +138,17 @@ func seedIncSRInPlace(g *graph.DiGraph, s *matrix.Dense, up graph.Update, c floa
 			vws.compact(ZeroTol)
 		}
 	}
-	uv := ro.U.At(j)
+	uv := ro.U[j]
 
+	// Row b of Qᵀ is visited in ascending column order, the order the
+	// seed's sparse rows stored it in.
 	scatter := func(x, dst *wsVec) {
 		for _, b := range x.supp {
 			xb := x.vals[b]
-			lo, hi := qtCSR.RowPtr[b], qtCSR.RowPtr[b+1]
-			for kk := lo; kk < hi; kk++ {
-				dst.add(qtCSR.ColIdx[kk], xb*qtCSR.Val[kk])
+			for a, v := range qt.Row(b) {
+				if v != 0 {
+					dst.add(a, xb*v)
+				}
 			}
 		}
 	}
@@ -260,8 +260,7 @@ func TestWorkspaceIncSRMatchesSeedReference(t *testing.T) {
 
 // After any update stream applied through the workspace, Q read from the
 // graph's in-lists must equal a Q built independently from the edge
-// list: [Q]_{j,i} = 1/|I(j)| for each edge (i, j), sorted into CSR by
-// matrix.NewCSR.
+// list, [Q]_{j,i} = 1/|I(j)| for each edge (i, j), in every cell.
 func TestWorkspaceMaintenanceMatchesRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 6; trial++ {
@@ -276,16 +275,18 @@ func TestWorkspaceMaintenanceMatchesRebuild(t *testing.T) {
 		for _, e := range edges {
 			din[e.To]++
 		}
-		var is, js []int
-		var vs []float64
+		want := matrix.NewDense(n, n)
 		for _, e := range edges {
-			is, js, vs = append(is, e.To), append(js, e.From), append(vs, 1/float64(din[e.To]))
+			want.Set(e.To, e.From, 1/float64(din[e.To]))
 		}
-		want := matrix.NewCSR(n, n, is, js, vs)
 		got := g.BackwardTransition()
-		if got.RowsN != n || got.ColsN != n || !slices.Equal(got.RowPtr, want.RowPtr) ||
-			!slices.Equal(got.ColIdx, want.ColIdx) || !slices.Equal(got.Val, want.Val) {
-			t.Fatalf("trial %d: BackwardTransition %+v, want %+v", trial, got, want)
+		if got.Rows != n || got.Cols != n {
+			t.Fatalf("trial %d: BackwardTransition is %d×%d, want %d×%d", trial, got.Rows, got.Cols, n, n)
+		}
+		for c, v := range want.Data {
+			if math.Float64bits(got.Data[c]) != math.Float64bits(v) {
+				t.Fatalf("trial %d: BackwardTransition (%d, %d) = %v, want %v", trial, c/n, c%n, got.Data[c], v)
+			}
 		}
 	}
 }
@@ -306,11 +307,11 @@ func TestWorkspaceDecomposeMatchesDecompose(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := uv, ro.U.At(up.Edge.To); got != want {
+		if got, want := uv, ro.U[up.Edge.To]; got != want {
 			t.Fatalf("uv = %v, want %v", got, want)
 		}
 		for v := 0; v < n; v++ {
-			if got, want := ws.vws.at(v), ro.V.At(v); got != want {
+			if got, want := ws.vws.at(v), ro.V[v]; got != want {
 				t.Fatalf("v[%d] = %v, want %v", v, got, want)
 			}
 		}

@@ -221,12 +221,11 @@ func Fig2b(datasets []*gen.Dataset, deltas []int) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("exp: Fig2b SVD of %s: %w", d.Name, err)
 		}
-		qOld := d.Base.BackwardTransition().Dense()
+		qOld := d.Base.BackwardTransition()
 		row := []string{d.Name}
 		for _, dl := range deltas {
 			delta := d.Delta(dl)
-			qNew := applyAll(d.Base, delta).BackwardTransition().Dense()
-			dq := qNew
+			dq := applyAll(d.Base, delta).BackwardTransition()
 			for i := range dq.Data {
 				dq.Data[i] -= qOld.Data[i]
 			}

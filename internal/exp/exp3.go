@@ -56,7 +56,7 @@ func Exp3Memory(datasets []*gen.Dataset, deltaSize int) (*Table, error) {
 		// One lossless factorization per dataset; each rank derives from it.
 		var full *lin.SVD
 		if d.SVDFeasible {
-			full = lin.ComputeSVD(d.Base.BackwardTransition().Dense(), 1e-10)
+			full = lin.ComputeSVD(d.Base.BackwardTransition(), 1e-10)
 		}
 		for _, r := range []int{5, 15, 25} {
 			// Estimated footprint before running: 2nr factors + r² SVD

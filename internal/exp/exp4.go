@@ -54,7 +54,7 @@ func Exp4Exactness(datasets []*gen.Dataset, deltaSize int) (*Table, error) {
 		}
 		var full *lin.SVD
 		if d.SVDFeasible {
-			full = lin.ComputeSVD(d.Base.BackwardTransition().Dense(), 1e-10)
+			full = lin.ComputeSVD(d.Base.BackwardTransition(), 1e-10)
 		}
 		for _, r := range []int{5, 15} {
 			if !d.SVDFeasible {

@@ -1,8 +1,9 @@
 // Package graph implements the dynamic directed graph substrate: sorted
 // out- and in-neighbour lists O(v) and I(v), which Inc-SR, the batch
-// kernel and the approx walk index read in place, snapshots, edge-list
-// I/O, and the degree statistics that the paper's complexity analysis
-// (average in-degree d) is stated in terms of.
+// kernel and the approx walk index read in place, the products Q·x and
+// Qᵀ·x over them, snapshots, edge-list I/O, and the degree statistics
+// that the paper's complexity analysis (average in-degree d) is stated
+// in terms of.
 //
 // Nodes are dense integers 0..n-1. An edge (i, j) is directed from i to j,
 // matching the paper: "each edge depicts a reference from one paper to
@@ -236,21 +237,56 @@ func (g *DiGraph) AvgInDegree() float64 {
 	return float64(g.m) / float64(g.n)
 }
 
-// BackwardTransition builds the backward transition matrix Q in CSR form:
-// [Q]_{j,i} = 1/|I(j)| if (i, j) ∈ E, 0 otherwise — the row-normalized
-// transpose of the adjacency matrix (footnote 2 of the paper). Row j
-// lists I(j) ascending.
-func (g *DiGraph) BackwardTransition() *matrix.CSR {
-	q := &matrix.CSR{RowsN: g.n, ColsN: g.n, RowPtr: make([]int, g.n+1)}
+// BackwardTransition builds the backward transition matrix Q as a dense
+// n×n matrix: [Q]_{j,i} = 1/|I(j)| if (i, j) ∈ E, 0 otherwise — the
+// row-normalized transpose of the adjacency matrix (footnote 2 of the
+// paper). It is O(n²): the Inc-SVD baseline, the experiments and test
+// references build it, while Inc-SR, Inc-uSR and the batch kernel read
+// Q from the in-lists (In, MulQ, MulQT).
+func (g *DiGraph) BackwardTransition() *matrix.Dense {
+	q := matrix.NewDense(g.n, g.n)
 	for j, in := range g.in {
 		w := 1 / float64(len(in))
+		row := q.Row(j)
 		for _, i := range in {
-			q.ColIdx = append(q.ColIdx, int(i))
-			q.Val = append(q.Val, w)
+			row[i] = w
 		}
-		q.RowPtr[j+1] = len(q.ColIdx)
 	}
 	return q
+}
+
+// MulQ writes dst = Q·x: dst[a] = Σ_{i ∈ I(a)} w·x[i] with w = 1/|I(a)|,
+// added in ascending i, and +0 for a node without in-links.
+//
+//simrank:noalloc
+func (g *DiGraph) MulQ(dst, x []float64) {
+	for a := range dst {
+		in := g.in[a]
+		w := 1 / float64(len(in))
+		var sum float64
+		for _, i := range in {
+			sum += w * x[i]
+		}
+		dst[a] = sum
+	}
+}
+
+// MulQT writes dst = Qᵀ·x, scattering each non-zero x[a] over I(a) with
+// weight 1/|I(a)|, rows in ascending a.
+//
+//simrank:noalloc
+func (g *DiGraph) MulQT(dst, x []float64) {
+	clear(dst)
+	for a, xa := range x {
+		in := g.in[a]
+		if xa == 0 || len(in) == 0 {
+			continue
+		}
+		w := 1 / float64(len(in))
+		for _, i := range in {
+			dst[i] += w * xa
+		}
+	}
 }
 
 // Apply performs one unit update and reports whether the graph changed.

@@ -163,24 +163,19 @@ func TestBackwardTransitionRowStochastic(t *testing.T) {
 	g := FromEdges(4, []Edge{{0, 2}, {1, 2}, {3, 2}, {2, 3}})
 	q := g.BackwardTransition()
 	// Row 2 has I(2)={0,1,3}: three entries of 1/3.
-	cols, vals := q.Row(2)
-	if len(cols) != 3 {
-		t.Fatalf("row 2 nnz = %d", len(cols))
+	if row := q.Row(2); !slices.Equal(row, []float64{1.0 / 3, 1.0 / 3, 0, 1.0 / 3}) {
+		t.Fatalf("row 2 = %v", row)
 	}
 	var sum float64
-	for _, v := range vals {
-		if v != 1.0/3 {
-			t.Fatalf("row 2 value %v", v)
-		}
+	for _, v := range q.Row(2) {
 		sum += v
 	}
 	if sum != 1 {
 		t.Fatalf("row 2 sum %v", sum)
 	}
-	// Row 0 has no in-neighbors → empty.
-	cols, _ = q.Row(0)
-	if len(cols) != 0 {
-		t.Fatal("row 0 should be empty")
+	// Row 0 has no in-neighbors → all zero.
+	if row := q.Row(0); !slices.Equal(row, make([]float64, 4)) {
+		t.Fatalf("row 0 = %v, want zeros", row)
 	}
 	// [Q]_{j,i} nonzero iff (i,j) ∈ E.
 	if q.At(3, 2) != 1 {
@@ -218,25 +213,6 @@ func TestSummarize(t *testing.T) {
 	}
 	if st.AvgInDeg != 0.75 {
 		t.Fatalf("AvgInDeg = %v", st.AvgInDeg)
-	}
-}
-
-func TestInDegreeHistogram(t *testing.T) {
-	g := FromEdges(4, []Edge{{0, 2}, {1, 2}, {3, 2}})
-	h := InDegreeHistogram(g)
-	if h[0] != 3 || h[3] != 1 {
-		t.Fatalf("histogram %v", h)
-	}
-}
-
-func TestDiameter(t *testing.T) {
-	// 0→1→2→3 chain: diameter 3.
-	g := FromEdges(4, []Edge{{0, 1}, {1, 2}, {2, 3}})
-	if d := Diameter(g); d != 3 {
-		t.Fatalf("Diameter = %d, want 3", d)
-	}
-	if d := Diameter(New(3)); d != 0 {
-		t.Fatalf("empty diameter = %d", d)
 	}
 }
 
@@ -318,9 +294,8 @@ func TestQuickBackwardTransitionStochastic(t *testing.T) {
 		}
 		q := g.BackwardTransition()
 		for j := 0; j < n; j++ {
-			_, vals := q.Row(j)
 			var sum float64
-			for _, v := range vals {
+			for _, v := range q.Row(j) {
 				sum += v
 			}
 			if g.InDegree(j) == 0 {
@@ -334,6 +309,107 @@ func TestQuickBackwardTransitionStochastic(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// mulQCase draws a graph with a self-loop at node 0 and no in-links at
+// node n−1, and an x for it.
+func mulQCase(rng *rand.Rand) (*DiGraph, []float64) {
+	n := 2 + rng.Intn(12)
+	g := New(n)
+	g.AddEdge(0, 0)
+	for k := 0; k < 3*n; k++ {
+		g.AddEdge(rng.Intn(n), rng.Intn(n-1))
+	}
+	return g, signedVec(rng, n)
+}
+
+// signedVec draws n entries among +0, −0, negative and positive values:
+// Inc-uSR's ξ and η are signed.
+func signedVec(rng *rand.Rand, n int) []float64 {
+	x := make([]float64, n)
+	for i := range x {
+		switch rng.Intn(4) {
+		case 0:
+			x[i] = 0
+		case 1:
+			x[i] = math.Copysign(0, -1)
+		case 2:
+			x[i] = -rng.Float64()
+		default:
+			x[i] = rng.Float64()
+		}
+	}
+	return x
+}
+
+// mulMatches runs mul into a dirty dst and reports whether it wrote want
+// bit for bit.
+func mulMatches(rng *rand.Rand, mul func(dst, x []float64), x, want []float64) bool {
+	dst := make([]float64, len(want))
+	for i := range dst {
+		dst[i] = rng.Float64()
+	}
+	mul(dst, x)
+	for i, v := range want {
+		if math.Float64bits(dst[i]) != math.Float64bits(v) {
+			return false
+		}
+	}
+	return true
+}
+
+// MulQ equals Dense.MulVec of BackwardTransition bit for bit.
+func TestMulQMatchesDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	for trial := 0; trial < 20; trial++ {
+		g, x := mulQCase(rng)
+		if !mulMatches(rng, g.MulQ, x, g.BackwardTransition().MulVec(x)) {
+			t.Fatalf("trial %d: MulQ differs from Dense.MulVec", trial)
+		}
+	}
+}
+
+// MulQT equals Dense.MulVecT of BackwardTransition bit for bit.
+func TestMulQTMatchesDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 20; trial++ {
+		g, x := mulQCase(rng)
+		if !mulMatches(rng, g.MulQT, x, g.BackwardTransition().MulVecT(x)) {
+			t.Fatalf("trial %d: MulQT differs from Dense.MulVecT", trial)
+		}
+	}
+}
+
+// Property: MulQ and MulQT follow the in-lists through a stream of
+// insertions, deletions (which can empty an in-list) and node growth:
+// after every update both equal the dense products of a freshly built
+// BackwardTransition bit for bit.
+func TestQuickMulQAgreesWithDense(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		g, _ := mulQCase(rng)
+		for step := 0; step < 20; step++ {
+			switch r := rng.Intn(10); {
+			case r == 0:
+				g.AddNodes(1)
+			case r < 5:
+				if es := g.Edges(); len(es) > 0 {
+					e := es[rng.Intn(len(es))]
+					g.RemoveEdge(e.From, e.To)
+				}
+			default:
+				g.AddEdge(rng.Intn(g.N()), rng.Intn(g.N()))
+			}
+			q, x := g.BackwardTransition(), signedVec(rng, g.N())
+			if !mulMatches(rng, g.MulQ, x, q.MulVec(x)) || !mulMatches(rng, g.MulQT, x, q.MulVecT(x)) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -4,13 +4,15 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
 
 // ParseEdgeList reads a whitespace-separated edge list ("from to" per
 // line). Lines that are empty or start with '#' or '%' are skipped.
-// Node ids must be non-negative integers; the graph is sized to the
+// Node ids must be non-negative integers below math.MaxInt32, so that
+// the node count fits the graph's int32 ids; the graph is sized to the
 // largest id seen plus one, or minNodes if larger.
 func ParseEdgeList(r io.Reader, minNodes int) (*DiGraph, error) {
 	sc := bufio.NewScanner(r)
@@ -38,6 +40,9 @@ func ParseEdgeList(r io.Reader, minNodes int) (*DiGraph, error) {
 		}
 		if from < 0 || to < 0 {
 			return nil, fmt.Errorf("graph: line %d: negative node id", lineno)
+		}
+		if from >= math.MaxInt32 || to >= math.MaxInt32 {
+			return nil, fmt.Errorf("graph: line %d: node id %d past the int32 range", lineno, max(from, to))
 		}
 		if from > maxID {
 			maxID = from

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -37,7 +38,7 @@ func TestParseEdgeListMinNodes(t *testing.T) {
 }
 
 func TestParseEdgeListErrors(t *testing.T) {
-	cases := []string{"0\n", "a b\n", "0 x\n", "-1 2\n"}
+	cases := []string{"0\n", "a b\n", "0 x\n", "-1 2\n", "0 3000000000\n", "2147483647 0\n"}
 	for _, c := range cases {
 		if _, err := ParseEdgeList(strings.NewReader(c), 0); err == nil {
 			t.Fatalf("input %q: want error", c)
@@ -63,6 +64,46 @@ func TestEdgeListRoundTrip(t *testing.T) {
 			t.Fatalf("lost edge %v", e)
 		}
 	}
+}
+
+// FuzzParseEdgeList: any input either returns an error or parses to a
+// graph that round-trips through WriteEdgeList and ParseEdgeList, with
+// its own node count as minNodes, to the same N and Edges. Inputs with a
+// digit run longer than 4 are skipped, so no input asks for more than
+// 10⁴ nodes; TestParseEdgeListErrors covers ids past the int32 range.
+func FuzzParseEdgeList(f *testing.F) {
+	f.Add([]byte("# comment\n0 1\n1 2\n\n% other\n2 0\n"))
+	f.Add([]byte("0 0\n3 1 extra\n\t5  2\n"))
+	f.Add([]byte("+1 -0\n1 1\n"))
+	f.Add([]byte("0 x\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		run := 0
+		for _, b := range data {
+			if b >= '0' && b <= '9' {
+				run++
+			} else {
+				run = 0
+			}
+			if run > 4 {
+				return
+			}
+		}
+		g, err := ParseEdgeList(bytes.NewReader(data), 0)
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteEdgeList(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		g2, err := ParseEdgeList(&buf, g.N())
+		if err != nil {
+			t.Fatalf("re-parse of %q: %v", buf.String(), err)
+		}
+		if g2.N() != g.N() || !slices.Equal(g2.Edges(), g.Edges()) {
+			t.Fatalf("round trip: N %d → %d, edges %v → %v", g.N(), g2.N(), g.Edges(), g2.Edges())
+		}
+	})
 }
 
 func TestParseUpdates(t *testing.T) {

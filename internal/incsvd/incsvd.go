@@ -46,7 +46,7 @@ func New(g *graph.DiGraph, c float64, targetRank int) (*Engine, error) {
 	if c <= 0 || c >= 1 {
 		return nil, fmt.Errorf("incsvd: damping factor %v outside (0,1)", c)
 	}
-	q := g.BackwardTransition().Dense()
+	q := g.BackwardTransition()
 	d := lin.ComputeSVD(q, svdDropTol)
 	if targetRank > 0 {
 		d = d.Truncate(targetRank)
@@ -99,8 +99,8 @@ func (e *Engine) Update(g *graph.DiGraph, up graph.Update) error {
 	}
 	r := e.Rank()
 	// C_aux = Σ + Uᵀ·ΔQ·V = Σ + (Uᵀu)·(Vᵀv)ᵀ, a diagonal plus a rank-one.
-	uu := e.U.MulVecT(ro.U.Dense()) // Uᵀ·u ∈ R^r
-	vv := e.V.MulVecT(ro.V.Dense()) // Vᵀ·v ∈ R^r
+	uu := e.U.MulVecT(ro.U) // Uᵀ·u ∈ R^r
+	vv := e.V.MulVecT(ro.V) // Vᵀ·v ∈ R^r
 	caux := matrix.NewDense(r, r)
 	for i := 0; i < r; i++ {
 		caux.Set(i, i, e.Sig[i])
@@ -128,8 +128,8 @@ func (e *Engine) AuxRankLossless(g *graph.DiGraph, up graph.Update) (int, error)
 		return 0, err
 	}
 	r := e.Rank()
-	uu := e.U.MulVecT(ro.U.Dense())
-	vv := e.V.MulVecT(ro.V.Dense())
+	uu := e.U.MulVecT(ro.U)
+	vv := e.V.MulVecT(ro.V)
 	caux := matrix.NewDense(r, r)
 	for i := 0; i < r; i++ {
 		caux.Set(i, i, e.Sig[i])

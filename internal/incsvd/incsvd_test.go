@@ -111,7 +111,7 @@ func TestExample3EigenInformationLoss(t *testing.T) {
 	}
 	g2 := g.Clone()
 	g2.Apply(up)
-	trueQ := g2.BackwardTransition().Dense()
+	trueQ := g2.BackwardTransition()
 	errNorm := matrix.MaxAbsDiff(rec, trueQ)
 	if errNorm < 0.9 {
 		t.Fatalf("expected ≈1 factorization error (missed eigenvector), got %g", errNorm)
@@ -168,7 +168,7 @@ func TestIncrementalExactOnFullRank(t *testing.T) {
 	}
 	g2 := g.Clone()
 	g2.Apply(up)
-	if nr := lin.NumericRank(g2.BackwardTransition().Dense(), 1e-10); nr == 4 && e.Rank() == 4 {
+	if nr := lin.NumericRank(g2.BackwardTransition(), 1e-10); nr == 4 && e.Rank() == 4 {
 		got := e.Similarities()
 		want := batch.MatrixForm(g2, c, 200)
 		if d := matrix.MaxAbsDiff(got, want); d > 1e-6 {
@@ -254,7 +254,7 @@ func TestNewFromSVDMatchesNew(t *testing.T) {
 	g := graph.FromEdges(5, []graph.Edge{
 		{From: 0, To: 1}, {From: 2, To: 1}, {From: 1, To: 3}, {From: 3, To: 4},
 	})
-	full := lin.ComputeSVD(g.BackwardTransition().Dense(), 1e-10)
+	full := lin.ComputeSVD(g.BackwardTransition(), 1e-10)
 	for _, r := range []int{0, 2} {
 		a, err := New(g, 0.6, r)
 		if err != nil {

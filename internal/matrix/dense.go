@@ -1,7 +1,9 @@
-// Package matrix provides the dense and sparse linear-algebra substrate used
-// by every SimRank algorithm in this repository: row-major dense matrices,
-// CSR sparse matrices, and the vector kernels (dot, axpy, outer product)
-// that the rank-one Sylvester iteration of Inc-uSR/Inc-SR is built from.
+// Package matrix provides the dense linear-algebra substrate used by
+// every SimRank algorithm in this repository: row-major dense matrices
+// and the vector kernels (dot, axpy, outer product) that the rank-one
+// Sylvester iteration of Inc-uSR/Inc-SR is built from. The sparse
+// transition matrix Q has no type here: the graph's sorted in-lists are
+// its one form (graph.DiGraph.MulQ and MulQT).
 //
 // Everything is float64 and stdlib-only. Matrices are small-n oriented
 // (SimRank itself is Θ(n²) output), so the dense type stores a single
@@ -291,15 +293,6 @@ func MaxAbsDiff(a, b *Dense) float64 {
 		}
 	}
 	return max
-}
-
-// FrobeniusNorm returns ‖m‖_F.
-func (m *Dense) FrobeniusNorm() float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }
 
 // MaxAbs returns ‖m‖_max, the largest absolute entry.

@@ -87,17 +87,6 @@ func Norm2(x []float64) float64 {
 	return math.Sqrt(s)
 }
 
-// NormInf returns ‖x‖_∞.
-func NormInf(x []float64) float64 {
-	var max float64
-	for _, v := range x {
-		if a := math.Abs(v); a > max {
-			max = a
-		}
-	}
-	return max
-}
-
 // CloneVec returns a copy of x.
 func CloneVec(x []float64) []float64 {
 	c := make([]float64, len(x))

@@ -83,9 +83,6 @@ func TestNorms2Inf(t *testing.T) {
 	if Norm2(x) != 5 {
 		t.Fatalf("Norm2 = %v", Norm2(x))
 	}
-	if NormInf(x) != 4 {
-		t.Fatalf("NormInf = %v", NormInf(x))
-	}
 }
 
 func TestCloneSubVec(t *testing.T) {

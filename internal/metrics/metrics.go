@@ -136,9 +136,6 @@ func NDCG(got, ideal *matrix.Dense, k int) float64 {
 	return dcg / idcg
 }
 
-// MaxError returns ‖a−b‖_max over all entries.
-func MaxError(a, b *matrix.Dense) float64 { return matrix.MaxAbsDiff(a, b) }
-
 // MeanAbsError returns the mean absolute entrywise difference.
 func MeanAbsError(a, b *matrix.Dense) float64 {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
